@@ -74,11 +74,8 @@ type System struct {
 
 // NewSystem validates a config and builds a System.
 func NewSystem(cfg Config) (*System, error) {
-	if cfg.MeshWidth < 1 || cfg.MeshHeight < 1 {
-		return nil, fmt.Errorf("cdcs: invalid mesh %dx%d", cfg.MeshWidth, cfg.MeshHeight)
-	}
-	if cfg.BankKB <= 0 {
-		return nil, fmt.Errorf("cdcs: invalid bank size %dKB", cfg.BankKB)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	env := policy.DefaultEnv()
 	env.Chip = place.Chip{
@@ -100,6 +97,19 @@ func NewSystem(cfg Config) (*System, error) {
 		env.Params.Channels = cfg.MemChannels
 	}
 	return &System{env: env}, nil
+}
+
+// validate reports the first reason cfg cannot build a System. It builds
+// nothing, so request canonicalization can check a config without paying
+// for a topology.
+func (cfg Config) validate() error {
+	if cfg.MeshWidth < 1 || cfg.MeshHeight < 1 {
+		return fmt.Errorf("cdcs: invalid mesh %dx%d", cfg.MeshWidth, cfg.MeshHeight)
+	}
+	if cfg.BankKB <= 0 {
+		return fmt.Errorf("cdcs: invalid bank size %dKB", cfg.BankKB)
+	}
+	return nil
 }
 
 // DefaultSystem returns the paper's 64-tile system.

@@ -105,13 +105,17 @@ func replaySchedule(env policy.Env, s policy.Sched, chip perfmodel.ChipResult, s
 	// stream's mean distance (rounded), which preserves mean path length.
 	pickBank := func(st stream) mesh.Tile {
 		want := st.in.AvgHops
-		order := topo.ByDistance(st.core)
-		best := order[0]
+		cur := topo.RingFrom(st.core)
+		best := st.core
 		bestD := 1e18
 		// Among tiles at the two distances bracketing `want`, pick randomly.
 		lo := int(want)
-		for _, b := range order {
-			d := float64(topo.Distance(st.core, b))
+		for {
+			b, ok := cur.Next()
+			if !ok {
+				break
+			}
+			d := float64(cur.Dist())
 			if d < float64(lo) {
 				continue
 			}

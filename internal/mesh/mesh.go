@@ -7,17 +7,13 @@
 // this package, so alternative topologies only need to implement the same
 // distance interface.
 //
-// Memory model: at or below LazyThreshold tiles a Topology precomputes the
-// full distance matrix and per-tile distance rings (O(n²) ints — microseconds
-// of lookup in the placement hot loops, and the representation every
-// committed result hash was recorded against). Above the threshold those
-// arrays would need gigabytes (a 128×128 mesh is 2 GB of ring indices alone),
-// so the topology switches to a lazy mode: distances come from coordinate
-// arithmetic, ByDistance orderings are enumerated on demand by RingCursor,
-// and the per-tile mean distances are computed in closed form. Every lazy
-// answer is bit-identical to what the eager arrays would have held — integer
-// hop counts and integer-sum means have exact float64 representations — so
-// the mode switch is an implementation detail, not a semantic one.
+// Memory model: a Topology is O(tiles) at every size. Distances come from
+// coordinate arithmetic, and the "tiles in order of distance from a center"
+// walks the placement steps need all read one shared table of relative
+// offsets (see RingCursor). The per-tile mean distances are computed in
+// closed form; integer hop counts and integer-sum means have exact float64
+// representations, so they equal an explicit accumulation over all tile
+// pairs bit for bit.
 package mesh
 
 import (
@@ -31,13 +27,11 @@ import (
 // order: tile = y*Width + x.
 type Tile int
 
-// LazyThreshold is the tile count above which New builds a lazy topology:
-// no O(n²) distance matrix or ring arrays, coordinate arithmetic and
-// RingCursor enumeration instead. At or below the threshold the eager arrays
-// survive untouched, so every existing ordering is byte-identical to prior
-// releases. The value matches place.HierarchyThreshold: a chip is lazy
-// exactly when placement goes hierarchical.
-const LazyThreshold = 4096
+// Offset is a displacement from a center tile, in tiles.
+type Offset struct{ DX, DY int32 }
+
+// coord is a tile's (x, y) position.
+type coord struct{ x, y int32 }
 
 // Topology is an immutable W×H mesh. The zero value is not usable; construct
 // with New.
@@ -45,26 +39,16 @@ type Topology struct {
 	width  int
 	height int
 
-	// lazy marks a topology built without the O(n²) arrays below (see
-	// LazyThreshold). Distance queries fall back to coordinate arithmetic.
-	lazy bool
+	// xy[t] is tile t's position, so coordinate and distance queries are
+	// loads and subtractions rather than integer divisions.
+	xy []coord
 
-	// distance[a][b] is the Manhattan distance in hops between tiles a and b.
-	// Nil in lazy mode.
-	distance [][]int
-
-	// byDistance[c] lists all tiles sorted by increasing distance from c,
-	// with ties broken by tile index so orderings are deterministic. Nil in
-	// lazy mode (RingCursor produces the identical ordering on demand).
-	byDistance [][]Tile
-
-	// ringStart[c][d] is the index in byDistance[c] of the first tile at
-	// distance >= d from c; ringStart[c] has maxDist+2 entries so that
-	// byDistance[c][ringStart[c][d]:ringStart[c][d+1]] is exactly the ring of
-	// tiles at distance d. Placement search uses these precomputed rings to
-	// bound spirals and candidate sets without scanning the whole mesh. Nil
-	// in lazy mode.
-	ringStart [][]int
+	// order lists every displacement (dx, dy) with |dx| < width and
+	// |dy| < height, sorted by (|dx|+|dy|, dy, dx). For a center c, the
+	// displacements that land on the mesh visit tiles in ascending distance
+	// from c, and within one distance in ascending row then column, which is
+	// ascending tile index. (2·width-1)·(2·height-1) entries: O(tiles).
+	order []Offset
 
 	// memControllers are the tiles adjacent to memory controllers. Pages are
 	// interleaved across controllers, so the average distance from a tile to
@@ -91,111 +75,36 @@ type Topology struct {
 	clusters     *Clusters
 }
 
-// New builds a width×height mesh: eager at or below LazyThreshold tiles,
-// lazy above it. It panics if either dimension is < 1; topology construction
-// errors are programming errors, not runtime input.
+// New builds a width×height mesh. It panics if either dimension is < 1;
+// topology construction errors are programming errors, not runtime input.
 func New(width, height int) *Topology {
-	if width >= 1 && height >= 1 && width*height > LazyThreshold {
-		return NewLazy(width, height)
-	}
-	return NewEager(width, height)
-}
-
-// NewEager builds a mesh with the full precomputed distance matrix and ring
-// arrays regardless of size. Exported so tests and benchmarks can compare the
-// two representations; production code should use New.
-func NewEager(width, height int) *Topology {
 	if width < 1 || height < 1 {
 		panic(fmt.Sprintf("mesh: invalid dimensions %dx%d", width, height))
 	}
 	n := width * height
 	t := &Topology{width: width, height: height}
 
-	t.distance = make([][]int, n)
-	for a := 0; a < n; a++ {
-		t.distance[a] = make([]int, n)
-		ax, ay := a%width, a/width
-		for b := 0; b < n; b++ {
-			bx, by := b%width, b/width
-			t.distance[a][b] = abs(ax-bx) + abs(ay-by)
-		}
+	t.xy = make([]coord, n)
+	for a := range t.xy {
+		t.xy[a] = coord{int32(a % width), int32(a / width)}
 	}
 
-	// Build byDistance with a counting sort over distance rings: two passes
-	// over the tiles in ascending index order yield the canonical
-	// (distance asc, index asc) ordering directly — the same ordering a
-	// stable sort produces, at O(n) per center instead of O(n log n) — and
-	// the ring boundaries fall out as a prefix-sum byproduct.
-	maxDist := width - 1 + height - 1
-	t.byDistance = make([][]Tile, n)
-	t.ringStart = make([][]int, n)
-	for c := 0; c < n; c++ {
-		d := t.distance[c]
-		start := make([]int, maxDist+2)
-		for b := 0; b < n; b++ {
-			start[d[b]+1]++
-		}
-		for r := 1; r <= maxDist+1; r++ {
-			start[r] += start[r-1]
-		}
-		t.ringStart[c] = start
-		order := make([]Tile, n)
-		cursor := append([]int(nil), start...)
-		for b := 0; b < n; b++ {
-			order[cursor[d[b]]] = Tile(b)
-			cursor[d[b]]++
-		}
-		t.byDistance[c] = order
-	}
-
-	t.memControllers = edgeControllers(width, height)
-	t.avgMCDist = make([]float64, n)
-	for a := 0; a < n; a++ {
-		sum := 0
-		for _, mc := range t.memControllers {
-			sum += t.distance[a][mc]
-		}
-		t.avgMCDist[a] = float64(sum) / float64(len(t.memControllers))
-	}
-
-	// Per-tile mean distances, accumulated in ascending tile order with the
-	// exact float operations the policy models previously performed inline,
-	// so hoisting them here changes no result bits.
-	t.avgDist = make([]float64, n)
-	for a := 0; a < n; a++ {
-		sum := 0.0
-		for b := 0; b < n; b++ {
-			sum += float64(t.distance[a][b])
-		}
-		t.avgDist[a] = sum / float64(n)
-	}
-	meanMC := 0.0
-	for a := 0; a < n; a++ {
-		meanMC += t.avgMCDist[a]
-	}
-	t.meanMCDist = meanMC / float64(n)
-
-	total := 0
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			total += t.distance[a][b]
+	// Emit the offsets shell by shell: for distance d, rows dy ascending and,
+	// within a row, the left arm before the right. That is the sorted order
+	// directly, with no sort.
+	t.order = make([]Offset, 0, (2*width-1)*(2*height-1))
+	for d := 0; d <= t.MaxDistance(); d++ {
+		for dy := -min(d, height-1); dy <= min(d, height-1); dy++ {
+			dx := d - abs(dy)
+			if dx >= width {
+				continue
+			}
+			if dx > 0 {
+				t.order = append(t.order, Offset{int32(-dx), int32(dy)})
+			}
+			t.order = append(t.order, Offset{int32(dx), int32(dy)})
 		}
 	}
-	t.meanPairDist = float64(total) / float64(n*n)
-
-	return t
-}
-
-// NewLazy builds a mesh without the O(n²) arrays: O(n) memory total. All
-// distance queries are answered arithmetically and are bit-identical to the
-// eager representation (the equality is tested exhaustively on small meshes).
-// Exported for tests and benchmarks; production code should use New.
-func NewLazy(width, height int) *Topology {
-	if width < 1 || height < 1 {
-		panic(fmt.Sprintf("mesh: invalid dimensions %dx%d", width, height))
-	}
-	n := width * height
-	t := &Topology{width: width, height: height, lazy: true}
 
 	t.memControllers = edgeControllers(width, height)
 	t.avgMCDist = make([]float64, n)
@@ -210,9 +119,8 @@ func NewLazy(width, height int) *Topology {
 	// Closed-form per-tile distance sums. The sum of |ax-x| over a row (and
 	// |ay-y| over a column) is a pair of triangular numbers, so the total
 	// distance from tile a to all tiles is h·Sx(ax) + w·Sy(ay). These are
-	// exact integers well below 2^53, and the eager path's float64
-	// accumulation of integer hop counts is also exact, so float64(total)/n
-	// reproduces the eager means bit for bit.
+	// exact integers well below 2^53, so float64(total)/n equals a float64
+	// accumulation of the individual hop counts bit for bit.
 	lineSum := func(p, n int) int { return p*(p+1)/2 + (n-1-p)*(n-p)/2 }
 	xSum := make([]int, width)
 	for x := 0; x < width; x++ {
@@ -225,7 +133,7 @@ func NewLazy(width, height int) *Topology {
 	t.avgDist = make([]float64, n)
 	total := 0
 	for a := 0; a < n; a++ {
-		sum := height*xSum[a%width] + width*ySum[a/width]
+		sum := height*xSum[t.xy[a].x] + width*ySum[t.xy[a].y]
 		t.avgDist[a] = float64(sum) / float64(n)
 		total += sum
 	}
@@ -258,11 +166,9 @@ func edgeControllers(width, height int) []Tile {
 		at(width-1, y1), at(width-1, y2), // right edge
 	}
 	// Dedup (small meshes can collapse positions).
-	seen := make(map[Tile]bool, len(mcs))
 	out := mcs[:0]
 	for _, m := range mcs {
-		if !seen[m] {
-			seen[m] = true
+		if !slices.Contains(out, m) {
 			out = append(out, m)
 		}
 	}
@@ -278,15 +184,10 @@ func (t *Topology) Height() int { return t.height }
 // Tiles returns the number of tiles in the mesh.
 func (t *Topology) Tiles() int { return t.width * t.height }
 
-// Lazy reports whether the topology was built without the precomputed
-// distance matrix and ring arrays (tile count above LazyThreshold). Callers
-// on hot paths use it to pick allocation-free access patterns
-// (FillDistanceRow, RingFrom) over the shared-slice accessors.
-func (t *Topology) Lazy() bool { return t.lazy }
-
 // Coords returns the (x, y) coordinates of a tile.
 func (t *Topology) Coords(tile Tile) (x, y int) {
-	return int(tile) % t.width, int(tile) / t.width
+	p := t.xy[tile]
+	return int(p.x), int(p.y)
 }
 
 // TileAt returns the tile at coordinates (x, y).
@@ -296,45 +197,8 @@ func (t *Topology) TileAt(x, y int) Tile {
 
 // Distance returns the X-Y routing hop count between two tiles.
 func (t *Topology) Distance(a, b Tile) int {
-	if !t.lazy {
-		return t.distance[a][b]
-	}
-	ax, ay := int(a)%t.width, int(a)/t.width
-	bx, by := int(b)%t.width, int(b)/t.width
-	return abs(ax-bx) + abs(ay-by)
-}
-
-// DistanceRow returns the hop counts from tile a to every tile, indexed by
-// tile id. The slice is shared; callers must not modify it. Hot placement
-// loops use it to hoist the row lookup out of per-bank iteration.
-//
-// In lazy mode the row is computed into a fresh allocation per call; loops
-// that care should use FillDistanceRow with a reused buffer instead.
-func (t *Topology) DistanceRow(a Tile) []int {
-	if !t.lazy {
-		return t.distance[a]
-	}
-	return t.FillDistanceRow(a, make([]int, t.Tiles()))
-}
-
-// FillDistanceRow writes the hop counts from tile a to every tile into row
-// (which must have length Tiles()) and returns it. In eager mode it copies
-// the precomputed row, so values are identical across modes by construction.
-func (t *Topology) FillDistanceRow(a Tile, row []int) []int {
-	if !t.lazy {
-		copy(row, t.distance[a])
-		return row
-	}
-	ax, ay := int(a)%t.width, int(a)/t.width
-	i := 0
-	for y := 0; y < t.height; y++ {
-		dy := abs(y - ay)
-		for x := 0; x < t.width; x++ {
-			row[i] = abs(x-ax) + dy
-			i++
-		}
-	}
-	return row
+	pa, pb := t.xy[a], t.xy[b]
+	return abs(int(pa.x-pb.x)) + abs(int(pa.y-pb.y))
 }
 
 // MeanDistanceFrom returns the mean hop count from tile a to all tiles: the
@@ -349,113 +213,10 @@ func (t *Topology) MeanMemDistance() float64 {
 	return t.meanMCDist
 }
 
-// ByDistance returns all tiles ordered by increasing distance from center
-// (deterministic tie-break by tile index). The returned slice is shared in
-// eager mode and freshly built per call in lazy mode; callers must not
-// modify it. Loops that terminate early on large lazy meshes should use
-// RingFrom instead, which enumerates the same ordering incrementally without
-// materializing it.
-func (t *Topology) ByDistance(center Tile) []Tile {
-	if !t.lazy {
-		return t.byDistance[center]
-	}
-	return t.byDistanceLazy(center)
-}
-
-// byDistanceLazy materializes the ordering a lazy topology never stores,
-// kept out of ByDistance so the eager fast path stays a plain inlinable
-// array access (hot placement loops range over it).
-func (t *Topology) byDistanceLazy(center Tile) []Tile {
-	out := make([]Tile, 0, t.Tiles())
-	cur := t.RingFrom(center)
-	for {
-		tile, ok := cur.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, tile)
-	}
-}
-
 // MaxDistance returns the mesh diameter: the largest possible hop count
 // between two tiles (corner to corner).
 func (t *Topology) MaxDistance() int {
 	return t.width - 1 + t.height - 1
-}
-
-// Ring returns the tiles at exactly distance d from center, in ascending
-// tile-index order (in eager mode a shared slice of ByDistance(center); do
-// not modify). Out-of-range distances return an empty ring.
-func (t *Topology) Ring(center Tile, d int) []Tile {
-	if d < 0 || d > t.MaxDistance() {
-		return nil
-	}
-	if !t.lazy {
-		s := t.ringStart[center]
-		return t.byDistance[center][s[d]:s[d+1]]
-	}
-	cx, cy := t.Coords(center)
-	var out []Tile
-	for y := max(0, cy-d); y <= min(t.height-1, cy+d); y++ {
-		dx := d - abs(y-cy)
-		if dx == 0 {
-			out = append(out, t.TileAt(cx, y))
-			continue
-		}
-		if x := cx - dx; x >= 0 {
-			out = append(out, t.TileAt(x, y))
-		}
-		if x := cx + dx; x < t.width {
-			out = append(out, t.TileAt(x, y))
-		}
-	}
-	return out
-}
-
-// WithinCount returns the number of tiles at distance <= d from center: the
-// length of the ByDistance(center) prefix a spiral of radius d covers.
-// Negative d counts zero tiles; d beyond the diameter counts all of them.
-func (t *Topology) WithinCount(center Tile, d int) int {
-	if d < 0 {
-		return 0
-	}
-	if d >= t.MaxDistance() {
-		return t.Tiles()
-	}
-	if !t.lazy {
-		return t.ringStart[center][d+1]
-	}
-	cx, cy := t.Coords(center)
-	count := 0
-	for y := max(0, cy-d); y <= min(t.height-1, cy+d); y++ {
-		dx := d - abs(y-cy)
-		lo := max(0, cx-dx)
-		hi := min(t.width-1, cx+dx)
-		count += hi - lo + 1
-	}
-	return count
-}
-
-// RadiusCovering returns the smallest radius r such that at least k tiles lie
-// within distance r of center (the compact-footprint radius of a k-bank
-// virtual cache). k above the tile count saturates to the mesh diameter;
-// k <= 1 is radius 0.
-func (t *Topology) RadiusCovering(center Tile, k int) int {
-	if !t.lazy {
-		s := t.ringStart[center]
-		for r := 0; r <= t.MaxDistance(); r++ {
-			if s[r+1] >= k {
-				return r
-			}
-		}
-		return t.MaxDistance()
-	}
-	for r := 0; r <= t.MaxDistance(); r++ {
-		if t.WithinCount(center, r) >= k {
-			return r
-		}
-	}
-	return t.MaxDistance()
 }
 
 // MemControllers returns the tiles adjacent to memory controllers.

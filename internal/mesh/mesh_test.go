@@ -1,9 +1,11 @@
 package mesh
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,26 +96,39 @@ func TestDistanceMetricProperties(t *testing.T) {
 	}
 }
 
+// ringOrder collects the tiles and distances a cursor from c produces.
+func ringOrder(m *Topology, c Tile) (tiles []Tile, dists []int) {
+	cur := m.RingFrom(c)
+	for {
+		tl, ok := cur.Next()
+		if !ok {
+			return tiles, dists
+		}
+		tiles = append(tiles, tl)
+		dists = append(dists, cur.Dist())
+	}
+}
+
 func TestByDistanceOrdering(t *testing.T) {
 	m := New(8, 8)
 	for c := 0; c < m.Tiles(); c++ {
-		order := m.ByDistance(Tile(c))
+		order, _ := ringOrder(m, Tile(c))
 		if len(order) != m.Tiles() {
-			t.Fatalf("ByDistance(%d): len=%d", c, len(order))
+			t.Fatalf("ring from %d: len=%d", c, len(order))
 		}
 		if order[0] != Tile(c) {
-			t.Errorf("ByDistance(%d): first tile is %d, want center", c, order[0])
+			t.Errorf("ring from %d: first tile is %d, want center", c, order[0])
 		}
 		seen := make(map[Tile]bool)
 		prev := -1
 		for _, tl := range order {
 			if seen[tl] {
-				t.Fatalf("ByDistance(%d): duplicate tile %d", c, tl)
+				t.Fatalf("ring from %d: duplicate tile %d", c, tl)
 			}
 			seen[tl] = true
 			d := m.Distance(Tile(c), tl)
 			if d < prev {
-				t.Fatalf("ByDistance(%d): distance decreased (%d after %d)", c, d, prev)
+				t.Fatalf("ring from %d: distance decreased (%d after %d)", c, d, prev)
 			}
 			prev = d
 		}
@@ -121,38 +136,75 @@ func TestByDistanceOrdering(t *testing.T) {
 }
 
 func TestByDistanceDeterministicTieBreak(t *testing.T) {
-	m := New(4, 4)
-	a := m.ByDistance(0)
-	b := New(4, 4).ByDistance(0)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("orderings differ at %d: %d vs %d", i, a[i], b[i])
-		}
+	a, _ := ringOrder(New(4, 4), 0)
+	b, _ := ringOrder(New(4, 4), 0)
+	// Ties at equal distance go to the lower tile index.
+	want := []Tile{0, 1, 4, 2, 5, 8, 3, 6, 9, 12, 7, 10, 13, 11, 14, 15}
+	if !reflect.DeepEqual(a, want) || !reflect.DeepEqual(b, want) {
+		t.Fatalf("ring from 0 on 4x4 = %v / %v, want %v", a, b, want)
 	}
 }
 
+// TestByDistanceMatchesStableSort checks the topology against a brute-force
+// reference on every center: the cursor order must be exactly a stable sort
+// of all tiles by Manhattan distance (ties by ascending index — placement
+// tie-breaks are sensitive to the last entry, so this is a bit-identity
+// property), Dist and Distance must be the reference hop counts, and the
+// closed-form means must equal an explicit float64 accumulation bit for bit.
 func TestByDistanceMatchesStableSort(t *testing.T) {
-	// The counting-sort construction must reproduce the canonical
-	// (distance asc, index asc) ordering exactly — placement tie-breaks are
-	// sensitive to the last entry, so this is a bit-identity property.
-	for _, dims := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {12, 7}} {
-		m := New(dims[0], dims[1])
-		n := m.Tiles()
+	for _, dims := range [][2]int{{1, 1}, {1, 7}, {5, 1}, {8, 8}, {16, 16}, {13, 29}} {
+		w, h := dims[0], dims[1]
+		m := New(w, h)
+		n := w * h
+		dist := func(a, b int) int {
+			dx, dy := a%w-b%w, a/w-b/w
+			return max(dx, -dx) + max(dy, -dy)
+		}
+		total := 0
+		meanMC := 0.0
 		for c := 0; c < n; c++ {
 			want := make([]Tile, n)
 			for i := range want {
 				want[i] = Tile(i)
 			}
-			sort.SliceStable(want, func(i, j int) bool {
-				di, dj := m.Distance(Tile(c), want[i]), m.Distance(Tile(c), want[j])
-				if di != dj {
-					return di < dj
-				}
-				return want[i] < want[j]
+			slices.SortStableFunc(want, func(a, b Tile) int {
+				return cmp.Compare(dist(c, int(a)), dist(c, int(b)))
 			})
-			if got := m.ByDistance(Tile(c)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%dx%d ByDistance(%d) diverged from stable sort", dims[0], dims[1], c)
+			got, dists := ringOrder(m, Tile(c))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%dx%d: ring from %d = %v, want %v", w, h, c, got, want)
 			}
+			for i, tl := range got {
+				if dists[i] != dist(c, int(tl)) {
+					t.Fatalf("%dx%d: ring from %d: Dist at tile %d = %d, want %d", w, h, c, tl, dists[i], dist(c, int(tl)))
+				}
+			}
+			sum := 0.0
+			for b := 0; b < n; b++ {
+				if got := m.Distance(Tile(c), Tile(b)); got != dist(c, b) {
+					t.Fatalf("%dx%d: Distance(%d,%d) = %d, want %d", w, h, c, b, got, dist(c, b))
+				}
+				sum += float64(dist(c, b))
+				total += dist(c, b)
+			}
+			if got, want := m.MeanDistanceFrom(Tile(c)), sum/float64(n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%dx%d: MeanDistanceFrom(%d) = %v, want %v", w, h, c, got, want)
+			}
+			mcSum := 0
+			for _, mc := range m.MemControllers() {
+				mcSum += dist(c, int(mc))
+			}
+			wantMC := float64(mcSum) / float64(len(m.MemControllers()))
+			if got := m.AvgMemDistance(Tile(c)); math.Float64bits(got) != math.Float64bits(wantMC) {
+				t.Fatalf("%dx%d: AvgMemDistance(%d) = %v, want %v", w, h, c, got, wantMC)
+			}
+			meanMC += wantMC
+		}
+		if got, want := m.MeanPairDistance(), float64(total)/float64(n*n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%dx%d: MeanPairDistance = %v, want %v", w, h, got, want)
+		}
+		if got, want := m.MeanMemDistance(), meanMC/float64(n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%dx%d: MeanMemDistance = %v, want %v", w, h, got, want)
 		}
 	}
 }
@@ -163,41 +215,34 @@ func TestRings(t *testing.T) {
 		t.Fatalf("MaxDistance=%d, want %d", got, want)
 	}
 	for c := 0; c < m.Tiles(); c++ {
-		total := 0
-		for d := 0; d <= m.MaxDistance(); d++ {
-			ring := m.Ring(Tile(c), d)
-			for i, tl := range ring {
-				if m.Distance(Tile(c), tl) != d {
-					t.Fatalf("Ring(%d,%d) contains tile %d at distance %d", c, d, tl, m.Distance(Tile(c), tl))
-				}
-				if i > 0 && ring[i-1] >= tl {
-					t.Fatalf("Ring(%d,%d) not in ascending index order", c, d)
-				}
+		// The tiles the cursor yields at distance d form exactly ring d, in
+		// ascending index order.
+		order, dists := ringOrder(m, Tile(c))
+		for i, tl := range order {
+			if m.Distance(Tile(c), tl) != dists[i] {
+				t.Fatalf("ring from %d: tile %d reported at distance %d, is %d", c, tl, dists[i], m.Distance(Tile(c), tl))
 			}
-			total += len(ring)
-			if got := m.WithinCount(Tile(c), d); got != total {
-				t.Fatalf("WithinCount(%d,%d)=%d, want %d", c, d, got, total)
+			if i > 0 && dists[i-1] == dists[i] && order[i-1] >= tl {
+				t.Fatalf("ring %d from %d not in ascending index order", dists[i], c)
 			}
-		}
-		if total != m.Tiles() {
-			t.Fatalf("rings of %d cover %d tiles, want %d", c, total, m.Tiles())
 		}
 	}
 	// Center of the chip: ring d has 4d tiles while it fits.
-	center := m.CenterTile()
-	if got := len(m.Ring(center, 1)); got != 4 {
-		t.Errorf("center ring 1 has %d tiles, want 4", got)
+	_, dists := ringOrder(m, m.CenterTile())
+	ringSize := make(map[int]int)
+	for _, d := range dists {
+		ringSize[d]++
 	}
-	if got := len(m.Ring(center, 2)); got != 8 {
-		t.Errorf("center ring 2 has %d tiles, want 8", got)
+	if ringSize[1] != 4 || ringSize[2] != 8 {
+		t.Errorf("center rings 1 and 2 have %d and %d tiles, want 4 and 8", ringSize[1], ringSize[2])
 	}
-	// Out-of-range distances.
-	if len(m.Ring(center, -1)) != 0 || len(m.Ring(center, 99)) != 0 {
-		t.Error("out-of-range rings not empty")
-	}
-	if m.WithinCount(center, -1) != 0 || m.WithinCount(center, 99) != m.Tiles() {
-		t.Error("out-of-range WithinCount wrong")
-	}
+}
+
+// radiusCovering is the radius of a compact k-tile footprint around c: the
+// distance of the k-th tile in ring order.
+func radiusCovering(m *Topology, c Tile, k int) int {
+	_, dists := ringOrder(m, c)
+	return dists[min(max(k, 1), len(dists))-1]
 }
 
 func TestRadiusCovering(t *testing.T) {
@@ -209,22 +254,31 @@ func TestRadiusCovering(t *testing.T) {
 		// Center is (3,3): the far corner (7,7) sits at distance 8, so
 		// covering all 64 tiles needs radius 8.
 		{0, 0}, {1, 0}, {2, 1}, {5, 1}, {6, 2}, {13, 2}, {64, 8},
-		{1000, m.MaxDistance()}, // saturates
 	}
 	for _, c := range cases {
-		if got := m.RadiusCovering(center, c.k); got != c.want {
-			t.Errorf("RadiusCovering(center,%d)=%d, want %d", c.k, got, c.want)
+		if got := radiusCovering(m, center, c.k); got != c.want {
+			t.Errorf("radiusCovering(center,%d)=%d, want %d", c.k, got, c.want)
 		}
 	}
-	// Property: the radius returned really covers k tiles, and r-1 does not.
+	// Property: the first k tiles of a ring are the most compact k-tile
+	// footprint: radius r covers at least k tiles, and r-1 does not.
+	within := func(c Tile, r int) int {
+		count := 0
+		for b := 0; b < m.Tiles(); b++ {
+			if m.Distance(c, Tile(b)) <= r {
+				count++
+			}
+		}
+		return count
+	}
 	for c := 0; c < m.Tiles(); c++ {
 		for _, k := range []int{1, 3, 7, 20, 64} {
-			r := m.RadiusCovering(Tile(c), k)
-			if m.WithinCount(Tile(c), r) < k {
-				t.Fatalf("RadiusCovering(%d,%d)=%d covers only %d", c, k, r, m.WithinCount(Tile(c), r))
+			r := radiusCovering(m, Tile(c), k)
+			if within(Tile(c), r) < k {
+				t.Fatalf("radiusCovering(%d,%d)=%d covers only %d", c, k, r, within(Tile(c), r))
 			}
-			if r > 0 && m.WithinCount(Tile(c), r-1) >= k {
-				t.Fatalf("RadiusCovering(%d,%d)=%d not minimal", c, k, r)
+			if r > 0 && within(Tile(c), r-1) >= k {
+				t.Fatalf("radiusCovering(%d,%d)=%d not minimal", c, k, r)
 			}
 		}
 	}

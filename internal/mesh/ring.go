@@ -1,100 +1,49 @@
 package mesh
 
-// RingCursor enumerates the tiles of a mesh in exactly the ByDistance order
-// (distance ascending from a center, ties by ascending tile index), one tile
-// per Next call, without materializing the ordering. On an eager topology it
-// walks the precomputed row; on a lazy one it counts over distance shells —
-// for each ring d it visits rows top to bottom and, within a row, the left
-// arm point before the right — which is precisely the (distance, index)
-// ordering the eager counting sort produces. Cursors are values: creating
-// one allocates nothing, so early-terminating spirals on 16k-tile meshes
-// cost O(tiles visited), not O(n) per walk.
+// RingCursor enumerates the tiles of a mesh in order of distance from a
+// center (ties by ascending tile index), one tile per Next call, without
+// materializing the ordering. It walks the topology's shared offset table and
+// skips the offsets that fall off the mesh. Cursors are values: creating one
+// allocates nothing, so an early-terminating spiral costs O(tiles visited),
+// not O(tiles) per walk.
 type RingCursor struct {
 	t      *Topology
-	center Tile
-	last   Tile
-
-	// Eager walk.
-	row []Tile
-	idx int
-
-	// Lazy enumeration state.
 	cx, cy int
-	d      int // current ring distance
-	y      int // current row within the ring
-	side   int // 0: left arm point next, 1: right arm point next
+	i      int // index of the next offset to try
 }
 
-// RingFrom returns a cursor over the tiles in ByDistance(center) order,
+// RingFrom returns a cursor over the tiles in distance order from center,
 // starting at the center itself.
 func (t *Topology) RingFrom(center Tile) RingCursor {
-	if !t.lazy {
-		return RingCursor{t: t, center: center, row: t.byDistance[center]}
-	}
 	cx, cy := t.Coords(center)
-	return RingCursor{t: t, center: center, cx: cx, cy: cy, y: cy}
+	return RingCursor{t: t, cx: cx, cy: cy}
 }
+
+// Offsets returns the shared distance-order table: every displacement
+// (DX, DY) a center can reach, sorted by (|DX|+|DY|, DY, DX). From a center
+// (cx, cy), the entries whose (cx+DX, cy+DY) lies on the mesh are exactly
+// the RingFrom ordering. Hot loops that cannot afford a cursor's per-tile state
+// range over it directly; the slice is shared and must not be modified.
+func (t *Topology) Offsets() []Offset { return t.order }
 
 // Next returns the next tile in the ordering, or ok=false once all Tiles()
-// tiles have been produced. The eager path stays small enough to inline, so
-// cursor walks on a precomputed topology cost the same as ranging over the
-// ByDistance row directly.
+// tiles have been produced.
 func (c *RingCursor) Next() (Tile, bool) {
-	if c.row != nil {
-		if c.idx >= len(c.row) {
-			return 0, false
+	order, w, h := c.t.order, c.t.width, c.t.height
+	for c.i < len(order) {
+		o := order[c.i]
+		c.i++
+		x, y := c.cx+int(o.DX), c.cy+int(o.DY)
+		if uint(x) < uint(w) && uint(y) < uint(h) {
+			return Tile(y*w + x), true
 		}
-		c.last = c.row[c.idx]
-		c.idx++
-		return c.last, true
 	}
-	return c.nextLazy()
-}
-
-// nextLazy advances the shell-enumeration state machine (lazy topologies).
-func (c *RingCursor) nextLazy() (Tile, bool) {
-	t := c.t
-	w, h := t.width, t.height
-	maxDist := t.MaxDistance()
-	for {
-		if c.d > maxDist {
-			return 0, false
-		}
-		if yBot := min(h-1, c.cy+c.d); c.y > yBot {
-			// Ring exhausted: advance to the next shell's top row.
-			c.d++
-			c.y = max(0, c.cy-c.d)
-			c.side = 0
-			continue
-		}
-		dx := c.d - abs(c.y-c.cy)
-		if dx == 0 {
-			c.last = Tile(c.y*w + c.cx)
-			c.y++
-			c.side = 0
-			return c.last, true
-		}
-		if c.side == 0 {
-			c.side = 1
-			if x := c.cx - dx; x >= 0 {
-				c.last = Tile(c.y*w + x)
-				return c.last, true
-			}
-			// Left arm clipped off-mesh; fall through to the right arm.
-		}
-		c.side = 0
-		y := c.y
-		c.y++
-		if x := c.cx + dx; x < w {
-			c.last = Tile(y*w + x)
-			return c.last, true
-		}
-		// Both arm points clipped; keep scanning rows.
-	}
+	return 0, false
 }
 
 // Dist returns the distance from the cursor's center to the tile most
 // recently returned by Next. It is only meaningful after a successful Next.
 func (c *RingCursor) Dist() int {
-	return c.t.Distance(c.center, c.last)
+	o := c.t.order[c.i-1]
+	return abs(int(o.DX)) + abs(int(o.DY))
 }

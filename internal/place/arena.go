@@ -24,12 +24,9 @@ type Arena struct {
 	accTh   []int
 	accRate []float64
 
-	// VCDistancesIn (rowA/rowB also back other lazy-mesh distance rows via
-	// topoRow).
+	// VCDistancesIn.
 	dist     [][]float64
 	distFlat []float64
-	rowA     []int
-	rowB     []int
 
 	// orderBySizeIn.
 	order []int
@@ -41,12 +38,11 @@ type Arena struct {
 	claims  Assignment
 
 	// GreedyIn.
-	free    []float64
-	gOrder  []mesh.Tile
-	gOrders [][]mesh.Tile
-	gCur    []int
-	gRem    []float64
-	assign  Assignment
+	free     []float64
+	gOrder   []mesh.Tile
+	gCursors []greedyCursor
+	gRem     []float64
+	assign   Assignment
 
 	// RefineIn.
 	used       []float64
@@ -73,7 +69,6 @@ type Arena struct {
 	hTrades  []int
 	hDeltas  []float64
 	hWorkers []*hierWorker
-	hSubTopo map[[2]int]*mesh.Topology
 	hCoarse  *Arena
 }
 

@@ -164,7 +164,12 @@ func refOptimisticPlace(chip Chip, demands []refDemand) refOptimistic {
 		best := bestCenter(chip, claimed, size)
 		out.Center[v] = best
 		remaining := size
-		for _, b := range chip.Topo.ByDistance(best) {
+		cur := chip.Topo.RingFrom(best)
+		for {
+			b, ok := cur.Next()
+			if !ok {
+				break
+			}
 			take := chip.BankLines
 			if take > remaining {
 				take = remaining
@@ -379,7 +384,12 @@ func refRefine(chip Chip, demands []refDemand, assign refAssignment, threadCore 
 		}
 		var desirables []desirableRef
 		seen := 0.0
-		for _, b := range chip.Topo.ByDistance(com) {
+		cur := chip.Topo.RingFrom(com)
+		for {
+			b, ok := cur.Next()
+			if !ok {
+				break
+			}
 			have := assign[v][b]
 			if have < chip.BankLines-1e-9 {
 				desirables = append(desirables, desirableRef{b, dist[v][b]})
@@ -496,8 +506,8 @@ func assignEqual(t *testing.T, label string, ref refAssignment, got Assignment) 
 // TestDenseMatchesMapReference is the bit-identity property: across
 // randomized demands from the paper's 8×8 up to 96×96 (past PruneThreshold,
 // through every lattice-stride regime, past sparseBankThreshold into the
-// sparse BankAlloc representation, and past mesh.LazyThreshold onto the
-// lazy cursor-driven topology), the dense pipeline — optimistic placement,
+// sparse BankAlloc representation, and past HierarchyThreshold banks), the
+// dense pipeline — optimistic placement,
 // thread placement, greedy, refine — produces exactly the reference's
 // placements, and the Eq. 2 hop reductions are bit-equal floats, not
 // approximately equal.

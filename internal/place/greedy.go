@@ -28,34 +28,33 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		free[i] = chip.CapOf(mesh.Tile(i))
 	}
 
-	// Per-VC bank preference order and a cursor over it. Two kinds of rows:
+	// Per-VC bank preference order, walked by a cursor. Two kinds:
 	//
 	//   - A VC whose preference order is distance from a single tile — one
 	//     accessor with positive rate (sort key rate·distance orders exactly
 	//     like distance), or no access at all (the VCDistances center-tile
-	//     convention) — reuses the topology's precomputed ByDistance row.
-	//     Both sorts share the ascending-tile-index tie-break, so the row is
-	//     the very permutation SortStableFunc would produce: bit-identical
+	//     convention) — walks a mesh.RingCursor from that tile. Both orders
+	//     share the ascending-tile-index tie-break, so the cursor yields the
+	//     very permutation SortStableFunc would produce: bit-identical
 	//     placements, no per-VC O(nb log nb) sort, no distance row at all.
 	//     On single-threaded mixes this covers every VC, which is what lets
 	//     64×64 sweep cells through the greedy step at full speed.
 	//
 	//   - Multi-accessor VCs sort a flat arena region by their weighted
 	//     distance row, as before.
-	orders := grow(&ar.gOrders, len(demands))
-	byDistance := func(v int) []mesh.Tile {
+	ringCenter := func(v int) (mesh.Tile, bool) {
 		d := &demands[v]
 		if len(d.Threads) == 1 && d.Rates[0] > 0 {
-			return chip.Topo.ByDistance(threadCore[d.Threads[0]])
+			return threadCore[d.Threads[0]], true
 		}
 		if d.TotalRate() == 0 {
-			return chip.Topo.ByDistance(chip.Topo.CenterTile())
+			return chip.Topo.CenterTile(), true
 		}
-		return nil
+		return 0, false
 	}
 	nSorted := 0
 	for v := range demands {
-		if byDistance(v) == nil {
+		if _, ok := ringCenter(v); !ok {
 			nSorted++
 		}
 	}
@@ -64,7 +63,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		dist = VCDistancesIn(ar, chip, demands, threadCore)
 	}
 	orderFlat := grow(&ar.gOrder, nSorted*nb)
-	cursor := grow(&ar.gCur, len(demands))
+	cursors := grow(&ar.gCursors, len(demands))
 	remaining := grow(&ar.gRem, len(demands))
 	active := 0
 	slot := 0
@@ -73,26 +72,28 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		if demands[v].Size > 0 {
 			active++
 		}
-		if row := byDistance(v); row != nil {
-			orders[v] = row
-			continue
-		}
-		order := orderFlat[slot*nb : (slot+1)*nb]
-		slot++
-		for b := range order {
-			order[b] = mesh.Tile(b)
-		}
-		d := dist[v]
-		slices.SortStableFunc(order, func(x, y mesh.Tile) int {
-			if d[x] != d[y] {
-				if d[x] < d[y] {
-					return -1
-				}
-				return 1
+		cur := &cursors[v]
+		if c, ok := ringCenter(v); ok {
+			cur.ring = chip.Topo.RingFrom(c)
+			cur.bank, cur.ok = cur.ring.Next()
+		} else {
+			order := orderFlat[slot*nb : (slot+1)*nb]
+			slot++
+			for b := range order {
+				order[b] = mesh.Tile(b)
 			}
-			return int(x) - int(y)
-		})
-		orders[v] = order
+			d := dist[v]
+			slices.SortStableFunc(order, func(x, y mesh.Tile) int {
+				if d[x] != d[y] {
+					if d[x] < d[y] {
+						return -1
+					}
+					return 1
+				}
+				return int(x) - int(y)
+			})
+			cur.bank, cur.order, cur.ok = order[0], order[1:], true
+		}
 	}
 
 	for active > 0 {
@@ -101,19 +102,19 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 			if remaining[v] <= 1e-9 {
 				continue
 			}
-			order := orders[v]
 			// Advance to a bank with free space.
-			for cursor[v] < len(order) && free[order[cursor[v]]] <= 1e-9 {
-				cursor[v]++
+			cur := &cursors[v]
+			if cur.ok && free[cur.bank] <= 1e-9 {
+				cur.seek(free)
 			}
-			if cursor[v] >= len(order) {
+			if !cur.ok {
 				// Chip full: drop the rest of this VC's demand (can only
 				// happen when total demand exceeds capacity).
 				remaining[v] = 0
 				active--
 				continue
 			}
-			b := order[cursor[v]]
+			b := cur.bank
 			take := chunk
 			if take > remaining[v] {
 				take = remaining[v]
@@ -134,4 +135,25 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		}
 	}
 	return assign
+}
+
+// greedyCursor walks one VC's bank preference order: its sorted order when
+// set, otherwise its ring. bank is the current candidate; ok turns false once
+// the order is exhausted.
+type greedyCursor struct {
+	ring  mesh.RingCursor
+	order []mesh.Tile
+	bank  mesh.Tile
+	ok    bool
+}
+
+// seek advances to the first bank, from the current one on, with free space.
+func (g *greedyCursor) seek(free []float64) {
+	for g.ok && free[g.bank] <= 1e-9 {
+		if g.order == nil {
+			g.bank, g.ok = g.ring.Next()
+		} else if g.ok = len(g.order) > 0; g.ok {
+			g.bank, g.order = g.order[0], g.order[1:]
+		}
+	}
 }

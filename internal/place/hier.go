@@ -161,11 +161,11 @@ type hierWorker struct {
 // Level 2 refines each cluster's interior independently: the VC slices the
 // coarse pass left in a cluster become single-accessor local demands pulled
 // toward the VC's rate-weighted accessor centroid (clamped into the cluster),
-// placed and trade-refined on a small eager sub-mesh. Interiors fan out
-// across a bounded worker pool; every cluster's subproblem is independent and
-// buffers are merged in ascending cluster order, so the result is identical
-// for any worker count. Sub-meshes are memoized per distinct cluster shape
-// (at most four: interior, right edge, bottom edge, corner).
+// placed and trade-refined on a small sub-mesh of the cluster's shape (cheap
+// to build: a topology is O(tiles)). Interiors fan out across a bounded
+// worker pool; every cluster's subproblem is independent and buffers are
+// merged in ascending cluster order, so the result is identical for any
+// worker count.
 func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, chunk float64, refine bool) (Assignment, int, float64) {
 	cl := chip.Topo.Clusters()
 	cchip := coarseChipIn(ar, chip, cl)
@@ -213,19 +213,6 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 		}
 	}
 
-	// Memoize the sub-meshes every needed cluster shape uses, before the
-	// parallel phase (map writes are not synchronized).
-	if ar.hSubTopo == nil {
-		ar.hSubTopo = make(map[[2]int]*mesh.Topology)
-	}
-	for c := 0; c < cl.N(); c++ {
-		x0, y0, x1, y1 := cl.Bounds(mesh.Tile(c))
-		k := [2]int{x1 - x0, y1 - y0}
-		if ar.hSubTopo[k] == nil {
-			ar.hSubTopo[k] = mesh.NewEager(k[0], k[1])
-		}
-	}
-
 	// Level 2: independent per-cluster interiors across a bounded pool.
 	entries := growClusterEntries(&ar.hEntries, cl.N())
 	cTrades := grow(&ar.hTrades, cl.N())
@@ -254,7 +241,7 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 		go func(w *hierWorker, lo, hi int) {
 			defer wg.Done()
 			for c := lo; c < hi; c++ {
-				entries[c] = w.interior(chip, cl, ar.hSubTopo, c, cvcs[c],
+				entries[c] = w.interior(chip, cl, c, cvcs[c],
 					pullX, pullY, demands, chunk, refine,
 					entries[c][:0], &cTrades[c], &cDeltas[c])
 			}
@@ -281,15 +268,14 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 // single-accessor demand whose synthetic core is the VC's pull point clamped
 // into the cluster, placed greedily (and trade-refined) on the cluster's
 // sub-mesh. Appends the resulting fine-bank records to entries.
-func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, subTopo map[[2]int]*mesh.Topology,
-	c int, vcs []hierVC, pullX, pullY []float64, demands []Demand,
+func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, c int, vcs []hierVC, pullX, pullY []float64, demands []Demand,
 	chunk float64, refine bool, entries []hierEntry, trades *int, delta *float64) []hierEntry {
 	*trades, *delta = 0, 0
 	if len(vcs) == 0 {
 		return entries
 	}
 	x0, y0, x1, y1 := cl.Bounds(mesh.Tile(c))
-	sub := subTopo[[2]int{x1 - x0, y1 - y0}]
+	sub := mesh.New(x1-x0, y1-y0)
 	schip := Chip{Topo: sub, BankLines: chip.BankLines}
 
 	nv := len(vcs)

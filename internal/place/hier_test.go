@@ -136,7 +136,7 @@ func TestHierWorkerDeterminism(t *testing.T) {
 }
 
 // TestHierPipelineAtScale runs the full hierarchical pipeline on a genuinely
-// above-threshold (lazy-mesh) chip and checks the result is a valid
+// above-threshold chip and checks the result is a valid
 // placement with all capacity placed. This is the 128×128 frontier the flat
 // pipeline cannot reach (its distance matrix alone would need ~2 GB).
 func TestHierPipelineAtScale(t *testing.T) {
@@ -144,8 +144,8 @@ func TestHierPipelineAtScale(t *testing.T) {
 		t.Skip("skipping 96x96 pipeline in -short mode")
 	}
 	chip, demands, _ := pipelineInstance(96, 96)
-	if !Hierarchical(chip) || !chip.Topo.Lazy() {
-		t.Fatal("96x96 should be hierarchical over a lazy mesh")
+	if !Hierarchical(chip) {
+		t.Fatal("96x96 should be hierarchical")
 	}
 	n := chip.Banks()
 	opt := HierOptimisticPlaceIn(NewArena(), chip, demands)

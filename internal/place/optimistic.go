@@ -1,6 +1,8 @@
 package place
 
 import (
+	"math"
+
 	"cdcs/internal/mesh"
 )
 
@@ -56,41 +58,23 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 		best := bestCenter(chip, claimed, size)
 		out.Center[v] = best
 		// Claim compactly around the chosen center (up to a full bank per
-		// tile, regardless of other VCs' claims: relaxed constraints). Eager
-		// topologies range the precomputed ordering directly — the cursor's
-		// per-tile call is measurable on this hot path — and lazy ones walk
-		// the ring cursor.
+		// tile, regardless of other VCs' claims: relaxed constraints).
 		remaining := size
-		if !chip.Topo.Lazy() {
-			for _, b := range chip.Topo.ByDistance(best) {
-				take := chip.CapOf(b)
-				if take > remaining {
-					take = remaining
-				}
-				out.Claims[v].Set(b, take)
-				claimed[b] += take
-				remaining -= take
-				if remaining <= 1e-9 {
-					break
-				}
+		cur := chip.Topo.RingFrom(best)
+		for {
+			b, ok := cur.Next()
+			if !ok {
+				break
 			}
-		} else {
-			cur := chip.Topo.RingFrom(best)
-			for {
-				b, ok := cur.Next()
-				if !ok {
-					break
-				}
-				take := chip.CapOf(b)
-				if take > remaining {
-					take = remaining
-				}
-				out.Claims[v].Set(b, take)
-				claimed[b] += take
-				remaining -= take
-				if remaining <= 1e-9 {
-					break
-				}
+			take := chip.CapOf(b)
+			if take > remaining {
+				take = remaining
+			}
+			out.Claims[v].Set(b, take)
+			claimed[b] += take
+			remaining -= take
+			if remaining <= 1e-9 {
+				break
 			}
 		}
 		x, y := CenterOfMass(chip, &out.Claims[v])
@@ -100,76 +84,8 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 }
 
 // footprintContention sums already-claimed capacity over the banks a compact
-// placement of size lines around c would cover, weighting the last,
-// partially covered bank by the fraction needed (Fig. 7b's hatched area).
+// placement of size lines around c would cover (see centerSearch.footprint).
 func footprintContention(chip Chip, claimed []float64, c mesh.Tile, size float64) float64 {
-	if !chip.Topo.Lazy() {
-		if chip.BankCap == nil {
-			return footprintUniform(chip.BankLines, claimed, chip.Topo.ByDistance(c), size)
-		}
-		return footprintCapped(chip.BankCap, claimed, chip.Topo.ByDistance(c), size)
-	}
-	return footprintLazy(chip, claimed, c, size)
-}
-
-// footprintUniform is the hot flat-path case — eager topology, uniform bank
-// capacity — kept minimal so it inlines into the candidate scans exactly as
-// the pre-hierarchy single-loop version did.
-func footprintUniform(bankLines float64, claimed []float64, order []mesh.Tile, size float64) float64 {
-	cont := 0.0
-	remaining := size
-	for _, b := range order {
-		if remaining <= 1e-9 {
-			break
-		}
-		take := bankLines
-		if take > remaining {
-			take = remaining
-		}
-		cont += claimed[b] * (take / bankLines)
-		remaining -= take
-	}
-	return cont
-}
-
-// footprintCapped handles eager topologies with per-bank capacities (the
-// hierarchical path's coarse cluster chip).
-func footprintCapped(bankCap, claimed []float64, order []mesh.Tile, size float64) float64 {
-	cont := 0.0
-	remaining := size
-	for _, b := range order {
-		if remaining <= 1e-9 {
-			break
-		}
-		bcap := bankCap[b]
-		take := bcap
-		if take > remaining {
-			take = remaining
-		}
-		cont += claimed[b] * (take / bcap)
-		remaining -= take
-	}
-	return cont
-}
-
-// footprintLazy walks the ring cursor (lazy topologies have no precomputed
-// ordering to range over).
-func footprintLazy(chip Chip, claimed []float64, c mesh.Tile, size float64) float64 {
-	cont := 0.0
-	remaining := size
-	cur := chip.Topo.RingFrom(c)
-	for {
-		b, ok := cur.Next()
-		if !ok || remaining <= 1e-9 {
-			break
-		}
-		bcap := chip.CapOf(b)
-		take := bcap
-		if take > remaining {
-			take = remaining
-		}
-		cont += claimed[b] * (take / bcap)
-		remaining -= take
-	}
-	return cont
+	x, y := chip.Topo.Coords(c)
+	return newCenterSearch(chip, claimed, size).footprint(x, y, math.Inf(1))
 }

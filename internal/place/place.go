@@ -333,43 +333,42 @@ func VCDistancesIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Til
 	n := chip.Banks()
 	flat := grow(&ar.distFlat, len(demands)*n)
 	rows := grow(&ar.dist, len(demands))
-	centerRow := topoRow(&ar.rowA, chip.Topo, chip.Topo.CenterTile())
 	for v := range demands {
 		d := &demands[v]
 		row := flat[v*n : (v+1)*n : (v+1)*n]
 		rows[v] = row
 		total := d.TotalRate()
 		if total == 0 {
-			for b := 0; b < n; b++ {
-				row[b] = float64(centerRow[b])
-			}
+			addDistanceRow(row, chip.Topo, chip.Topo.CenterTile(), 1, 1)
 			continue
 		}
 		// Accumulate per bank in ascending accessor order (t outer keeps the
 		// per-slot addition order identical to the per-bank inner loop the
-		// map representation used, while letting the distance row hoist out).
+		// map representation used). The last accessor's pass folds in the
+		// division by total; dividing the others by 1 is exact.
 		for i, t := range d.Threads {
-			rate := d.Rates[i]
-			tr := topoRow(&ar.rowB, chip.Topo, threadCore[t])
-			for b := 0; b < n; b++ {
-				row[b] += rate * float64(tr[b])
+			div := 1.0
+			if i == len(d.Threads)-1 {
+				div = total
 			}
-		}
-		for b := 0; b < n; b++ {
-			row[b] /= total
+			addDistanceRow(row, chip.Topo, threadCore[t], d.Rates[i], div)
 		}
 	}
 	return rows
 }
 
-// topoRow returns a's full distance row: the topology's own precomputed row
-// when eager (zero cost), or buf filled in place when lazy (DistanceRow on a
-// lazy mesh would allocate a fresh O(n) slice per call).
-func topoRow(buf *[]int, topo *mesh.Topology, a mesh.Tile) []int {
-	if !topo.Lazy() {
-		return topo.DistanceRow(a)
+// addDistanceRow sets row[b] = (row[b] + rate·D(a, b)) / div for every bank
+// b, with hop counts from coordinate arithmetic in row-major bank order.
+func addDistanceRow(row []float64, topo *mesh.Topology, a mesh.Tile, rate, div float64) {
+	w := topo.Width()
+	ax, ay := topo.Coords(a)
+	for y := 0; y*w < len(row); y++ {
+		dy := abs(y - ay)
+		r := row[y*w : y*w+w]
+		for x := range r {
+			r[x] = (r[x] + rate*float64(abs(x-ax)+dy)) / div
+		}
 	}
-	return topo.FillDistanceRow(a, ensure(buf, topo.Tiles()))
 }
 
 // OnChipLatency evaluates Eq. 2 in access·hops: for every thread and bank,
@@ -384,22 +383,11 @@ func OnChipLatency(chip Chip, demands []Demand, assign Assignment, threadCore []
 			continue
 		}
 		av := &assign[v]
-		if chip.Topo.Lazy() {
-			for i := 0; i < av.Len(); i++ {
-				b, l := av.At(i)
-				frac := l / size
-				for j, t := range d.Threads {
-					total += d.Rates[j] * frac * float64(chip.Topo.Distance(b, threadCore[t]))
-				}
-			}
-		} else {
-			for i := 0; i < av.Len(); i++ {
-				b, l := av.At(i)
-				frac := l / size
-				row := chip.Topo.DistanceRow(b)
-				for j, t := range d.Threads {
-					total += d.Rates[j] * frac * float64(row[threadCore[t]])
-				}
+		for i := 0; i < av.Len(); i++ {
+			b, l := av.At(i)
+			frac := l / size
+			for j, t := range d.Threads {
+				total += d.Rates[j] * frac * float64(chip.Topo.Distance(b, threadCore[t]))
 			}
 		}
 	}

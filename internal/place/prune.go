@@ -1,6 +1,8 @@
 package place
 
 import (
+	"math"
+
 	"cdcs/internal/mesh"
 )
 
@@ -24,10 +26,12 @@ const latticeTopK = 4
 // Candidates are always scanned in ascending tile-index order, so the result
 // is deterministic.
 type centerSearch struct {
-	chip    Chip
-	claimed []float64
-	size    float64
-	center  mesh.Tile // chip center, the tie-break anchor
+	topo      *mesh.Topology
+	bankLines float64
+	bankCap   []float64
+	claimed   []float64
+	size      float64
+	cx, cy    int // chip center, the tie-break anchor
 
 	best     mesh.Tile
 	bestCont float64
@@ -35,19 +39,72 @@ type centerSearch struct {
 }
 
 func newCenterSearch(chip Chip, claimed []float64, size float64) *centerSearch {
+	cx, cy := chip.Topo.Coords(chip.Topo.CenterTile())
 	return &centerSearch{
-		chip: chip, claimed: claimed, size: size,
-		center: chip.Topo.CenterTile(), bestCont: -1,
+		topo: chip.Topo, bankLines: chip.BankLines, bankCap: chip.BankCap,
+		claimed: claimed, size: size, cx: cx, cy: cy, bestCont: -1,
 	}
 }
 
+// footprint sums already-claimed capacity over the banks a compact placement
+// of size lines around tile (x, y) would cover, weighting the last, partially
+// covered bank by the fraction needed (Fig. 7b's hatched area); a fully
+// covered bank's weight is exactly 1, so it adds its claim as is. The walk
+// stops early, returning a partial sum >= bound, once the sum reaches bound:
+// the terms are non-negative, so the full sum could only be larger. It ranges
+// over the mesh's offset table directly: this is the placement hot loop, run
+// once per candidate center per VC.
+func (s *centerSearch) footprint(x, y int, bound float64) float64 {
+	topo, bankCap, bankLines, claimed := s.topo, s.bankCap, s.bankLines, s.claimed
+	w, h := topo.Width(), topo.Height()
+	cont := 0.0
+	remaining := s.size
+	if remaining <= 1e-9 {
+		return 0
+	}
+	for _, o := range topo.Offsets() {
+		bx, by := x+int(o.DX), y+int(o.DY)
+		if uint(bx) >= uint(w) || uint(by) >= uint(h) {
+			continue // off the mesh
+		}
+		b := by*w + bx
+		bcap := bankLines
+		if bankCap != nil {
+			bcap = bankCap[b]
+		}
+		if bcap > remaining {
+			return cont + claimed[b]*(remaining/bcap)
+		}
+		cont += claimed[b]
+		remaining -= bcap
+		if remaining <= 1e-9 || cont >= bound {
+			break
+		}
+	}
+	return cont
+}
+
 // consider scores one candidate and keeps it if it beats the best so far.
+// The comparator fixes a bound the candidate's contention must stay under to
+// win: bestCont+1e-9 when it is nearer the chip center than the best,
+// bestCont-1e-9 otherwise. Contention is a sum of non-negative terms, so the
+// footprint walk stops once it reaches the bound, and a bound <= 0 rules the
+// candidate out without a walk.
 func (s *centerSearch) consider(c mesh.Tile) {
-	cont := footprintContention(s.chip, s.claimed, c, s.size)
-	dc := s.chip.Topo.Distance(c, s.center)
-	if s.bestCont < 0 ||
-		cont < s.bestCont-1e-9 ||
-		(cont < s.bestCont+1e-9 && dc < s.bestDist) {
+	x, y := s.topo.Coords(c)
+	dc := abs(x-s.cx) + abs(y-s.cy)
+	bound := math.Inf(1)
+	if s.bestCont >= 0 {
+		if dc < s.bestDist {
+			bound = s.bestCont + 1e-9
+		} else {
+			bound = s.bestCont - 1e-9
+		}
+		if bound <= 0 {
+			return
+		}
+	}
+	if cont := s.footprint(x, y, bound); cont < bound {
 		s.best, s.bestCont, s.bestDist = c, cont, dc
 	}
 }
@@ -108,16 +165,17 @@ func latticeBetter(a, b latticeScored) bool {
 // exhaustive optimum; either way the placement stays a valid relaxed claim —
 // the refined pass enforces real capacities later.
 func prunedScan(se *centerSearch) {
-	topo := se.chip.Topo
+	topo := se.topo
 	w, h := topo.Width(), topo.Height()
 	stride := latticeStride(w, h)
-	center := se.center
-	cx, cy := topo.Coords(center)
+	center := topo.CenterTile()
+	cx, cy := se.cx, se.cy
 
 	var top [latticeTopK]latticeScored
 	nTop := 0
 	score := func(c mesh.Tile) {
-		s := latticeScored{c, footprintContention(se.chip, se.claimed, c, se.size), topo.Distance(c, center)}
+		x, y := topo.Coords(c)
+		s := latticeScored{c, se.footprint(x, y, math.Inf(1)), abs(x-cx) + abs(y-cy)}
 		i := nTop
 		if i < latticeTopK {
 			nTop++
@@ -153,14 +211,7 @@ func prunedScan(se *centerSearch) {
 		radius = stride
 	}
 	for i := 0; i < nTop; i++ {
-		c := top[i].tile
-		if !topo.Lazy() {
-			for _, b := range topo.ByDistance(c)[:topo.WithinCount(c, radius)] {
-				se.consider(b)
-			}
-			continue
-		}
-		cur := topo.RingFrom(c)
+		cur := topo.RingFrom(top[i].tile)
 		for {
 			b, ok := cur.Next()
 			if !ok || cur.Dist() > radius {
@@ -169,4 +220,11 @@ func prunedScan(se *centerSearch) {
 			se.consider(b)
 		}
 	}
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }

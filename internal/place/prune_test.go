@@ -76,8 +76,13 @@ func TestBestCenterPrunedNearOptimal(t *testing.T) {
 				// A few hot regions of claimed capacity, decaying with distance.
 				for hot := 0; hot < 4; hot++ {
 					ct := mesh.Tile(rng.Intn(chip.Banks()))
-					for _, b := range chip.Topo.ByDistance(ct)[:chip.Topo.WithinCount(ct, 6)] {
-						claimed[b] += chip.BankLines / float64(1+chip.Topo.Distance(ct, b))
+					cur := chip.Topo.RingFrom(ct)
+					for {
+						b, ok := cur.Next()
+						if !ok || cur.Dist() > 6 {
+							break
+						}
+						claimed[b] += chip.BankLines / float64(1+cur.Dist())
 					}
 				}
 				size := 5 * chip.BankLines
@@ -145,7 +150,7 @@ func testOptimisticPlaceAboveThreshold(t *testing.T, w, h int) {
 		// Claims must be compact around the chosen center: within the radius
 		// covering the footprint (ties can spill one ring).
 		k := int(d.Size/chip.BankLines) + 1
-		maxR := chip.Topo.RadiusCovering(opt.Center[v], k) + 1
+		maxR := radiusCovering(chip.Topo, opt.Center[v], k) + 1
 		for _, b := range opt.Claims[v].Banks() {
 			if chip.Topo.Distance(opt.Center[v], b) > maxR {
 				t.Errorf("VC %d claim in bank %d, %d hops from center (footprint radius %d)",
@@ -187,4 +192,18 @@ func TestRefineAboveThreshold(t *testing.T) {
 	if after > before+1e-6 {
 		t.Errorf("Eq.2 latency rose from %g to %g", before, after)
 	}
+}
+
+// radiusCovering returns the smallest radius r such that at least k tiles lie
+// within distance r of center: the distance of the k-th tile in ring order.
+func radiusCovering(topo *mesh.Topology, center mesh.Tile, k int) int {
+	cur := topo.RingFrom(center)
+	r := 0
+	for i := 0; i < k; i++ {
+		if _, ok := cur.Next(); !ok {
+			break
+		}
+		r = cur.Dist()
+	}
+	return r
 }

@@ -13,7 +13,6 @@ package resultcache
 import (
 	"container/list"
 	"context"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -26,7 +25,6 @@ const nShards = 16
 // Cache is the sharded LRU. Create with New; a Cache must not be copied.
 type Cache struct {
 	shards [nShards]shard
-	seed   maphash.Seed
 
 	// flight coalesces concurrent computations of the same key across all
 	// shards (misses are rare and computations are long, so a single lock is
@@ -68,10 +66,7 @@ func New(capacity int) *Cache {
 	if capacity < nShards {
 		capacity = nShards
 	}
-	c := &Cache{
-		seed:   maphash.MakeSeed(),
-		flight: map[string]*call{},
-	}
+	c := &Cache{flight: map[string]*call{}}
 	per := capacity / nShards
 	extra := capacity % nShards
 	for i := range c.shards {
@@ -86,9 +81,22 @@ func New(capacity int) *Cache {
 	return c
 }
 
-// shardFor maps a key to its shard.
+// shardFor maps a key to its shard. The hash is fixed (no per-process seed),
+// so which entries a small cache evicts is the same in every process.
 func (c *Cache) shardFor(key string) *shard {
-	return &c.shards[maphash.String(c.seed, key)&(nShards-1)]
+	return &c.shards[fnv1a(key)&(nShards-1)]
+}
+
+// fnv1a is the 32-bit FNV-1a hash of key (the hash/fnv New32a function),
+// computed over the string in place.
+func fnv1a(key string) uint32 {
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= prime32
+	}
+	return h
 }
 
 // Get returns the cached bytes for key, if present. The returned slice is

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,6 +42,37 @@ func storedBytes(c *Cache) int64 {
 		s.mu.Unlock()
 	}
 	return n
+}
+
+func TestShardHashIsFNV1a(t *testing.T) {
+	for _, key := range []string{"", "a", "compare/v1", fmt.Sprintf("%064x", 12345)} {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		if got, want := fnv1a(key), h.Sum32(); got != want {
+			t.Errorf("fnv1a(%q) = %#x, hash/fnv New32a = %#x", key, got, want)
+		}
+	}
+}
+
+// TestEvictionIsDeterministic: two small caches fed the same Put/Get
+// sequence evict the same entries, because the shard hash has no
+// per-process seed.
+func TestEvictionIsDeterministic(t *testing.T) {
+	run := func() []string {
+		c := New(16)
+		for i := 0; i < 200; i++ {
+			key := fmt.Sprintf("%064x", i*7919)
+			c.Put(key, []byte{byte(i)})
+			c.Get(fmt.Sprintf("%064x", (i/2)*7919))
+		}
+		keys := c.Keys()
+		slices.Sort(keys)
+		return keys
+	}
+	a, b := run(), run()
+	if len(a) == 0 || !slices.Equal(a, b) {
+		t.Fatalf("same sequence left different key sets:\n%v\n%v", a, b)
+	}
 }
 
 func TestByteAccountingMatchesStoredSizes(t *testing.T) {

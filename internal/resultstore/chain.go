@@ -67,11 +67,15 @@ func (c *TierChain) promote(key string, val []byte, foundAt int) {
 	}
 }
 
-// peek probes every tier without touching hit/miss counters (integrity
-// errors are still counted by the tiers themselves). It reports the tier
-// index that served the value so the caller can promote.
+// peek probes this process's own tiers without touching hit/miss counters
+// (integrity errors are still counted by the tiers themselves), skipping
+// remote tiers. It reports the tier index that served the value so the
+// caller can promote.
 func (c *TierChain) peek(key string) ([]byte, bool, int) {
 	for i, t := range c.tiers {
+		if _, ok := t.(remoteTier); ok {
+			continue
+		}
 		if p, ok := t.(peeker); ok {
 			if v, ok := p.Peek(key); ok {
 				return v, true, i
@@ -97,10 +101,12 @@ func (c *TierChain) GetOrCompute(ctx context.Context, key string, compute func()
 }
 
 // Compute implements Store, for callers whose counted lookup already
-// missed. The leader of a flight re-probes every tier uncounted — the value
-// may have landed in a tier between the caller's lookup and the flight — so
-// a late hit short-circuits the computation and is promoted like any other,
-// while a real miss computes and writes through to every tier. Either way
+// missed. The leader of a flight re-probes the local tiers uncounted — the
+// value may have landed in one between the caller's lookup and the flight —
+// so a late hit short-circuits the computation and is promoted like any
+// other, while a real miss computes and writes through to every tier. Remote
+// tiers are not re-probed: the caller's lookup just asked them, and asking
+// again would cost a network round trip per peer on every computed miss. Either way
 // the result is a hit whenever this caller's compute did not run.
 func (c *TierChain) Compute(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, bool, error) {
 	c.flightMu.Lock()
@@ -145,21 +151,8 @@ func (c *TierChain) Compute(ctx context.Context, key string, compute func() ([]b
 // skipping promotion means peer traffic does not reshape the local working
 // set.
 func (c *TierChain) GetLocal(key string) ([]byte, bool) {
-	for _, t := range c.tiers {
-		if _, ok := t.(remoteTier); ok {
-			continue
-		}
-		if p, ok := t.(peeker); ok {
-			if v, ok := p.Peek(key); ok {
-				return v, true
-			}
-			continue
-		}
-		if v, ok := t.Get(key); ok {
-			return v, true
-		}
-	}
-	return nil, false
+	v, ok, _ := c.peek(key)
+	return v, ok
 }
 
 // LocalKeys returns the union of content addresses held by this process's

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -248,6 +249,27 @@ func TestPeerTierInChain(t *testing.T) {
 	st := chain.Stats()
 	if st.Tier("peer").Hits != 1 || st.Tier("memory").Hits != 1 {
 		t.Errorf("tier hits: peer=%d memory=%d, want 1/1", st.Tier("peer").Hits, st.Tier("memory").Hits)
+	}
+}
+
+// TestPeerTierAskedOncePerComputedMiss: with two peers that hold nothing, a
+// computed miss asks each peer exactly once — in the counted lookup — and the
+// flight leader's uncounted re-probe stays local.
+func TestPeerTierAskedOncePerComputedMiss(t *testing.T) {
+	srvA, reqA := blobServer(t, nil)
+	srvB, reqB := blobServer(t, nil)
+	chain := Chain(MemoryTier(16), NewPeerTier([]string{srvA.URL, srvB.URL}, nil, 0))
+
+	for i, key := range []string{"k1", "k2", "k3"} {
+		_, hit, err := chain.GetOrCompute(context.Background(), key, func() ([]byte, error) {
+			return []byte("computed"), nil
+		})
+		if err != nil || hit {
+			t.Fatalf("%s: hit=%v err=%v, want a computed miss", key, hit, err)
+		}
+		if got, want := reqA.Load()+reqB.Load(), int64(2*(i+1)); got != want {
+			t.Fatalf("after %d computed misses: %d blob requests, want %d", i+1, got, want)
+		}
 	}
 }
 

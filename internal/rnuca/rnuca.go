@@ -99,12 +99,14 @@ func New(topo *mesh.Topology) *Runtime {
 	for c := 0; c < topo.Tiles(); c++ {
 		// Rotational interleaving: the core's bank plus its closest
 		// neighbours form the 4-bank instruction cluster.
-		order := topo.ByDistance(mesh.Tile(c))
-		n := 4
-		if len(order) < n {
-			n = len(order)
+		cur := topo.RingFrom(mesh.Tile(c))
+		for len(r.clusters[c]) < 4 {
+			b, ok := cur.Next()
+			if !ok {
+				break
+			}
+			r.clusters[c] = append(r.clusters[c], b)
 		}
-		r.clusters[c] = append([]mesh.Tile(nil), order[:n]...)
 	}
 	return r
 }

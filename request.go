@@ -194,7 +194,7 @@ func (r CompareRequest) Canonical() (CompareRequest, error) {
 		c := *r.Config // don't alias the caller's struct
 		r.Config = &c
 	}
-	if _, err := NewSystem(*r.Config); err != nil {
+	if err := r.Config.validate(); err != nil {
 		return r, err
 	}
 	mix, err := r.Mix.normalize()

@@ -96,6 +96,34 @@ func TestCompareRequestValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidationParity pins that request canonicalization, which
+// validates a config without building a System, rejects exactly what
+// NewSystem rejects, with the same error.
+func TestConfigValidationParity(t *testing.T) {
+	valid := DefaultConfig()
+	for name, mutate := range map[string]func(*Config){
+		"zero width":      func(c *Config) { c.MeshWidth = 0 },
+		"negative width":  func(c *Config) { c.MeshWidth = -1 },
+		"zero height":     func(c *Config) { c.MeshHeight = 0 },
+		"negative height": func(c *Config) { c.MeshHeight = -3 },
+		"zero bank":       func(c *Config) { c.BankKB = 0 },
+		"negative bank":   func(c *Config) { c.BankKB = -512 },
+		"mesh and bank":   func(c *Config) { c.MeshWidth, c.BankKB = 0, 0 },
+	} {
+		cfg := valid
+		mutate(&cfg)
+		_, sysErr := NewSystem(cfg)
+		_, reqErr := CompareRequest{Mix: MixSpec{Kind: MixCaseStudy}, Config: &cfg}.Canonical()
+		if sysErr == nil || reqErr == nil {
+			t.Errorf("%s: NewSystem err=%v, Canonical err=%v; want both to fail", name, sysErr, reqErr)
+			continue
+		}
+		if sysErr.Error() != reqErr.Error() {
+			t.Errorf("%s: NewSystem err %q, Canonical err %q", name, sysErr, reqErr)
+		}
+	}
+}
+
 func TestMixSpecBuildApps(t *testing.T) {
 	m, err := MixSpec{Kind: MixApps, Apps: []AppSpec{
 		{Bench: "omnet", Count: 2},

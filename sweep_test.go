@@ -261,8 +261,8 @@ func TestSweep64x64Cell(t *testing.T) {
 }
 
 func TestSweep128x128Cell(t *testing.T) {
-	// The hierarchical frontier: a 128×128 (16,384-tile) cell runs over a
-	// lazy mesh with the two-level placement path, and must stay
+	// The hierarchical frontier: a 128×128 (16,384-tile) cell runs the
+	// two-level placement path, and must stay
 	// byte-identical to the standalone Compare path.
 	if testing.Short() {
 		t.Skip("128x128 sweep cell is slow")
