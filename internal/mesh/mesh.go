@@ -122,18 +122,11 @@ func New(width, height int) *Topology {
 	// exact integers well below 2^53, so float64(total)/n equals a float64
 	// accumulation of the individual hop counts bit for bit.
 	lineSum := func(p, n int) int { return p*(p+1)/2 + (n-1-p)*(n-p)/2 }
-	xSum := make([]int, width)
-	for x := 0; x < width; x++ {
-		xSum[x] = lineSum(x, width)
-	}
-	ySum := make([]int, height)
-	for y := 0; y < height; y++ {
-		ySum[y] = lineSum(y, height)
-	}
 	t.avgDist = make([]float64, n)
 	total := 0
 	for a := 0; a < n; a++ {
-		sum := height*xSum[t.xy[a].x] + width*ySum[t.xy[a].y]
+		x, y := t.Coords(Tile(a))
+		sum := height*lineSum(x, width) + width*lineSum(y, height)
 		t.avgDist[a] = float64(sum) / float64(n)
 		total += sum
 	}

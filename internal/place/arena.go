@@ -41,6 +41,7 @@ type Arena struct {
 	free     []float64
 	gOrder   []mesh.Tile
 	gCursors []greedyCursor
+	gActive  []int
 	gRem     []float64
 	assign   Assignment
 

@@ -1,8 +1,6 @@
 package place
 
 import (
-	"math"
-
 	"cdcs/internal/mesh"
 )
 
@@ -81,11 +79,4 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 		out.CoM[v] = Point{x, y}
 	}
 	return out
-}
-
-// footprintContention sums already-claimed capacity over the banks a compact
-// placement of size lines around c would cover (see centerSearch.footprint).
-func footprintContention(chip Chip, claimed []float64, c mesh.Tile, size float64) float64 {
-	x, y := chip.Topo.Coords(c)
-	return newCenterSearch(chip, claimed, size).footprint(x, y, math.Inf(1))
 }

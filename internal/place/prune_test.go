@@ -2,6 +2,7 @@ package place
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,6 +18,13 @@ func exhaustiveBestCenter(chip Chip, claimed []float64, size float64) mesh.Tile 
 		s.consider(mesh.Tile(c))
 	}
 	return s.best
+}
+
+// footprintContention is the full (unbounded) contention of a compact
+// placement of size lines around c.
+func footprintContention(chip Chip, claimed []float64, c mesh.Tile, size float64) float64 {
+	x, y := chip.Topo.Coords(c)
+	return newCenterSearch(chip, claimed, size).footprint(x, y, math.Inf(1))
 }
 
 func TestBestCenterExhaustiveAtOrBelowThreshold(t *testing.T) {
