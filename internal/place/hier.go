@@ -268,7 +268,8 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 // single-accessor demand whose synthetic core is the VC's pull point clamped
 // into the cluster, placed greedily (and trade-refined) on the cluster's
 // sub-mesh. Appends the resulting fine-bank records to entries.
-func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, c int, vcs []hierVC, pullX, pullY []float64, demands []Demand,
+func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, c int, vcs []hierVC,
+	pullX, pullY []float64, demands []Demand,
 	chunk float64, refine bool, entries []hierEntry, trades *int, delta *float64) []hierEntry {
 	*trades, *delta = 0, 0
 	if len(vcs) == 0 {

@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -228,7 +229,10 @@ func (p *PeerTier) fetchOne(peer, key string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: peer %s: %w", peer, err)
 	}
-	return val, nil
+	// val aliases the whole read buffer: the frame header plus ReadAll's
+	// growth slack. The chain keeps a fetched value in its memory tier, so
+	// copy out just the payload.
+	return bytes.Clone(val), nil
 }
 
 // maxBlobBytes bounds one fetched entry; result bodies are JSON documents
