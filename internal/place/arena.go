@@ -41,7 +41,6 @@ type Arena struct {
 	free     []float64
 	gOrder   []mesh.Tile
 	gCursors []greedyCursor
-	gActive  []int
 	gRem     []float64
 	assign   Assignment
 

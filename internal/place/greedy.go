@@ -65,14 +65,12 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	orderFlat := grow(&ar.gOrder, nSorted*nb)
 	cursors := grow(&ar.gCursors, len(demands))
 	remaining := grow(&ar.gRem, len(demands))
-	// active lists the VCs still placing, in index order, so each round
-	// visits exactly the VCs a scan over all of them would not skip.
-	active := ar.gActive[:0]
+	active := 0
 	slot := 0
 	for v := range demands {
 		remaining[v] = demands[v].Size
-		if remaining[v] > 1e-9 {
-			active = append(active, v)
+		if demands[v].Size > 0 {
+			active++
 		}
 		cur := &cursors[v]
 		if c, ok := ringCenter(v); ok {
@@ -98,11 +96,12 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		}
 	}
 
-	ar.gActive = active
-	for len(active) > 0 {
+	for active > 0 {
 		progressed := false
-		still := active[:0]
-		for _, v := range active {
+		for v := range demands {
+			if remaining[v] <= 1e-9 {
+				continue
+			}
 			// Advance to a bank with free space.
 			cur := &cursors[v]
 			if cur.ok && free[cur.bank] <= 1e-9 {
@@ -111,6 +110,8 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 			if !cur.ok {
 				// Chip full: drop the rest of this VC's demand (can only
 				// happen when total demand exceeds capacity).
+				remaining[v] = 0
+				active--
 				continue
 			}
 			b := cur.bank
@@ -125,11 +126,10 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 			free[b] -= take
 			remaining[v] -= take
 			progressed = true
-			if remaining[v] > 1e-9 {
-				still = append(still, v)
+			if remaining[v] <= 1e-9 {
+				active--
 			}
 		}
-		active = still
 		if !progressed {
 			break
 		}
