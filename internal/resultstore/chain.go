@@ -106,8 +106,8 @@ func (c *TierChain) GetOrCompute(ctx context.Context, key string, compute func()
 // so a late hit short-circuits the computation and is promoted like any
 // other, while a real miss computes and writes through to every tier. Remote
 // tiers are not re-probed: the caller's lookup just asked them, and asking
-// again would cost a network round trip per peer on every computed miss. Either way
-// the result is a hit whenever this caller's compute did not run.
+// again would cost a network round trip per peer on every computed miss.
+// Either way the result is a hit whenever this caller's compute did not run.
 func (c *TierChain) Compute(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, bool, error) {
 	c.flightMu.Lock()
 	if cl, ok := c.flight[key]; ok {
