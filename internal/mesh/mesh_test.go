@@ -145,58 +145,90 @@ func TestByDistanceDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-// TestByDistanceMatchesStableSort checks the topology against a brute-force
+// topoTestDims cover degenerate strips, non-square meshes, and even and odd
+// centers, and stay small enough to check every center exhaustively.
+var topoTestDims = [][2]int{{1, 1}, {1, 7}, {5, 1}, {2, 2}, {4, 4}, {5, 3}, {3, 8}, {8, 8}, {9, 5}, {16, 16}, {13, 29}}
+
+// refDist is the reference Manhattan hop count between tiles a and b of a
+// width-w mesh.
+func refDist(w, a, b int) int {
+	dx, dy := a%w-b%w, a/w-b/w
+	return max(dx, -dx) + max(dy, -dy)
+}
+
+// TestByDistanceMatchesStableSort checks the ring order against a brute-force
 // reference on every center: the cursor order must be exactly a stable sort
 // of all tiles by Manhattan distance (ties by ascending index — placement
 // tie-breaks are sensitive to the last entry, so this is a bit-identity
-// property), Dist and Distance must be the reference hop counts, and the
-// closed-form means must equal an explicit float64 accumulation bit for bit.
+// property), and Dist must be the reference hop count.
 func TestByDistanceMatchesStableSort(t *testing.T) {
-	for _, dims := range [][2]int{{1, 1}, {1, 7}, {5, 1}, {8, 8}, {16, 16}, {13, 29}} {
+	for _, dims := range topoTestDims {
 		w, h := dims[0], dims[1]
 		m := New(w, h)
 		n := w * h
-		dist := func(a, b int) int {
-			dx, dy := a%w-b%w, a/w-b/w
-			return max(dx, -dx) + max(dy, -dy)
-		}
-		total := 0
-		meanMC := 0.0
 		for c := 0; c < n; c++ {
 			want := make([]Tile, n)
 			for i := range want {
 				want[i] = Tile(i)
 			}
 			slices.SortStableFunc(want, func(a, b Tile) int {
-				return cmp.Compare(dist(c, int(a)), dist(c, int(b)))
+				return cmp.Compare(refDist(w, c, int(a)), refDist(w, c, int(b)))
 			})
 			got, dists := ringOrder(m, Tile(c))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%dx%d: ring from %d = %v, want %v", w, h, c, got, want)
 			}
 			for i, tl := range got {
-				if dists[i] != dist(c, int(tl)) {
-					t.Fatalf("%dx%d: ring from %d: Dist at tile %d = %d, want %d", w, h, c, tl, dists[i], dist(c, int(tl)))
+				if dists[i] != refDist(w, c, int(tl)) {
+					t.Fatalf("%dx%d: ring from %d: Dist at tile %d = %d, want %d", w, h, c, tl, dists[i], refDist(w, c, int(tl)))
 				}
 			}
+		}
+	}
+}
+
+// TestLazyMatchesEager checks that the topology, which stores nothing per
+// tile pair and answers every query on demand, agrees with eagerly
+// materialized reference tables: the full distance matrix, its maximum, and
+// every float mean accumulated explicitly in tile order, bit for bit.
+func TestLazyMatchesEager(t *testing.T) {
+	for _, dims := range topoTestDims {
+		w, h := dims[0], dims[1]
+		m := New(w, h)
+		n := w * h
+		matrix := make([][]int, n)
+		maxDist := 0
+		for a := range matrix {
+			matrix[a] = make([]int, n)
+			for b := range matrix[a] {
+				matrix[a][b] = refDist(w, a, b)
+				maxDist = max(maxDist, matrix[a][b])
+			}
+		}
+		if got := m.MaxDistance(); got != maxDist {
+			t.Fatalf("%dx%d: MaxDistance = %d, want %d", w, h, got, maxDist)
+		}
+		total := 0
+		meanMC := 0.0
+		for a := 0; a < n; a++ {
 			sum := 0.0
 			for b := 0; b < n; b++ {
-				if got := m.Distance(Tile(c), Tile(b)); got != dist(c, b) {
-					t.Fatalf("%dx%d: Distance(%d,%d) = %d, want %d", w, h, c, b, got, dist(c, b))
+				if got := m.Distance(Tile(a), Tile(b)); got != matrix[a][b] {
+					t.Fatalf("%dx%d: Distance(%d,%d) = %d, want %d", w, h, a, b, got, matrix[a][b])
 				}
-				sum += float64(dist(c, b))
-				total += dist(c, b)
+				sum += float64(matrix[a][b])
+				total += matrix[a][b]
 			}
-			if got, want := m.MeanDistanceFrom(Tile(c)), sum/float64(n); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%dx%d: MeanDistanceFrom(%d) = %v, want %v", w, h, c, got, want)
+			if got, want := m.MeanDistanceFrom(Tile(a)), sum/float64(n); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%dx%d: MeanDistanceFrom(%d) = %v, want %v", w, h, a, got, want)
 			}
 			mcSum := 0
 			for _, mc := range m.MemControllers() {
-				mcSum += dist(c, int(mc))
+				mcSum += matrix[a][mc]
 			}
 			wantMC := float64(mcSum) / float64(len(m.MemControllers()))
-			if got := m.AvgMemDistance(Tile(c)); math.Float64bits(got) != math.Float64bits(wantMC) {
-				t.Fatalf("%dx%d: AvgMemDistance(%d) = %v, want %v", w, h, c, got, wantMC)
+			if got := m.AvgMemDistance(Tile(a)); math.Float64bits(got) != math.Float64bits(wantMC) {
+				t.Fatalf("%dx%d: AvgMemDistance(%d) = %v, want %v", w, h, a, got, wantMC)
 			}
 			meanMC += wantMC
 		}
@@ -205,6 +237,65 @@ func TestByDistanceMatchesStableSort(t *testing.T) {
 		}
 		if got, want := m.MeanMemDistance(), meanMC/float64(n); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%dx%d: MeanMemDistance = %v, want %v", w, h, got, want)
+		}
+	}
+}
+
+// TestRingCursorOrder checks the cursor mechanics on every center: the
+// on-mesh entries of the shared Offsets table are exactly the cursor's
+// sequence, Dist never decreases, the cursor yields each tile once and then
+// stays exhausted, and a copied cursor resumes independently from the point
+// of the copy.
+func TestRingCursorOrder(t *testing.T) {
+	for _, dims := range topoTestDims {
+		w, h := dims[0], dims[1]
+		m := New(w, h)
+		n := m.Tiles()
+		for c := 0; c < n; c++ {
+			cx, cy := m.Coords(Tile(c))
+			var want []Tile
+			for _, o := range m.Offsets() {
+				x, y := cx+int(o.DX), cy+int(o.DY)
+				if x >= 0 && x < w && y >= 0 && y < h {
+					want = append(want, m.TileAt(x, y))
+				}
+			}
+			if len(want) != n {
+				t.Fatalf("%dx%d: Offsets from %d reach %d tiles, want %d", w, h, c, len(want), n)
+			}
+			cur := m.RingFrom(Tile(c))
+			var fork RingCursor
+			prev := -1
+			for i := 0; i < n; i++ {
+				if i == n/2 {
+					fork = cur
+				}
+				tile, ok := cur.Next()
+				if !ok {
+					t.Fatalf("%dx%d: cursor from %d ended after %d of %d tiles", w, h, c, i, n)
+				}
+				if tile != want[i] {
+					t.Fatalf("%dx%d: cursor from %d: tile %d is %d, want %d", w, h, c, i, tile, want[i])
+				}
+				if d := cur.Dist(); d < prev {
+					t.Fatalf("%dx%d: cursor from %d: distance decreased to %d", w, h, c, d)
+				} else {
+					prev = d
+				}
+			}
+			for range 2 {
+				if _, ok := cur.Next(); ok {
+					t.Fatalf("%dx%d: cursor from %d produced more than %d tiles", w, h, c, n)
+				}
+			}
+			for i := n / 2; i < n; i++ {
+				if tile, ok := fork.Next(); !ok || tile != want[i] {
+					t.Fatalf("%dx%d: copied cursor from %d: tile %d is %d (ok=%v), want %d", w, h, c, i, tile, ok, want[i])
+				}
+			}
+			if _, ok := fork.Next(); ok {
+				t.Fatalf("%dx%d: copied cursor from %d produced more than %d tiles", w, h, c, n)
+			}
 		}
 	}
 }
