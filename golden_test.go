@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"cdcs/internal/exp"
 )
 
 // The golden-run regression corpus: committed SHA-256 hashes of Compare
@@ -52,6 +54,11 @@ type goldenFile struct {
 // lazy-topology + hierarchical two-level placement regime, so the coarse
 // cluster pass, interior refinement, and parallel merge are all pinned
 // bit-for-bit). Fixed seeds throughout.
+//
+// Three entries allocate less than the chip holds, so they pin the path
+// where latency-aware Peekahead stops at zero marginal utility: the
+// undercommitted §II-B case-study mix on 8×8 ("cs"), a 4-app 8×8 mix
+// ("st4"), and 1024 apps on 128×128 ("st128x1024", one app per 16 tiles).
 func goldenRequests() map[string]CompareRequest {
 	cfg16 := DefaultConfig()
 	cfg16.MeshWidth, cfg16.MeshHeight = 16, 16
@@ -65,8 +72,18 @@ func goldenRequests() map[string]CompareRequest {
 		"st16":  {Config: &cfg16, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 256}, Seed: 1},
 		"st64":  {Config: &cfg64, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 256}, Seed: 1},
 		"st128": {Config: &cfg128, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 256}, Seed: 1},
+		"cs":    {Mix: MixSpec{Kind: MixCaseStudy}, Seed: 1},
+		"st4":   {Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 4}, Seed: 1},
+
+		"st128x1024": {Config: &cfg128, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 1024}, Seed: 1},
 	}
 }
+
+// goldenExperiments lists internal/exp reports whose JSON (full-precision
+// Series and Scalars, not the 3-decimal text) is pinned at quick scale.
+// sec6c-bank is the only route from a scheme into whole-bank (quantized)
+// Peekahead allocation.
+var goldenExperiments = []string{"sec6c-bank"}
 
 // computeGolden evaluates the corpus and returns its entry map.
 func computeGolden(t *testing.T) map[string]string {
@@ -93,6 +110,13 @@ func computeGolden(t *testing.T) map[string]string {
 			}
 			entries[name+"/"+scheme] = sum(res)
 		}
+	}
+	for _, id := range goldenExperiments {
+		rep, err := exp.Run(id, exp.QuickOptions())
+		if err != nil {
+			t.Fatalf("golden %s: %v", id, err)
+		}
+		entries[id] = sum(rep)
 	}
 	return entries
 }
@@ -163,7 +187,12 @@ func TestGoldenCorpusShape(t *testing.T) {
 	if golden.Goarch == "" {
 		t.Error("golden corpus missing goarch")
 	}
-	wantKeys := 0
+	wantKeys := len(goldenExperiments)
+	for _, id := range goldenExperiments {
+		if h := golden.Entries[id]; len(h) != 64 {
+			t.Errorf("entry %q is not a SHA-256 hex digest: %q", id, h)
+		}
+	}
 	for name := range goldenRequests() {
 		wantKeys += 1 + len(SchemeNames())
 		if _, ok := golden.Entries[name]; !ok {
