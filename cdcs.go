@@ -299,7 +299,7 @@ type Result struct {
 // Run evaluates one scheme on a mix. The seed drives random thread
 // placement (and nothing else).
 func (s *System) Run(scheme Scheme, mix *Mix, seed int64) (*Result, error) {
-	res, err := sim.RunMix(s.env, scheme.inner, mix.inner, rand.New(rand.NewSource(seed)))
+	res, err := sim.RunMixWith(s.env, scheme.inner, mix.inner, rand.New(rand.NewSource(seed)), nil)
 	if err != nil {
 		return nil, err
 	}

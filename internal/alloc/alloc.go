@@ -17,33 +17,45 @@ import (
 	"cdcs/internal/mesh"
 )
 
-// Peekahead allocates totalLines among the given cost curves, minimizing the
-// summed cost. Curves map capacity (lines) to cost (any consistent unit,
+// PeekaheadIn allocates totalLines among the given cost curves, minimizing
+// the summed cost. Curves map capacity (lines) to cost (any consistent unit,
 // e.g. latency cycles per kilo-instruction). Allocation works on convex
 // hulls, so each greedy step is globally optimal for the continuous
 // relaxation — the same property the paper's Peekahead exploits.
 //
 // Allocation stops early when no curve offers a cost reduction (possible
 // with latency-aware curves); leftover capacity stays unallocated.
-func Peekahead(costs []curves.Curve, totalLines float64) []float64 {
-	hulls := make([]curves.Curve, len(costs))
-	for i, c := range costs {
-		hulls[i] = c.ConvexHull()
-	}
-	return peekaheadHulls(hulls, totalLines, true, nil)
+//
+// Hull storage, the segment heap and the result vector come from ar, and
+// the result borrows ar; a nil ar uses a fresh arena, so the result is
+// independent.
+func PeekaheadIn(ar *Arena, costs []curves.Curve, totalLines float64) []float64 {
+	return peekahead(ar, costs, totalLines, true)
 }
 
-// PeekaheadFull allocates like Peekahead but never stops early: segments
+// PeekaheadFullIn allocates like PeekaheadIn but never stops early: segments
 // with zero marginal utility are still taken, so all capacity is handed out
 // whenever the curves' domains allow. This models Jigsaw's miss-curve
 // allocation, which has no reason to leave capacity unused — and is exactly
 // why Jigsaw over-expands VCs when capacity is plentiful (§VI-A, Fig. 14).
-func PeekaheadFull(costs []curves.Curve, totalLines float64) []float64 {
-	hulls := make([]curves.Curve, len(costs))
-	for i, c := range costs {
-		hulls[i] = c.ConvexHull()
+// Storage comes from ar as in PeekaheadIn.
+func PeekaheadFullIn(ar *Arena, costs []curves.Curve, totalLines float64) []float64 {
+	return peekahead(ar, costs, totalLines, false)
+}
+
+// PeekaheadQuantizedIn allocates like PeekaheadIn but rounds each VC's
+// allocation to a multiple of chunkLines (whole-bank allocation in the
+// §VI-C bank-partitioned configuration uses chunk = bank size). Rounding is
+// largest-remainder so the total never exceeds totalLines. All scratch comes
+// from ar as in PeekaheadIn.
+func PeekaheadQuantizedIn(ar *Arena, costs []curves.Curve, totalLines, chunkLines float64) []float64 {
+	if ar == nil {
+		ar = NewArena()
 	}
-	return peekaheadHulls(hulls, totalLines, false, nil)
+	raw := PeekaheadIn(ar, costs, totalLines)
+	out := growFloats(&ar.quant, len(raw))
+	ar.fracs = quantize(raw, out, ar.fracs[:0], totalLines, chunkLines)
+	return out
 }
 
 // segment is one candidate hull advance for a VC.
@@ -120,16 +132,18 @@ func (h *segHeap) pop() segment {
 	return s
 }
 
-func peekaheadHulls(hulls []curves.Curve, totalLines float64, stopAtZero bool, ar *Arena) []float64 {
-	var alloc []float64
-	var h segHeap
-	if ar != nil {
-		alloc = growFloats(&ar.alloc, len(hulls))
-		h = ar.heap[:0]
-	} else {
-		alloc = make([]float64, len(hulls))
-		h = make(segHeap, 0, len(hulls))
+// peekahead is the allocator behind PeekaheadIn and PeekaheadFullIn: a
+// greedy walk that repeatedly takes the steepest remaining hull segment.
+func peekahead(ar *Arena, costs []curves.Curve, totalLines float64, stopAtZero bool) []float64 {
+	if ar == nil {
+		ar = NewArena()
 	}
+	hulls := growCurves(&ar.hulls, len(costs))
+	for i, c := range costs {
+		hulls[i] = c.ConvexHullInto(hulls[i])
+	}
+	alloc := growFloats(&ar.alloc, len(hulls))
+	h := ar.heap[:0]
 	remaining := totalLines
 
 	next := func(vc, fromKnot int) (segment, bool) {
@@ -171,9 +185,7 @@ func peekaheadHulls(hulls []curves.Curve, totalLines float64, stopAtZero bool, a
 			remaining = 0
 		}
 	}
-	if ar != nil {
-		ar.heap = h[:0] // keep the (possibly grown) backing for the next round
-	}
+	ar.heap = h[:0] // keep the (possibly grown) backing for the next round
 	return alloc
 }
 
@@ -186,7 +198,7 @@ type frac struct {
 // quantize rounds raw down to multiples of chunkLines into out, then hands
 // leftover chunks to the largest remainders (VC index breaks ties, a total
 // order, so the sort result is unique). fracs is scratch; the possibly-grown
-// slice is returned so arena callers can keep the backing.
+// slice is returned so the arena can keep the backing.
 func quantize(raw, out []float64, fracs []frac, totalLines, chunkLines float64) []frac {
 	if chunkLines <= 0 {
 		panic(fmt.Sprintf("alloc: invalid chunk %g", chunkLines))
@@ -218,17 +230,6 @@ func quantize(raw, out []float64, fracs []frac, totalLines, chunkLines float64) 
 		used += chunkLines
 	}
 	return fracs
-}
-
-// PeekaheadQuantized allocates like Peekahead but rounds each VC's
-// allocation to a multiple of chunkLines (whole-bank allocation in the
-// §VI-C bank-partitioned configuration uses chunk = bank size). Rounding is
-// largest-remainder so the total never exceeds totalLines.
-func PeekaheadQuantized(costs []curves.Curve, totalLines, chunkLines float64) []float64 {
-	raw := Peekahead(costs, totalLines)
-	out := make([]float64, len(raw))
-	quantize(raw, out, make([]frac, 0, len(raw)), totalLines, chunkLines)
-	return out
 }
 
 // CompactDistance returns the average network distance (hops) from a center

@@ -13,7 +13,7 @@ import (
 func TestPeekaheadSingleCurve(t *testing.T) {
 	// One convex decreasing curve: allocator gives it everything useful.
 	c := curves.New([]float64{0, 100, 200}, []float64{100, 20, 10})
-	got := Peekahead([]curves.Curve{c}, 150)
+	got := PeekaheadIn(nil, []curves.Curve{c}, 150)
 	if !approx(got[0], 150, 1e-9) {
 		t.Errorf("alloc=%v, want all 150", got)
 	}
@@ -23,7 +23,7 @@ func TestPeekaheadPrefersSteeperCurve(t *testing.T) {
 	// VC a drops 100 cost over 100 lines; VC b drops 10 over 100 lines.
 	a := curves.New([]float64{0, 100}, []float64{100, 0})
 	b := curves.New([]float64{0, 100}, []float64{10, 0})
-	got := Peekahead([]curves.Curve{a, b}, 100)
+	got := PeekaheadIn(nil, []curves.Curve{a, b}, 100)
 	if !approx(got[0], 100, 1e-9) || !approx(got[1], 0, 1e-9) {
 		t.Errorf("alloc=%v, want [100 0]", got)
 	}
@@ -32,7 +32,7 @@ func TestPeekaheadPrefersSteeperCurve(t *testing.T) {
 func TestPeekaheadSplitsAtEqualMarginal(t *testing.T) {
 	// Identical curves: equal split (after each takes its first segment).
 	c := curves.New([]float64{0, 50, 100}, []float64{100, 40, 10})
-	got := Peekahead([]curves.Curve{c, c}, 100)
+	got := PeekaheadIn(nil, []curves.Curve{c, c}, 100)
 	if !approx(got[0], 50, 1e-9) || !approx(got[1], 50, 1e-9) {
 		t.Errorf("alloc=%v, want [50 50]", got)
 	}
@@ -42,7 +42,7 @@ func TestPeekaheadStopsAtSweetSpot(t *testing.T) {
 	// U-shaped latency curve: minimum at 60 lines. Latency-aware allocation
 	// must leave the rest unused.
 	c := curves.New([]float64{0, 30, 60, 90, 120}, []float64{100, 40, 20, 30, 50})
-	got := Peekahead([]curves.Curve{c}, 120)
+	got := PeekaheadIn(nil, []curves.Curve{c}, 120)
 	if !approx(got[0], 60, 1e-9) {
 		t.Errorf("alloc=%v, want 60 (sweet spot), leaving capacity unused", got)
 	}
@@ -53,7 +53,7 @@ func TestPeekaheadStreamingGetsNothing(t *testing.T) {
 	// nothing, fitting VC gets its footprint.
 	flat := curves.Constant(100, 200)
 	cliffy := curves.New([]float64{0, 80, 100, 200}, []float64{100, 90, 5, 5})
-	got := Peekahead([]curves.Curve{flat, cliffy}, 150)
+	got := PeekaheadIn(nil, []curves.Curve{flat, cliffy}, 150)
 	if got[0] != 0 {
 		t.Errorf("streaming VC got %g lines", got[0])
 	}
@@ -71,7 +71,7 @@ func TestPeekaheadRespectsBudget(t *testing.T) {
 			cs[i] = randomDecreasing(rng)
 		}
 		budget := rng.Float64() * 500
-		got := Peekahead(cs, budget)
+		got := PeekaheadIn(nil, cs, budget)
 		sum := 0.0
 		for i, a := range got {
 			if a < -1e-9 {
@@ -100,7 +100,7 @@ func TestPeekaheadMatchesBruteForce(t *testing.T) {
 			randomConvexDecreasing(rng, chunk, 8),
 			randomConvexDecreasing(rng, chunk, 8),
 		}
-		got := Peekahead(cs, budgetChunks*chunk)
+		got := PeekaheadIn(nil, cs, budgetChunks*chunk)
 		gotCost := 0.0
 		for i, a := range got {
 			gotCost += cs[i].Eval(a)
@@ -129,7 +129,7 @@ func TestPeekaheadMatchesBruteForce(t *testing.T) {
 func TestPeekaheadQuantized(t *testing.T) {
 	a := curves.New([]float64{0, 100}, []float64{100, 0})
 	b := curves.New([]float64{0, 100}, []float64{50, 0})
-	got := PeekaheadQuantized([]curves.Curve{a, b}, 96, 32)
+	got := PeekaheadQuantizedIn(nil, []curves.Curve{a, b}, 96, 32)
 	sum := 0.0
 	for _, v := range got {
 		if rem := math.Mod(v, 32); rem > 1e-9 && rem < 32-1e-9 {
@@ -148,7 +148,7 @@ func TestPeekaheadQuantizedPanicsOnBadChunk(t *testing.T) {
 			t.Error("chunk 0 accepted")
 		}
 	}()
-	PeekaheadQuantized(nil, 100, 0)
+	PeekaheadQuantizedIn(nil, nil, 100, 0)
 }
 
 func TestCompactDistance(t *testing.T) {
@@ -242,8 +242,8 @@ func TestLatencyAwareVsMissOnlyAllocation(t *testing.T) {
 		latCurves[i] = TotalLatencyCurve(p.MissRatio, p.APKI, dist, m, total)
 		missCurves[i] = MissLatencyCurve(p.MissRatio, p.APKI, m, total)
 	}
-	latAlloc := Peekahead(latCurves, total)
-	missAlloc := PeekaheadFull(missCurves, total)
+	latAlloc := PeekaheadIn(nil, latCurves, total)
+	missAlloc := PeekaheadFullIn(nil, missCurves, total)
 
 	sumLat := latAlloc[0] + latAlloc[1]
 	sumMiss := missAlloc[0] + missAlloc[1]

@@ -14,8 +14,8 @@ import (
 //
 // An Arena is not safe for concurrent use. Allocations returned by the *In
 // entry points borrow the arena's memory and stay valid only until its next
-// allocation call; callers that retain results must copy them or use the
-// allocating wrappers.
+// allocation call; callers that retain results must copy them or pass a nil
+// arena, which gives the call a fresh one.
 type Arena struct {
 	costs []curves.Curve // per-VC cost-curve slots (backings reused)
 	hulls []curves.Curve // per-VC hull slots (backings reused)
@@ -79,34 +79,6 @@ func (a *Arena) CompactDistance(topo *mesh.Topology, bankLines float64) curves.C
 	a.dist = CompactDistance(topo, bankLines)
 	a.distTopo, a.distLines = topo, bankLines
 	return a.dist
-}
-
-// PeekaheadIn is Peekahead with hull storage, the segment heap and the
-// result vector reused from ar. The result borrows ar.
-func PeekaheadIn(ar *Arena, costs []curves.Curve, totalLines float64) []float64 {
-	return peekaheadIn(ar, costs, totalLines, true)
-}
-
-// PeekaheadFullIn is PeekaheadFull with storage reused from ar.
-func PeekaheadFullIn(ar *Arena, costs []curves.Curve, totalLines float64) []float64 {
-	return peekaheadIn(ar, costs, totalLines, false)
-}
-
-func peekaheadIn(ar *Arena, costs []curves.Curve, totalLines float64, stopAtZero bool) []float64 {
-	hulls := growCurves(&ar.hulls, len(costs))
-	for i, c := range costs {
-		hulls[i] = c.ConvexHullInto(hulls[i])
-	}
-	return peekaheadHulls(hulls, totalLines, stopAtZero, ar)
-}
-
-// PeekaheadQuantizedIn is PeekaheadQuantized with all scratch reused from
-// ar. The result borrows ar.
-func PeekaheadQuantizedIn(ar *Arena, costs []curves.Curve, totalLines, chunkLines float64) []float64 {
-	raw := PeekaheadIn(ar, costs, totalLines)
-	out := growFloats(&ar.quant, len(raw))
-	ar.fracs = quantize(raw, out, ar.fracs[:0], totalLines, chunkLines)
-	return out
 }
 
 // knotUnionInto is knotUnion built by a linear merge into dst (resliced to

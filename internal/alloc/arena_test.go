@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cdcs/internal/curves"
@@ -36,8 +37,10 @@ func float64sBitEqual(a, b []float64) bool {
 	return true
 }
 
-// TestPeekaheadInBitIdentical proves the arena entry points reproduce the
-// allocating allocator bit for bit, across repeated reuse of one arena.
+// TestPeekaheadInBitIdentical proves the allocation entry points give the
+// same allocation bit for bit from a warm arena, reused across rounds, as
+// from a nil arena, and that a nil-arena result is independent of later
+// calls.
 func TestPeekaheadInBitIdentical(t *testing.T) {
 	topo := mesh.New(8, 8)
 	ar := NewArena()
@@ -47,14 +50,20 @@ func TestPeekaheadInBitIdentical(t *testing.T) {
 		costs, total := specCosts(n, topo, 8192)
 		budget := total * (0.25 + rng.Float64()*0.75)
 
-		if got, want := PeekaheadIn(ar, costs, budget), Peekahead(costs, budget); !float64sBitEqual(got, want) {
+		want := PeekaheadIn(nil, costs, budget)
+		kept := slices.Clone(want)
+		if got := PeekaheadIn(ar, costs, budget); !float64sBitEqual(got, want) {
 			t.Fatalf("trial %d: PeekaheadIn differs:\n  %v\n  %v", trial, got, want)
 		}
-		if got, want := PeekaheadFullIn(ar, costs, budget), PeekaheadFull(costs, budget); !float64sBitEqual(got, want) {
+		if got, want := PeekaheadFullIn(ar, costs, budget), PeekaheadFullIn(nil, costs, budget); !float64sBitEqual(got, want) {
 			t.Fatalf("trial %d: PeekaheadFullIn differs", trial)
 		}
-		if got, want := PeekaheadQuantizedIn(ar, costs, budget, 8192), PeekaheadQuantized(costs, budget, 8192); !float64sBitEqual(got, want) {
+		if got, want := PeekaheadQuantizedIn(ar, costs, budget, 8192), PeekaheadQuantizedIn(nil, costs, budget, 8192); !float64sBitEqual(got, want) {
 			t.Fatalf("trial %d: PeekaheadQuantizedIn differs:\n  %v\n  %v", trial, got, want)
+		}
+		PeekaheadIn(nil, costs, budget/2)
+		if !float64sBitEqual(want, kept) {
+			t.Fatalf("trial %d: a later call overwrote a nil-arena result", trial)
 		}
 	}
 }

@@ -22,7 +22,7 @@ func BenchmarkPeekahead64VCs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Peekahead(costs, 64*8192)
+		PeekaheadIn(nil, costs, 64*8192)
 	}
 }
 

@@ -37,8 +37,8 @@ func TestPropertyPeekaheadNeverOverAllocates(t *testing.T) {
 		},
 	}
 	prop := func(cs []curves.Curve, budget float64) bool {
-		for _, fn := range []func([]curves.Curve, float64) []float64{Peekahead, PeekaheadFull} {
-			got := fn(cs, budget)
+		for _, fn := range []func(*Arena, []curves.Curve, float64) []float64{PeekaheadIn, PeekaheadFullIn} {
+			got := fn(nil, cs, budget)
 			sum := 0.0
 			for i, a := range got {
 				if a < -1e-9 || a > cs[i].MaxX()+1e-9 {
@@ -64,8 +64,8 @@ func TestPropertyPeekaheadMonotoneInBudget(t *testing.T) {
 		cs := genCurves(rng)
 		b1 := rng.Float64() * 400
 		b2 := b1 + rng.Float64()*400
-		c1 := totalCost(cs, Peekahead(cs, b1))
-		c2 := totalCost(cs, Peekahead(cs, b2))
+		c1 := totalCost(cs, PeekaheadIn(nil, cs, b1))
+		c2 := totalCost(cs, PeekaheadIn(nil, cs, b2))
 		if c2 > c1+1e-6 {
 			t.Fatalf("trial %d: budget %g cost %g < budget %g cost %g", trial, b1, c1, b2, c2)
 		}
@@ -85,7 +85,7 @@ func TestPropertyPeekaheadBeatsUniformSplitOnConvexCurves(t *testing.T) {
 			cs[i] = randomConvexDecreasing(rng, 10, 3+rng.Intn(10))
 		}
 		budget := rng.Float64() * 600
-		smart := totalCost(cs, Peekahead(cs, budget))
+		smart := totalCost(cs, PeekaheadIn(nil, cs, budget))
 		uniform := make([]float64, len(cs))
 		for i := range uniform {
 			u := budget / float64(len(cs))
@@ -101,7 +101,8 @@ func TestPropertyPeekaheadBeatsUniformSplitOnConvexCurves(t *testing.T) {
 }
 
 func TestPropertyFullUsesAtLeastAsMuch(t *testing.T) {
-	// PeekaheadFull always hands out at least as much capacity as Peekahead.
+	// PeekaheadFullIn always hands out at least as much capacity as
+	// PeekaheadIn.
 	rng := rand.New(rand.NewSource(104))
 	for trial := 0; trial < 150; trial++ {
 		cs := genCurves(rng)
@@ -113,7 +114,7 @@ func TestPropertyFullUsesAtLeastAsMuch(t *testing.T) {
 			}
 			return s
 		}
-		if sum(PeekaheadFull(cs, budget)) < sum(Peekahead(cs, budget))-1e-6 {
+		if sum(PeekaheadFullIn(nil, cs, budget)) < sum(PeekaheadIn(nil, cs, budget))-1e-6 {
 			t.Fatalf("trial %d: full allocated less than latency-aware", trial)
 		}
 	}
@@ -127,7 +128,7 @@ func TestPropertyQuantizedWithinChunkOfExact(t *testing.T) {
 		cs := genCurves(rng)
 		budget := 100 + rng.Float64()*600
 		chunk := 8 + rng.Float64()*32
-		q := PeekaheadQuantized(cs, budget, chunk)
+		q := PeekaheadQuantizedIn(nil, cs, budget, chunk)
 		sum := 0.0
 		for _, a := range q {
 			mod := a - float64(int(a/chunk))*chunk

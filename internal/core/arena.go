@@ -8,7 +8,7 @@ import (
 // Arena bundles the reusable storage for one reconfiguration pipeline:
 // placement scratch (steps 2-4) and capacity-allocation scratch (step 1).
 // With a warm arena and a sealed mix, a steady-state ReconfigureWith round
-// allocates nothing end to end.
+// allocates nothing end to end; a nil arena gives the round a fresh one.
 //
 // An Arena is not safe for concurrent use. Results built with it borrow its
 // memory and stay valid only until its next use.

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"cdcs/internal/alloc"
-	"cdcs/internal/curves"
 	"cdcs/internal/mesh"
 	"cdcs/internal/place"
 	"cdcs/internal/workload"
@@ -98,22 +97,18 @@ type Result struct {
 	Timing Timing
 }
 
-// Reconfigure runs one full reconfiguration for the mix. fixedThreads
+// ReconfigureWith runs one full reconfiguration for the mix. fixedThreads
 // supplies the thread placement used when Feats.ThreadPlace is off (and
 // seeds nothing otherwise); it must cover all threads in the mix. It returns
 // an error when the mix does not fit the chip (more threads than cores) or
 // when inputs are inconsistent.
-func Reconfigure(cfg Config, mix *workload.Mix, fixedThreads []mesh.Tile) (Result, error) {
-	return ReconfigureWith(cfg, mix, fixedThreads, nil)
-}
-
-// ReconfigureWith is Reconfigure with a reusable arena: passing a non-nil
-// arena makes a steady-state round — capacity allocation (step 1) and the
-// placement pipeline (steps 2-4) — allocation-free across rounds, and a
-// sealed mix (workload.Mix.Seal) additionally skips every per-round map walk.
-// The returned Result then borrows the arena's memory (VCSizes, Assignment,
-// ThreadCore, Optimistic) and stays valid only until the arena's next use;
-// pass nil to get an independent Result.
+//
+// Reusing one arena makes a steady-state round — capacity allocation
+// (step 1) and the placement pipeline (steps 2-4) — allocation-free across
+// rounds, and a sealed mix (workload.Mix.Seal) additionally skips every
+// per-round map walk. The returned Result then borrows the arena's memory
+// (VCSizes, Assignment, ThreadCore, Optimistic) and stays valid only until
+// the arena's next use; pass nil to get an independent Result.
 func ReconfigureWith(cfg Config, mix *workload.Mix, fixedThreads []mesh.Tile, ar *Arena) (Result, error) {
 	nThreads := len(mix.Threads)
 	if nThreads > cfg.Chip.Banks() {
@@ -124,11 +119,8 @@ func ReconfigureWith(cfg Config, mix *workload.Mix, fixedThreads []mesh.Tile, ar
 			return Result{}, fmt.Errorf("core: fixed thread placement covers %d of %d threads", len(fixedThreads), nThreads)
 		}
 	}
-	var aa *alloc.Arena
 	if ar == nil {
 		ar = NewArena()
-	} else {
-		aa = &ar.Alloc
 	}
 	pa := &ar.Place
 
@@ -136,7 +128,7 @@ func ReconfigureWith(cfg Config, mix *workload.Mix, fixedThreads []mesh.Tile, ar
 
 	// Step 1: capacity allocation.
 	start := time.Now()
-	res.VCSizes = allocate(cfg, mix, aa)
+	res.VCSizes = allocate(cfg, mix, &ar.Alloc)
 	res.Timing.Alloc = time.Since(start)
 
 	totalAcc := 0
@@ -199,49 +191,28 @@ func ReconfigureWith(cfg Config, mix *workload.Mix, fixedThreads []mesh.Tile, ar
 
 // allocate sizes all VCs (step 1). Latency-aware mode uses total-latency
 // curves and may leave capacity unused; otherwise miss-cost curves are used
-// and all capacity is handed out (Jigsaw). A non-nil arena reuses curve
-// backings, hull storage and the segment heap across calls; results are bit-
-// identical either way (same knot merges, same arithmetic, same heap order).
+// and all capacity is handed out (Jigsaw). Curve backings, hull storage and
+// the segment heap come from aa and are reused across calls.
 func allocate(cfg Config, mix *workload.Mix, aa *alloc.Arena) []float64 {
 	total := cfg.Chip.TotalLines()
-	if aa != nil {
-		dist := aa.CompactDistance(cfg.Chip.Topo, cfg.Chip.BankLines)
-		costs := aa.Costs(len(mix.VCs))
-		for v := range mix.VCs {
-			vc := &mix.VCs[v]
-			apki := vc.TotalAPKI()
-			if cfg.Feats.LatencyAware {
-				costs[v] = alloc.TotalLatencyCurveInto(costs[v], vc.MissRatio, apki, dist, cfg.Model, total)
-			} else {
-				costs[v] = alloc.MissLatencyCurveInto(costs[v], vc.MissRatio, apki, cfg.Model, total)
-			}
-		}
-		if cfg.BankGranular {
-			return alloc.PeekaheadQuantizedIn(aa, costs, total, cfg.Chip.BankLines)
-		}
-		if cfg.Feats.LatencyAware {
-			return alloc.PeekaheadIn(aa, costs, total)
-		}
-		return alloc.PeekaheadFullIn(aa, costs, total)
-	}
-	dist := alloc.CompactDistance(cfg.Chip.Topo, cfg.Chip.BankLines)
-	costs := make([]curves.Curve, len(mix.VCs))
+	dist := aa.CompactDistance(cfg.Chip.Topo, cfg.Chip.BankLines)
+	costs := aa.Costs(len(mix.VCs))
 	for v := range mix.VCs {
 		vc := &mix.VCs[v]
 		apki := vc.TotalAPKI()
 		if cfg.Feats.LatencyAware {
-			costs[v] = alloc.TotalLatencyCurve(vc.MissRatio, apki, dist, cfg.Model, total)
+			costs[v] = alloc.TotalLatencyCurveInto(costs[v], vc.MissRatio, apki, dist, cfg.Model, total)
 		} else {
-			costs[v] = alloc.MissLatencyCurve(vc.MissRatio, apki, cfg.Model, total)
+			costs[v] = alloc.MissLatencyCurveInto(costs[v], vc.MissRatio, apki, cfg.Model, total)
 		}
 	}
 	if cfg.BankGranular {
-		return alloc.PeekaheadQuantized(costs, total, cfg.Chip.BankLines)
+		return alloc.PeekaheadQuantizedIn(aa, costs, total, cfg.Chip.BankLines)
 	}
 	if cfg.Feats.LatencyAware {
-		return alloc.Peekahead(costs, total)
+		return alloc.PeekaheadIn(aa, costs, total)
 	}
-	return alloc.PeekaheadFull(costs, total)
+	return alloc.PeekaheadFullIn(aa, costs, total)
 }
 
 // OnChipLatency evaluates Eq. 2 (access·hops) for a result.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cdcs/internal/alloc"
@@ -28,7 +30,7 @@ func TestReconfigureCaseStudyShape(t *testing.T) {
 	// omnet multi-bank VCs, milc nearly nothing, and ilbdc its footprint.
 	cfg := testConfig(6, 6, AllCDCS())
 	mix := workload.CaseStudy()
-	res, err := Reconfigure(cfg, mix, nil)
+	res, err := ReconfigureWith(cfg, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestReconfigureSpreadsOmnetClustersIlbdc(t *testing.T) {
 	// clustered around their shared data.
 	cfg := testConfig(6, 6, AllCDCS())
 	mix := workload.CaseStudy()
-	res, err := Reconfigure(cfg, mix, nil)
+	res, err := ReconfigureWith(cfg, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestFactorFlagsChangeBehaviour(t *testing.T) {
 	fixed := clustered(base, len(mix.Threads))
 
 	// Jigsaw-like (all off): uses all capacity.
-	resJ, err := Reconfigure(base, mix, fixed)
+	resJ, err := ReconfigureWith(base, mix, fixed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +159,11 @@ func TestFactorFlagsChangeBehaviour(t *testing.T) {
 	cfgL := base
 	cfgL.Feats.LatencyAware = true
 	fixedL := clustered(cfgL, len(mixL.Threads))
-	resL, err := Reconfigure(cfgL, mixL, fixedL)
+	resL, err := ReconfigureWith(cfgL, mixL, fixedL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resJL, err := Reconfigure(base, mixL, fixedL)
+	resJL, err := ReconfigureWith(base, mixL, fixedL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func TestFactorFlagsChangeBehaviour(t *testing.T) {
 	// +T: thread placement differs from clustered and lowers Eq. 2.
 	cfgT := base
 	cfgT.Feats.ThreadPlace = true
-	resT, err := Reconfigure(cfgT, mix, fixed)
+	resT, err := ReconfigureWith(cfgT, mix, fixed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestFactorFlagsChangeBehaviour(t *testing.T) {
 	// +D: trades reduce latency further from the greedy start.
 	cfgD := base
 	cfgD.Feats.RefinedTrades = true
-	resD, err := Reconfigure(cfgD, mix, fixed)
+	resD, err := ReconfigureWith(cfgD, mix, fixed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,18 +211,18 @@ func TestFullCDCSBeatsBaselines(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	mix := workload.RandomST(rng, workload.SPECCPU(), 64)
 	cfgCDCS := testConfig(8, 8, AllCDCS())
-	resC, err := Reconfigure(cfgCDCS, mix, nil)
+	resC, err := ReconfigureWith(cfgCDCS, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgJ := testConfig(8, 8, Features{})
 	fixedC := clustered(cfgJ, 64)
-	resJC, err := Reconfigure(cfgJ, mix, fixedC)
+	resJC, err := ReconfigureWith(cfgJ, mix, fixedC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perm := rand.New(rand.NewSource(8)).Perm(64)
-	resJR, err := Reconfigure(cfgJ, mix, place.RandomThreads(cfgJ.Chip, 64, perm))
+	resJR, err := ReconfigureWith(cfgJ, mix, place.RandomThreads(cfgJ.Chip, 64, perm), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestBankGranularAllocation(t *testing.T) {
 	cfg := testConfig(8, 8, AllCDCS())
 	cfg.BankGranular = true
 	mix := workload.RandomST(rand.New(rand.NewSource(11)), workload.SPECCPU(), 32)
-	res, err := Reconfigure(cfg, mix, nil)
+	res, err := ReconfigureWith(cfg, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +252,12 @@ func TestBankGranularAllocation(t *testing.T) {
 func TestReconfigureErrors(t *testing.T) {
 	cfg := testConfig(2, 2, AllCDCS())
 	mix := workload.RandomST(rand.New(rand.NewSource(1)), workload.SPECCPU(), 5)
-	if _, err := Reconfigure(cfg, mix, nil); err == nil {
+	if _, err := ReconfigureWith(cfg, mix, nil, nil); err == nil {
 		t.Error("5 threads on 4 cores accepted")
 	}
 	cfg2 := testConfig(8, 8, Features{})
 	mix2 := workload.RandomST(rand.New(rand.NewSource(1)), workload.SPECCPU(), 4)
-	if _, err := Reconfigure(cfg2, mix2, []mesh.Tile{0}); err == nil {
+	if _, err := ReconfigureWith(cfg2, mix2, []mesh.Tile{0}, nil); err == nil {
 		t.Error("short fixed placement accepted")
 	}
 }
@@ -263,7 +265,7 @@ func TestReconfigureErrors(t *testing.T) {
 func TestTimingPopulated(t *testing.T) {
 	cfg := testConfig(8, 8, AllCDCS())
 	mix := workload.RandomST(rand.New(rand.NewSource(2)), workload.SPECCPU(), 64)
-	res, err := Reconfigure(cfg, mix, nil)
+	res, err := ReconfigureWith(cfg, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +278,7 @@ func TestReconfigureDeterministic(t *testing.T) {
 	cfg := testConfig(8, 8, AllCDCS())
 	run := func() Result {
 		mix := workload.RandomST(rand.New(rand.NewSource(5)), workload.SPECCPU(), 48)
-		res, err := Reconfigure(cfg, mix, nil)
+		res, err := ReconfigureWith(cfg, mix, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,6 +295,89 @@ func TestReconfigureDeterministic(t *testing.T) {
 			t.Fatalf("thread %d core differs across identical runs", i)
 		}
 	}
+
+	// A nil arena gives the same result, bit for bit, as a warm reused one on
+	// every allocation path: latency-aware (CDCS), miss curves handing out
+	// all capacity (Jigsaw) and whole-bank quantization. A nil-arena result
+	// is independent: a later nil-arena call on another mix leaves it intact.
+	jigsaw := cfg
+	jigsaw.Feats = Features{}
+	bank := cfg
+	bank.BankGranular = true
+	mix := workload.RandomST(rand.New(rand.NewSource(5)), workload.SPECCPU(), 48)
+	fixed := clustered(cfg, len(mix.Threads))
+	other := workload.RandomST(rand.New(rand.NewSource(6)), workload.SPECCPU(), 64)
+	ar := NewArena()
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"CDCS", cfg}, {"Jigsaw", jigsaw}, {"BankGranular", bank}} {
+		want, err := ReconfigureWith(c.cfg, mix, fixed, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := cloneResult(want)
+		for round := 0; round < 2; round++ {
+			got, err := ReconfigureWith(c.cfg, mix, fixed, ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := resultDiff(got, want); diff != "" {
+				t.Fatalf("%s round %d: warm arena differs from nil arena: %s", c.name, round, diff)
+			}
+		}
+		if _, err := ReconfigureWith(c.cfg, other, clustered(cfg, 64), nil); err != nil {
+			t.Fatal(err)
+		}
+		if diff := resultDiff(want, kept); diff != "" {
+			t.Fatalf("%s: a later call overwrote a nil-arena result: %s", c.name, diff)
+		}
+	}
+}
+
+// cloneResult deep-copies the parts of a Result an arena could share.
+func cloneResult(r Result) Result {
+	r.VCSizes = slices.Clone(r.VCSizes)
+	r.Assignment = r.Assignment.Clone()
+	r.ThreadCore = slices.Clone(r.ThreadCore)
+	r.Optimistic.Center = slices.Clone(r.Optimistic.Center)
+	r.Optimistic.Claims = r.Optimistic.Claims.Clone()
+	r.Optimistic.CoM = slices.Clone(r.Optimistic.CoM)
+	return r
+}
+
+// resultDiff describes the first bit-level difference between two results'
+// co-schedules ("" when identical); timings are ignored.
+func resultDiff(a, b Result) string {
+	switch {
+	case !slices.Equal(a.VCSizes, b.VCSizes):
+		return "VC sizes"
+	case !slices.Equal(a.ThreadCore, b.ThreadCore):
+		return "thread placement"
+	case !slices.Equal(a.Optimistic.Center, b.Optimistic.Center) || !slices.Equal(a.Optimistic.CoM, b.Optimistic.CoM):
+		return "optimistic placement"
+	case a.Trades != b.Trades || a.TradeGain != b.TradeGain:
+		return fmt.Sprintf("trades %d/%v vs %d/%v", a.Trades, a.TradeGain, b.Trades, b.TradeGain)
+	}
+	for _, p := range [][2]place.Assignment{{a.Assignment, b.Assignment}, {a.Optimistic.Claims, b.Optimistic.Claims}} {
+		if len(p[0]) != len(p[1]) {
+			return "assignment length"
+		}
+		for v := range p[0] {
+			x, y := &p[0][v], &p[1][v]
+			if x.Len() != y.Len() {
+				return fmt.Sprintf("VC %d bank count", v)
+			}
+			for i := 0; i < x.Len(); i++ {
+				bx, lx := x.At(i)
+				by, ly := y.At(i)
+				if bx != by || lx != ly {
+					return fmt.Sprintf("VC %d bank %d", v, bx)
+				}
+			}
+		}
+	}
+	return ""
 }
 
 func TestMultithreadedMixPlacement(t *testing.T) {
@@ -300,7 +385,7 @@ func TestMultithreadedMixPlacement(t *testing.T) {
 	// (shared-heavy) cluster. 32 threads on 64 cores.
 	cfg := testConfig(8, 8, AllCDCS())
 	mix := workload.Fig16CaseStudy()
-	res, err := Reconfigure(cfg, mix, nil)
+	res, err := ReconfigureWith(cfg, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,14 +44,14 @@ func runAblationTrades(opts Options) (*Report, error) {
 	}
 	if err := opts.engine().ForEach(n, func(m int) error {
 		mix := workload.RandomST(rand.New(rand.NewSource(opts.Seed+int64(m))), cpu, 64)
-		s, err := policy.Build(env, policy.SchemeCDCS, mix, nil)
+		s, err := policy.BuildWith(env, policy.SchemeCDCS, mix, nil, nil)
 		if err != nil {
 			return err
 		}
 		demands := cdcsDemands(mix, s)
 		perm := rand.New(rand.NewSource(opts.Seed + 50 + int64(m))).Perm(env.Chip.Banks())
 		threads := place.RandomThreads(env.Chip, len(mix.Threads), perm)
-		base := place.Greedy(env.Chip, demands, threads, env.Chip.BankLines/8)
+		base := place.GreedyIn(nil, env.Chip, demands, threads, env.Chip.BankLines/8)
 		baseLat := place.OnChipLatency(env.Chip, demands, base, threads)
 		for k, r := range rounds {
 			a := base.Clone()

@@ -17,5 +17,5 @@ func allocTotalCurve(env policy.Env, ratio curves.Curve, apki float64, dist curv
 }
 
 func allocPeekahead(costs []curves.Curve, total float64) []float64 {
-	return alloc.Peekahead(costs, total)
+	return alloc.PeekaheadIn(nil, costs, total)
 }

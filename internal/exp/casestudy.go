@@ -41,7 +41,7 @@ func runTable1(opts Options) (*Report, error) {
 	schemes := caseStudySchemes()
 	results := make([]sim.MixResult, len(schemes))
 	if err := opts.engine().ForEach(len(schemes), func(i int) error {
-		res, err := sim.RunMix(env, schemes[i], mix, rand.New(rand.NewSource(opts.Seed+int64(i))))
+		res, err := sim.RunMixWith(env, schemes[i], mix, rand.New(rand.NewSource(opts.Seed+int64(i))), nil)
 		if err != nil {
 			return err
 		}
@@ -81,7 +81,7 @@ func runFig1(opts Options) (*Report, error) {
 	schemes := []policy.Scheme{policy.SchemeJigsawC, policy.SchemeJigsawR, policy.SchemeCDCS}
 	results := make([]sim.MixResult, len(schemes))
 	if err := opts.engine().ForEach(len(schemes), func(i int) error {
-		res, err := sim.RunMix(env, schemes[i], mix, rand.New(rand.NewSource(opts.Seed+int64(i))))
+		res, err := sim.RunMixWith(env, schemes[i], mix, rand.New(rand.NewSource(opts.Seed+int64(i))), nil)
 		if err != nil {
 			return err
 		}

@@ -40,7 +40,7 @@ func runExtHWSim(opts Options) (*Report, error) {
 
 	mix := scaledMix()
 	cfg := core.Config{Chip: chip, Model: env.Model, Feats: core.AllCDCS()}
-	res, err := core.Reconfigure(cfg, mix, nil)
+	res, err := core.ReconfigureWith(cfg, mix, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func runExtNoC(opts Options) (*Report, error) {
 	}
 	rows := make([]replay, len(schemes))
 	if err := opts.engine().ForEach(len(schemes), func(k int) error {
-		s, err := policy.Build(env, schemes[k], mix, rand.New(rand.NewSource(opts.Seed+1)))
+		s, err := policy.BuildWith(env, schemes[k], mix, rand.New(rand.NewSource(opts.Seed+1)), nil)
 		if err != nil {
 			return err
 		}

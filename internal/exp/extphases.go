@@ -47,7 +47,7 @@ func runExtPhases(opts Options) (*Report, error) {
 	if err := opts.engine().ForEach(epochs, func(e int) error {
 		mixes[e] = mixAtEpoch(apps, e)
 		cfg := core.Config{Chip: env.Chip, Model: env.Model, Feats: core.AllCDCS()}
-		res, err := core.Reconfigure(cfg, mixes[e], nil)
+		res, err := core.ReconfigureWith(cfg, mixes[e], nil, nil)
 		if err != nil {
 			return err
 		}

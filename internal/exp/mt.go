@@ -45,7 +45,7 @@ func runFig16(opts Options) (*Report, error) {
 
 	// Case study (Fig. 16b): per-process thread spread under CDCS.
 	mix := workload.Fig16CaseStudy()
-	cdcsRes, err := sim.RunMix(env, policy.SchemeCDCS, mix, rand.New(rand.NewSource(opts.Seed)))
+	cdcsRes, err := sim.RunMixWith(env, policy.SchemeCDCS, mix, rand.New(rand.NewSource(opts.Seed)), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func reconfigParamsFromCampaign(opts Options) (sim.ReconfigParams, float64, erro
 	schemes := []policy.Scheme{policy.SchemeSNUCA, policy.SchemeCDCS}
 	runs := make([]sim.MixResult, len(schemes))
 	if err := opts.engine().ForEach(len(schemes), func(i int) error {
-		r, err := sim.RunMix(env, schemes[i], mix, rand.New(rand.NewSource(opts.Seed+1+int64(i))))
+		r, err := sim.RunMixWith(env, schemes[i], mix, rand.New(rand.NewSource(opts.Seed+1+int64(i))), nil)
 		if err != nil {
 			return err
 		}

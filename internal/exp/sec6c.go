@@ -47,7 +47,7 @@ func runSec6CILP(opts Options) (*Report, error) {
 	if err := opts.engine().ForEach(n, func(m int) error {
 		perMix[m] = math.NaN()
 		mix := workload.RandomST(rand.New(rand.NewSource(opts.Seed+int64(m))), cpu, 64)
-		s, err := policy.Build(env, policy.SchemeCDCS, mix, nil)
+		s, err := policy.BuildWith(env, policy.SchemeCDCS, mix, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -82,7 +82,7 @@ func runSec6CAnneal(opts Options) (*Report, error) {
 	if err := opts.engine().ForEach(n, func(m int) error {
 		perMix[m] = math.NaN()
 		mix := workload.RandomST(rand.New(rand.NewSource(opts.Seed+int64(m))), cpu, 64)
-		s, err := policy.Build(env, policy.SchemeCDCS, mix, nil)
+		s, err := policy.BuildWith(env, policy.SchemeCDCS, mix, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -118,7 +118,7 @@ func runSec6CGraph(opts Options) (*Report, error) {
 	if err := opts.engine().ForEach(n, func(m int) error {
 		perMix[m] = math.NaN()
 		mix := workload.RandomMT(rand.New(rand.NewSource(opts.Seed+int64(m))), omp, 8)
-		s, err := policy.Build(env, policy.SchemeCDCS, mix, nil)
+		s, err := policy.BuildWith(env, policy.SchemeCDCS, mix, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -126,8 +126,8 @@ func runSec6CGraph(opts Options) (*Report, error) {
 		cdcsLat := place.OnChipLatency(env.Chip, demands, s.Core.Assignment, s.ThreadCore)
 
 		gpThreads := place.GraphPartition(env.Chip, demands, len(mix.Threads))
-		gpAssign := place.Greedy(env.Chip, demands, gpThreads, env.Chip.BankLines/16)
-		place.Refine(env.Chip, demands, gpAssign, gpThreads)
+		gpAssign := place.GreedyIn(nil, env.Chip, demands, gpThreads, env.Chip.BankLines/16)
+		place.RefineIn(nil, env.Chip, demands, gpAssign, gpThreads)
 		gpLat := place.OnChipLatency(env.Chip, demands, gpAssign, gpThreads)
 		if cdcsLat > 0 {
 			perMix[m] = gpLat / cdcsLat

@@ -58,7 +58,7 @@ func runTable3(opts Options) (*Report, error) {
 		var tAlloc, tThread, tData time.Duration
 		for r := 0; r < reps; r++ {
 			mix := workload.RandomST(rand.New(rand.NewSource(opts.Seed+int64(r))), workload.SPECCPU(), pt.threads)
-			res, err := core.Reconfigure(cfg, mix, nil)
+			res, err := core.ReconfigureWith(cfg, mix, nil, nil)
 			if err != nil {
 				return nil, err
 			}

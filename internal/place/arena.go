@@ -8,16 +8,15 @@ import (
 
 // Arena holds reusable scratch buffers for one placement pipeline (one
 // reconfiguration of one simulated cell). Threading one arena through
-// demand construction, OptimisticPlace, PlaceThreads, Greedy and Refine
-// makes the steady-state placement round allocation-free: every buffer is
-// grown once and reused on subsequent rounds.
+// demand construction, OptimisticPlaceIn, PlaceThreadsIn, GreedyIn and
+// RefineIn makes the steady-state placement round allocation-free: every
+// buffer is grown once and reused on subsequent rounds.
 //
 // An Arena is not safe for concurrent use. Results produced through an
 // arena (assignments, claims, thread placements, distance rows, demands)
 // borrow its memory: they stay valid only until the arena's next placement
 // call, so callers that retain results across rounds must either copy what
-// they need or use the allocating wrappers (which hand each call a private
-// arena).
+// they need or pass a nil arena, which gives the call a fresh one.
 type Arena struct {
 	// Demand backing (StartDemands / AppendDemand).
 	demands []Demand

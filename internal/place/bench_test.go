@@ -87,7 +87,7 @@ func BenchmarkGreedy64(b *testing.B) {
 
 func BenchmarkRefine64(b *testing.B) {
 	chip, demands, threads := benchInstance()
-	base := Greedy(chip, demands, threads, 1024)
+	base := GreedyIn(nil, chip, demands, threads, 1024)
 	ar := NewArena()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -101,7 +101,7 @@ func BenchmarkRefine64(b *testing.B) {
 
 func BenchmarkPlaceThreads64(b *testing.B) {
 	chip, demands, _ := benchInstance()
-	opt := OptimisticPlace(chip, demands)
+	opt := OptimisticPlaceIn(nil, chip, demands)
 	ar := NewArena()
 	b.ReportAllocs()
 	b.ResetTimer()

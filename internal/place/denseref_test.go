@@ -555,7 +555,7 @@ func TestDenseMatchesMapReference(t *testing.T) {
 				}
 
 				// Step 4: greedy + refine, against the fixed random threads
-				// (exercises VCDistances with multi-accessor demands too).
+				// (exercises VCDistancesIn with multi-accessor demands too).
 				refAssign := refGreedy(chip, refs, threads, chip.BankLines/8)
 				gotAssign := GreedyIn(ar, chip, dense, threads, chip.BankLines/8)
 				assignEqual(t, "greedy", refAssign, gotAssign)

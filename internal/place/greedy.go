@@ -6,18 +6,16 @@ import (
 	"cdcs/internal/mesh"
 )
 
-// Greedy is Jigsaw's data placement and CDCS's refined-placement starting
+// GreedyIn is Jigsaw's data placement and CDCS's refined-placement starting
 // point (§IV-F): VCs round-robin over chunk-sized claims, each taking
 // capacity from the closest bank (by access-weighted distance) that still
 // has room. Real capacity constraints are enforced. Returns the assignment;
 // all demand is always placed as long as total demand fits on the chip.
-func Greedy(chip Chip, demands []Demand, threadCore []mesh.Tile, chunk float64) Assignment {
-	return GreedyIn(NewArena(), chip, demands, threadCore, chunk)
-}
-
-// GreedyIn is Greedy with scratch (and the returned assignment's backing)
-// taken from ar.
+// Scratch and the assignment's backing come from ar (nil: a fresh arena).
 func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, chunk float64) Assignment {
+	if ar == nil {
+		ar = NewArena()
+	}
 	if chunk <= 0 {
 		chunk = chip.BankLines / 16
 	}
@@ -32,7 +30,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	//
 	//   - A VC whose preference order is distance from a single tile — one
 	//     accessor with positive rate (sort key rate·distance orders exactly
-	//     like distance), or no access at all (the VCDistances center-tile
+	//     like distance), or no access at all (the VCDistancesIn center-tile
 	//     convention) — walks a mesh.RingCursor from that tile. Both orders
 	//     share the ascending-tile-index tie-break, so the cursor yields the
 	//     very permutation SortStableFunc would produce: bit-identical

@@ -45,6 +45,9 @@ func coarseChipIn(ar *Arena, chip Chip, cl *mesh.Clusters) Chip {
 // coarse claims land on the claiming cluster's representative tile, which is
 // all thread placement needs (it only consumes the claims' centers of mass).
 func HierOptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
+	if ar == nil {
+		ar = NewArena()
+	}
 	cl := chip.Topo.Clusters()
 	copt := OptimisticPlaceIn(ar.coarse(), coarseChipIn(ar, chip, cl), demands)
 
@@ -74,6 +77,9 @@ func HierOptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 // scanning member tiles in ascending global index. Per thread this costs
 // O(clusters + cluster size) instead of O(banks).
 func HierPlaceThreadsIn(ar *Arena, chip Chip, demands []Demand, opt Optimistic, nThreads int) []mesh.Tile {
+	if ar == nil {
+		ar = NewArena()
+	}
 	cl := chip.Topo.Clusters()
 	infos := threadInfosIn(ar, chip, demands, opt, nThreads)
 
@@ -167,6 +173,9 @@ type hierWorker struct {
 // merged in ascending cluster order, so the result is identical for any
 // worker count.
 func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, chunk float64, refine bool) (Assignment, int, float64) {
+	if ar == nil {
+		ar = NewArena()
+	}
 	cl := chip.Topo.Clusters()
 	cchip := coarseChipIn(ar, chip, cl)
 

@@ -18,7 +18,7 @@ func OptimalTransport(chip Chip, demands []Demand, threadCore []mesh.Tile, chunk
 	if chunk <= 0 {
 		chunk = chip.BankLines / 16
 	}
-	dist := VCDistances(chip, demands, threadCore)
+	dist := VCDistancesIn(nil, chip, demands, threadCore)
 	nV := len(demands)
 	nB := chip.Banks()
 

@@ -19,7 +19,7 @@ type Optimistic struct {
 // Point is a fractional tile coordinate.
 type Point struct{ X, Y float64 }
 
-// OptimisticPlace runs the paper's optimistic contention-aware VC placement
+// OptimisticPlaceIn runs the paper's optimistic contention-aware VC placement
 // (§IV-D, Fig. 7): VCs are placed largest-first; for each VC every tile is
 // evaluated as a candidate center by summing the capacity already claimed in
 // the banks its compact footprint would cover, and the least-contended tile
@@ -28,14 +28,12 @@ type Point struct{ X, Y float64 }
 //
 // Above PruneThreshold banks the per-VC candidate search switches to the
 // pruned two-level scan (see prune.go); at or below it, every tile is
-// evaluated exactly as in the paper.
-func OptimisticPlace(chip Chip, demands []Demand) Optimistic {
-	return OptimisticPlaceIn(NewArena(), chip, demands)
-}
-
-// OptimisticPlaceIn is OptimisticPlace with scratch (and the returned
-// placement's backing) taken from ar.
+// evaluated exactly as in the paper. Scratch and the placement's backing
+// come from ar (nil: a fresh arena).
 func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
+	if ar == nil {
+		ar = NewArena()
+	}
 	n := chip.Banks()
 	out := Optimistic{
 		Center: grow(&ar.centers, len(demands)),

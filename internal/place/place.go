@@ -263,11 +263,6 @@ func (a Assignment) Placed(v int) float64 {
 	return s
 }
 
-// BankUsage returns per-bank occupied lines across all VCs.
-func (a Assignment) BankUsage(banks int) []float64 {
-	return a.BankUsageInto(make([]float64, banks))
-}
-
 // BankUsageInto accumulates per-bank occupied lines into use (which must be
 // zeroed and sized to the bank count) and returns it.
 func (a Assignment) BankUsageInto(use []float64) []float64 {
@@ -296,7 +291,7 @@ func (a Assignment) Validate(chip Chip, demands []Demand, tol float64) error {
 	if len(a) != len(demands) {
 		return fmt.Errorf("place: %d assignments for %d demands", len(a), len(demands))
 	}
-	use := a.BankUsage(chip.Banks())
+	use := a.BankUsageInto(make([]float64, chip.Banks()))
 	for b, u := range use {
 		if u > chip.CapOf(mesh.Tile(b))+tol {
 			return fmt.Errorf("place: bank %d over capacity: %g > %g", b, u, chip.CapOf(mesh.Tile(b)))
@@ -320,16 +315,15 @@ func (a Assignment) Validate(chip Chip, demands []Demand, tol float64) error {
 	return nil
 }
 
-// VCDistances returns D(vc, bank): the access-weighted mean distance from
+// VCDistancesIn returns D(vc, bank): the access-weighted mean distance from
 // the VC's accessor threads to each bank (the distance the trade pass and
-// Eq. 2 use). VCs with no accessors measure from the chip center.
-func VCDistances(chip Chip, demands []Demand, threadCore []mesh.Tile) [][]float64 {
-	return VCDistancesIn(NewArena(), chip, demands, threadCore)
-}
-
-// VCDistancesIn is VCDistances with scratch from ar; the rows are valid only
-// until the arena's next placement call.
+// Eq. 2 use). VCs with no accessors measure from the chip center. The rows
+// come from ar and are valid only until its next placement call; a nil ar
+// uses a fresh arena.
 func VCDistancesIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile) [][]float64 {
+	if ar == nil {
+		ar = NewArena()
+	}
 	n := chip.Banks()
 	flat := grow(&ar.distFlat, len(demands)*n)
 	rows := grow(&ar.dist, len(demands))

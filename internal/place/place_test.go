@@ -48,9 +48,9 @@ func TestAssignmentBasics(t *testing.T) {
 	if got := a.Placed(0); got != 150 {
 		t.Errorf("Placed(0)=%g", got)
 	}
-	use := a.BankUsage(8)
+	use := a.BankUsageInto(make([]float64, 8))
 	if use[3] != 125 || use[4] != 50 {
-		t.Errorf("BankUsage=%v", use)
+		t.Errorf("BankUsageInto=%v", use)
 	}
 	c := a.Clone()
 	c[0].Set(3, 1)
@@ -116,7 +116,7 @@ func TestVCDistances(t *testing.T) {
 		NewDemand(100, map[int]float64{}), // no accessors
 	}
 	threads := []mesh.Tile{0, 5} // corners of the top row
-	dist := VCDistances(chip, d, threads)
+	dist := VCDistancesIn(nil, chip, d, threads)
 	// VC 0: distance from tile 0.
 	if dist[0][0] != 0 || dist[0][5] != 5 {
 		t.Errorf("VC0 distances wrong: %v, %v", dist[0][0], dist[0][5])
@@ -150,7 +150,7 @@ func TestOnChipLatencyHandComputed(t *testing.T) {
 func TestOptimisticPlaceSingleVC(t *testing.T) {
 	chip := chip36()
 	d := singleThreadDemands([]float64{3 * 8192}, []float64{50})
-	opt := OptimisticPlace(chip, d)
+	opt := OptimisticPlaceIn(nil, chip, d)
 	// A lone VC should sit at the chip center (least contention, central
 	// tie-break) and claim 3 banks compactly.
 	if opt.Center[0] != chip.Topo.CenterTile() {
@@ -180,7 +180,7 @@ func TestOptimisticPlaceSpreadsLargeVCs(t *testing.T) {
 		sizes[i] = 5 * 8192
 		rates[i] = 90
 	}
-	opt := OptimisticPlace(chip, singleThreadDemands(sizes, rates))
+	opt := OptimisticPlaceIn(nil, chip, singleThreadDemands(sizes, rates))
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			if opt.Center[i] == opt.Center[j] {
@@ -208,7 +208,7 @@ func TestOptimisticPlaceSmallVCsAfterLarge(t *testing.T) {
 	// least-contended spots; everything gets placed.
 	sizes := []float64{10 * 8192, 100, 100, 100}
 	rates := []float64{50, 5, 5, 5}
-	opt := OptimisticPlace(chip, singleThreadDemands(sizes, rates))
+	opt := OptimisticPlaceIn(nil, chip, singleThreadDemands(sizes, rates))
 	for v := range sizes {
 		if got := opt.Claims.Placed(v); !approxEq(got, sizes[v], 1e-6) {
 			t.Errorf("VC %d claimed %g, want %g", v, got, sizes[v])
@@ -218,7 +218,7 @@ func TestOptimisticPlaceSmallVCsAfterLarge(t *testing.T) {
 
 func TestOptimisticZeroSizeVC(t *testing.T) {
 	chip := chip36()
-	opt := OptimisticPlace(chip, singleThreadDemands([]float64{0}, []float64{10}))
+	opt := OptimisticPlaceIn(nil, chip, singleThreadDemands([]float64{0}, []float64{10}))
 	if got := opt.Claims.Placed(0); got != 0 {
 		t.Errorf("zero-size VC claimed %g", got)
 	}
@@ -240,7 +240,7 @@ func TestPlaceThreadsNearData(t *testing.T) {
 		Claims: assignmentOf(36, map[mesh.Tile]float64{0: 8192}, map[mesh.Tile]float64{35: 8192}),
 		CoM:    []Point{{0, 0}, {5, 5}},
 	}
-	cores := PlaceThreads(chip, d, opt, 2)
+	cores := PlaceThreadsIn(nil, chip, d, opt, 2)
 	if cores[0] != 0 {
 		t.Errorf("thread 0 at %d, want 0", cores[0])
 	}
@@ -259,8 +259,8 @@ func TestPlaceThreadsDistinctCores(t *testing.T) {
 		rates[i] = 20
 	}
 	d := singleThreadDemands(sizes, rates)
-	opt := OptimisticPlace(chip, d)
-	cores := PlaceThreads(chip, d, opt, n)
+	opt := OptimisticPlaceIn(nil, chip, d)
+	cores := PlaceThreadsIn(nil, chip, d, opt, n)
 	seen := map[mesh.Tile]bool{}
 	for t2, c := range cores {
 		if seen[c] {
@@ -286,7 +286,7 @@ func TestPlaceThreadsPriorityOrder(t *testing.T) {
 			map[mesh.Tile]float64{chip.Topo.TileAt(2, 2): 1024}),
 		CoM: []Point{com, com},
 	}
-	cores := PlaceThreads(chip, d, opt, 2)
+	cores := PlaceThreadsIn(nil, chip, d, opt, 2)
 	if cores[0] != chip.Topo.TileAt(2, 2) {
 		t.Errorf("heavy thread at %d, want the contended tile", cores[0])
 	}
@@ -332,7 +332,7 @@ func TestGreedyRespectsCapacityAndPlacesAll(t *testing.T) {
 	}
 	d := singleThreadDemands(sizes, rates)
 	threads := ClusteredThreads(chip, n)
-	a := Greedy(chip, d, threads, 512)
+	a := GreedyIn(nil, chip, d, threads, 512)
 	if err := a.Validate(chip, d, 1); err != nil {
 		t.Fatalf("greedy assignment invalid: %v", err)
 	}
@@ -343,7 +343,7 @@ func TestGreedyPrefersLocalBank(t *testing.T) {
 	// A small VC accessed by a thread at tile 7 should land entirely in
 	// bank 7 when the chip is otherwise empty.
 	d := []Demand{NewDemand(2048, map[int]float64{0: 50})}
-	a := Greedy(chip, d, []mesh.Tile{7}, 512)
+	a := GreedyIn(nil, chip, d, []mesh.Tile{7}, 512)
 	if got := a[0].Get(7); !approxEq(got, 2048, 1e-9) {
 		t.Errorf("local bank got %g of 2048 lines in banks %v", got, a[0].Banks())
 	}
@@ -358,7 +358,7 @@ func TestGreedyContentionPushesDataOut(t *testing.T) {
 		NewDemand(3*8192, map[int]float64{1: 90}),
 	}
 	threads := []mesh.Tile{0, 1}
-	a := Greedy(chip, d, threads, 512)
+	a := GreedyIn(nil, chip, d, threads, 512)
 	if err := a.Validate(chip, d, 1); err != nil {
 		t.Fatalf("invalid: %v", err)
 	}
@@ -378,9 +378,9 @@ func TestRefineNeverIncreasesLatency(t *testing.T) {
 		d := singleThreadDemands(sizes, rates)
 		perm := rng.Perm(64)
 		threads := RandomThreads(chip, n, perm)
-		a := Greedy(chip, d, threads, 512)
+		a := GreedyIn(nil, chip, d, threads, 512)
 		before := OnChipLatency(chip, d, a, threads)
-		trades, delta := Refine(chip, d, a, threads)
+		trades, delta := RefineIn(nil, chip, d, a, threads)
 		after := OnChipLatency(chip, d, a, threads)
 		if after > before+1e-6 {
 			t.Fatalf("trial %d: refine increased latency %g -> %g", trial, before, after)
@@ -408,7 +408,7 @@ func TestRefineFindsObviousTrade(t *testing.T) {
 	a[0].Set(35, 8192) // hot VC's data in the far corner
 	a[1].Set(0, 8192)  // cold VC's data next to the hot thread
 	before := OnChipLatency(chip, d, a, threads)
-	trades, _ := Refine(chip, d, a, threads)
+	trades, _ := RefineIn(nil, chip, d, a, threads)
 	after := OnChipLatency(chip, d, a, threads)
 	if trades == 0 {
 		t.Fatal("no trades executed")
@@ -429,7 +429,7 @@ func TestRefineUsesFreeSpace(t *testing.T) {
 	threads := []mesh.Tile{0}
 	a := NewAssignment(1, chip.Banks())
 	a[0].Set(35, 4096)
-	trades, delta := Refine(chip, d, a, threads)
+	trades, delta := RefineIn(nil, chip, d, a, threads)
 	if trades == 0 || delta >= 0 {
 		t.Fatalf("free-space move not taken: trades=%d delta=%g", trades, delta)
 	}
@@ -451,8 +451,8 @@ func TestOptimalTransportBeatsOrMatchesGreedy(t *testing.T) {
 		}
 		d := singleThreadDemands(sizes, rates)
 		threads := RandomThreads(chip, n, rng.Perm(64))
-		greedy := Greedy(chip, d, threads, 512)
-		Refine(chip, d, greedy, threads)
+		greedy := GreedyIn(nil, chip, d, threads, 512)
+		RefineIn(nil, chip, d, greedy, threads)
 		opt := OptimalTransport(chip, d, threads, 512)
 		gl := OnChipLatency(chip, d, greedy, threads)
 		ol := OnChipLatency(chip, d, opt, threads)

@@ -29,7 +29,7 @@ func TestPropertyGreedyFeasibleAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	for trial := 0; trial < 60; trial++ {
 		chip, demands, threads := randomInstance(rng)
-		a := Greedy(chip, demands, threads, 512)
+		a := GreedyIn(nil, chip, demands, threads, 512)
 		if err := a.Validate(chip, demands, 1); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -40,9 +40,9 @@ func TestPropertyRefinePreservesFeasibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 60; trial++ {
 		chip, demands, threads := randomInstance(rng)
-		a := Greedy(chip, demands, threads, 512)
+		a := GreedyIn(nil, chip, demands, threads, 512)
 		before := OnChipLatency(chip, demands, a, threads)
-		Refine(chip, demands, a, threads)
+		RefineIn(nil, chip, demands, a, threads)
 		if err := a.Validate(chip, demands, 1); err != nil {
 			t.Fatalf("trial %d after refine: %v", trial, err)
 		}
@@ -57,7 +57,7 @@ func TestPropertyRefineRoundsMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(203))
 	for trial := 0; trial < 20; trial++ {
 		chip, demands, threads := randomInstance(rng)
-		base := Greedy(chip, demands, threads, 512)
+		base := GreedyIn(nil, chip, demands, threads, 512)
 		prev := OnChipLatency(chip, demands, base, threads)
 		for _, rounds := range []int{1, 2, 4} {
 			a := base.Clone()
@@ -86,11 +86,11 @@ func TestPropertyOptimalIsLowerBound(t *testing.T) {
 		opt := OptimalTransport(chip, demands, threads, 512)
 		optLat := OnChipLatency(chip, demands, opt, threads)
 
-		greedy := Greedy(chip, demands, threads, 512)
+		greedy := GreedyIn(nil, chip, demands, threads, 512)
 		if optLat > OnChipLatency(chip, demands, greedy, threads)+1e-6 {
 			t.Fatalf("trial %d: optimal above greedy", trial)
 		}
-		Refine(chip, demands, greedy, threads)
+		RefineIn(nil, chip, demands, greedy, threads)
 		if optLat > OnChipLatency(chip, demands, greedy, threads)+1e-6 {
 			t.Fatalf("trial %d: optimal above greedy+refine", trial)
 		}
@@ -101,7 +101,7 @@ func TestPropertyOptimisticClaimsMatchSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	for trial := 0; trial < 60; trial++ {
 		chip, demands, _ := randomInstance(rng)
-		opt := OptimisticPlace(chip, demands)
+		opt := OptimisticPlaceIn(nil, chip, demands)
 		for v := range demands {
 			if got := opt.Claims.Placed(v); got < demands[v].Size-1 || got > demands[v].Size+1 {
 				t.Fatalf("trial %d: VC %d claimed %g of %g", trial, v, got, demands[v].Size)
@@ -120,9 +120,9 @@ func TestPropertyPlaceThreadsBijective(t *testing.T) {
 	rng := rand.New(rand.NewSource(206))
 	for trial := 0; trial < 40; trial++ {
 		chip, demands, _ := randomInstance(rng)
-		opt := OptimisticPlace(chip, demands)
+		opt := OptimisticPlaceIn(nil, chip, demands)
 		nThreads := 1 + rng.Intn(64)
-		cores := PlaceThreads(chip, demands, opt, nThreads)
+		cores := PlaceThreadsIn(nil, chip, demands, opt, nThreads)
 		seen := map[mesh.Tile]bool{}
 		for _, c := range cores {
 			if seen[c] {
@@ -140,7 +140,7 @@ func TestPropertyAnnealNeverWorseThanStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	for trial := 0; trial < 10; trial++ {
 		chip, demands, threads := randomInstance(rng)
-		a := Greedy(chip, demands, threads, 512)
+		a := GreedyIn(nil, chip, demands, threads, 512)
 		before := OnChipLatency(chip, demands, a, threads)
 		improved, _ := AnnealThreads(chip, demands, a, threads, 2000, rng)
 		after := OnChipLatency(chip, demands, a, improved)

@@ -149,7 +149,7 @@ func testOptimisticPlaceAboveThreshold(t *testing.T, w, h int) {
 	for v := range demands {
 		demands[v] = NewDemand(float64(1+rng.Intn(6))*chip.BankLines, map[int]float64{v: 10 + rng.Float64()*40})
 	}
-	opt := OptimisticPlace(chip, demands)
+	opt := OptimisticPlaceIn(nil, chip, demands)
 	for v, d := range demands {
 		placed := opt.Claims.Placed(v)
 		if !approxEq(placed, d.Size, 1e-6) {
@@ -166,16 +166,16 @@ func testOptimisticPlaceAboveThreshold(t *testing.T, w, h int) {
 			}
 		}
 	}
-	again := OptimisticPlace(chip, demands)
+	again := OptimisticPlaceIn(nil, chip, demands)
 	if !reflect.DeepEqual(opt, again) {
-		t.Error("OptimisticPlace not deterministic above threshold")
+		t.Error("OptimisticPlaceIn not deterministic above threshold")
 	}
 }
 
 func TestRefineAboveThreshold(t *testing.T) {
-	// Refine on a 1024-tile chip: trades still only ever lower Eq. 2 latency
+	// RefineIn on a 1024-tile chip: trades still only ever lower Eq. 2 latency
 	// and the assignment stays valid (the spiral is data-bounded, not
-	// candidate-pruned — see the comment in Refine).
+	// candidate-pruned — see the comment in RefineIn).
 	chip := Chip{Topo: mesh.New(32, 32), BankLines: 8192}
 	rng := rand.New(rand.NewSource(9))
 	demands := make([]Demand, 32)
@@ -184,12 +184,12 @@ func TestRefineAboveThreshold(t *testing.T) {
 		demands[v] = NewDemand(float64(1+rng.Intn(4))*chip.BankLines, map[int]float64{v: 20})
 		threadCore[v] = mesh.Tile(rng.Intn(chip.Banks()))
 	}
-	assign := Greedy(chip, demands, threadCore, 0)
+	assign := GreedyIn(nil, chip, demands, threadCore, 0)
 	if err := assign.Validate(chip, demands, 1e-6); err != nil {
 		t.Fatalf("greedy assignment invalid: %v", err)
 	}
 	before := OnChipLatency(chip, demands, assign, threadCore)
-	trades, delta := Refine(chip, demands, assign, threadCore)
+	trades, delta := RefineIn(nil, chip, demands, assign, threadCore)
 	if delta > 1e-9 {
 		t.Errorf("refine increased latency: delta=%g over %d trades", delta, trades)
 	}

@@ -12,7 +12,7 @@ type desirable struct {
 	d    float64
 }
 
-// Refine performs the paper's refined VC placement (§IV-F, Fig. 8): starting
+// RefineIn performs the paper's refined VC placement (§IV-F, Fig. 8): starting
 // from a greedy placement, each VC spirals outward from its center of mass
 // looking at its own data; banks where the VC could hold more data are
 // "desirable"; data sitting farther out is offered in trades against VCs
@@ -21,14 +21,13 @@ type desirable struct {
 // total on-chip latency is non-increasing. Each VC trades once, in index
 // order — the paper found one pass discovers most beneficial trades.
 //
-// The assignment is modified in place; Refine reports the number of executed
-// trades and the total Eq. 2 latency change (≤ 0).
-func Refine(chip Chip, demands []Demand, assign Assignment, threadCore []mesh.Tile) (trades int, delta float64) {
-	return RefineIn(NewArena(), chip, demands, assign, threadCore)
-}
-
-// RefineIn is Refine with scratch taken from ar.
+// The assignment is modified in place; RefineIn reports the number of
+// executed trades and the total Eq. 2 latency change (≤ 0). Scratch comes
+// from ar (nil: a fresh arena).
 func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadCore []mesh.Tile) (trades int, delta float64) {
+	if ar == nil {
+		ar = NewArena()
+	}
 	dist := VCDistancesIn(ar, chip, demands, threadCore)
 	used := assign.BankUsageInto(grow(&ar.used, chip.Banks()))
 

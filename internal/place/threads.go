@@ -19,18 +19,6 @@ type comAcc struct {
 	wx, wy, w float64
 }
 
-// PlaceThreads implements §IV-E: each thread is placed as close as possible
-// to the access-weighted center of mass of the VCs it uses (per the
-// optimistic placement), in descending intensity×capacity order so the
-// threads for which locality matters most — and whose data is hardest to
-// move — pick cores first. Returns thread→core, one thread per core.
-//
-// nThreads may be smaller than the core count (under-committed systems);
-// unused cores stay empty.
-func PlaceThreads(chip Chip, demands []Demand, opt Optimistic, nThreads int) []mesh.Tile {
-	return PlaceThreadsIn(NewArena(), chip, demands, opt, nThreads)
-}
-
 // threadInfosIn accumulates per-thread priority and preferred center of mass
 // over the accessed VCs and returns the threads sorted by descending priority
 // (index tie-break): the shared front half of the flat and hierarchical
@@ -79,9 +67,19 @@ func threadInfosIn(ar *Arena, chip Chip, demands []Demand, opt Optimistic, nThre
 	return infos
 }
 
-// PlaceThreadsIn is PlaceThreads with scratch (and the returned placement's
-// backing) taken from ar.
+// PlaceThreadsIn implements §IV-E: each thread is placed as close as possible
+// to the access-weighted center of mass of the VCs it uses (per the
+// optimistic placement), in descending intensity×capacity order so the
+// threads for which locality matters most — and whose data is hardest to
+// move — pick cores first. Returns thread→core, one thread per core.
+//
+// nThreads may be smaller than the core count (under-committed systems);
+// unused cores stay empty. Scratch and the placement's backing come from ar
+// (nil: a fresh arena).
 func PlaceThreadsIn(ar *Arena, chip Chip, demands []Demand, opt Optimistic, nThreads int) []mesh.Tile {
+	if ar == nil {
+		ar = NewArena()
+	}
 	infos := threadInfosIn(ar, chip, demands, opt, nThreads)
 
 	free := grow(&ar.freeCore, chip.Banks())

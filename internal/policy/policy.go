@@ -140,10 +140,10 @@ type Sched struct {
 
 // Arena holds reusable scratch for schedule construction: the placement
 // arena plus the policy layer's own buffers (thread orderings, perfmodel
-// inputs). Reusing one arena across Build calls makes the per-cell schedule
-// hot path allocation-free in steady state. Not safe for concurrent use; a
-// Sched built with a non-nil arena borrows its memory and stays valid only
-// until the arena's next Build.
+// inputs). Reusing one arena across BuildWith calls makes the per-cell
+// schedule hot path allocation-free in steady state. Not safe for concurrent
+// use; a Sched built with a non-nil arena borrows its memory and stays valid
+// only until the arena's next BuildWith.
 type Arena struct {
 	core    core.Arena
 	order   []int
@@ -169,17 +169,11 @@ func grow[T any](buf *[]T, n int) []T {
 	return s
 }
 
-// Build computes the schedule for a scheme on a mix. rng drives random
+// BuildWith computes the schedule for a scheme on a mix. rng drives random
 // thread placement only (seed it for reproducibility); deterministic schemes
-// ignore it.
-func Build(env Env, s Scheme, mix *workload.Mix, rng *rand.Rand) (Sched, error) {
-	return BuildWith(env, s, mix, rng, nil)
-}
-
-// BuildWith is Build with a reusable arena; pass nil for an independent
-// schedule, or a pooled arena to build allocation-free in steady state (the
-// returned Sched then borrows the arena — extract what you need before the
-// arena's next use).
+// ignore it. Pass nil for an independent schedule, or a pooled arena to
+// build allocation-free in steady state (the returned Sched then borrows the
+// arena — extract what you need before the arena's next use).
 func BuildWith(env Env, s Scheme, mix *workload.Mix, rng *rand.Rand, ar *Arena) (Sched, error) {
 	if ar == nil {
 		ar = NewArena()

@@ -30,12 +30,12 @@ func TestSchemeNames(t *testing.T) {
 func TestBuildErrors(t *testing.T) {
 	env := ScaledEnv(2, 2)
 	mix := workload.RandomST(rand.New(rand.NewSource(1)), workload.SPECCPU(), 8)
-	if _, err := Build(env, SchemeCDCS, mix, rand.New(rand.NewSource(2))); err == nil {
+	if _, err := BuildWith(env, SchemeCDCS, mix, rand.New(rand.NewSource(2)), nil); err == nil {
 		t.Error("8 threads on 4 cores accepted")
 	}
 	env2 := DefaultEnv()
 	mix2 := workload.RandomST(rand.New(rand.NewSource(1)), workload.SPECCPU(), 4)
-	if _, err := Build(env2, SchemeSNUCA, mix2, nil); err == nil {
+	if _, err := BuildWith(env2, SchemeSNUCA, mix2, nil, nil); err == nil {
 		t.Error("random scheduler without rng accepted")
 	}
 }
@@ -46,7 +46,7 @@ func TestSNUCASharedOccupancy(t *testing.T) {
 	cpu := workload.SPECCPU()
 	mix.AddST(workload.ByName(cpu, "omnet"))
 	mix.AddST(workload.ByName(cpu, "milc"))
-	s, err := Build(env, SchemeSNUCA, mix, rand.New(rand.NewSource(3)))
+	s, err := BuildWith(env, SchemeSNUCA, mix, rand.New(rand.NewSource(3)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestSNUCASharedOccupancy(t *testing.T) {
 func TestSNUCAInsensitiveToThreadPlacement(t *testing.T) {
 	env := DefaultEnv()
 	mix := workload.RandomST(rand.New(rand.NewSource(5)), workload.SPECCPU(), 64)
-	a, err := Build(env, SchemeSNUCA, mix, rand.New(rand.NewSource(1)))
+	a, err := BuildWith(env, SchemeSNUCA, mix, rand.New(rand.NewSource(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(env, SchemeSNUCA, mix, rand.New(rand.NewSource(99)))
+	b, err := BuildWith(env, SchemeSNUCA, mix, rand.New(rand.NewSource(99)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRNUCAPrivateIsLocalAndBankLimited(t *testing.T) {
 	mix := workload.NewMix()
 	cpu := workload.SPECCPU()
 	mix.AddST(workload.ByName(cpu, "omnet"))
-	s, err := Build(env, SchemeRNUCA, mix, rand.New(rand.NewSource(3)))
+	s, err := BuildWith(env, SchemeRNUCA, mix, rand.New(rand.NewSource(3)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRNUCASharedDataSpread(t *testing.T) {
 	env := DefaultEnv()
 	mix := workload.NewMix()
 	mix.AddMT(workload.MTByName(workload.SPECOMP(), "ilbdc"))
-	s, err := Build(env, SchemeRNUCA, mix, rand.New(rand.NewSource(4)))
+	s, err := BuildWith(env, SchemeRNUCA, mix, rand.New(rand.NewSource(4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestJigsawGivesOmnetItsFootprint(t *testing.T) {
 	cpu := workload.SPECCPU()
 	mix.AddST(workload.ByName(cpu, "omnet"))
 	mix.AddST(workload.ByName(cpu, "milc"))
-	s, err := Build(env, SchemeJigsawC, mix, nil)
+	s, err := BuildWith(env, SchemeJigsawC, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func buildAll(t *testing.T, env Env, mix *workload.Mix, seed int64) map[string]f
 	schemes := []Scheme{SchemeSNUCA, SchemeRNUCA, SchemeJigsawC, SchemeJigsawR, SchemeCDCS}
 	ipcs := map[string][]float64{}
 	for _, sc := range schemes {
-		s, err := Build(env, sc, mix, rand.New(rand.NewSource(seed)))
+		s, err := BuildWith(env, sc, mix, rand.New(rand.NewSource(seed)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,14 +233,14 @@ func TestCDCSBestOn64AppMixes(t *testing.T) {
 func TestBankGranularCDCSWorse(t *testing.T) {
 	env := DefaultEnv()
 	mix := workload.RandomST(rand.New(rand.NewSource(21)), workload.SPECCPU(), 64)
-	fine, err := Build(env, SchemeCDCS, mix, nil)
+	fine, err := BuildWith(env, SchemeCDCS, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coarse := SchemeCDCS
 	coarse.BankGranular = true
 	coarse.Label = "CDCS-bank"
-	cs, err := Build(env, coarse, mix, nil)
+	cs, err := BuildWith(env, coarse, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestMultithreadedSchemesRun(t *testing.T) {
 	env := DefaultEnv()
 	mix := workload.RandomMT(rand.New(rand.NewSource(31)), workload.SPECOMP(), 8)
 	for _, sc := range []Scheme{SchemeSNUCA, SchemeRNUCA, SchemeJigsawC, SchemeJigsawR, SchemeCDCS} {
-		s, err := Build(env, sc, mix, rand.New(rand.NewSource(32)))
+		s, err := BuildWith(env, sc, mix, rand.New(rand.NewSource(32)), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name(), err)
 		}

@@ -11,7 +11,7 @@ import (
 // TestRunMixArenaBitIdentical asserts the arena-pooled hot path changes no
 // result bits: for every scheme, running a mix through one arena reused
 // across runs produces exactly the per-app progress rates — and therefore
-// exactly the weighted speedups — of independent arena-free runs. This is
+// exactly the weighted speedups — of independent nil-arena runs. This is
 // the sim-level half of the dense-representation bit-identity property (the
 // placement-level half is TestDenseMatchesMapReference in internal/place).
 func TestRunMixArenaBitIdentical(t *testing.T) {
@@ -31,7 +31,7 @@ func TestRunMixArenaBitIdentical(t *testing.T) {
 		var basePerApp, baseArPerApp [][]float64
 		for si, sc := range schemes {
 			seed := int64(100 + 10*mi + si)
-			fresh, err := RunMix(env, sc, mix, rand.New(rand.NewSource(seed)))
+			fresh, err := RunMixWith(env, sc, mix, rand.New(rand.NewSource(seed)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@ func TestSingleTileSystem(t *testing.T) {
 	env := policy.ScaledEnv(1, 1)
 	mix := workload.NewMix().AddST(workload.ByName(workload.SPECCPU(), "milc"))
 	for _, sc := range []policy.Scheme{policy.SchemeSNUCA, policy.SchemeRNUCA, policy.SchemeCDCS} {
-		res, err := RunMix(env, sc, mix, rand.New(rand.NewSource(1)))
+		res, err := RunMixWith(env, sc, mix, rand.New(rand.NewSource(1)), nil)
 		if err != nil {
 			t.Fatalf("%s on 1x1: %v", sc.Name(), err)
 		}
@@ -34,7 +34,7 @@ func TestOverCommittedMixFailsLoudly(t *testing.T) {
 	env := policy.ScaledEnv(2, 2)
 	mix := workload.RandomST(rand.New(rand.NewSource(1)), workload.SPECCPU(), 5)
 	for _, sc := range []policy.Scheme{policy.SchemeSNUCA, policy.SchemeCDCS} {
-		if _, err := RunMix(env, sc, mix, rand.New(rand.NewSource(2))); err == nil {
+		if _, err := RunMixWith(env, sc, mix, rand.New(rand.NewSource(2)), nil); err == nil {
 			t.Errorf("%s accepted 5 threads on 4 cores", sc.Name())
 		}
 	}
@@ -49,7 +49,7 @@ func TestAllStreamingMix(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		mix.AddST(milc)
 	}
-	res, err := RunMix(env, policy.SchemeCDCS, mix, nil)
+	res, err := RunMixWith(env, policy.SchemeCDCS, mix, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestSingleAppFullChip(t *testing.T) {
 	// even with zero capacity contention.
 	env := policy.DefaultEnv()
 	mix := workload.NewMix().AddST(workload.ByName(workload.SPECCPU(), "omnet"))
-	base, err := RunMix(env, policy.SchemeSNUCA, mix, rand.New(rand.NewSource(3)))
+	base, err := RunMixWith(env, policy.SchemeSNUCA, mix, rand.New(rand.NewSource(3)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdcs, err := RunMix(env, policy.SchemeCDCS, mix, rand.New(rand.NewSource(4)))
+	cdcs, err := RunMixWith(env, policy.SchemeCDCS, mix, rand.New(rand.NewSource(4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMixedSTAndMTMix(t *testing.T) {
 		policy.SchemeSNUCA, policy.SchemeRNUCA,
 		policy.SchemeJigsawC, policy.SchemeJigsawR, policy.SchemeCDCS,
 	} {
-		res, err := RunMix(env, sc, mix, rand.New(rand.NewSource(5)))
+		res, err := RunMixWith(env, sc, mix, rand.New(rand.NewSource(5)), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name(), err)
 		}

@@ -95,7 +95,7 @@ func TestEngineMatchesSeedStream(t *testing.T) {
 		mix := workload.RandomST(rand.New(rand.NewSource(baseSeed+int64(m)*7919)), cpu, 16)
 		var base MixResult
 		for i, s := range schemes {
-			res, err := RunMix(env, s, mix, rand.New(rand.NewSource(baseSeed+int64(m)*7919+int64(i)+1)))
+			res, err := RunMixWith(env, s, mix, rand.New(rand.NewSource(baseSeed+int64(m)*7919+int64(i)+1)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

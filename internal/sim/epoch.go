@@ -33,19 +33,14 @@ type MixResult struct {
 	Sched policy.Sched
 }
 
-// RunMix builds the schedule for a scheme and evaluates it. The rng drives
-// random thread placement; pass a fresh seeded rng per (mix, scheme) for
-// reproducibility.
-func RunMix(env policy.Env, scheme policy.Scheme, mix *workload.Mix, rng *rand.Rand) (MixResult, error) {
-	return RunMixWith(env, scheme, mix, rng, nil)
-}
-
-// RunMixWith is RunMix with a reusable schedule arena: the per-epoch loops
-// (campaign jobs, sweep cells) pass a pooled arena so steady-state
-// simulation performs no heap allocation per placement round. The returned
-// result's Sched borrows the arena's memory and stays valid only until the
-// arena's next use — extract scalars before reusing it. Results are
-// bit-identical with or without an arena.
+// RunMixWith builds the schedule for a scheme and evaluates it. The rng
+// drives random thread placement; pass a fresh seeded rng per (mix, scheme)
+// for reproducibility. The per-epoch loops (campaign jobs, sweep cells) pass
+// a pooled schedule arena so steady-state simulation performs no heap
+// allocation per placement round; the returned result's Sched then borrows
+// the arena's memory and stays valid only until the arena's next use —
+// extract scalars before reusing it. A nil arena gives an independent
+// result, bit-identical to one built on a warm arena.
 func RunMixWith(env policy.Env, scheme policy.Scheme, mix *workload.Mix, rng *rand.Rand, ar *policy.Arena) (MixResult, error) {
 	sched, err := policy.BuildWith(env, scheme, mix, rng, ar)
 	if err != nil {

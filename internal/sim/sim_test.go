@@ -13,11 +13,11 @@ import (
 func TestRunMixCaseStudy(t *testing.T) {
 	env := policy.ScaledEnv(6, 6)
 	mix := workload.CaseStudy()
-	base, err := RunMix(env, policy.SchemeSNUCA, mix, rand.New(rand.NewSource(1)))
+	base, err := RunMixWith(env, policy.SchemeSNUCA, mix, rand.New(rand.NewSource(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdcs, err := RunMix(env, policy.SchemeCDCS, mix, rand.New(rand.NewSource(2)))
+	cdcs, err := RunMixWith(env, policy.SchemeCDCS, mix, rand.New(rand.NewSource(2)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +53,15 @@ func TestRunMixCaseStudy(t *testing.T) {
 func TestRunMixLatencyBreakdownOrdering(t *testing.T) {
 	env := policy.DefaultEnv()
 	mix := workload.RandomST(rand.New(rand.NewSource(3)), workload.SPECCPU(), 64)
-	snuca, err := RunMix(env, policy.SchemeSNUCA, mix, rand.New(rand.NewSource(4)))
+	snuca, err := RunMixWith(env, policy.SchemeSNUCA, mix, rand.New(rand.NewSource(4)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnuca, err := RunMix(env, policy.SchemeRNUCA, mix, rand.New(rand.NewSource(5)))
+	rnuca, err := RunMixWith(env, policy.SchemeRNUCA, mix, rand.New(rand.NewSource(5)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdcs, err := RunMix(env, policy.SchemeCDCS, mix, rand.New(rand.NewSource(6)))
+	cdcs, err := RunMixWith(env, policy.SchemeCDCS, mix, rand.New(rand.NewSource(6)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
