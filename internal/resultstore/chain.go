@@ -36,7 +36,7 @@ type chainCall struct {
 }
 
 // Chain composes tiers, fastest first, into a Store. At least one tier is
-// required; NewMemory and NewTiered are the common compositions.
+// required; Chain(MemoryTier(n), disk) is the common composition.
 func Chain(tiers ...Tier) *TierChain {
 	if len(tiers) == 0 {
 		panic("resultstore: Chain needs at least one tier")

@@ -271,7 +271,7 @@ func TestTieredPromotesDiskHitsToMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered(64, disk)
+	tiered := Chain(MemoryTier(64), disk)
 	computes := 0
 	compute := func() ([]byte, error) { computes++; return []byte("computed"), nil }
 
@@ -292,7 +292,7 @@ func TestTieredPromotesDiskHitsToMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2 := NewTiered(64, disk2)
+	t2 := Chain(MemoryTier(64), disk2)
 	v, hit, err = t2.GetOrCompute(context.Background(), diskKey(1), compute)
 	if err != nil || !hit || string(v) != "computed" {
 		t.Fatalf("warm restart = %q, hit=%v, err=%v", v, hit, err)
@@ -319,7 +319,7 @@ func TestTieredSingleflightAcrossTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered(64, disk)
+	tiered := Chain(MemoryTier(64), disk)
 	var computes int
 	results := make(chan string, 32)
 	block := make(chan struct{})
@@ -354,7 +354,7 @@ func TestTieredComputeErrorNotStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered(64, disk)
+	tiered := Chain(MemoryTier(64), disk)
 	_, _, err = tiered.GetOrCompute(context.Background(), diskKey(3), func() ([]byte, error) {
 		return nil, fmt.Errorf("boom")
 	})
@@ -374,7 +374,7 @@ func TestTieredCountsOneLookupOncePerTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered(64, disk)
+	tiered := Chain(MemoryTier(64), disk)
 	// One cold GetOrCompute = exactly one counted miss per tier, even
 	// though the flight re-probes the disk before computing.
 	if _, _, err := tiered.GetOrCompute(context.Background(), diskKey(5), func() ([]byte, error) {
@@ -413,7 +413,7 @@ func TestStatsAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered(64, disk)
+	tiered := Chain(MemoryTier(64), disk)
 	if _, ok := tiered.Get("miss-both"); ok {
 		t.Fatal("unexpected hit")
 	}

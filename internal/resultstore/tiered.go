@@ -42,18 +42,3 @@ func (m *MemTier) Stats() TierStats {
 		Bytes:     st.Bytes,
 	}
 }
-
-// NewMemory builds a memory-only store holding up to capacity entries: a
-// single-tier chain.
-func NewMemory(capacity int) *TierChain {
-	return Chain(MemoryTier(capacity))
-}
-
-// NewTiered builds the classic two-tier store — a memory tier of memCapacity
-// entries over the given disk tier — as a thin Chain wrapper. Lookups try
-// memory first; a disk hit is promoted into memory so the working set
-// migrates to the fast tier; a full miss computes once and writes through to
-// both tiers.
-func NewTiered(memCapacity int, disk *Disk) *TierChain {
-	return Chain(MemoryTier(memCapacity), disk)
-}
