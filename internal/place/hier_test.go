@@ -47,7 +47,7 @@ func TestHierMatchesFlatOnUnitClusters(t *testing.T) {
 	n := chip.Banks()
 
 	fOpt := OptimisticPlaceIn(NewArena(), chip, demands)
-	hOpt := HierOptimisticPlaceIn(NewArena(), chip, demands)
+	hOpt := HierOptimisticPlaceIn(nil, chip, demands)
 	for v := range demands {
 		if fOpt.Center[v] != hOpt.Center[v] {
 			t.Fatalf("VC %d: center %d vs %d", v, fOpt.Center[v], hOpt.Center[v])
@@ -59,7 +59,7 @@ func TestHierMatchesFlatOnUnitClusters(t *testing.T) {
 	hierAssignEqual(t, "claims", n, fOpt.Claims, hOpt.Claims)
 
 	fThreads := PlaceThreadsIn(NewArena(), chip, demands, fOpt, n)
-	hThreads := HierPlaceThreadsIn(NewArena(), chip, demands, hOpt, n)
+	hThreads := HierPlaceThreadsIn(nil, chip, demands, hOpt, n)
 	for i := range fThreads {
 		if fThreads[i] != hThreads[i] {
 			t.Fatalf("thread %d: core %d vs %d", i, fThreads[i], hThreads[i])
@@ -69,7 +69,7 @@ func TestHierMatchesFlatOnUnitClusters(t *testing.T) {
 	chunk := chip.BankLines / 8
 	fAssign := GreedyIn(NewArena(), chip, demands, fThreads, chunk)
 	fTrades, fDelta := RefineIn(NewArena(), chip, demands, fAssign, fThreads)
-	hAssign, hTrades, hDelta := HierGreedyRefineIn(NewArena(), chip, demands, hThreads, chunk, true)
+	hAssign, hTrades, hDelta := HierGreedyRefineIn(nil, chip, demands, hThreads, chunk, true)
 	hierAssignEqual(t, "assignment", n, fAssign, hAssign)
 	if fTrades != hTrades || math.Float64bits(fDelta) != math.Float64bits(hDelta) {
 		t.Fatalf("trades/delta: flat (%d, %v) vs hier (%d, %v)", fTrades, fDelta, hTrades, hDelta)
@@ -109,7 +109,8 @@ func TestHierBoundedGap(t *testing.T) {
 
 // TestHierWorkerDeterminism proves the interior-refinement fan-out's
 // deterministic-merge contract: the assignment, trade count, and latency
-// delta are bitwise identical for any worker count.
+// delta are bitwise identical for any worker count, and on a warm reused
+// arena the same as on a nil one.
 func TestHierWorkerDeterminism(t *testing.T) {
 	w, h := 48, 48
 	if testing.Short() {
@@ -123,11 +124,12 @@ func TestHierWorkerDeterminism(t *testing.T) {
 
 	defer func() { hierWorkers = 0 }()
 	hierWorkers = 1
-	a1, t1, d1 := HierGreedyRefineIn(NewArena(), chip, demands, threads, chunk, true)
+	a1, t1, d1 := HierGreedyRefineIn(nil, chip, demands, threads, chunk, true)
 	ref := a1.Clone()
-	for _, nw := range []int{2, 8} {
+	ar := NewArena()
+	for _, nw := range []int{2, 8, 1} {
 		hierWorkers = nw
-		an, tn, dn := HierGreedyRefineIn(NewArena(), chip, demands, threads, chunk, true)
+		an, tn, dn := HierGreedyRefineIn(ar, chip, demands, threads, chunk, true)
 		hierAssignEqual(t, "workers", n, ref, an)
 		if tn != t1 || math.Float64bits(dn) != math.Float64bits(d1) {
 			t.Fatalf("workers=%d: trades/delta (%d, %v) vs (%d, %v)", nw, tn, dn, t1, d1)
