@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"math"
+
 	"cdcs/internal/curves"
 	"cdcs/internal/mesh"
 )
@@ -63,7 +65,7 @@ func growCurves(buf *[]curves.Curve, n int) []curves.Curve {
 }
 
 // Costs returns n cost-curve slots backed by the arena. Build each slot with
-// TotalLatencyCurveInto / MissLatencyCurveInto, then feed the slice to a
+// TotalLatencyPrefixInto / MissLatencyCurveInto, then feed the slice to a
 // Peekahead*In call.
 func (a *Arena) Costs(n int) []curves.Curve {
 	return growCurves(&a.costs, n)
@@ -81,64 +83,134 @@ func (a *Arena) CompactDistance(topo *mesh.Topology, bankLines float64) curves.C
 	return a.dist
 }
 
-// knotUnionInto is knotUnion built by a linear merge into dst (resliced to
-// empty) instead of a map and a sort: both knot lists are already strictly
-// ascending, so merging them while skipping values outside (0, maxLines)
-// yields exactly the same sorted unique set.
-func knotUnionInto(dst []float64, a, b curves.Curve, maxLines float64) []float64 {
-	dst = append(dst[:0], 0)
-	i, j := 0, 0
-	an, bn := a.Len(), b.Len()
-	for i < an || j < bn {
+// knotCursor walks the sorted union of two curves' knot positions clipped
+// to [0, maxLines]: 0, then every knot of either curve strictly inside the
+// domain once, then maxLines. Both knot lists are strictly ascending, so a
+// linear merge yields exactly the sorted unique set a map and a sort would,
+// and a caller can stop partway without touching the rest.
+type knotCursor struct {
+	a, b          curves.Curve
+	i, j          int
+	prev          float64 // last interior position returned
+	maxLines      float64
+	started, done bool
+}
+
+func newKnotCursor(a, b curves.Curve, maxLines float64) knotCursor {
+	return knotCursor{a: a, b: b, maxLines: maxLines}
+}
+
+// next returns the next position, or false after maxLines.
+func (k *knotCursor) next() (float64, bool) {
+	if !k.started {
+		k.started = true
+		return 0, true
+	}
+	if k.done {
+		return 0, false
+	}
+	an, bn := k.a.Len(), k.b.Len()
+	for k.i < an || k.j < bn {
 		var v float64
 		switch {
-		case i >= an:
-			v, _ = b.Knot(j)
-			j++
-		case j >= bn:
-			v, _ = a.Knot(i)
-			i++
+		case k.i >= an:
+			v, _ = k.b.Knot(k.j)
+			k.j++
+		case k.j >= bn:
+			v, _ = k.a.Knot(k.i)
+			k.i++
 		default:
-			av, _ := a.Knot(i)
-			bv, _ := b.Knot(j)
+			av, _ := k.a.Knot(k.i)
+			bv, _ := k.b.Knot(k.j)
 			if av <= bv {
 				v = av
-				i++
+				k.i++
 				if av == bv {
-					j++
+					k.j++
 				}
 			} else {
 				v = bv
-				j++
+				k.j++
 			}
 		}
-		if v >= maxLines {
+		if v >= k.maxLines {
 			// Knot lists are ascending, so everything left is out of range.
 			break
 		}
-		if v <= dst[len(dst)-1] {
+		if v <= k.prev {
 			continue // below zero, or a duplicate of the previous knot
 		}
-		dst = append(dst, v)
+		k.prev = v
+		return v, true
 	}
-	return append(dst, maxLines)
+	k.done = true
+	return k.maxLines, true
 }
 
-// TotalLatencyCurveInto is TotalLatencyCurve with the result built in dst's
-// backing arrays: the knot union is a linear merge and both curve sweeps use
-// monotone cursors, so it is allocation-free in steady state and bit-
-// identical to the allocating form. dst must not alias ratio or dist.
-func TotalLatencyCurveInto(dst curves.Curve, ratio curves.Curve, apki float64, dist curves.Curve, m LatencyModel, maxLines float64) curves.Curve {
+// knotUnionInto is knotUnion built into dst (resliced to empty) by a
+// knotCursor instead of a map and a sort.
+func knotUnionInto(dst []float64, a, b curves.Curve, maxLines float64) []float64 {
+	dst = dst[:0]
+	k := newKnotCursor(a, b, maxLines)
+	for x, ok := k.next(); ok; x, ok = k.next() {
+		dst = append(dst, x)
+	}
+	return dst
+}
+
+// TotalLatencyPrefixInto builds, in dst's backing arrays, the prefix of
+// TotalLatencyCurve that Peekahead can use: the same knots with bit-identical
+// costs, stopping at the first knot whose on-chip term
+// apki·dist(x)·hop·roundTrip alone exceeds the minimum of the costs already
+// built. It walks the ratio and distance knot lists in step, evaluating each
+// merged knot as it goes, so the work is O(knots kept), not O(banks). dst
+// must not alias ratio or dist.
+//
+// This is Peekahead's own idea of looking only as far ahead as the next
+// useful hull segment (§IV-C), and it is exact for PeekaheadIn and
+// PeekaheadQuantizedIn. Let m be the running minimum when the walk stops
+// at knot k.
+//   - No later knot can lie on a negative-rate hull segment. Every later
+//     knot's cost is its on-chip term plus a miss term, and the miss ratio
+//     is ≥ 0. Its on-chip term is at least knot k's, because the distance
+//     curve never decreases and apki, hop and roundTrip are ≥ 0. So every
+//     later knot costs more than m. The curve's first minimum b is
+//     therefore kept: it lies strictly below the chord from any higher
+//     earlier knot to any knot at or above m, so ConvexHull never drops it.
+//     The hull's negative-rate segments all end at or before b, and a
+//     later knot can only sit on the hull's rising part.
+//   - PeekaheadIn and PeekaheadQuantizedIn, the only allocators fed these
+//     curves, never take a segment with rate ≥ 0. They consume a VC's hull
+//     segments in order and stop at the first one that is not negative. So
+//     they see the same segments, with the same dx and dy, on the prefix
+//     as on the whole curve.
+//   - The argument also holds in float64. Every operation above is
+//     monotone: interpolating a non-decreasing curve, multiplying by
+//     factors ≥ 0, and adding a term ≥ 0. Rounding is monotone too, so the
+//     computed on-chip term is a lower bound on every later computed cost,
+//     and the computed rates have the exact signs. The chord test at b
+//     could only round the wrong way for a later knot within rounding
+//     error of b in both position and cost.
+//
+// PeekaheadFullIn also takes rate-0 segments, so it needs the whole curve:
+// use TotalLatencyCurve for it, and wherever the curve itself is reported.
+func TotalLatencyPrefixInto(dst curves.Curve, ratio curves.Curve, apki float64, dist curves.Curve, m LatencyModel, maxLines float64) curves.Curve {
 	xs, ys := dst.Reuse()
-	xs = knotUnionInto(xs, ratio, dist, maxLines)
+	knots := newKnotCursor(ratio, dist, maxLines)
 	var rw, dw curves.Walker
 	rw.Reset(ratio)
 	dw.Reset(dist)
-	for _, x := range xs {
-		miss := rw.Eval(x)
+	minCost := math.Inf(1)
+	for x, ok := knots.next(); ok; x, ok = knots.next() {
 		onChip := apki * dw.Eval(x) * m.HopLatency * m.RoundTrip
-		offChip := apki * miss * m.MemLatency
-		ys = append(ys, onChip+offChip)
+		if onChip > minCost {
+			break
+		}
+		offChip := apki * rw.Eval(x) * m.MemLatency
+		y := onChip + offChip
+		xs = append(xs, x)
+		ys = append(ys, y)
+		minCost = min(minCost, y)
 	}
 	return curves.Wrap(xs, ys)
 }

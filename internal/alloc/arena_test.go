@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -68,24 +69,52 @@ func TestPeekaheadInBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLatencyCurveIntoBitIdentical proves the Into curve builders match the
-// allocating builders bit for bit while reusing destination backings.
+// TestLatencyCurveIntoBitIdentical proves the arena curve builders match
+// the allocating builders bit for bit while reusing destination backings.
+// MissLatencyCurveInto builds the whole curve. TotalLatencyPrefixInto builds
+// a prefix of TotalLatencyCurve, checked on the 8×8, 64×64 and 128×128
+// distance curves (8×8 barely truncates): every kept knot matches, the
+// prefix holds the whole curve's first minimum, and the first dropped knot's
+// on-chip term alone exceeds the prefix minimum.
 func TestLatencyCurveIntoBitIdentical(t *testing.T) {
-	topo := mesh.New(8, 8)
-	dist := CompactDistance(topo, 8192)
 	m := LatencyModel{MemLatency: 130, HopLatency: 4, RoundTrip: 2}
-	maxLines := 64 * 8192.0
 	var dTotal, dMiss curves.Curve
-	for _, p := range workload.SPECCPU() {
-		want := TotalLatencyCurve(p.MissRatio, p.APKI, dist, m, maxLines)
-		dTotal = TotalLatencyCurveInto(dTotal, p.MissRatio, p.APKI, dist, m, maxLines)
-		if !curvesBitEqual(want, dTotal) {
-			t.Fatalf("%s: TotalLatencyCurveInto differs", p.Name)
+	for _, side := range []int{8, 64, 128} {
+		topo := mesh.New(side, side)
+		dist := CompactDistance(topo, 8192)
+		maxLines := float64(topo.Tiles()) * 8192
+		for _, p := range workload.SPECCPU() {
+			full := TotalLatencyCurve(p.MissRatio, p.APKI, dist, m, maxLines)
+			dTotal = TotalLatencyPrefixInto(dTotal, p.MissRatio, p.APKI, dist, m, maxLines)
+			n := dTotal.Len()
+			if n > full.Len() {
+				t.Fatalf("%dx%d %s: prefix has %d knots, whole curve %d", side, side, p.Name, n, full.Len())
+			}
+			prefixMin := math.Inf(1)
+			for i := 0; i < n; i++ {
+				gx, gy := dTotal.Knot(i)
+				wx, wy := full.Knot(i)
+				if gx != wx || gy != wy {
+					t.Fatalf("%dx%d %s: knot %d is (%v, %v), whole curve has (%v, %v)", side, side, p.Name, i, gx, gy, wx, wy)
+				}
+				prefixMin = min(prefixMin, gy)
+			}
+			if wantX, _ := full.ArgMin(); wantX > dTotal.MaxX() {
+				t.Fatalf("%dx%d %s: prefix ends at %v before the first minimum at %v", side, side, p.Name, dTotal.MaxX(), wantX)
+			}
+			if n < full.Len() {
+				x, _ := full.Knot(n)
+				if onChip := p.APKI * dist.Eval(x) * m.HopLatency * m.RoundTrip; !(onChip > prefixMin) {
+					t.Fatalf("%dx%d %s: dropped knot %d at %v has on-chip term %v, not above the prefix minimum %v", side, side, p.Name, n, x, onChip, prefixMin)
+				}
+			}
 		}
-		wantMiss := MissLatencyCurve(p.MissRatio, p.APKI, m, maxLines)
-		dMiss = MissLatencyCurveInto(dMiss, p.MissRatio, p.APKI, m, maxLines)
-		if !curvesBitEqual(wantMiss, dMiss) {
-			t.Fatalf("%s: MissLatencyCurveInto differs", p.Name)
+		for _, p := range workload.SPECCPU() {
+			wantMiss := MissLatencyCurve(p.MissRatio, p.APKI, m, maxLines)
+			dMiss = MissLatencyCurveInto(dMiss, p.MissRatio, p.APKI, m, maxLines)
+			if !curvesBitEqual(wantMiss, dMiss) {
+				t.Fatalf("%dx%d %s: MissLatencyCurveInto differs", side, side, p.Name)
+			}
 		}
 	}
 }
@@ -138,7 +167,7 @@ func TestAllocArenaSteadyStateZeroAlloc(t *testing.T) {
 		costs := ar.Costs(64)
 		for i := range costs {
 			p := profiles[i%len(profiles)]
-			costs[i] = TotalLatencyCurveInto(costs[i], p.MissRatio, p.APKI, dist, m, total)
+			costs[i] = TotalLatencyPrefixInto(costs[i], p.MissRatio, p.APKI, dist, m, total)
 		}
 		PeekaheadQuantizedIn(ar, costs, total, 8192)
 	}

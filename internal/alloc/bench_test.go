@@ -27,9 +27,9 @@ func BenchmarkPeekahead64VCs(b *testing.B) {
 }
 
 // BenchmarkPeekahead measures one full arena-backed allocation round — the
-// steady-state step-1 hot path: 64 total-latency curves built into arena
-// slots plus a quantized Peekahead. Gated in CI on B/op and allocs/op; both
-// must stay at zero in steady state.
+// steady-state step-1 hot path: 64 total-latency prefix curves built into
+// arena slots plus a quantized Peekahead. Gated in CI on B/op and
+// allocs/op; both must stay at zero in steady state.
 func BenchmarkPeekahead(b *testing.B) {
 	topo := mesh.New(8, 8)
 	m := LatencyModel{MemLatency: 130, HopLatency: 4, RoundTrip: 2}
@@ -41,7 +41,7 @@ func BenchmarkPeekahead(b *testing.B) {
 		costs := ar.Costs(64)
 		for i := range costs {
 			p := profiles[i%len(profiles)]
-			costs[i] = TotalLatencyCurveInto(costs[i], p.MissRatio, p.APKI, dist, m, total)
+			costs[i] = TotalLatencyPrefixInto(costs[i], p.MissRatio, p.APKI, dist, m, total)
 		}
 		PeekaheadQuantizedIn(ar, costs, total, 8192)
 	}

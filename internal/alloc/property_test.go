@@ -142,3 +142,137 @@ func TestPropertyQuantizedWithinChunkOfExact(t *testing.T) {
 		}
 	}
 }
+
+// latencyInstance is a random step-1 input: per-VC miss-ratio curves and
+// access intensities over a chip of banks, with a distance curve.
+type latencyInstance struct {
+	ratios []curves.Curve
+	apkis  []float64
+	dist   curves.Curve
+	m      LatencyModel
+	bank   float64
+	total  float64
+}
+
+// genLatencyInstance builds 1-20 VCs whose total-latency curves are
+// U-shaped: the miss ratio falls (with flat runs, sometimes to 0) while the
+// distance rises (with flat runs, so flat stretches of both give exact
+// rate-0 ties at the minimum). One VC in six has apki = 0, a flat zero curve.
+// Distance steps are multiples of 1/8, so interpolation differences are
+// exact, as CompactDistance's are.
+func genLatencyInstance(rng *rand.Rand) latencyInstance {
+	banks := 1 + rng.Intn(48)
+	bank := float64(1 + rng.Intn(64))
+	total := float64(banks) * bank
+	dx, dy := []float64{0}, []float64{0}
+	d := 0.0
+	for b := 1; b <= banks; b++ {
+		if rng.Intn(3) != 0 {
+			d += float64(1+rng.Intn(8)) / 8
+		}
+		dx = append(dx, float64(b)*bank)
+		dy = append(dy, d)
+	}
+	inst := latencyInstance{
+		dist:  curves.New(dx, dy),
+		m:     LatencyModel{MemLatency: 50 + rng.Float64()*250, HopLatency: float64(1 + rng.Intn(8)), RoundTrip: 2},
+		bank:  bank,
+		total: total,
+	}
+	for range 1 + rng.Intn(20) {
+		apki := 0.5 + rng.Float64()*50
+		if rng.Intn(6) == 0 {
+			apki = 0
+		}
+		inst.apkis = append(inst.apkis, apki)
+		inst.ratios = append(inst.ratios, randomMissRatio(rng, bank, total))
+	}
+	return inst
+}
+
+// randomMissRatio is a non-increasing miss ratio in [0, 1]. Its knots fall
+// on bank boundaries or anywhere in the domain, and may run past the chip.
+func randomMissRatio(rng *rand.Rand, bank, total float64) curves.Curve {
+	x, r := 0.0, rng.Float64()
+	xs, ys := []float64{x}, []float64{r}
+	for range 1 + rng.Intn(10) {
+		if rng.Intn(2) == 0 {
+			x += bank * float64(1+rng.Intn(4))
+		} else {
+			x += 0.5 + rng.Float64()*total/4
+		}
+		switch rng.Intn(4) {
+		case 0: // flat run
+		case 1:
+			r = 0
+		default:
+			r *= rng.Float64()
+		}
+		xs = append(xs, x)
+		ys = append(ys, r)
+	}
+	return curves.New(xs, ys)
+}
+
+// TestPropertyPrefixCurvesAllocateIdentically is the exactness obligation of
+// TotalLatencyPrefixInto's cutoff: PeekaheadIn and PeekaheadQuantizedIn give
+// bit-identical allocations on prefix curves and on whole TotalLatencyCurve
+// curves, for budgets from nothing to the whole chip.
+func TestPropertyPrefixCurvesAllocateIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(106))
+	const trials = 10000
+	var prefix []curves.Curve
+	truncated, ties := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		inst := genLatencyInstance(rng)
+		n := len(inst.ratios)
+		full := make([]curves.Curve, n)
+		prefix = growCurves(&prefix, n)
+		cut, tied := false, false
+		for i := range full {
+			full[i] = TotalLatencyCurve(inst.ratios[i], inst.apkis[i], inst.dist, inst.m, inst.total)
+			prefix[i] = TotalLatencyPrefixInto(prefix[i], inst.ratios[i], inst.apkis[i], inst.dist, inst.m, inst.total)
+			cut = cut || prefix[i].Len() < full[i].Len()
+			tied = tied || (inst.apkis[i] > 0 && hasMinimumTie(full[i]))
+		}
+		if cut {
+			truncated++
+		}
+		if tied {
+			ties++
+		}
+		var budget float64
+		switch rng.Intn(4) {
+		case 0:
+			budget = 0
+		case 1:
+			budget = inst.total
+		default:
+			budget = rng.Float64() * inst.total
+		}
+		if got, want := PeekaheadIn(nil, prefix, budget), PeekaheadIn(nil, full, budget); !float64sBitEqual(got, want) {
+			t.Fatalf("trial %d: PeekaheadIn on prefix curves %v, on whole curves %v", trial, got, want)
+		}
+		got := PeekaheadQuantizedIn(nil, prefix, budget, inst.bank)
+		if want := PeekaheadQuantizedIn(nil, full, budget, inst.bank); !float64sBitEqual(got, want) {
+			t.Fatalf("trial %d: PeekaheadQuantizedIn on prefix curves %v, on whole curves %v", trial, got, want)
+		}
+	}
+	// The generator must exercise what the cutoff is about.
+	t.Logf("%d of %d trials truncated a curve, %d had a tie at a nonzero curve's minimum", truncated, trials, ties)
+	if truncated < trials/2 || ties < trials/10 {
+		t.Fatalf("only %d of %d trials truncated a curve and %d had a tie at a nonzero curve's minimum", truncated, trials, ties)
+	}
+}
+
+// hasMinimumTie reports whether two knots share the curve's minimum cost.
+func hasMinimumTie(c curves.Curve) bool {
+	_, lo := c.ArgMin()
+	seen := 0
+	for i := 0; i < c.Len(); i++ {
+		if _, y := c.Knot(i); y == lo {
+			seen++
+		}
+	}
+	return seen > 1
+}

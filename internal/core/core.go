@@ -190,9 +190,10 @@ func ReconfigureWith(cfg Config, mix *workload.Mix, fixedThreads []mesh.Tile, ar
 }
 
 // allocate sizes all VCs (step 1). Latency-aware mode uses total-latency
-// curves and may leave capacity unused; otherwise miss-cost curves are used
-// and all capacity is handed out (Jigsaw). Curve backings, hull storage and
-// the segment heap come from aa and are reused across calls.
+// curves, built only as far as Peekahead can use them, and may leave
+// capacity unused; otherwise miss-cost curves are used and all capacity is
+// handed out (Jigsaw). Curve backings, hull storage and the segment heap
+// come from aa and are reused across calls.
 func allocate(cfg Config, mix *workload.Mix, aa *alloc.Arena) []float64 {
 	total := cfg.Chip.TotalLines()
 	dist := aa.CompactDistance(cfg.Chip.Topo, cfg.Chip.BankLines)
@@ -201,7 +202,7 @@ func allocate(cfg Config, mix *workload.Mix, aa *alloc.Arena) []float64 {
 		vc := &mix.VCs[v]
 		apki := vc.TotalAPKI()
 		if cfg.Feats.LatencyAware {
-			costs[v] = alloc.TotalLatencyCurveInto(costs[v], vc.MissRatio, apki, dist, cfg.Model, total)
+			costs[v] = alloc.TotalLatencyPrefixInto(costs[v], vc.MissRatio, apki, dist, cfg.Model, total)
 		} else {
 			costs[v] = alloc.MissLatencyCurveInto(costs[v], vc.MissRatio, apki, cfg.Model, total)
 		}

@@ -8,9 +8,9 @@
 //
 // With -baseline, the exit status is non-zero if any benchmark matching
 // -bench regressed by more than -max-regress relative to the baseline in
-// ns/op, B/op or allocs/op (the memory metrics are gated only when both
-// sides recorded them, so baselines captured without -benchmem still gate
-// on time alone). Names are normalized by stripping the trailing
+// ns/op, B/op, allocs/op or knots/op (the metrics beyond ns/op are gated
+// only when the baseline recorded them, so baselines captured without
+// -benchmem still gate on time alone). Names are normalized by stripping the trailing
 // -GOMAXPROCS suffix so runs from machines with different core counts still
 // compare on their shared sub-benchmarks (e.g. j=1, j=2); sub-benchmarks
 // present on only one side are reported and skipped.
@@ -197,10 +197,14 @@ func readFile(path string) (*File, error) {
 }
 
 // gatedMetrics are the per-benchmark metrics the gate checks beyond ns/op,
-// when both the baseline and the current run recorded them. Keeping the
-// allocation profile gated stops map-keyed reductions and per-call scratch
-// from creeping back into the placement hot path unnoticed.
-var gatedMetrics = []string{"B/op", "allocs/op"}
+// when the baseline recorded them (a current run missing one fails).
+// Keeping the allocation profile gated stops map-keyed reductions and
+// per-call scratch from creeping back into the placement hot path
+// unnoticed. knots/op
+// (BenchmarkReconfigure's step-1 cost-curve length) is a deterministic work
+// count: it catches a lost early exit even when a busy host's timing noise
+// hides it in ns/op.
+var gatedMetrics = []string{"B/op", "allocs/op", "knots/op"}
 
 // gate compares current against base for benchmarks matching the prefix and
 // returns 1 if any shared sub-benchmark regressed beyond maxRegress in
@@ -309,7 +313,7 @@ func gate(w io.Writer, base, cur *File, prefix string, maxRegress float64) int {
 			failed, maxRegress*100, compared)
 		return 1
 	}
-	fmt.Fprintf(w, "benchjson: all %d gated benchmarks within %.0f%% of baseline (ns/op, B/op, allocs/op)\n",
-		compared, maxRegress*100)
+	fmt.Fprintf(w, "benchjson: all %d gated benchmarks within %.0f%% of baseline (ns/op, %s)\n",
+		compared, maxRegress*100, strings.Join(gatedMetrics, ", "))
 	return 0
 }

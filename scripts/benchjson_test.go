@@ -217,3 +217,25 @@ func TestGateZeroAllocBaselineRegression(t *testing.T) {
 		t.Errorf("gate failed an alloc-free run against an alloc-free baseline: exit %d", code)
 	}
 }
+
+func TestGateKnotsRegressionFails(t *testing.T) {
+	// A lost early exit in step 1 multiplies the cost-curve knots (33× at
+	// 128×128) while ns/op can stay inside the bound on a contended host:
+	// the deterministic work count must trip the gate on its own.
+	base := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/128x128", NsPerOp: 1000, Runs: 5,
+		Metrics: map[string]float64{"B/op": 1000, "allocs/op": 100, "knots/op": 510000}}}}
+	cur := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/128x128", NsPerOp: 1150, Runs: 5,
+		Metrics: map[string]float64{"B/op": 1000, "allocs/op": 100, "knots/op": 33 * 510000}}}}
+	var log strings.Builder
+	if code := gate(&log, base, cur, "BenchmarkReconfigure", 0.20); code != 1 {
+		t.Errorf("gate passed a 33x knots/op regression: exit %d\n%s", code, log.String())
+	}
+	if !strings.Contains(log.String(), "knots/op") {
+		t.Errorf("gate log does not name knots/op:\n%s", log.String())
+	}
+	// The same run without the knot blow-up passes.
+	cur.Benchmarks[0].Metrics["knots/op"] = 510000
+	if code := gate(io.Discard, base, cur, "BenchmarkReconfigure", 0.20); code != 0 {
+		t.Errorf("gate failed a run with unchanged knots/op: exit %d", code)
+	}
+}
