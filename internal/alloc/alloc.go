@@ -138,9 +138,23 @@ func peekahead(ar *Arena, costs []curves.Curve, totalLines float64, stopAtZero b
 	if ar == nil {
 		ar = NewArena()
 	}
+	// One hull per distinct cost curve. Classes are numbered in order of
+	// their first VC, so the VC that meets the next unbuilt class builds its
+	// hull into the class slot, and every VC's header aliases its class's.
+	class := ar.classesOf(costs)
+	slots := growCurves(&ar.classHulls, len(costs))
 	hulls := growCurves(&ar.hulls, len(costs))
-	for i, c := range costs {
-		hulls[i] = c.ConvexHullInto(hulls[i])
+	built := 0
+	for v, c := range costs {
+		k := v
+		if class != nil {
+			k = class[v]
+		}
+		if k == built {
+			slots[k] = c.ConvexHullInto(slots[k])
+			built++
+		}
+		hulls[v] = slots[k]
 	}
 	alloc := growFloats(&ar.alloc, len(hulls))
 	h := ar.heap[:0]

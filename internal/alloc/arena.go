@@ -7,30 +7,47 @@ import (
 	"cdcs/internal/mesh"
 )
 
-// Arena holds reusable storage for the capacity-allocation hot path: per-VC
-// cost curves and convex hulls, the Peekahead segment heap, allocation
-// vectors, and a memoized compact-distance curve. Reusing one arena across
+// Arena holds reusable storage for the capacity-allocation hot path: cost
+// curves and convex hulls, the Peekahead segment heap, allocation vectors,
+// and a memoized compact-distance curve. Reusing one arena across
 // reconfiguration rounds makes steady-state allocation (step 1 of the
 // pipeline) heap-allocation-free, matching the arena treatment the placement
 // steps already have (place.Arena).
+//
+// Cost curves and hulls are stored once per class of VCs with bit-identical
+// curves (SharedCosts); per-VC headers alias the class slots. Slots and
+// headers are separate fields, so a header that aliased slot A in one round
+// is never rebuilt in place, over A's backing, in the next.
 //
 // An Arena is not safe for concurrent use. Allocations returned by the *In
 // entry points borrow the arena's memory and stay valid only until its next
 // allocation call; callers that retain results must copy them or pass a nil
 // arena, which gives the call a fresh one.
 type Arena struct {
-	costs []curves.Curve // per-VC cost-curve slots (backings reused)
-	hulls []curves.Curve // per-VC hull slots (backings reused)
-	heap  segHeap
-	alloc []float64
-	quant []float64
-	fracs []frac
+	costs      []curves.Curve  // per-VC cost headers of the last SharedCosts round
+	class      []int           // per-VC class of that round, numbered by first VC
+	classIdx   map[costKey]int // Share's key → class lookup
+	classCosts []curves.Curve  // per-class cost-curve slots (backings reused)
+	hulls      []curves.Curve  // per-VC hull headers, aliasing classHulls
+	classHulls []curves.Curve  // per-class hull slots (backings reused)
+	heap       segHeap
+	alloc      []float64
+	quant      []float64
+	fracs      []frac
 
 	// CompactDistance memo: the curve depends only on the topology and the
 	// bank size, both constant across a campaign's rounds.
 	distTopo  *mesh.Topology
 	distLines float64
 	dist      curves.Curve
+}
+
+// costKey is what a VC's step-1 cost curve depends on within one round: its
+// miss-ratio curve and its APKI. The chip, the latency model and the
+// features are fixed for the round.
+type costKey struct {
+	ratio curves.ID
+	apki  uint64 // math.Float64bits
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
@@ -44,6 +61,19 @@ func growFloats(buf *[]float64, n int) []float64 {
 	} else {
 		s = s[:n]
 		clear(s)
+	}
+	*buf = s
+	return s
+}
+
+// growInts returns an []int of length n reusing buf's capacity; the
+// contents are left for the caller to overwrite.
+func growInts(buf *[]int, n int) []int {
+	s := *buf
+	if cap(s) < n {
+		s = make([]int, n)
+	} else {
+		s = s[:n]
 	}
 	*buf = s
 	return s
@@ -64,11 +94,70 @@ func growCurves(buf *[]curves.Curve, n int) []curves.Curve {
 	return s
 }
 
-// Costs returns n cost-curve slots backed by the arena. Build each slot with
-// TotalLatencyPrefixInto / MissLatencyCurveInto, then feed the slice to a
-// Peekahead*In call.
+// Costs returns n cost-curve slots with separate backings, one per VC.
+// Build each slot in place with TotalLatencyPrefixInto /
+// MissLatencyCurveInto, then feed the slice to a Peekahead*In call; every
+// VC is then its own class. Callers whose VCs share curves use SharedCosts.
 func (a *Arena) Costs(n int) []curves.Curve {
+	return growCurves(&a.classCosts, n)
+}
+
+// SharedCosts starts a round in which VCs with the same miss-ratio curve
+// and APKI share one cost curve, and returns n per-VC headers. Fill every
+// header, in VC order, through Share:
+//
+//	slot, first := ar.Share(v, ratio, apki)
+//	if first {
+//		*slot = TotalLatencyPrefixInto(*slot, ratio, apki, ...)
+//	}
+//	costs[v] = *slot
+//
+// Passing the headers, unmodified, to a Peekahead*In call on the same arena
+// hulls each class once. The headers stay valid until the arena's next
+// Costs or SharedCosts call.
+func (a *Arena) SharedCosts(n int) []curves.Curve {
+	if a.classIdx == nil {
+		a.classIdx = make(map[costKey]int)
+	}
+	clear(a.classIdx)
+	a.class = growInts(&a.class, n)
+	growCurves(&a.classCosts, n) // every VC may open a class: no regrowth mid-round
 	return growCurves(&a.costs, n)
+}
+
+// Share returns the cost-curve slot of VC v's class, keyed on ratio's
+// storage identity (curves.ID) and the bits of apki, and whether v is the
+// class's first VC and so must build the curve into *slot. Curves are
+// immutable, so VCs with equal keys have bit-identical cost curves. The
+// slot pointer is valid until the next Share call.
+func (a *Arena) Share(v int, ratio curves.Curve, apki float64) (slot *curves.Curve, first bool) {
+	key := costKey{ratio.ID(), math.Float64bits(apki)}
+	k, ok := a.classIdx[key]
+	if !ok {
+		k = len(a.classIdx)
+		a.classIdx[key] = k
+	}
+	a.class[v] = k
+	return &a.classCosts[k], !ok
+}
+
+// SharedWork reports the last SharedCosts round's step-1 work: the number
+// of distinct cost curves built, and the summed length of the per-VC
+// curves, which counts each class once per member VC.
+func (a *Arena) SharedWork() (distinct, knots int) {
+	for _, c := range a.costs {
+		knots += c.Len()
+	}
+	return len(a.classIdx), knots
+}
+
+// classesOf returns each VC's class when costs are the headers of the last
+// SharedCosts round, and nil (every VC its own class) for any other slice.
+func (a *Arena) classesOf(costs []curves.Curve) []int {
+	if len(costs) == 0 || len(costs) != len(a.class) || &costs[0] != &a.costs[0] {
+		return nil
+	}
+	return a.class
 }
 
 // CompactDistance is the package-level CompactDistance memoized on (topo,

@@ -10,12 +10,14 @@ import (
 
 // BenchmarkReconfigure times one full CDCS reconfiguration (steps 1-4) on a
 // warm Arena: 64 apps on the paper's 8×8 chip, and one app per 16 tiles at
-// 32×32, 64×64 and 128×128, the density of the kilotile benchmark cells.
-// Besides ns/op it reports each step's time (from
-// Result.Timing) and knots/op, the summed length of step 1's cost curves: a
-// work count that, unlike time, does not drift with a busy host.
+// every kilotile benchmark size, 32×32 to 128×128 (48×48 exercises the flat
+// pipeline's sparse BankAlloc, 96×96 and 128×128 the hierarchical one).
+// Besides ns/op it reports each step's time (from Result.Timing) and two
+// step-1 work counts that, unlike time, do not drift with a busy host:
+// curves/op, the number of distinct cost curves built, and knots/op, the
+// summed length of the per-VC cost curves.
 func BenchmarkReconfigure(b *testing.B) {
-	for _, side := range []int{8, 32, 64, 128} {
+	for _, side := range []int{8, 32, 48, 64, 96, 128} {
 		apps := max(side*side/16, 64)
 		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
 			cfg := testConfig(side, side, AllCDCS())
@@ -24,10 +26,7 @@ func BenchmarkReconfigure(b *testing.B) {
 			if _, err := ReconfigureWith(cfg, mix, nil, ar); err != nil {
 				b.Fatal(err)
 			}
-			knots := 0
-			for _, c := range ar.Alloc.Costs(len(mix.VCs)) {
-				knots += c.Len()
-			}
+			distinct, knots := ar.Alloc.SharedWork()
 			var sum Timing
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -42,6 +41,7 @@ func BenchmarkReconfigure(b *testing.B) {
 				sum.DataPlace += res.Timing.DataPlace
 			}
 			n := float64(b.N)
+			b.ReportMetric(float64(distinct), "curves/op")
 			b.ReportMetric(float64(knots), "knots/op")
 			b.ReportMetric(float64(sum.Alloc.Nanoseconds())/n, "alloc-ns/op")
 			b.ReportMetric(float64(sum.VCPlace.Nanoseconds())/n, "vcplace-ns/op")

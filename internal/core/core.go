@@ -192,20 +192,32 @@ func ReconfigureWith(cfg Config, mix *workload.Mix, fixedThreads []mesh.Tile, ar
 // allocate sizes all VCs (step 1). Latency-aware mode uses total-latency
 // curves, built only as far as Peekahead can use them, and may leave
 // capacity unused; otherwise miss-cost curves are used and all capacity is
-// handed out (Jigsaw). Curve backings, hull storage and the segment heap
-// come from aa and are reused across calls.
+// handed out (Jigsaw).
+//
+// A VC's cost curve depends only on its miss-ratio curve and its APKI: the
+// chip, the model and the features are fixed for the round. Mixes draw
+// their VCs from a few shared profiles (1024 VCs of a 128×128 cell have at
+// most 16 distinct curves), so each distinct curve is built once, keyed on
+// the identity of the VC's MissRatio storage and the bits of its APKI, and
+// every VC of the class gets the same header; Peekahead then hulls each
+// class once. Curve backings, hull storage and the segment heap come from
+// aa and are reused across calls.
 func allocate(cfg Config, mix *workload.Mix, aa *alloc.Arena) []float64 {
 	total := cfg.Chip.TotalLines()
 	dist := aa.CompactDistance(cfg.Chip.Topo, cfg.Chip.BankLines)
-	costs := aa.Costs(len(mix.VCs))
+	costs := aa.SharedCosts(len(mix.VCs))
 	for v := range mix.VCs {
 		vc := &mix.VCs[v]
 		apki := vc.TotalAPKI()
-		if cfg.Feats.LatencyAware {
-			costs[v] = alloc.TotalLatencyPrefixInto(costs[v], vc.MissRatio, apki, dist, cfg.Model, total)
-		} else {
-			costs[v] = alloc.MissLatencyCurveInto(costs[v], vc.MissRatio, apki, cfg.Model, total)
+		slot, first := aa.Share(v, vc.MissRatio, apki)
+		if first {
+			if cfg.Feats.LatencyAware {
+				*slot = alloc.TotalLatencyPrefixInto(*slot, vc.MissRatio, apki, dist, cfg.Model, total)
+			} else {
+				*slot = alloc.MissLatencyCurveInto(*slot, vc.MissRatio, apki, cfg.Model, total)
+			}
 		}
+		costs[v] = *slot
 	}
 	if cfg.BankGranular {
 		return alloc.PeekaheadQuantizedIn(aa, costs, total, cfg.Chip.BankLines)

@@ -40,6 +40,22 @@ func (c Curve) Reuse() (xs, ys []float64) {
 	return c.xs[:0], c.ys[:0]
 }
 
+// ID identifies a curve by its knot storage. Curves are immutable, so two
+// curves with equal IDs have bit-identical knots; equal knots held in
+// separate storage have different IDs. The zero Curve has the zero ID.
+type ID struct {
+	xs, ys *float64
+	n      int
+}
+
+// ID returns c's storage identity.
+func (c Curve) ID() ID {
+	if len(c.xs) == 0 {
+		return ID{}
+	}
+	return ID{xs: &c.xs[0], ys: &c.ys[0], n: len(c.xs)}
+}
+
 // CloneInto copies c's knots into dst's backing arrays (growing them as
 // needed) and returns the result. dst must not alias c.
 func (c Curve) CloneInto(dst Curve) Curve {

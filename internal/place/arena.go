@@ -43,7 +43,8 @@ type Arena struct {
 	gRem     []float64
 	assign   Assignment
 
-	// RefineIn.
+	// RefineIn (which also reuses distFlat for its on-demand rows).
+	distSrcs   []distSrc
 	used       []float64
 	accPerLine []float64
 	residents  [][]int
@@ -52,10 +53,12 @@ type Arena struct {
 	pcTiles    []mesh.Tile
 
 	// PlaceThreadsIn.
-	infos    []threadInfo
-	coms     []comAcc
-	freeCore []bool
-	threads  []mesh.Tile
+	infos     []threadInfo
+	coms      []comAcc
+	freeCore  []bool
+	threads   []mesh.Tile
+	coreCands []coreCand
+	coreLow   []coreCand
 
 	// Hierarchical placement (hier.go).
 	hCaps    []float64

@@ -328,27 +328,31 @@ func VCDistancesIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Til
 	flat := grow(&ar.distFlat, len(demands)*n)
 	rows := grow(&ar.dist, len(demands))
 	for v := range demands {
-		d := &demands[v]
 		row := flat[v*n : (v+1)*n : (v+1)*n]
 		rows[v] = row
-		total := d.TotalRate()
-		if total == 0 {
-			addDistanceRow(row, chip.Topo, chip.Topo.CenterTile(), 1, 1)
-			continue
-		}
-		// Accumulate per bank in ascending accessor order (t outer keeps the
-		// per-slot addition order identical to the per-bank inner loop the
-		// map representation used). The last accessor's pass folds in the
-		// division by total; dividing the others by 1 is exact.
-		for i, t := range d.Threads {
-			div := 1.0
-			if i == len(d.Threads)-1 {
-				div = total
-			}
-			addDistanceRow(row, chip.Topo, threadCore[t], d.Rates[i], div)
-		}
+		fillDistanceRow(row, chip, &demands[v], threadCore)
 	}
 	return rows
+}
+
+// fillDistanceRow sets the zeroed row to D(d, b) for every bank b.
+func fillDistanceRow(row []float64, chip Chip, d *Demand, threadCore []mesh.Tile) {
+	total := d.TotalRate()
+	if total == 0 {
+		addDistanceRow(row, chip.Topo, chip.Topo.CenterTile(), 1, 1)
+		return
+	}
+	// Accumulate per bank in ascending accessor order (t outer keeps the
+	// per-slot addition order identical to the per-bank inner loop the map
+	// representation used). The last accessor's pass folds in the division
+	// by total; dividing the others by 1 is exact.
+	for i, t := range d.Threads {
+		div := 1.0
+		if i == len(d.Threads)-1 {
+			div = total
+		}
+		addDistanceRow(row, chip.Topo, threadCore[t], d.Rates[i], div)
+	}
 }
 
 // addDistanceRow sets row[b] = (row[b] + rate·D(a, b)) / div for every bank

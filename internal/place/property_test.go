@@ -151,3 +151,54 @@ func TestPropertyAnnealNeverWorseThanStart(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyNearestFreeCoreMatchesScan checks the ring search of
+// PlaceThreadsIn against the exhaustive scan it replaces, on meshes from
+// 1×1 up, free-core masks down to a single free core, and centers of mass
+// at integer and half-integer coordinates (exact ties between cores), at
+// half-integers nudged by less and more than the comparator's 1e-12
+// tolerance, and at random points.
+func TestPropertyNearestFreeCoreMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(204))
+	nudges := []float64{0, 1e-13, -1e-13, 4e-13, -7e-13, 1e-12, -1e-12, 1.5e-12, -2.5e-12, 3e-12, 1e-9, -1e-9}
+	coord := func(n int) float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return float64(rng.Intn(n))
+		case 1:
+			return float64(rng.Intn(n)) + 0.5
+		case 2:
+			return float64(rng.Intn(n)) + 0.5 + nudges[rng.Intn(len(nudges))]
+		default:
+			return rng.Float64()*float64(n) - 0.5
+		}
+	}
+	ar := NewArena()
+	for trial := 0; trial < 400; trial++ {
+		w, h := 1+rng.Intn(24), 1+rng.Intn(24)
+		if trial%50 == 0 {
+			w, h = 64, 64
+		}
+		topo := mesh.New(w, h)
+		free := make([]bool, topo.Tiles())
+		density := rng.Float64()
+		for c := range free {
+			free[c] = rng.Float64() < density
+		}
+		// Place threads until no core is free: the last placements see one
+		// free core, and an empty chip must report -1 on both paths.
+		for {
+			x, y := coord(w), coord(h)
+			got := nearestFreeCore(ar, topo, free, x, y)
+			want := scanFreeCores(topo, free, x, y)
+			if got != want {
+				t.Fatalf("trial %d: %dx%d mesh, CoM (%v, %v): ring search picked %d, scan %d",
+					trial, w, h, x, y, got, want)
+			}
+			if want < 0 {
+				break
+			}
+			free[want] = false
+		}
+	}
+}

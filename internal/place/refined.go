@@ -28,7 +28,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 	if ar == nil {
 		ar = NewArena()
 	}
-	dist := VCDistancesIn(ar, chip, demands, threadCore)
+	dist := newVCDist(ar, chip, demands, threadCore)
 	used := assign.BankUsageInto(grow(&ar.used, chip.Banks()))
 
 	// accPerLine[v] = accesses per line of allocated capacity: the weight
@@ -81,8 +81,9 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 				break
 			}
 			have := av.Get(b)
+			dvb := dist.at(v, b)
 			if have < chip.CapOf(b)-1e-9 {
-				desirables = append(desirables, desirable{b, dist[v][b]})
+				desirables = append(desirables, desirable{b, dvb})
 			}
 			if have <= 1e-9 {
 				continue
@@ -102,10 +103,10 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 				if av.Get(b) <= 1e-9 {
 					break
 				}
-				if cand.d >= dist[v][b]-1e-12 {
+				if cand.d >= dvb-1e-12 {
 					break // sorted: no closer candidates remain
 				}
-				moveGain := accPerLine[v] * (cand.d - dist[v][b]) // < 0
+				moveGain := accPerLine[v] * (cand.d - dvb) // < 0
 
 				// Free space first: a move into unclaimed capacity has no
 				// counterparty and always helps.
@@ -126,7 +127,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 					if av.Get(b) <= 1e-9 {
 						break
 					}
-					gainU := accPerLine[u] * (dist[u][b] - dist[u][cand.bank])
+					gainU := accPerLine[u] * (dist.at(u, b) - dist.at(u, cand.bank))
 					if moveGain+gainU >= -1e-12 {
 						continue
 					}
@@ -148,8 +149,74 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 		}
 		ar.desirables = desirables
 	}
+	dist.release(ar)
 	return trades, delta
 }
+
+// vcDist serves D(v, b), VCDistancesIn's row entries, on demand: the trade
+// pass reads only the banks on each VC's spiral and the banks its trade
+// partners occupy, so it skips VCDistancesIn's O(VCs × banks) rows. A VC
+// with one accessor, or none (the chip-center convention), has a single
+// term and evaluates it per query; a multi-accessor VC fills its row on
+// first use and reads it after. Both follow addDistanceRow's sequence of
+// operations, (r + rate·D)/div per accessor in thread order, so every value
+// is bit-identical to VCDistancesIn's.
+type vcDist struct {
+	chip       Chip
+	demands    []Demand
+	threadCore []mesh.Tile
+	srcs       []distSrc
+	rows       []float64 // cached multi-accessor rows, row i at [i·banks, (i+1)·banks)
+}
+
+// distSrc is how vcDist evaluates one VC's distances.
+type distSrc struct {
+	multi     bool
+	row       int     // multi: index of the cached row, or -1 before first use
+	ax, ay    int     // single term: source tile coordinates
+	rate, div float64 // single term: D(v, b) = (0 + rate·D(a, b)) / div
+}
+
+// newVCDist prepares on-demand distances with scratch from ar; hand the
+// rows back with release once the pass is done.
+func newVCDist(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile) vcDist {
+	srcs := grow(&ar.distSrcs, len(demands))
+	for v := range demands {
+		d := &demands[v]
+		s := &srcs[v]
+		total := d.TotalRate()
+		switch {
+		case total == 0:
+			s.ax, s.ay = chip.Topo.Coords(chip.Topo.CenterTile())
+			s.rate, s.div = 1, 1
+		case len(d.Threads) == 1:
+			s.ax, s.ay = chip.Topo.Coords(threadCore[d.Threads[0]])
+			s.rate, s.div = d.Rates[0], total
+		default:
+			s.multi, s.row = true, -1
+		}
+	}
+	return vcDist{chip: chip, demands: demands, threadCore: threadCore, srcs: srcs, rows: ar.distFlat[:0]}
+}
+
+// at returns D(v, b).
+func (vd *vcDist) at(v int, b mesh.Tile) float64 {
+	s := &vd.srcs[v]
+	if !s.multi {
+		bx, by := vd.chip.Topo.Coords(b)
+		return (0 + s.rate*float64(abs(bx-s.ax)+abs(by-s.ay))) / s.div
+	}
+	n := vd.chip.Banks()
+	if s.row < 0 {
+		s.row = len(vd.rows) / n
+		vd.rows = append(vd.rows, make([]float64, n)...)
+		fillDistanceRow(vd.rows[s.row*n:(s.row+1)*n], vd.chip, &vd.demands[v], vd.threadCore)
+	}
+	return vd.rows[s.row*n+int(b)]
+}
+
+// release returns the row storage, possibly grown, to ar for reuse.
+func (vd *vcDist) release(ar *Arena) { ar.distFlat = vd.rows[:0] }
 
 // RefineRounds runs the trade pass repeatedly (the paper trades once per VC
 // per reconfiguration, having found empirically that one pass discovers most

@@ -8,9 +8,9 @@
 //
 // With -baseline, the exit status is non-zero if any benchmark matching
 // -bench regressed by more than -max-regress relative to the baseline in
-// ns/op, B/op, allocs/op or knots/op (the metrics beyond ns/op are gated
-// only when the baseline recorded them, so baselines captured without
-// -benchmem still gate on time alone). Names are normalized by stripping the trailing
+// ns/op, B/op, allocs/op, knots/op or curves/op (the metrics beyond ns/op
+// are gated only when the baseline recorded them, so baselines captured
+// without -benchmem still gate on time alone). Names are normalized by stripping the trailing
 // -GOMAXPROCS suffix so runs from machines with different core counts still
 // compare on their shared sub-benchmarks (e.g. j=1, j=2); sub-benchmarks
 // present on only one side are reported and skipped.
@@ -200,11 +200,12 @@ func readFile(path string) (*File, error) {
 // when the baseline recorded them (a current run missing one fails).
 // Keeping the allocation profile gated stops map-keyed reductions and
 // per-call scratch from creeping back into the placement hot path
-// unnoticed. knots/op
-// (BenchmarkReconfigure's step-1 cost-curve length) is a deterministic work
-// count: it catches a lost early exit even when a busy host's timing noise
-// hides it in ns/op.
-var gatedMetrics = []string{"B/op", "allocs/op", "knots/op"}
+// unnoticed. knots/op and curves/op are BenchmarkReconfigure's
+// deterministic step-1 work counts: the summed length of the per-VC cost
+// curves, and the number of distinct curves built. They catch a lost early
+// exit or lost curve sharing even when a busy host's timing noise hides it
+// in ns/op.
+var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op"}
 
 // gate compares current against base for benchmarks matching the prefix and
 // returns 1 if any shared sub-benchmark regressed beyond maxRegress in

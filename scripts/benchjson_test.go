@@ -239,3 +239,26 @@ func TestGateKnotsRegressionFails(t *testing.T) {
 		t.Errorf("gate failed a run with unchanged knots/op: exit %d", code)
 	}
 }
+
+func TestGateCurvesRegressionFails(t *testing.T) {
+	// Lost curve sharing in step 1 builds one cost curve per VC instead of
+	// one per profile (64× at 128×128) while knots/op, the per-VC curve
+	// length, stays put and ns/op can stay inside the bound on a contended
+	// host: the distinct-curve count must trip the gate on its own.
+	base := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/128x128", NsPerOp: 1000, Runs: 5,
+		Metrics: map[string]float64{"B/op": 1000, "allocs/op": 100, "knots/op": 510646, "curves/op": 16}}}}
+	cur := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/128x128", NsPerOp: 1150, Runs: 5,
+		Metrics: map[string]float64{"B/op": 1000, "allocs/op": 100, "knots/op": 510646, "curves/op": 1024}}}}
+	var log strings.Builder
+	if code := gate(&log, base, cur, "BenchmarkReconfigure", 0.20); code != 1 {
+		t.Errorf("gate passed a 64x curves/op regression: exit %d\n%s", code, log.String())
+	}
+	if !strings.Contains(log.String(), "curves/op") {
+		t.Errorf("gate log does not name curves/op:\n%s", log.String())
+	}
+	// The same run with sharing intact passes.
+	cur.Benchmarks[0].Metrics["curves/op"] = 16
+	if code := gate(io.Discard, base, cur, "BenchmarkReconfigure", 0.20); code != 0 {
+		t.Errorf("gate failed a run with unchanged curves/op: exit %d", code)
+	}
+}
