@@ -7,17 +7,22 @@
 // absorbs the repeats. When a replica fails, only the cells it owned move —
 // each retries down its own rendezvous ranking onto surviving replicas, the
 // same replicas those cells would hash to if the dead one were removed from
-// the set. No coordination state exists outside the replicas' caches.
+// the set.
 //
-// With a fleet view attached (Options.Fleet), routing also reacts to load
-// and health: each cell goes to the least-loaded healthy replica among its
-// top-K rendezvous holders (cache affinity preserved — the holders don't
-// change, only the order among them), breaker-open replicas drop to the
-// back of the retry path, and cells whose service latency exceeds
+// A fleet view (internal/fleet) is the only memory of which replica is
+// down: every request's outcome feeds its per-replica circuit breakers,
+// breaker-open replicas are skipped and retried last, so a dead replica
+// costs O(1) failed dials per fan-out rather than one per owned cell. With
+// Options.Fleet the view is the caller's, and routing also reacts to load:
+// each cell goes to the least-loaded healthy replica among its top-K
+// rendezvous holders (cache affinity preserved — the holders don't change,
+// only the order among them), and cells whose service latency exceeds
 // Options.HotLatency are replicated in the background to a second holder so
-// warm copies exist on more than one replica. Routing only ever changes
-// *where* a cell is computed, never *what* it returns: responses are a pure
-// function of the cell's content address.
+// warm copies exist on more than one replica. Without one, Do builds a
+// private view that routes by pure rendezvous and remembers a failure for
+// the rest of the fan-out. Routing only ever changes *where* a cell is
+// computed, never *what* it returns: responses are a pure function of the
+// cell's content address.
 package fanout
 
 import (
@@ -27,6 +32,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -94,17 +100,20 @@ type Options struct {
 	// OnProgress, if set, is called after each completed cell with (done,
 	// total).
 	OnProgress func(done, total int)
-	// Fleet, when non-nil, supplies health-checked, load-aware routing:
-	// each cell's rendezvous ranking is reordered by fleet.Order
-	// (least-loaded healthy holder among the top-K first, breaker-open
-	// replicas last) and every request's outcome feeds the view.
+	// Fleet is the view whose breakers record replica failures and whose
+	// Order routes each cell: least-loaded healthy holder among the top-K
+	// first, breaker-open replicas last. Every request's outcome feeds it.
+	// Nil means a private view for this fan-out only: no prober, TopK 1
+	// (pure rendezvous), and a breaker that opens on the first failure and
+	// stays open until the fan-out ends.
 	Fleet *fleet.Fleet
-	// HotLatency, with Fleet set, marks a cell hot when its serving
-	// request took longer than this. A hot cell is re-POSTed in the
-	// background to its next-ranked healthy holder, which warms its cache
-	// (from its own compute, or via its peer tier's /v1/blob pull when so
-	// configured) so later requests for the cell have a second warm home.
-	// 0 disables replication.
+	// HotLatency marks a cell hot when its serving request took longer
+	// than this. A hot cell is re-POSTed in the background to the first
+	// other healthy holder among its top-K (fleet.Alternate), which warms
+	// its cache (from its own compute, or via its peer tier's /v1/blob
+	// pull when so configured) so later requests for the cell have a
+	// second warm home. 0 disables replication, and so does a nil Fleet,
+	// whose private view has no second holder.
 	HotLatency time.Duration
 	// Members, when non-nil, makes the replica set live: it is consulted
 	// when each cell is *dispatched*, so a membership change mid-fan-out
@@ -118,33 +127,18 @@ type Options struct {
 	Members func() []string
 }
 
-// deadSet caches per-fan-out death verdicts: once a replica fails a request
-// with a retriable error it is skipped by later cells (until a success or a
-// recovered breaker clears it), so an N-cell sweep against a dead replica
-// pays O(1) dial timeouts instead of O(N).
-type deadSet struct {
-	mu sync.Mutex
-	m  map[string]bool
-}
-
-func (d *deadSet) isDead(r string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m[r]
-}
-
-func (d *deadSet) mark(r string, dead bool) {
-	d.mu.Lock()
-	d.m[r] = dead
-	d.mu.Unlock()
-}
+// privateCooldown outlasts any fan-out: a private view's open breaker never
+// goes half-open, so a replica that failed once is tried only as a last
+// resort until Do returns.
+const privateCooldown = time.Duration(math.MaxInt64)
 
 // Do fans cells out across replicas and returns their results ordered by
 // cell (results[i] belongs to cells[i]). Each cell is tried on every
 // replica in its routing order before the whole fan-out fails; a 4xx
 // response fails immediately (the request itself is invalid — no other
 // replica will accept it). On error the first failure is returned and
-// in-flight work is canceled.
+// in-flight work is canceled; a fan-out whose context ends returns
+// ctx.Err().
 func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]Result, Stats, error) {
 	stats := Stats{Replicas: map[string]ReplicaStats{}}
 	reps := NormalizeReplicas(replicas)
@@ -184,6 +178,26 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 			return reps
 		}
 	}
+	fl := opts.Fleet
+	if fl == nil {
+		fl = fleet.New(reps, fleet.Options{
+			ProbeInterval:    -1,
+			TopK:             1,
+			BreakerThreshold: 1,
+			BreakerCooldown:  privateCooldown,
+		})
+		defer fl.Close()
+		if opts.Members != nil {
+			// The private view follows the live set, so a joiner's
+			// failures are remembered like any other member's.
+			live := members
+			members = func() []string {
+				m := live()
+				fl.SetMembers(m)
+				return m
+			}
+		}
+	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -194,7 +208,6 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	dead := &deadSet{m: map[string]bool{}}
 	results := make([]Result, len(cells))
 	next := make(chan int)
 	fail := func(err error) {
@@ -221,9 +234,9 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 			case <-ctx.Done():
 				return
 			}
-			end := opts.Fleet.Begin(target)
+			end := fl.Begin(target)
 			_, _, err := post(ctx, client, target+path, cell.Body)
-			end(err)
+			finish(ctx, end, err)
 			if err == nil {
 				mu.Lock()
 				stats.Replicated++
@@ -239,17 +252,14 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 			for i := range next {
 				cell := cells[i]
 				ranked := Rank(members(), cell.Key)
-				route := ranked
-				if opts.Fleet != nil {
-					route = opts.Fleet.Order(ranked)
-				}
+				route := fl.Order(ranked)
 				mu.Lock()
 				rs := stats.Replicas[ranked[0]]
 				rs.Assigned++
 				stats.Replicas[ranked[0]] = rs
 				mu.Unlock()
 
-				res, served, failed, err := tryReplicas(ctx, client, route, path, cell, opts.Fleet, dead)
+				res, served, failed, err := tryReplicas(ctx, client, route, path, cell, fl)
 				mu.Lock()
 				for _, r := range failed {
 					rs := stats.Replicas[r]
@@ -271,8 +281,8 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 						opts.OnProgress(done, len(cells))
 					}
 					mu.Unlock()
-					if opts.Fleet != nil && opts.HotLatency > 0 && res.Latency > opts.HotLatency {
-						if target := opts.Fleet.Alternate(ranked, served); target != "" {
+					if opts.HotLatency > 0 && res.Latency > opts.HotLatency {
+						if target := fl.Alternate(ranked, served); target != "" {
 							replicate(cell, target)
 						}
 					}
@@ -307,41 +317,36 @@ feed:
 }
 
 // tryReplicas walks a cell's routing order until a replica answers,
-// skipping replicas already marked dead this fan-out (unless the fleet
-// view says they recovered). If every candidate was skipped on a cached
-// verdict, the skipped ones are retried last — verdicts can be stale, and
-// exhausting the ranking, not a stale verdict, must be the only way a cell
-// fails. Returns the replicas that failed along the way so the caller can
-// account them.
-func tryReplicas(ctx context.Context, client *http.Client, route []string, path string, cell Cell, fl *fleet.Fleet, dead *deadSet) (res Result, served string, failed []string, err error) {
+// skipping replicas whose breaker is open and retrying the skipped ones
+// last — a breaker can be stale, and exhausting the ranking, not a stale
+// verdict, must be the only way a cell fails. Returns the replicas that
+// failed along the way so the caller can account them. A request cut short
+// by the fan-out's own context blames no replica: the cell fails with
+// ctx.Err().
+func tryReplicas(ctx context.Context, client *http.Client, route []string, path string, cell Cell, fl *fleet.Fleet) (res Result, served string, failed []string, err error) {
 	var lastErr error
 	attempts := 0
-	// tryOne issues one request; done reports success, terminal a
+	// tryOne issues one request; ok reports success, terminal a
 	// non-retriable failure.
 	tryOne := func(replica string) (ok bool, terminal error) {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
 		attempts++
-		var end func(error)
-		if fl != nil {
-			end = fl.Begin(replica)
-		}
+		end := fl.Begin(replica)
 		start := time.Now()
 		body, retriable, perr := post(ctx, client, replica+path, cell.Body)
-		if end != nil {
-			end(perr)
-		}
-		if perr == nil {
-			dead.mark(replica, false)
+		abandoned := finish(ctx, end, perr)
+		switch {
+		case perr == nil:
 			res = Result{Index: cell.Index, Replica: replica, Attempts: attempts, Latency: time.Since(start), Body: body}
 			served = replica
 			return true, nil
-		}
-		if !retriable {
+		case abandoned:
+			return false, ctx.Err()
+		case !retriable:
 			return false, fmt.Errorf("fanout: cell %d on %s: %w", cell.Index, replica, perr)
 		}
-		dead.mark(replica, true)
 		failed = append(failed, replica)
 		lastErr = perr
 		return false, nil
@@ -349,7 +354,7 @@ func tryReplicas(ctx context.Context, client *http.Client, route []string, path 
 
 	var skipped []string
 	for _, replica := range route {
-		if dead.isDead(replica) && (fl == nil || !fl.Healthy(replica)) {
+		if !fl.Healthy(replica) {
 			skipped = append(skipped, replica)
 			continue
 		}
@@ -371,6 +376,18 @@ func tryReplicas(ctx context.Context, client *http.Client, route []string, path 
 		}
 	}
 	return Result{}, "", failed, fmt.Errorf("fanout: cell %d failed on all %d replicas: %w", cell.Index, len(route), lastErr)
+}
+
+// finish reports one request's outcome to the fleet view. A request that
+// failed because the fan-out's own context ended is abandoned: it says
+// nothing about the replica, so it releases its slot without a verdict.
+func finish(ctx context.Context, end func(error), err error) (abandoned bool) {
+	abandoned = err != nil && ctx.Err() != nil
+	if abandoned {
+		err = fleet.ErrAbandoned
+	}
+	end(err)
+	return abandoned
 }
 
 // post issues one POST. retriable reports whether another replica might
@@ -410,16 +427,14 @@ func trim(b []byte) string {
 	return s
 }
 
-// NormalizeReplicas trims trailing slashes and drops empties and
-// duplicates, preserving first-seen order. Exported so everything that
-// names replicas — the sweep fan-out here, the result store's peer tier,
-// the fleet view — normalizes identically, which is what keeps their
-// rendezvous rankings (Rank) aligned on the same URL strings.
+// NormalizeReplicas applies fleet.NormalizeURL to each replica and drops
+// empties and duplicates, preserving first-seen order, so the fan-out ranks
+// (Rank) the same URL strings as the fleet view and the peer tier.
 func NormalizeReplicas(replicas []string) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, r := range replicas {
-		r = strings.TrimRight(strings.TrimSpace(r), "/")
+		r = fleet.NormalizeURL(r)
 		if r == "" || seen[r] {
 			continue
 		}

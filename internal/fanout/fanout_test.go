@@ -2,6 +2,7 @@ package fanout
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -241,10 +242,11 @@ func TestNormalizeReplicas(t *testing.T) {
 }
 
 // TestDoCachesDeathVerdictPerFanOut is the regression test for the O(N)
-// dial-timeout bug: before the per-fan-out dead set, every cell ranked to a
-// dead replica paid its own connection attempt. Now the first failure marks
-// the replica dead for the rest of the fan-out, so an N-cell sweep against
-// a dead replica touches it O(1) times, not O(N).
+// dial-timeout bug: without a remembered verdict, every cell ranked to a
+// dead replica paid its own connection attempt. Without a fleet, Do's
+// private view opens the replica's breaker on the first failure for the
+// rest of the fan-out, so an N-cell sweep against a dead replica touches it
+// O(1) times, not O(N).
 func TestDoCachesDeathVerdictPerFanOut(t *testing.T) {
 	alive := echoReplica(t, "a", nil)
 	backend := echoReplica(t, "b", nil)
@@ -276,9 +278,10 @@ func TestDoCachesDeathVerdictPerFanOut(t *testing.T) {
 }
 
 // TestDoFleetRevivalClearsDeadVerdict: a dead verdict must not outlive the
-// replica's recovery when a fleet view is watching — Healthy overrides the
-// cached verdict, so a revived replica regains traffic within the same
-// fan-out. (Without a fleet, the verdict correctly lasts the fan-out.)
+// replica's recovery when a fleet view is watching — the breaker's cooldown
+// admits trial traffic, so a revived replica regains traffic within the
+// same fan-out. (Without a fleet, the private view's verdict correctly
+// lasts the fan-out.)
 func TestDoFleetRevivalClearsDeadVerdict(t *testing.T) {
 	backend := echoReplica(t, "b", nil)
 	proxy, err := testutil.NewFaultProxy(backend.URL)
@@ -411,5 +414,103 @@ func TestDoHotCellReplication(t *testing.T) {
 	}
 	if stats.Replicated != 0 {
 		t.Errorf("Replicated = %d without HotLatency, want 0", stats.Replicated)
+	}
+}
+
+// hangingReplica serves /v1/compare by waiting until its client goes away:
+// healthy, just slower than any fan-out that cancels. Bodies listed in
+// reject get an immediate 400 instead.
+func hangingReplica(t *testing.T, reject ...string) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		for _, b := range reject {
+			if string(body) == b {
+				time.Sleep(50 * time.Millisecond) // let the others get in flight
+				http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
+				return
+			}
+		}
+		select {
+		case <-r.Context().Done():
+		case <-time.After(10 * time.Second):
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestDoCancelBlamesNoReplica: requests a fan-out aborts itself — because
+// its caller's context ended, or because another cell failed terminally —
+// say nothing about the replica serving them. They count no Failed, feed
+// no error to the fleet's breaker, and release their in-flight slots; a
+// caller's cancel surfaces as ctx.Err(), not "failed on all replicas".
+func TestDoCancelBlamesNoReplica(t *testing.T) {
+	check := func(t *testing.T, url string, fl *fleet.Fleet, stats Stats) {
+		t.Helper()
+		if got := stats.Replicas[url].Failed; got != 0 {
+			t.Errorf("Failed = %d for a healthy replica", got)
+		}
+		rs := fl.Snapshot()[0]
+		if rs.Trips != 0 || rs.State != "closed" || rs.Inflight != 0 {
+			t.Errorf("fleet record = %+v, want closed, 0 trips, 0 in flight", rs)
+		}
+	}
+
+	t.Run("caller", func(t *testing.T) {
+		slow := hangingReplica(t)
+		fl := fleet.New([]string{slow.URL}, fleet.Options{ProbeInterval: -1})
+		defer fl.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		time.AfterFunc(100*time.Millisecond, cancel)
+		_, stats, err := Do(ctx, []string{slow.URL}, makeCells(8), Options{Parallelism: 4, Fleet: fl})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		check(t, slow.URL, fl, stats)
+		if rs := fl.Snapshot()[0]; rs.Errors != 0 {
+			t.Errorf("fleet Errors = %d, want 0", rs.Errors)
+		}
+	})
+
+	t.Run("sibling-4xx", func(t *testing.T) {
+		slow := hangingReplica(t, "c3")
+		fl := fleet.New([]string{slow.URL}, fleet.Options{ProbeInterval: -1})
+		defer fl.Close()
+		_, stats, err := Do(context.Background(), []string{slow.URL}, makeCells(8), Options{Parallelism: 4, Fleet: fl})
+		if err == nil || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("err = %v, want the 400 that aborted the fan-out", err)
+		}
+		check(t, slow.URL, fl, stats)
+	})
+}
+
+// TestDoPrivateViewFollowsMembers: without a fleet, a dead replica that
+// joins through Options.Members is remembered like a listed one — touched
+// once for the whole fan-out.
+func TestDoPrivateViewFollowsMembers(t *testing.T) {
+	alive := echoReplica(t, "a", nil)
+	backend := echoReplica(t, "b", nil)
+	proxy, err := testutil.NewFaultProxy(backend.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(proxy.Close)
+	proxy.Kill()
+
+	cells := makeCells(24)
+	_, stats, err := Do(context.Background(), []string{alive.URL}, cells, Options{
+		Parallelism: 1,
+		Members:     func() []string { return []string{alive.URL, proxy.URL()} },
+	})
+	if err != nil {
+		t.Fatalf("fan-out with a dead joiner failed: %v", err)
+	}
+	if got := proxy.DeadRequests(); got != 1 {
+		t.Errorf("dead joiner touched %d times for %d cells, want exactly 1", got, len(cells))
+	}
+	if got := stats.Replicas[alive.URL].Served; got != len(cells) {
+		t.Errorf("survivor served %d, want %d", got, len(cells))
 	}
 }

@@ -15,10 +15,12 @@
 // revived one: a changed token resets the record (breaker, failure streak,
 // latency EWMA), because the new process shares nothing but the address.
 //
-// Consumers — the sweep fan-out client (internal/fanout) and the result
-// store's peer tier (internal/resultstore) — ask the view two questions:
-// "is this replica usable right now?" (Healthy) and "in what order should
-// these rendezvous candidates be tried?" (Order). Order keeps the
+// Consumers — the sweep fan-out client (internal/fanout), for which the
+// breakers are the only record of a dead replica (a fan-out without a view
+// of its own builds a private one), and the result store's peer tier
+// (internal/resultstore) — ask the view two questions: "is this replica
+// usable right now?" (Healthy) and "in what order should these rendezvous
+// candidates be tried?" (Order). Order keeps the
 // DistCache-style two-layer shape: the top-K rendezvous holders of a key
 // stay the preferred servers (cache affinity), but among them the
 // least-loaded healthy one goes first, so load skew steers requests without
@@ -32,6 +34,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -182,8 +185,8 @@ type Fleet struct {
 	wg        sync.WaitGroup
 }
 
-// New builds a fleet view over replica base URLs (normalized the same way
-// fanout.NormalizeReplicas does, so the two layers agree on URL strings).
+// New builds a fleet view over replica base URLs (normalized by
+// NormalizeURL, so every layer agrees on URL strings).
 // The prober does not run until Start.
 func New(replicas []string, opts Options) *Fleet {
 	f := &Fleet{
@@ -418,10 +421,16 @@ func (f *Fleet) Healthy(url string) bool {
 	return r.usableLocked(f.opts.BreakerCooldown, now)
 }
 
+// ErrAbandoned is the outcome of a request its issuer gave up on — its own
+// context ended — before the replica answered. It says nothing about the
+// replica: Begin's callback only releases the in-flight slot.
+var ErrAbandoned = errors.New("fleet: request abandoned by its issuer")
+
 // Begin records the start of one request to url and returns the completion
 // callback: call it with the request's outcome (nil on success) and the
 // view updates in-flight, latency EWMA, RPS, error counters and the
-// breaker. Unknown URLs return a no-op callback.
+// breaker. ErrAbandoned releases the in-flight slot and records nothing
+// else. Unknown URLs return a no-op callback.
 func (f *Fleet) Begin(url string) func(err error) {
 	r := f.rep(url)
 	if r == nil {
@@ -436,6 +445,9 @@ func (f *Fleet) Begin(url string) func(err error) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.inflight--
+		if errors.Is(err, ErrAbandoned) {
+			return
+		}
 		r.requests++
 		r.tickLocked(now.Unix())
 		if err != nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -48,6 +49,28 @@ func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 	snap := f.Snapshot()
 	if len(snap) != 1 || snap[0].State != "open" || snap[0].Errors != 5 {
 		t.Errorf("snapshot = %+v", snap)
+	}
+}
+
+// TestAbandonedRequestRecordsNoVerdict: an outcome of ErrAbandoned frees
+// the in-flight slot and nothing else — no error, no request, no breaker
+// step, even at threshold 1.
+func TestAbandonedRequestRecordsNoVerdict(t *testing.T) {
+	f := noProbe([]string{"http://a:1"}, Options{BreakerThreshold: 1})
+	defer f.Close()
+
+	end := f.Begin("http://a:1")
+	if got := f.Snapshot()[0].Inflight; got != 1 {
+		t.Fatalf("Inflight = %d after Begin, want 1", got)
+	}
+	end(fmt.Errorf("post: %w", ErrAbandoned))
+	rs := f.Snapshot()[0]
+	if rs.Inflight != 0 || rs.Requests != 0 || rs.Errors != 0 || rs.State != "closed" || !f.Healthy("http://a:1") {
+		t.Errorf("after an abandoned request: %+v, want an untouched record", rs)
+	}
+	failN(t, f, "http://a:1", 1)
+	if f.Healthy("http://a:1") {
+		t.Error("a real failure after an abandoned request did not open the breaker")
 	}
 }
 

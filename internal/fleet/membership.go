@@ -33,9 +33,11 @@ type Membership struct {
 	leaves atomic.Int64 // members removed
 }
 
-// normalizeMember mirrors fanout.NormalizeReplicas for a single URL (the
-// fleet package cannot import fanout — fanout imports fleet).
-func normalizeMember(url string) string {
+// NormalizeURL is the one normal form of a replica base URL: surrounding
+// space and trailing slashes trimmed. Every layer that names replicas — the
+// fleet view, the sweep fan-out, the peer tier, the serving layer — applies
+// it, so their rendezvous rankings agree on the same URL strings.
+func NormalizeURL(url string) string {
 	return strings.TrimRight(strings.TrimSpace(url), "/")
 }
 
@@ -48,7 +50,7 @@ func normalizeMembers(urls []string) []string {
 	seen := map[string]bool{}
 	out := make([]string, 0, len(urls))
 	for _, u := range urls {
-		u = normalizeMember(u)
+		u = NormalizeURL(u)
 		if u == "" || seen[u] {
 			continue
 		}
@@ -87,7 +89,7 @@ func (m *Membership) Snapshot() ([]string, uint64) {
 
 // Contains reports whether url is currently a member.
 func (m *Membership) Contains(url string) bool {
-	url = normalizeMember(url)
+	url = NormalizeURL(url)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, u := range m.members {
@@ -102,7 +104,7 @@ func (m *Membership) Contains(url string) bool {
 // changed (an already-present member is a no-op at the old epoch, so
 // re-announcing a join is idempotent and does not churn the fleet).
 func (m *Membership) Join(url string) bool {
-	url = normalizeMember(url)
+	url = NormalizeURL(url)
 	if url == "" {
 		return false
 	}
@@ -127,7 +129,7 @@ func (m *Membership) Join(url string) bool {
 
 // Leave removes url, bumping the epoch. Reports whether the list changed.
 func (m *Membership) Leave(url string) bool {
-	url = normalizeMember(url)
+	url = NormalizeURL(url)
 	m.mu.Lock()
 	kept := m.members[:0]
 	removed := false

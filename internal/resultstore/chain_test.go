@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,6 +155,54 @@ func TestChainSingleflightAtHead(t *testing.T) {
 	}
 	if st := chain.Stats(); st.Coalesced != callers-1 {
 		t.Errorf("Coalesced = %d, want %d", st.Coalesced, callers-1)
+	}
+}
+
+// TestChainWaiterHonorsContext: a caller waiting on another caller's flight
+// gives up when its own context ends, and never computes.
+func TestChainWaiterHonorsContext(t *testing.T) {
+	chain := Chain(MemoryTier(64), newFakeTier("disk"))
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		_, _, _ = chain.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+			close(leaderIn)
+			<-release
+			return []byte("v"), nil
+		})
+	}()
+	<-leaderIn
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := chain.GetOrCompute(ctx, "k", func() ([]byte, error) {
+		t.Error("waiter must not compute")
+		return nil, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("waiter err = %v, want context.Canceled", err)
+	}
+	close(release)
+	<-leaderDone
+}
+
+// TestChainComputeLeaderRechecksTiers: a flight leader whose key landed in a
+// tier after the caller's lookup serves it as a hit, without computing, and
+// promotes it into the faster tiers.
+func TestChainComputeLeaderRechecksTiers(t *testing.T) {
+	mem, disk := MemoryTier(64), newFakeTier("disk")
+	disk.data["k"] = []byte("already")
+	chain := Chain(mem, disk)
+	v, hit, err := chain.Compute(context.Background(), "k", func() ([]byte, error) {
+		t.Error("compute must not run when the value already landed")
+		return nil, nil
+	})
+	if err != nil || !hit || string(v) != "already" {
+		t.Errorf("Compute = %q, hit=%v, err=%v", v, hit, err)
+	}
+	if v, ok := mem.Peek("k"); !ok || string(v) != "already" {
+		t.Errorf("memory tier after Compute = %q, %v; want the promoted value", v, ok)
 	}
 }
 

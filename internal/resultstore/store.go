@@ -1,12 +1,11 @@
 // Package resultstore layers the content-addressed result caches into a
-// fallback chain of tiers — memory, persistent disk (whole-entry or
-// chunked+compressed), peer replicas — behind one small Store interface the
-// serving layer programs against.
+// fallback chain of tiers — a sharded memory LRU, persistent disk
+// (whole-entry or chunked+compressed), peer replicas — behind one small
+// Store interface the serving layer programs against.
 //
-// The contract is the same one the memory cache established: simulation is
-// an expensive pure function of a request's content address, so any tier
-// may serve any address and all tiers hold identical bytes for it. The
-// chain composition preserves singleflight semantics across tiers — for a
+// The contract: simulation is an expensive pure function of a request's
+// content address, so any tier may serve any address and all tiers hold
+// identical bytes for it. The chain head owns the only singleflight — for a
 // given address there is at most one probe sequence and at most one
 // simulation in flight process-wide, no matter how many tiers sit in the
 // path. A miss only reaches the next tier when every faster tier missed,

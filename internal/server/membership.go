@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"cdcs/internal/fleet"
 	"cdcs/internal/resultstore"
 )
 
@@ -297,7 +298,7 @@ type warmFiller interface {
 // manifest or join endpoint aborts the join with the fleet unchanged: a
 // replica that cannot complete the handshake never becomes a member.
 func (s *Server) JoinFleet(ctx context.Context) (JoinStats, error) {
-	st := JoinStats{Seed: normalizeURL(s.opts.Join)}
+	st := JoinStats{Seed: fleet.NormalizeURL(s.opts.Join)}
 	if st.Seed == "" {
 		return st, fmt.Errorf("server: JoinFleet without Options.Join")
 	}

@@ -216,7 +216,7 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	opts = opts.withDefaults()
-	advertise := normalizeURL(opts.Advertise)
+	advertise := fleet.NormalizeURL(opts.Advertise)
 	var membership *fleet.Membership
 	if advertise != "" || len(opts.Peers) > 0 {
 		// A replica that will join through a seed (Options.Join) starts
@@ -300,13 +300,6 @@ func without(urls []string, self string) []string {
 		}
 	}
 	return out
-}
-
-// normalizeURL trims a base URL the way fanout.NormalizeReplicas does, so
-// the serving layer names replicas with the same strings the routing layers
-// rank.
-func normalizeURL(u string) string {
-	return strings.TrimRight(strings.TrimSpace(u), "/")
 }
 
 // Close stops the background goroutines (gossip, drain loop), the worker
