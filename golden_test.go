@@ -59,9 +59,19 @@ type goldenFile struct {
 // where latency-aware Peekahead stops at zero marginal utility: the
 // undercommitted §II-B case-study mix on 8×8 ("cs"), a 4-app 8×8 mix
 // ("st4"), and 1024 apps on 128×128 ("st128x1024", one app per 16 tiles).
+//
+// "st48" is the opposite regime in the flat pipeline: 144 apps (one per 16
+// tiles) on a 48×48 chip whose allocation fills every line. A fully
+// committed chip is where the §IV-F trade spiral does the most work (no free
+// space to move into, so every gain is a trade), which makes it the slow
+// case of data placement and the one its optimisations must keep bit-exact.
+// Seed 17 is the first seed from 1 upward whose mix fills the chip under the
+// default configuration; seeds 1-16 each leave some of it unallocated.
 func goldenRequests() map[string]CompareRequest {
 	cfg16 := DefaultConfig()
 	cfg16.MeshWidth, cfg16.MeshHeight = 16, 16
+	cfg48 := DefaultConfig()
+	cfg48.MeshWidth, cfg48.MeshHeight = 48, 48
 	cfg64 := DefaultConfig()
 	cfg64.MeshWidth, cfg64.MeshHeight = 64, 64
 	cfg128 := DefaultConfig()
@@ -70,6 +80,7 @@ func goldenRequests() map[string]CompareRequest {
 		"st":    {Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 64}, Seed: 1},
 		"mt":    {Mix: MixSpec{Kind: MixRandomMT, Seed: 42, N: 8}, Seed: 1},
 		"st16":  {Config: &cfg16, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 256}, Seed: 1},
+		"st48":  {Config: &cfg48, Mix: MixSpec{Kind: MixRandom, Seed: 17, N: 144}, Seed: 1},
 		"st64":  {Config: &cfg64, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 256}, Seed: 1},
 		"st128": {Config: &cfg128, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 256}, Seed: 1},
 		"cs":    {Mix: MixSpec{Kind: MixCaseStudy}, Seed: 1},
