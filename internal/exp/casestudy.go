@@ -143,8 +143,9 @@ func omnetDataHops(env policy.Env, mix *workload.Mix, res sim.MixResult) float64
 			}
 			hops := 0.0
 			av := &core.Assignment[v]
-			for _, b := range av.Banks() {
-				hops += av.Get(b) / size * float64(env.Chip.Topo.Distance(res.Sched.ThreadCore[t], b))
+			for i := 0; i < av.Len(); i++ {
+				b, l := av.At(i)
+				hops += l / size * float64(env.Chip.Topo.Distance(res.Sched.ThreadCore[t], b))
 			}
 			sum += hops
 			n++

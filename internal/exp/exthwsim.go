@@ -53,8 +53,9 @@ func runExtHWSim(opts Options) (*Report, error) {
 	for v := range mix.VCs {
 		alloc := map[int]float64{}
 		av := &res.Assignment[v]
-		for _, b := range av.Banks() {
-			alloc[int(b)] = av.Get(b)
+		for i := 0; i < av.Len(); i++ {
+			b, l := av.At(i)
+			alloc[int(b)] = l
 		}
 		if len(alloc) == 0 {
 			// Zero-capacity VCs still need a home bank for lookups: the

@@ -143,8 +143,9 @@ func resultHops(env policy.Env, alloc *place.BankAlloc, size float64, corePos me
 		return 0, env.Chip.Topo.AvgMemDistance(corePos)
 	}
 	var hops, memHops float64
-	for _, b := range alloc.Banks() {
-		frac := alloc.Get(b) / size
+	for i := 0; i < alloc.Len(); i++ {
+		b, l := alloc.At(i)
+		frac := l / size
 		hops += frac * float64(env.Chip.Topo.Distance(corePos, b))
 		memHops += frac * env.Chip.Topo.AvgMemDistance(b)
 	}

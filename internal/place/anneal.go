@@ -28,8 +28,9 @@ func AnnealThreads(chip Chip, demands []Demand, assign Assignment, threadCore []
 		}
 		av := &assign[v]
 		f := make([]float64, nC)
-		for _, b := range av.Banks() {
-			f[b] = av.Get(b) / size
+		for i := 0; i < av.Len(); i++ {
+			b, l := av.At(i)
+			f[b] = l / size
 		}
 		vcFrac[v] = f
 	}

@@ -41,16 +41,19 @@ type Arena struct {
 	gOrder   []mesh.Tile
 	gCursors []greedyCursor
 	gRem     []float64
+	gLive    []int
 	assign   Assignment
 
 	// RefineIn (which also reuses distFlat for its on-demand rows).
 	distSrcs   []distSrc
 	used       []float64
 	accPerLine []float64
-	residents  [][]int
+	residents  [][]resident
 	desirables []desirable
 	tileW      []float64
 	pcTiles    []mesh.Tile
+	mine       []int32
+	refineWork RefineWork
 
 	// PlaceThreadsIn.
 	infos     []threadInfo
@@ -82,6 +85,21 @@ func (a *Arena) coarse() *Arena {
 		a.hCoarse = NewArena()
 	}
 	return a.hCoarse
+}
+
+// RefineWork returns the trade-pass work counted by every RefineIn call
+// through this arena so far, including the hierarchical path's coarse pass
+// and cluster interiors. The counts only grow: a caller measuring one round
+// subtracts the value read before it.
+func (a *Arena) RefineWork() RefineWork {
+	w := a.refineWork
+	if a.hCoarse != nil {
+		w.add(a.hCoarse.RefineWork())
+	}
+	for _, hw := range a.hWorkers {
+		w.add(hw.ar.RefineWork())
+	}
+	return w
 }
 
 // growClusterVCs returns n per-cluster VC-slice lists, each truncated to
@@ -147,9 +165,9 @@ func ensure[T any](buf *[]T, n int) []T {
 	return s
 }
 
-// arenaAssignment returns a reset Assignment of n VCs over the given bank
-// count, reusing *buf's per-VC buffers.
-func arenaAssignment(buf *Assignment, n, banks int) Assignment {
+// arenaAssignment returns a reset Assignment of n VCs, reusing *buf's
+// per-VC buffers.
+func arenaAssignment(buf *Assignment, n int) Assignment {
 	a := *buf
 	if cap(a) < n {
 		na := make(Assignment, n)
@@ -159,7 +177,7 @@ func arenaAssignment(buf *Assignment, n, banks int) Assignment {
 		a = a[:n]
 	}
 	for i := range a {
-		a[i].init(banks)
+		a[i].reset()
 	}
 	*buf = a
 	return a
@@ -167,10 +185,10 @@ func arenaAssignment(buf *Assignment, n, banks int) Assignment {
 
 // growResidents returns n per-bank resident lists, each truncated to empty
 // while keeping its capacity.
-func growResidents(buf *[][]int, n int) [][]int {
+func growResidents(buf *[][]resident, n int) [][]resident {
 	s := *buf
 	if cap(s) < n {
-		ns := make([][]int, n)
+		ns := make([][]resident, n)
 		copy(ns, s[:cap(s)])
 		s = ns
 	} else {

@@ -452,12 +452,12 @@ func refRefine(chip Chip, demands []refDemand, assign refAssignment, threadCore 
 }
 
 // randomRefInstance builds parallel reference/dense views of the same random
-// placement problem: mostly single-accessor VCs plus some multi-accessor
-// (shared) VCs, threads on random distinct cores.
-func randomRefInstance(rng *rand.Rand, w, h int) (Chip, []refDemand, []Demand, []mesh.Tile) {
+// placement problem: 8 to 8+spread-1 VCs, mostly single-accessor plus some
+// multi-accessor (shared) ones, and threads on random distinct cores.
+func randomRefInstance(rng *rand.Rand, w, h, spread int) (Chip, []refDemand, []Demand, []mesh.Tile) {
 	chip := Chip{Topo: mesh.New(w, h), BankLines: 8192}
 	n := chip.Banks()
-	nVC := 8 + rng.Intn(n/2)
+	nVC := 8 + rng.Intn(spread)
 	budget := chip.TotalLines() * 0.85
 	refs := make([]refDemand, nVC)
 	dense := make([]Demand, nVC)
@@ -504,15 +504,16 @@ func assignEqual(t *testing.T, label string, ref refAssignment, got Assignment) 
 }
 
 // TestDenseMatchesMapReference is the bit-identity property: across
-// randomized demands from the paper's 8×8 up to 96×96 (past PruneThreshold,
-// through every lattice-stride regime, past sparseBankThreshold into the
-// sparse BankAlloc representation, and past HierarchyThreshold banks), the
-// dense pipeline — optimistic placement,
+// randomized demands from the paper's 8×8 up to 128×128 (past
+// PruneThreshold, through every lattice-stride regime, and past
+// HierarchyThreshold banks), the dense pipeline — optimistic placement,
 // thread placement, greedy, refine — produces exactly the reference's
 // placements, and the Eq. 2 hop reductions are bit-equal floats, not
-// approximately equal.
+// approximately equal. BankAlloc has one representation at every size, so
+// this pins its hinted lookups and sorted inserts against the map at the
+// largest mesh too.
 func TestDenseMatchesMapReference(t *testing.T) {
-	dims := [][2]int{{8, 8}, {16, 16}, {24, 24}, {32, 32}, {48, 48}, {64, 64}, {96, 96}}
+	dims := [][2]int{{8, 8}, {16, 16}, {24, 24}, {32, 32}, {48, 48}, {64, 64}, {96, 96}, {128, 128}}
 	for _, wh := range dims {
 		w, h := wh[0], wh[1]
 		trials := 6
@@ -525,11 +526,17 @@ func TestDenseMatchesMapReference(t *testing.T) {
 			}
 			trials = 1 // kilo-tile references are very slow; one trial each
 		}
+		// Up to one VC per two tiles; at 128×128 one per 16 (the kilotile
+		// mixes' density), since the reference sorts every bank per VC.
+		spread := w * h / 2
+		if w*h > 96*96 {
+			spread = w * h / 16
+		}
 		t.Run(fmt.Sprintf("%dx%d", w, h), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(301 + w)))
 			ar := NewArena() // reused across trials: reuse must not leak state
 			for trial := 0; trial < trials; trial++ {
-				chip, refs, dense, threads := randomRefInstance(rng, w, h)
+				chip, refs, dense, threads := randomRefInstance(rng, w, h, spread)
 
 				// Step 2: optimistic placement.
 				refOpt := refOptimisticPlace(chip, refs)

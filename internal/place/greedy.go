@@ -20,7 +20,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		chunk = chip.BankLines / 16
 	}
 	nb := chip.Banks()
-	assign := arenaAssignment(&ar.assign, len(demands), nb)
+	assign := arenaAssignment(&ar.assign, len(demands))
 	free := grow(&ar.free, nb)
 	for i := range free {
 		free[i] = chip.CapOf(mesh.Tile(i))
@@ -63,12 +63,11 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	orderFlat := grow(&ar.gOrder, nSorted*nb)
 	cursors := grow(&ar.gCursors, len(demands))
 	remaining := grow(&ar.gRem, len(demands))
-	active := 0
+	live := ensure(&ar.gLive, len(demands))[:0]
 	slot := 0
 	for v := range demands {
-		remaining[v] = demands[v].Size
-		if demands[v].Size > 0 {
-			active++
+		if remaining[v] = demands[v].Size; remaining[v] > 1e-9 {
+			live = append(live, v)
 		}
 		cur := &cursors[v]
 		if c, ok := ringCenter(v); ok {
@@ -94,22 +93,24 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		}
 	}
 
-	for active > 0 {
-		progressed := false
-		for v := range demands {
-			if remaining[v] <= 1e-9 {
-				continue
-			}
+	// Claim rounds: every VC with demand left takes one chunk, in index
+	// order, and live drops the VCs that finish (keeping that order). A
+	// cursor holds its claim on the current bank until it moves on: the
+	// bank is new to the VC, so adding the held sum once is the same
+	// sequence of float additions as adding chunk by chunk.
+	for len(live) > 0 {
+		k := 0
+		for _, v := range live {
 			// Advance to a bank with free space.
 			cur := &cursors[v]
 			if cur.ok && free[cur.bank] <= 1e-9 {
+				cur.flush(&assign[v])
 				cur.seek(free)
 			}
 			if !cur.ok {
 				// Chip full: drop the rest of this VC's demand (can only
 				// happen when total demand exceeds capacity).
 				remaining[v] = 0
-				active--
 				continue
 			}
 			b := cur.bank
@@ -120,29 +121,40 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 			if take > free[b] {
 				take = free[b]
 			}
-			assign[v].Add(b, take)
+			cur.held += take
 			free[b] -= take
 			remaining[v] -= take
-			progressed = true
 			if remaining[v] <= 1e-9 {
-				active--
+				cur.flush(&assign[v])
+				continue
 			}
+			live[k] = v
+			k++
 		}
-		if !progressed {
-			break
-		}
+		live = live[:k]
 	}
+	ar.gLive = live
 	return assign
 }
 
 // greedyCursor walks one VC's bank preference order: its sorted order when
 // set, otherwise its ring. bank is the current candidate; ok turns false once
-// the order is exhausted.
+// the order is exhausted. held is the capacity claimed in bank and not yet
+// added to the VC's allocation.
 type greedyCursor struct {
 	ring  mesh.RingCursor
 	order []mesh.Tile
 	bank  mesh.Tile
 	ok    bool
+	held  float64
+}
+
+// flush adds the held claim to the VC's allocation.
+func (g *greedyCursor) flush(a *BankAlloc) {
+	if g.held > 0 {
+		a.Add(g.bank, g.held)
+		g.held = 0
+	}
 }
 
 // seek advances to the first bank, from the current one on, with free space.

@@ -53,7 +53,7 @@ func HierOptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 
 	out := Optimistic{
 		Center: grow(&ar.centers, len(demands)),
-		Claims: arenaAssignment(&ar.claims, len(demands), chip.Banks()),
+		Claims: arenaAssignment(&ar.claims, len(demands)),
 		CoM:    grow(&ar.com, len(demands)),
 	}
 	for v := range demands {
@@ -153,6 +153,23 @@ type hierWorker struct {
 	ths   []int
 	rates []float64
 	cores []mesh.Tile
+	topos []*mesh.Topology // sub-meshes by shape, kept across rounds
+}
+
+// subMesh returns the worker's sub-mesh of the given shape, building it on
+// first use. A cluster view has at most four shapes (full clusters, and
+// ragged ones at the right edge, the bottom edge and the corner), so each
+// worker builds a handful of topologies once instead of one per cluster
+// per round.
+func (w *hierWorker) subMesh(width, height int) *mesh.Topology {
+	for _, t := range w.topos {
+		if t.Width() == width && t.Height() == height {
+			return t
+		}
+	}
+	t := mesh.New(width, height)
+	w.topos = append(w.topos, t)
+	return t
 }
 
 // HierGreedyRefineIn is the hierarchical form of GreedyIn (+ RefineIn when
@@ -167,8 +184,8 @@ type hierWorker struct {
 // Level 2 refines each cluster's interior independently: the VC slices the
 // coarse pass left in a cluster become single-accessor local demands pulled
 // toward the VC's rate-weighted accessor centroid (clamped into the cluster),
-// placed and trade-refined on a small sub-mesh of the cluster's shape (cheap
-// to build: a topology is O(tiles)). Interiors fan out across a bounded
+// placed and trade-refined on a small sub-mesh of the cluster's shape (each
+// worker builds one per shape and reuses it). Interiors fan out across a bounded
 // worker pool; every cluster's subproblem is independent and buffers are
 // merged in ascending cluster order, so the result is identical for any
 // worker count.
@@ -262,7 +279,7 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	// one cluster and each (VC, bank) pair appears at most once per cluster,
 	// so Set never collides; the order fixes the sparse-index build but the
 	// values themselves are independent of it.
-	out := arenaAssignment(&ar.assign, len(demands), chip.Banks())
+	out := arenaAssignment(&ar.assign, len(demands))
 	for c := 0; c < cl.N(); c++ {
 		for _, e := range entries[c] {
 			out[e.v].Set(e.bank, e.lines)
@@ -285,7 +302,7 @@ func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, c int, vcs []hierVC,
 		return entries
 	}
 	x0, y0, x1, y1 := cl.Bounds(mesh.Tile(c))
-	sub := mesh.New(x1-x0, y1-y0)
+	sub := w.subMesh(x1-x0, y1-y0)
 	schip := Chip{Topo: sub, BankLines: chip.BankLines}
 
 	nv := len(vcs)

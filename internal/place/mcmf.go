@@ -58,7 +58,7 @@ func OptimalTransport(chip Chip, demands []Demand, threadCore []mesh.Tile, chunk
 
 	g.minCostMaxFlow(src, sink)
 
-	assign := NewAssignment(nV, nB)
+	assign := NewAssignment(nV)
 	for v := 0; v < nV; v++ {
 		for _, eid := range g.adj[1+v] {
 			e := &g.edges[eid]

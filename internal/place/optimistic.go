@@ -37,7 +37,7 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 	n := chip.Banks()
 	out := Optimistic{
 		Center: grow(&ar.centers, len(demands)),
-		Claims: arenaAssignment(&ar.claims, len(demands), n),
+		Claims: arenaAssignment(&ar.claims, len(demands)),
 		CoM:    grow(&ar.com, len(demands)),
 	}
 	center := chip.Topo.CenterTile()

@@ -95,22 +95,19 @@ func (d Demand) TotalRate() float64 {
 	return s
 }
 
-// sparseBankThreshold is the bank count above which a BankAlloc stores only
-// its touched banks. The dense arrays cost O(banks) per VC regardless of use;
-// with one VC per tile that is O(n²) per assignment — ~150 MB at 64×64 and
-// 2.4 GB at 128×128 — while a VC's footprint only ever spans a handful of
-// banks. The sparse form holds the same values in the same ascending-bank
-// iteration order, so every reduction walks the identical sequence and
-// results are bit-identical across representations (the map-reference
-// oracle in denseref_test pins this through 96×96).
-const sparseBankThreshold = 2048
-
-// BankAlloc is one VC's per-bank allocation. At or below
-// sparseBankThreshold banks it stores lines indexed directly by bank id plus
-// a sorted sparse index of the banks ever written; above the threshold the
-// dense arrays are dropped and values live in vals, parallel to the sorted
-// index. Iteration over Banks() is a linear walk in ascending bank order in
-// both forms.
+// BankAlloc is one VC's per-bank allocation: the banks it has touched, in
+// ascending id order, with their lines in a parallel slice. A VC's footprint
+// spans a handful of banks whatever the chip size, so one representation
+// serves every mesh from 2×2 to 128×128 in O(footprint) memory, and
+// iteration over Banks() is a linear walk in ascending bank order.
+//
+// Lookups are O(1) on the placement hot paths. hint remembers the position
+// the last Add or Set wrote: greedy placement adds chunk after chunk to the
+// same bank, and the trade pass moves lines in and out of the bank it just
+// touched. A bank above the highest touched one is absent (or, when
+// written, appended) without a search. Everything else binary-searches the
+// sorted index. Get never writes, so concurrent readers of a finished
+// assignment do not race.
 //
 // A touched bank stays in the index even when arithmetic drives its lines
 // back to exactly zero, mirroring the key semantics of the map
@@ -118,97 +115,58 @@ const sparseBankThreshold = 2048
 // behind); reductions are unaffected because zero entries contribute
 // exactly 0.0 to every sum.
 type BankAlloc struct {
-	sparse  bool
-	lines   []float64   // dense: lines per bank, indexed by bank id
-	touched []bool      // dense: whether the bank is in the sparse index
-	banks   []mesh.Tile // touched banks in ascending id order
-	vals    []float64   // sparse: vals[i] is banks[i]'s lines
+	banks []mesh.Tile // touched banks in ascending id order
+	vals  []float64   // vals[i] is banks[i]'s lines
+	hint  int         // position of the last write; any value is safe
 }
 
-// init prepares the alloc for the given bank count, clearing any previous
-// contents while reusing capacity, and picks the representation.
-func (a *BankAlloc) init(banks int) {
-	if !a.sparse {
-		for _, b := range a.banks {
-			a.lines[b] = 0
-			a.touched[b] = false
-		}
-	}
+// reset empties the alloc while keeping its capacity.
+func (a *BankAlloc) reset() {
 	a.banks = a.banks[:0]
 	a.vals = a.vals[:0]
-	if banks > sparseBankThreshold {
-		a.sparse = true
-		return
+	a.hint = 0
+}
+
+// find returns b's position in the index and whether it is present; when
+// absent, the position is where b would be inserted.
+func (a *BankAlloc) find(b mesh.Tile) (int, bool) {
+	n := len(a.banks)
+	if h := a.hint; h < n && a.banks[h] == b {
+		return h, true
 	}
-	a.sparse = false
-	if cap(a.lines) < banks {
-		a.lines = make([]float64, banks)
-		a.touched = make([]bool, banks)
-		return
+	if n == 0 || a.banks[n-1] < b {
+		return n, false
 	}
-	a.lines = a.lines[:banks]
-	a.touched = a.touched[:banks]
+	return slices.BinarySearch(a.banks, b)
 }
 
 // Get returns the lines held in bank b (zero when the bank was never
 // written).
 func (a *BankAlloc) Get(b mesh.Tile) float64 {
-	if !a.sparse {
-		return a.lines[b]
-	}
-	if i, ok := slices.BinarySearch(a.banks, b); ok {
+	if i, ok := a.find(b); ok {
 		return a.vals[i]
 	}
 	return 0
 }
 
-// touch inserts b into the sorted sparse index if absent (dense form only).
-func (a *BankAlloc) touch(b mesh.Tile) {
-	if a.touched[b] {
-		return
-	}
-	a.touched[b] = true
-	i, _ := slices.BinarySearch(a.banks, b)
-	a.banks = append(a.banks, 0)
-	copy(a.banks[i+1:], a.banks[i:])
-	a.banks[i] = b
-}
-
-// idx returns b's position in the sparse index, inserting a zero entry if
-// absent (sparse form only).
-func (a *BankAlloc) idx(b mesh.Tile) int {
-	i, ok := slices.BinarySearch(a.banks, b)
+// slot returns b's position in the index, inserting a zero entry if absent,
+// and points the hint at it.
+func (a *BankAlloc) slot(b mesh.Tile) int {
+	i, ok := a.find(b)
 	if !ok {
-		a.banks = append(a.banks, 0)
-		copy(a.banks[i+1:], a.banks[i:])
-		a.banks[i] = b
-		a.vals = append(a.vals, 0)
-		copy(a.vals[i+1:], a.vals[i:])
-		a.vals[i] = 0
+		a.banks = slices.Insert(a.banks, i, b)
+		a.vals = slices.Insert(a.vals, i, 0)
 	}
+	a.hint = i
 	return i
 }
 
 // Add adds delta lines to bank b (negative deltas remove capacity). The bank
 // stays in the iteration index even if its lines reach zero.
-func (a *BankAlloc) Add(b mesh.Tile, delta float64) {
-	if !a.sparse {
-		a.touch(b)
-		a.lines[b] += delta
-		return
-	}
-	a.vals[a.idx(b)] += delta
-}
+func (a *BankAlloc) Add(b mesh.Tile, delta float64) { a.vals[a.slot(b)] += delta }
 
 // Set sets bank b's lines.
-func (a *BankAlloc) Set(b mesh.Tile, v float64) {
-	if !a.sparse {
-		a.touch(b)
-		a.lines[b] = v
-		return
-	}
-	a.vals[a.idx(b)] = v
-}
+func (a *BankAlloc) Set(b mesh.Tile, v float64) { a.vals[a.slot(b)] = v }
 
 // Banks returns the touched banks in ascending id order. The slice is shared
 // with the BankAlloc; callers must not modify it.
@@ -217,39 +175,24 @@ func (a *BankAlloc) Banks() []mesh.Tile { return a.banks }
 // Len returns the number of touched banks.
 func (a *BankAlloc) Len() int { return len(a.banks) }
 
-// At returns the i'th touched bank (ascending id order) and its lines:
-// the representation-agnostic iteration primitive for reductions.
-func (a *BankAlloc) At(i int) (mesh.Tile, float64) {
-	b := a.banks[i]
-	if a.sparse {
-		return b, a.vals[i]
-	}
-	return b, a.lines[b]
-}
+// At returns the i'th touched bank (ascending id order) and its lines: the
+// iteration primitive for reductions.
+func (a *BankAlloc) At(i int) (mesh.Tile, float64) { return a.banks[i], a.vals[i] }
 
 // clone returns an independent deep copy.
 func (a *BankAlloc) clone() BankAlloc {
 	return BankAlloc{
-		sparse:  a.sparse,
-		lines:   append([]float64(nil), a.lines...),
-		touched: append([]bool(nil), a.touched...),
-		banks:   append([]mesh.Tile(nil), a.banks...),
-		vals:    append([]float64(nil), a.vals...),
+		banks: slices.Clone(a.banks),
+		vals:  slices.Clone(a.vals),
+		hint:  a.hint,
 	}
 }
 
 // Assignment is a data placement: per VC, lines claimed in each bank.
 type Assignment []BankAlloc
 
-// NewAssignment allocates an empty assignment for n VCs over the given
-// number of banks.
-func NewAssignment(n, banks int) Assignment {
-	a := make(Assignment, n)
-	for i := range a {
-		a[i].init(banks)
-	}
-	return a
-}
+// NewAssignment allocates an empty assignment for n VCs.
+func NewAssignment(n int) Assignment { return make(Assignment, n) }
 
 // Placed returns the total lines VC v has placed (summed in bank order, for
 // bit-reproducible results).

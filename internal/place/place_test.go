@@ -28,10 +28,10 @@ func singleThreadDemands(sizes, rates []float64) []Demand {
 	return out
 }
 
-// assignmentOf builds an Assignment over the given bank count from per-VC
-// bank→lines maps (test convenience mirroring the old map literals).
-func assignmentOf(banks int, vcs ...map[mesh.Tile]float64) Assignment {
-	a := NewAssignment(len(vcs), banks)
+// assignmentOf builds an Assignment from per-VC bank→lines maps (test
+// convenience mirroring the old map literals).
+func assignmentOf(vcs ...map[mesh.Tile]float64) Assignment {
+	a := NewAssignment(len(vcs))
 	for v, m := range vcs {
 		for b, lines := range m {
 			a[v].Set(b, lines)
@@ -41,7 +41,7 @@ func assignmentOf(banks int, vcs ...map[mesh.Tile]float64) Assignment {
 }
 
 func TestAssignmentBasics(t *testing.T) {
-	a := NewAssignment(2, 8)
+	a := NewAssignment(2)
 	a[0].Add(3, 100)
 	a[0].Add(4, 50)
 	a[1].Add(3, 25)
@@ -61,7 +61,6 @@ func TestAssignmentBasics(t *testing.T) {
 
 func TestBankAllocIndexSorted(t *testing.T) {
 	var a BankAlloc
-	a.init(16)
 	for _, b := range []mesh.Tile{9, 2, 14, 2, 0, 7} {
 		a.Add(b, 1)
 	}
@@ -88,20 +87,20 @@ func TestBankAllocIndexSorted(t *testing.T) {
 func TestAssignmentValidate(t *testing.T) {
 	chip := chip36()
 	d := singleThreadDemands([]float64{100}, []float64{10})
-	a := NewAssignment(1, chip.Banks())
+	a := NewAssignment(1)
 	a[0].Set(0, 100)
 	if err := a.Validate(chip, d, 1); err != nil {
 		t.Errorf("valid assignment rejected: %v", err)
 	}
 	// Over-capacity bank.
-	b := NewAssignment(1, chip.Banks())
+	b := NewAssignment(1)
 	b[0].Set(0, chip.BankLines+100)
 	db := singleThreadDemands([]float64{chip.BankLines + 100}, []float64{10})
 	if err := b.Validate(chip, db, 1); err == nil {
 		t.Error("over-capacity assignment accepted")
 	}
 	// Wrong size.
-	cAssign := NewAssignment(1, chip.Banks())
+	cAssign := NewAssignment(1)
 	cAssign[0].Set(0, 50)
 	if err := cAssign.Validate(chip, d, 1); err == nil {
 		t.Error("short assignment accepted")
@@ -138,7 +137,7 @@ func TestOnChipLatencyHandComputed(t *testing.T) {
 	// One VC split 75/25 across banks 0 and 5, accessed by thread 0 at tile 0
 	// with rate 10: latency = 10×(0.75×0 + 0.25×5) = 12.5 access-hops.
 	d := []Demand{NewDemand(100, map[int]float64{0: 10})}
-	a := NewAssignment(1, chip.Banks())
+	a := NewAssignment(1)
 	a[0].Set(0, 75)
 	a[0].Set(5, 25)
 	got := OnChipLatency(chip, d, a, []mesh.Tile{0})
@@ -237,7 +236,7 @@ func TestPlaceThreadsNearData(t *testing.T) {
 	}
 	opt := Optimistic{
 		Center: []mesh.Tile{0, 35},
-		Claims: assignmentOf(36, map[mesh.Tile]float64{0: 8192}, map[mesh.Tile]float64{35: 8192}),
+		Claims: assignmentOf(map[mesh.Tile]float64{0: 8192}, map[mesh.Tile]float64{35: 8192}),
 		CoM:    []Point{{0, 0}, {5, 5}},
 	}
 	cores := PlaceThreadsIn(nil, chip, d, opt, 2)
@@ -281,7 +280,7 @@ func TestPlaceThreadsPriorityOrder(t *testing.T) {
 	com := Point{2, 2}
 	opt := Optimistic{
 		Center: []mesh.Tile{chip.Topo.TileAt(2, 2), chip.Topo.TileAt(2, 2)},
-		Claims: assignmentOf(36,
+		Claims: assignmentOf(
 			map[mesh.Tile]float64{chip.Topo.TileAt(2, 2): 4 * 8192},
 			map[mesh.Tile]float64{chip.Topo.TileAt(2, 2): 1024}),
 		CoM: []Point{com, com},
@@ -404,7 +403,7 @@ func TestRefineFindsObviousTrade(t *testing.T) {
 		NewDemand(8192, map[int]float64{1: 1}),
 	}
 	threads := []mesh.Tile{0, 35}
-	a := NewAssignment(2, chip.Banks())
+	a := NewAssignment(2)
 	a[0].Set(35, 8192) // hot VC's data in the far corner
 	a[1].Set(0, 8192)  // cold VC's data next to the hot thread
 	before := OnChipLatency(chip, d, a, threads)
@@ -427,7 +426,7 @@ func TestRefineUsesFreeSpace(t *testing.T) {
 	// Hot VC far away, near bank empty: move without counterparty.
 	d := []Demand{NewDemand(4096, map[int]float64{0: 100})}
 	threads := []mesh.Tile{0}
-	a := NewAssignment(1, chip.Banks())
+	a := NewAssignment(1)
 	a[0].Set(35, 4096)
 	trades, delta := RefineIn(nil, chip, d, a, threads)
 	if trades == 0 || delta >= 0 {
@@ -489,7 +488,7 @@ func TestAnnealThreadsImprovesBadPlacement(t *testing.T) {
 		NewDemand(8192, map[int]float64{0: 100}),
 		NewDemand(8192, map[int]float64{1: 100}),
 	}
-	a := NewAssignment(2, chip.Banks())
+	a := NewAssignment(2)
 	a[0].Set(0, 8192)
 	a[1].Set(35, 8192)
 	threads := []mesh.Tile{35, 0} // deliberately swapped

@@ -2,6 +2,7 @@ package place
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cdcs/internal/mesh"
@@ -199,6 +200,46 @@ func TestPropertyNearestFreeCoreMatchesScan(t *testing.T) {
 				break
 			}
 			free[want] = false
+		}
+	}
+}
+
+func TestPropertyDesirablesMatchStableSort(t *testing.T) {
+	// The trade pass keeps its candidate list sorted by inserting each bank
+	// at its binary-search position. It must hold, after every insertion,
+	// exactly the list a stable sort of the candidates met so far builds
+	// under the (d, bank) comparator the pass used to sort with. Distances
+	// come from a handful of values so exact ties are common, and banks are
+	// distinct, as on a spiral.
+	rng := rand.New(rand.NewSource(11))
+	byDistThenBank := func(x, y desirable) int {
+		if x.d != y.d {
+			if x.d < y.d {
+				return -1
+			}
+			return 1
+		}
+		return int(x.bank) - int(y.bank)
+	}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(120)
+		banks := rng.Perm(4 * n)[:n]
+		levels := 1 + rng.Intn(6)
+		var got, met []desirable
+		for i, b := range banks {
+			x := desirable{bank: mesh.Tile(b), d: float64(rng.Intn(levels)) * 0.375}
+			if trial%3 == 0 {
+				// Spiral-like: distances never decrease, so most inserts
+				// take the append path.
+				x.d = float64(i*levels/n) * 0.375
+			}
+			got = insertDesirable(got, x)
+			met = append(met, x)
+			want := slices.Clone(met)
+			slices.SortStableFunc(want, byDistThenBank)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d after %d inserts: got %v, want %v", trial, len(met), got, want)
+			}
 		}
 	}
 }

@@ -12,6 +12,52 @@ type desirable struct {
 	d    float64
 }
 
+// cmpDesirable orders candidates by distance, then bank id. Banks on one
+// spiral are distinct, so this is a total order.
+func cmpDesirable(x, y desirable) int {
+	if x.d != y.d {
+		if x.d < y.d {
+			return -1
+		}
+		return 1
+	}
+	return int(x.bank) - int(y.bank)
+}
+
+// insertDesirable inserts x into ds, sorted under cmpDesirable, at its
+// binary-search position. The comparator is a total order, so the list is
+// exactly the one a stable sort of the unsorted candidates would build. A
+// single-accessor VC spiralling from its own core meets banks in
+// non-decreasing distance with ascending-id ties, so x then always sorts
+// last and is appended.
+func insertDesirable(ds []desirable, x desirable) []desirable {
+	if n := len(ds); n == 0 || cmpDesirable(ds[n-1], x) < 0 {
+		return append(ds, x)
+	}
+	i, _ := slices.BinarySearchFunc(ds, x, cmpDesirable)
+	return slices.Insert(ds, i, x)
+}
+
+// RefineWork counts the trade pass's work. The counts are deterministic
+// (they do not drift with the host the way time does), so a regression in
+// how much the pass visits shows even when timing noise hides it.
+type RefineWork struct {
+	// Spiral is the number of banks the VCs' spirals visited.
+	Spiral int
+	// Inserted is the number of desirable banks inserted into the sorted
+	// candidate lists.
+	Inserted int
+	// Tried is the number of moves evaluated: free-space moves plus trades
+	// offered to resident VCs.
+	Tried int
+}
+
+func (w *RefineWork) add(o RefineWork) {
+	w.Spiral += o.Spiral
+	w.Inserted += o.Inserted
+	w.Tried += o.Tried
+}
+
 // RefineIn performs the paper's refined VC placement (§IV-F, Fig. 8): starting
 // from a greedy placement, each VC spirals outward from its center of mass
 // looking at its own data; banks where the VC could hold more data are
@@ -22,8 +68,9 @@ type desirable struct {
 // order — the paper found one pass discovers most beneficial trades.
 //
 // The assignment is modified in place; RefineIn reports the number of
-// executed trades and the total Eq. 2 latency change (≤ 0). Scratch comes
-// from ar (nil: a fresh arena).
+// executed trades and the total Eq. 2 latency change (≤ 0), and adds the
+// pass's work counts to ar (see Arena.RefineWork). Scratch comes from ar
+// (nil: a fresh arena).
 func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadCore []mesh.Tile) (trades int, delta float64) {
 	if ar == nil {
 		ar = NewArena()
@@ -39,17 +86,23 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 			accPerLine[v] = demands[v].TotalRate() / size
 		}
 	}
-	// residents[b] lists VCs with data in bank b (kept fresh lazily).
+	// residents[b] lists VCs with data in bank b (kept fresh lazily: an
+	// entry stays when its lines drain) and mirrors their lines there.
 	residents := growResidents(&ar.residents, chip.Banks())
 	for v := range assign {
 		av := &assign[v]
 		for i := 0; i < av.Len(); i++ {
 			if b, l := av.At(i); l > 1e-9 {
-				residents[b] = append(residents[b], v)
+				residents[b] = append(residents[b], resident{v, l})
 			}
 		}
 	}
 
+	// mine[b] == v+1 marks the banks VC v's allocation indexes while v is
+	// refined: a spiral bank without the mark holds none of v's data, so
+	// its lookup is skipped. On a committed chip that is most of the spiral.
+	mine := grow(&ar.mine, chip.Banks())
+	var work RefineWork
 	for v := range demands {
 		if demands[v].Size <= 0 || accPerLine[v] == 0 {
 			continue
@@ -64,7 +117,17 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 		// of mass; after greedy placement both coincide, but the accessor
 		// center also handles degenerate starts where all data is remote.)
 		com := preferredCenter(ar, chip, &demands[v], av, threadCore)
+		tag := int32(v + 1)
+		for _, b := range av.Banks() {
+			mine[b] = tag
+		}
+		// A single-accessor VC spirals from its own core, so D(v, b) is a
+		// function of the ring distance: computed once per ring.
+		cx, cy := chip.Topo.Coords(com)
+		onRing := dist.singleFrom(v, cx, cy)
+		ring, dvb := -1, 0.0
 
+		// desirables stays sorted by (d, bank) as the spiral grows it.
 		desirables := ar.desirables[:0]
 		seen := 0.0
 
@@ -80,27 +143,29 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 			if !ok {
 				break
 			}
-			have := av.Get(b)
-			dvb := dist.at(v, b)
+			work.Spiral++
+			have := 0.0
+			if mine[b] == tag {
+				have = av.Get(b)
+			}
+			if !onRing {
+				dvb = dist.at(v, b)
+			} else if h := cur.Dist(); h != ring {
+				ring, dvb = h, dist.single(v, h)
+			}
 			if have < chip.CapOf(b)-1e-9 {
-				desirables = append(desirables, desirable{b, dvb})
+				desirables = insertDesirable(desirables, desirable{b, dvb})
+				work.Inserted++
 			}
 			if have <= 1e-9 {
 				continue
 			}
 			seen += have
-			// Try to move v's data in b into closer desirable banks.
-			slices.SortStableFunc(desirables, func(x, y desirable) int {
-				if x.d != y.d {
-					if x.d < y.d {
-						return -1
-					}
-					return 1
-				}
-				return int(x.bank) - int(y.bank)
-			})
+			// Try to move v's data in b into closer desirable banks. left
+			// mirrors av.Get(b) through every move below.
+			left := have
 			for _, cand := range desirables {
-				if av.Get(b) <= 1e-9 {
+				if left <= 1e-9 {
 					break
 				}
 				if cand.d >= dvb-1e-12 {
@@ -111,34 +176,40 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 				// Free space first: a move into unclaimed capacity has no
 				// counterparty and always helps.
 				if room := chip.CapOf(cand.bank) - used[cand.bank]; room > 1e-9 {
-					m := minF(av.Get(b), room)
-					moveCapacity(assign, used, residents, v, b, cand.bank, m)
+					work.Tried++
+					m := minF(left, room)
+					shift(assign, residents, v, b, cand.bank, m)
+					used[b] -= m
+					used[cand.bank] += m
+					mine[cand.bank] = tag
+					left -= m
 					trades++
 					delta += moveGain * m
-					if av.Get(b) <= 1e-9 {
+					if left <= 1e-9 {
 						continue
 					}
 				}
-				// Offer trades to resident VCs.
-				for _, u := range residents[cand.bank] {
-					if u == v || assign[u].Get(cand.bank) <= 1e-9 {
+				// Offer trades to resident VCs (those present when the offers
+				// start: v joins the list as it trades in).
+				for i, n := 0, len(residents[cand.bank]); i < n; i++ {
+					u, theirs := residents[cand.bank][i].vc, residents[cand.bank][i].lines
+					if u == v || theirs <= 1e-9 {
 						continue
 					}
-					if av.Get(b) <= 1e-9 {
+					if left <= 1e-9 {
 						break
 					}
+					work.Tried++
 					gainU := accPerLine[u] * (dist.at(u, b) - dist.at(u, cand.bank))
 					if moveGain+gainU >= -1e-12 {
 						continue
 					}
-					m := minF(av.Get(b), assign[u].Get(cand.bank))
+					m := minF(left, theirs)
 					// Swap m lines: v moves b→cand, u moves cand→b.
-					av.Add(b, -m)
-					av.Add(cand.bank, m)
-					assign[u].Add(cand.bank, -m)
-					assign[u].Add(b, m)
-					addResident(residents, cand.bank, v)
-					addResident(residents, b, u)
+					shift(assign, residents, v, b, cand.bank, m)
+					shift(assign, residents, u, cand.bank, b, m)
+					mine[cand.bank] = tag
+					left -= m
 					trades++
 					delta += (moveGain + gainU) * m
 				}
@@ -149,6 +220,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 		}
 		ar.desirables = desirables
 	}
+	ar.refineWork.add(work)
 	dist.release(ar)
 	return trades, delta
 }
@@ -204,7 +276,7 @@ func (vd *vcDist) at(v int, b mesh.Tile) float64 {
 	s := &vd.srcs[v]
 	if !s.multi {
 		bx, by := vd.chip.Topo.Coords(b)
-		return (0 + s.rate*float64(abs(bx-s.ax)+abs(by-s.ay))) / s.div
+		return vd.single(v, abs(bx-s.ax)+abs(by-s.ay))
 	}
 	n := vd.chip.Banks()
 	if s.row < 0 {
@@ -213,6 +285,20 @@ func (vd *vcDist) at(v int, b mesh.Tile) float64 {
 		fillDistanceRow(vd.rows[s.row*n:(s.row+1)*n], vd.chip, &vd.demands[v], vd.threadCore)
 	}
 	return vd.rows[s.row*n+int(b)]
+}
+
+// singleFrom reports whether v has a single distance term measured from the
+// tile at (x, y).
+func (vd *vcDist) singleFrom(v, x, y int) bool {
+	s := &vd.srcs[v]
+	return !s.multi && s.ax == x && s.ay == y
+}
+
+// single returns D(v, b) for a single-term VC whose source is hops away
+// from b.
+func (vd *vcDist) single(v, hops int) float64 {
+	s := &vd.srcs[v]
+	return (0 + s.rate*float64(hops)) / s.div
 }
 
 // release returns the row storage, possibly grown, to ar for reuse.
@@ -279,23 +365,36 @@ func preferredCenter(ar *Arena, chip Chip, d *Demand, alloc *BankAlloc, threadCo
 	return chip.Topo.NearestTile(x, y)
 }
 
-// moveCapacity moves m lines of VC v from bank b to free space in bank nb.
-func moveCapacity(assign Assignment, used []float64, residents [][]int, v int, b, nb mesh.Tile, m float64) {
-	assign[v].Add(b, -m)
-	assign[v].Add(nb, m)
-	used[b] -= m
-	used[nb] += m
-	addResident(residents, nb, v)
+// resident is one VC's entry in a bank's resident list. lines mirrors
+// assign[vc].Get(bank), so offering a trade reads the counterparty's
+// holding without a lookup.
+type resident struct {
+	vc    int
+	lines float64
 }
 
-// addResident registers VC v in bank b's resident list if absent.
-func addResident(residents [][]int, b mesh.Tile, v int) {
-	for _, u := range residents[b] {
-		if u == v {
-			return
+// shift moves m lines of VC v from bank b to bank nb, registers v in nb's
+// resident list if absent, and brings v's entries in both lists up to date.
+func shift(assign Assignment, residents [][]resident, v int, b, nb mesh.Tile, m float64) {
+	a := &assign[v]
+	a.Add(b, -m)
+	mirror(residents[b], v, a.Get(b))
+	a.Add(nb, m)
+	if !mirror(residents[nb], v, a.Get(nb)) {
+		residents[nb] = append(residents[nb], resident{v, a.Get(nb)})
+	}
+}
+
+// mirror sets v's lines in the resident list and reports whether v has an
+// entry there.
+func mirror(rs []resident, v int, lines float64) bool {
+	for i := range rs {
+		if rs[i].vc == v {
+			rs[i].lines = lines
+			return true
 		}
 	}
-	residents[b] = append(residents[b], v)
+	return false
 }
 
 func minF(a, b float64) float64 {

@@ -289,8 +289,9 @@ func assignmentHops(env Env, alloc *place.BankAlloc, size float64, core mesh.Til
 		return 0, env.Chip.Topo.AvgMemDistance(core)
 	}
 	var hops, memHops float64
-	for _, b := range alloc.Banks() {
-		frac := alloc.Get(b) / size
+	for i := 0; i < alloc.Len(); i++ {
+		b, l := alloc.At(i)
+		frac := l / size
 		hops += frac * float64(env.Chip.Topo.Distance(core, b))
 		memHops += frac * env.Chip.Topo.AvgMemDistance(b)
 	}

@@ -8,9 +8,10 @@
 //
 // With -baseline, the exit status is non-zero if any benchmark matching
 // -bench regressed by more than -max-regress relative to the baseline in
-// ns/op, B/op, allocs/op, knots/op or curves/op (the metrics beyond ns/op
-// are gated only when the baseline recorded them, so baselines captured
-// without -benchmem still gate on time alone). Names are normalized by stripping the trailing
+// ns/op or a gated metric: B/op, allocs/op and BenchmarkReconfigure's work
+// counts (see gatedMetrics). A metric beyond ns/op is gated only when the
+// baseline recorded it, so baselines captured without -benchmem still gate
+// on time alone. Names are normalized by stripping the trailing
 // -GOMAXPROCS suffix so runs from machines with different core counts still
 // compare on their shared sub-benchmarks (e.g. j=1, j=2); sub-benchmarks
 // present on only one side are reported and skipped.
@@ -204,8 +205,11 @@ func readFile(path string) (*File, error) {
 // deterministic step-1 work counts: the summed length of the per-VC cost
 // curves, and the number of distinct curves built. They catch a lost early
 // exit or lost curve sharing even when a busy host's timing noise hides it
-// in ns/op.
-var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op"}
+// in ns/op. spiral/op, desirables/op and trades/op are its step-4 work
+// counts: banks the trade spirals visited, candidate banks they inserted,
+// and moves they evaluated. They catch a trade pass that walks or offers
+// more than it used to.
+var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op", "spiral/op", "desirables/op", "trades/op"}
 
 // gate compares current against base for benchmarks matching the prefix and
 // returns 1 if any shared sub-benchmark regressed beyond maxRegress in

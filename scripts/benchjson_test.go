@@ -262,3 +262,28 @@ func TestGateCurvesRegressionFails(t *testing.T) {
 		t.Errorf("gate failed a run with unchanged curves/op: exit %d", code)
 	}
 }
+
+func TestGateSpiralRegressionFails(t *testing.T) {
+	// A trade pass that walks, inserts or offers more than it used to
+	// multiplies these counts while ns/op can stay inside the bound on a
+	// contended host: each step-4 work count must trip the gate on its own.
+	for _, metric := range []string{"spiral/op", "desirables/op", "trades/op"} {
+		base := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/48x48", NsPerOp: 1000, Runs: 5,
+			Metrics: map[string]float64{"B/op": 0, "allocs/op": 0, "spiral/op": 59860, "desirables/op": 57814, "trades/op": 31498}}}}
+		cur := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/48x48", NsPerOp: 1150, Runs: 5,
+			Metrics: map[string]float64{"B/op": 0, "allocs/op": 0, "spiral/op": 59860, "desirables/op": 57814, "trades/op": 31498}}}}
+		cur.Benchmarks[0].Metrics[metric] *= 12
+		var log strings.Builder
+		if code := gate(&log, base, cur, "BenchmarkReconfigure", 0.20); code != 1 {
+			t.Errorf("gate passed a 12x %s regression: exit %d\n%s", metric, code, log.String())
+		}
+		if !strings.Contains(log.String(), metric+", ") || !strings.Contains(log.String(), "REGRESSION") {
+			t.Errorf("gate log does not flag %s:\n%s", metric, log.String())
+		}
+		// The same run with the count restored passes.
+		cur.Benchmarks[0].Metrics[metric] = base.Benchmarks[0].Metrics[metric]
+		if code := gate(io.Discard, base, cur, "BenchmarkReconfigure", 0.20); code != 0 {
+			t.Errorf("gate failed a run with unchanged %s: exit %d", metric, code)
+		}
+	}
+}
