@@ -52,7 +52,9 @@ type Arena struct {
 	desirables []desirable
 	tileW      []float64
 	pcTiles    []mesh.Tile
-	mine       []int32
+	mine       []mineLines
+	dub        []float64
+	dubStep    []int
 	refineWork RefineWork
 
 	// PlaceThreadsIn.

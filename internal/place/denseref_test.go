@@ -510,7 +510,7 @@ func assignEqual(t *testing.T, label string, ref refAssignment, got Assignment) 
 // thread placement, greedy, refine — produces exactly the reference's
 // placements, and the Eq. 2 hop reductions are bit-equal floats, not
 // approximately equal. BankAlloc has one representation at every size, so
-// this pins its hinted lookups and sorted inserts against the map at the
+// this pins its sorted inserts and lookups against the map at the
 // largest mesh too.
 func TestDenseMatchesMapReference(t *testing.T) {
 	dims := [][2]int{{8, 8}, {16, 16}, {24, 24}, {32, 32}, {48, 48}, {64, 64}, {96, 96}, {128, 128}}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cdcs/internal/mesh"
 )
@@ -256,22 +257,25 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	for len(ar.hWorkers) < nw {
 		ar.hWorkers = append(ar.hWorkers, &hierWorker{ar: NewArena()})
 	}
-	per := (cl.N() + nw - 1) / nw
+	// Workers take clusters one at a time, so a worker that drew cheap
+	// clusters picks up more. Which worker solves a cluster does not
+	// matter: its subproblem reads only its own inputs.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < nw; k++ {
-		lo, hi := k*per, min((k+1)*per, cl.N())
-		if lo >= hi {
-			continue
-		}
 		wg.Add(1)
-		go func(w *hierWorker, lo, hi int) {
+		go func(w *hierWorker) {
 			defer wg.Done()
-			for c := lo; c < hi; c++ {
+			for {
+				c := int(next.Add(1) - 1)
+				if c >= cl.N() {
+					return
+				}
 				entries[c] = w.interior(chip, cl, c, cvcs[c],
 					pullX, pullY, demands, chunk, refine,
 					entries[c][:0], &cTrades[c], &cDeltas[c])
 			}
-		}(ar.hWorkers[k], lo, hi)
+		}(ar.hWorkers[k])
 	}
 	wg.Wait()
 

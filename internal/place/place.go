@@ -5,13 +5,15 @@
 // comparators evaluated in §VI-C (exact transportation solve standing in for
 // ILP, simulated annealing, and recursive-bisection graph partitioning).
 //
-// Representation: bank ids are dense (0..Banks()-1), so allocations are kept
-// as flat per-bank arrays with a sorted sparse index for iteration
-// (BankAlloc). Every order-sensitive floating-point reduction walks banks in
-// ascending id order and accessor threads in ascending thread-id order —
-// deterministic by construction, with no sorting on any read path. The
-// previous map-based representation paid for the same determinism by sorting
-// map keys on every reduction.
+// Representation: a VC's allocation (BankAlloc) is the sorted list of the
+// banks it touches with their lines alongside, one form at every chip size,
+// so its memory follows the VC's footprint rather than the bank count.
+// Per-bank state shared by all VCs (free space, residents, distances) lives
+// in flat arrays indexed by bank id in the Arena. Every order-sensitive
+// floating-point reduction walks banks in ascending id order and accessor
+// threads in ascending thread-id order — deterministic by construction, with
+// no sorting on any read path. The previous map-based representation paid
+// for the same determinism by sorting map keys on every reduction.
 package place
 
 import (
@@ -101,13 +103,12 @@ func (d Demand) TotalRate() float64 {
 // serves every mesh from 2×2 to 128×128 in O(footprint) memory, and
 // iteration over Banks() is a linear walk in ascending bank order.
 //
-// Lookups are O(1) on the placement hot paths. hint remembers the position
-// the last Add or Set wrote: greedy placement adds chunk after chunk to the
-// same bank, and the trade pass moves lines in and out of the bank it just
-// touched. A bank above the highest touched one is absent (or, when
-// written, appended) without a search. Everything else binary-searches the
-// sorted index. Get never writes, so concurrent readers of a finished
-// assignment do not race.
+// Get, Add and Set binary-search the sorted index; a bank above the highest
+// touched one is absent, or appended, without a search. The placement hot
+// paths do not search per operation: greedy placement adds a VC's claim on
+// a bank once, as its cursor moves on, and the trade pass reads the VC it
+// refines from a per-arena snapshot and its trade partners from the banks'
+// resident lists (see RefineIn).
 //
 // A touched bank stays in the index even when arithmetic drives its lines
 // back to exactly zero, mirroring the key semantics of the map
@@ -117,24 +118,18 @@ func (d Demand) TotalRate() float64 {
 type BankAlloc struct {
 	banks []mesh.Tile // touched banks in ascending id order
 	vals  []float64   // vals[i] is banks[i]'s lines
-	hint  int         // position of the last write; any value is safe
 }
 
 // reset empties the alloc while keeping its capacity.
 func (a *BankAlloc) reset() {
 	a.banks = a.banks[:0]
 	a.vals = a.vals[:0]
-	a.hint = 0
 }
 
 // find returns b's position in the index and whether it is present; when
 // absent, the position is where b would be inserted.
 func (a *BankAlloc) find(b mesh.Tile) (int, bool) {
-	n := len(a.banks)
-	if h := a.hint; h < n && a.banks[h] == b {
-		return h, true
-	}
-	if n == 0 || a.banks[n-1] < b {
+	if n := len(a.banks); n == 0 || a.banks[n-1] < b {
 		return n, false
 	}
 	return slices.BinarySearch(a.banks, b)
@@ -149,21 +144,24 @@ func (a *BankAlloc) Get(b mesh.Tile) float64 {
 	return 0
 }
 
-// slot returns b's position in the index, inserting a zero entry if absent,
-// and points the hint at it.
+// slot returns b's position in the index, inserting a zero entry if absent.
 func (a *BankAlloc) slot(b mesh.Tile) int {
 	i, ok := a.find(b)
 	if !ok {
 		a.banks = slices.Insert(a.banks, i, b)
 		a.vals = slices.Insert(a.vals, i, 0)
 	}
-	a.hint = i
 	return i
 }
 
-// Add adds delta lines to bank b (negative deltas remove capacity). The bank
-// stays in the iteration index even if its lines reach zero.
-func (a *BankAlloc) Add(b mesh.Tile, delta float64) { a.vals[a.slot(b)] += delta }
+// Add adds delta lines to bank b (negative deltas remove capacity) and
+// returns the bank's new lines. The bank stays in the iteration index even
+// if its lines reach zero.
+func (a *BankAlloc) Add(b mesh.Tile, delta float64) float64 {
+	i := a.slot(b)
+	a.vals[i] += delta
+	return a.vals[i]
+}
 
 // Set sets bank b's lines.
 func (a *BankAlloc) Set(b mesh.Tile, v float64) { a.vals[a.slot(b)] = v }
@@ -181,11 +179,7 @@ func (a *BankAlloc) At(i int) (mesh.Tile, float64) { return a.banks[i], a.vals[i
 
 // clone returns an independent deep copy.
 func (a *BankAlloc) clone() BankAlloc {
-	return BankAlloc{
-		banks: slices.Clone(a.banks),
-		vals:  slices.Clone(a.vals),
-		hint:  a.hint,
-	}
+	return BankAlloc{banks: slices.Clone(a.banks), vals: slices.Clone(a.vals)}
 }
 
 // Assignment is a data placement: per VC, lines claimed in each bank.

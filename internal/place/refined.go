@@ -6,10 +6,18 @@ import (
 	"cdcs/internal/mesh"
 )
 
-// desirable is one candidate target bank in a VC's trade spiral.
+// desirable is one candidate target bank in a VC's trade spiral, with its
+// coordinates.
 type desirable struct {
 	bank mesh.Tile
 	d    float64
+	x, y int32
+}
+
+// mineLines is one entry of RefineIn's snapshot of the VC being refined.
+type mineLines struct {
+	tag   int32
+	lines float64
 }
 
 // cmpDesirable orders candidates by distance, then bank id. Banks on one
@@ -98,10 +106,18 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 		}
 	}
 
-	// mine[b] == v+1 marks the banks VC v's allocation indexes while v is
-	// refined: a spiral bank without the mark holds none of v's data, so
-	// its lookup is skipped. On a committed chip that is most of the spiral.
+	// mine[b] snapshots VC v's lines in bank b as v's turn starts, tagged
+	// v+1 (any other tag means none). The spiral reads each bank once, and
+	// before v moves lines into or out of it: moves go from the bank being
+	// visited to banks visited earlier. So the snapshot is what av.Get would
+	// return there, without the search.
 	mine := grow(&ar.mine, chip.Banks())
+	// dub[u] caches D(u, b) for the data bank b whose lines are on offer:
+	// every trade offered to u from b needs it. It is valid while
+	// dubStep[u] equals offer, which counts data banks from 1.
+	dub := ensure(&ar.dub, len(demands))
+	dubStep := grow(&ar.dubStep, len(demands))
+	offer := 0
 	var work RefineWork
 	for v := range demands {
 		if demands[v].Size <= 0 || accPerLine[v] == 0 {
@@ -118,13 +134,14 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 		// center also handles degenerate starts where all data is remote.)
 		com := preferredCenter(ar, chip, &demands[v], av, threadCore)
 		tag := int32(v + 1)
-		for _, b := range av.Banks() {
-			mine[b] = tag
+		for i := 0; i < av.Len(); i++ {
+			b, l := av.At(i)
+			mine[b] = mineLines{tag, l}
 		}
 		// A single-accessor VC spirals from its own core, so D(v, b) is a
 		// function of the ring distance: computed once per ring.
-		cx, cy := chip.Topo.Coords(com)
-		onRing := dist.singleFrom(v, cx, cy)
+		comX, comY := chip.Topo.Coords(com)
+		onRing := dist.singleFrom(v, comX, comY)
 		ring, dvb := -1, 0.0
 
 		// desirables stays sorted by (d, bank) as the spiral grows it.
@@ -145,22 +162,24 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 			}
 			work.Spiral++
 			have := 0.0
-			if mine[b] == tag {
-				have = av.Get(b)
+			if mine[b].tag == tag {
+				have = mine[b].lines
 			}
 			if !onRing {
 				dvb = dist.at(v, b)
 			} else if h := cur.Dist(); h != ring {
-				ring, dvb = h, dist.single(v, h)
+				ring, dvb = h, dist.srcs[v].term(h)
 			}
 			if have < chip.CapOf(b)-1e-9 {
-				desirables = insertDesirable(desirables, desirable{b, dvb})
+				x, y := chip.Topo.Coords(b)
+				desirables = insertDesirable(desirables, desirable{b, dvb, int32(x), int32(y)})
 				work.Inserted++
 			}
 			if have <= 1e-9 {
 				continue
 			}
 			seen += have
+			offer++
 			// Try to move v's data in b into closer desirable banks. left
 			// mirrors av.Get(b) through every move below.
 			left := have
@@ -172,6 +191,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 					break // sorted: no closer candidates remain
 				}
 				moveGain := accPerLine[v] * (cand.d - dvb) // < 0
+				kx, ky := int(cand.x), int(cand.y)
 
 				// Free space first: a move into unclaimed capacity has no
 				// counterparty and always helps.
@@ -181,7 +201,6 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 					shift(assign, residents, v, b, cand.bank, m)
 					used[b] -= m
 					used[cand.bank] += m
-					mine[cand.bank] = tag
 					left -= m
 					trades++
 					delta += moveGain * m
@@ -200,7 +219,18 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 						break
 					}
 					work.Tried++
-					gainU := accPerLine[u] * (dist.at(u, b) - dist.at(u, cand.bank))
+					if dubStep[u] != offer {
+						dubStep[u], dub[u] = offer, dist.at(u, b)
+					}
+					// D(u, cand.bank), as dist.at computes it, with the
+					// bank's coordinates looked up once per candidate.
+					var duc float64
+					if su := &dist.srcs[u]; su.multi {
+						duc = dist.at(u, cand.bank)
+					} else {
+						duc = su.term(abs(kx-su.ax) + abs(ky-su.ay))
+					}
+					gainU := accPerLine[u] * (dub[u] - duc)
 					if moveGain+gainU >= -1e-12 {
 						continue
 					}
@@ -208,7 +238,6 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 					// Swap m lines: v moves b→cand, u moves cand→b.
 					shift(assign, residents, v, b, cand.bank, m)
 					shift(assign, residents, u, cand.bank, b, m)
-					mine[cand.bank] = tag
 					left -= m
 					trades++
 					delta += (moveGain + gainU) * m
@@ -273,18 +302,23 @@ func newVCDist(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile) v
 
 // at returns D(v, b).
 func (vd *vcDist) at(v int, b mesh.Tile) float64 {
-	s := &vd.srcs[v]
-	if !s.multi {
-		bx, by := vd.chip.Topo.Coords(b)
-		return vd.single(v, abs(bx-s.ax)+abs(by-s.ay))
+	if s := &vd.srcs[v]; !s.multi {
+		x, y := vd.chip.Topo.Coords(b)
+		return s.term(abs(x-s.ax) + abs(y-s.ay))
 	}
+	return vd.row(v)[b]
+}
+
+// row returns multi-accessor VC v's distance row, filling it on first use.
+func (vd *vcDist) row(v int) []float64 {
+	s := &vd.srcs[v]
 	n := vd.chip.Banks()
 	if s.row < 0 {
 		s.row = len(vd.rows) / n
 		vd.rows = append(vd.rows, make([]float64, n)...)
 		fillDistanceRow(vd.rows[s.row*n:(s.row+1)*n], vd.chip, &vd.demands[v], vd.threadCore)
 	}
-	return vd.rows[s.row*n+int(b)]
+	return vd.rows[s.row*n : (s.row+1)*n]
 }
 
 // singleFrom reports whether v has a single distance term measured from the
@@ -294,12 +328,9 @@ func (vd *vcDist) singleFrom(v, x, y int) bool {
 	return !s.multi && s.ax == x && s.ay == y
 }
 
-// single returns D(v, b) for a single-term VC whose source is hops away
-// from b.
-func (vd *vcDist) single(v, hops int) float64 {
-	s := &vd.srcs[v]
-	return (0 + s.rate*float64(hops)) / s.div
-}
+// term returns a single-term VC's distance to a bank hops away from its
+// source tile.
+func (s *distSrc) term(hops int) float64 { return (0 + s.rate*float64(hops)) / s.div }
 
 // release returns the row storage, possibly grown, to ar for reuse.
 func (vd *vcDist) release(ar *Arena) { ar.distFlat = vd.rows[:0] }
@@ -376,12 +407,9 @@ type resident struct {
 // shift moves m lines of VC v from bank b to bank nb, registers v in nb's
 // resident list if absent, and brings v's entries in both lists up to date.
 func shift(assign Assignment, residents [][]resident, v int, b, nb mesh.Tile, m float64) {
-	a := &assign[v]
-	a.Add(b, -m)
-	mirror(residents[b], v, a.Get(b))
-	a.Add(nb, m)
-	if !mirror(residents[nb], v, a.Get(nb)) {
-		residents[nb] = append(residents[nb], resident{v, a.Get(nb)})
+	mirror(residents[b], v, assign[v].Add(b, -m))
+	if l := assign[v].Add(nb, m); !mirror(residents[nb], v, l) {
+		residents[nb] = append(residents[nb], resident{v, l})
 	}
 }
 
