@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"cdcs/internal/mesh"
 )
@@ -186,9 +185,9 @@ func (w *hierWorker) subMesh(width, height int) *mesh.Topology {
 // coarse pass left in a cluster become single-accessor local demands pulled
 // toward the VC's rate-weighted accessor centroid (clamped into the cluster),
 // placed and trade-refined on a small sub-mesh of the cluster's shape (each
-// worker builds one per shape and reuses it). Interiors fan out across a bounded
-// worker pool; every cluster's subproblem is independent and buffers are
-// merged in ascending cluster order, so the result is identical for any
+// worker builds one per shape and reuses it). Interiors fan out across a
+// bounded worker pool; every cluster's subproblem is independent and buffers
+// are merged in ascending cluster order, so the result is identical for any
 // worker count.
 func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, chunk float64, refine bool) (Assignment, int, float64) {
 	if ar == nil {
@@ -257,32 +256,29 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	for len(ar.hWorkers) < nw {
 		ar.hWorkers = append(ar.hWorkers, &hierWorker{ar: NewArena()})
 	}
-	// Workers take clusters one at a time, so a worker that drew cheap
-	// clusters picks up more. Which worker solves a cluster does not
-	// matter: its subproblem reads only its own inputs.
-	var next atomic.Int64
+	per := (cl.N() + nw - 1) / nw
 	var wg sync.WaitGroup
 	for k := 0; k < nw; k++ {
+		lo, hi := k*per, min((k+1)*per, cl.N())
+		if lo >= hi {
+			continue
+		}
 		wg.Add(1)
-		go func(w *hierWorker) {
+		go func(w *hierWorker, lo, hi int) {
 			defer wg.Done()
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= cl.N() {
-					return
-				}
+			for c := lo; c < hi; c++ {
 				entries[c] = w.interior(chip, cl, c, cvcs[c],
 					pullX, pullY, demands, chunk, refine,
 					entries[c][:0], &cTrades[c], &cDeltas[c])
 			}
-		}(ar.hWorkers[k])
+		}(ar.hWorkers[k], lo, hi)
 	}
 	wg.Wait()
 
 	// Merge in ascending cluster order. Every fine bank belongs to exactly
 	// one cluster and each (VC, bank) pair appears at most once per cluster,
-	// so Set never collides; the order fixes the sparse-index build but the
-	// values themselves are independent of it.
+	// so Set never collides; the order fixes the order of inserts into each
+	// VC's bank index but the values themselves are independent of it.
 	out := arenaAssignment(&ar.assign, len(demands))
 	for c := 0; c < cl.N(); c++ {
 		for _, e := range entries[c] {
