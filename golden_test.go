@@ -67,13 +67,31 @@ type goldenFile struct {
 // case of data placement and the one its optimisations must keep bit-exact.
 // Seed 17 is the first seed from 1 upward whose mix fills the chip under the
 // default configuration; seeds 1-16 each leave some of it unallocated.
+//
+// Three entries pin the regimes of step 2's pruned center search (the
+// optimistic VC placement of internal/place/prune.go) that the square
+// shapes above leave out:
+//   - "st32": 64 apps on 32×32, the smallest pruned chip and its stride-2
+//     candidate lattice (kilotile-cold's smallest cell size).
+//   - "st45x37": 104 apps on a ragged 45×37 flat chip. Its stride-3 lattice
+//     does not divide 37, so the last lattice row is short, and the chip
+//     center is not a lattice point, so the pruned scan scores it apart.
+//   - "st72": 324 apps on 72×72, hierarchical. Its 5-wide clusters leave a
+//     2-wide edge, so the coarse chip's bank capacities are not uniform and
+//     step 2 on the coarse mesh takes its ragged-capacity path.
 func goldenRequests() map[string]CompareRequest {
 	cfg16 := DefaultConfig()
 	cfg16.MeshWidth, cfg16.MeshHeight = 16, 16
+	cfg32 := DefaultConfig()
+	cfg32.MeshWidth, cfg32.MeshHeight = 32, 32
+	cfg45x37 := DefaultConfig()
+	cfg45x37.MeshWidth, cfg45x37.MeshHeight = 45, 37
 	cfg48 := DefaultConfig()
 	cfg48.MeshWidth, cfg48.MeshHeight = 48, 48
 	cfg64 := DefaultConfig()
 	cfg64.MeshWidth, cfg64.MeshHeight = 64, 64
+	cfg72 := DefaultConfig()
+	cfg72.MeshWidth, cfg72.MeshHeight = 72, 72
 	cfg128 := DefaultConfig()
 	cfg128.MeshWidth, cfg128.MeshHeight = 128, 128
 	return map[string]CompareRequest{
@@ -87,6 +105,10 @@ func goldenRequests() map[string]CompareRequest {
 		"st4":   {Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 4}, Seed: 1},
 
 		"st128x1024": {Config: &cfg128, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 1024}, Seed: 1},
+
+		"st32":    {Config: &cfg32, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 64}, Seed: 1},
+		"st45x37": {Config: &cfg45x37, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 104}, Seed: 1},
+		"st72":    {Config: &cfg72, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 324}, Seed: 1},
 	}
 }
 
