@@ -161,7 +161,7 @@ func refOptimisticPlace(chip Chip, demands []refDemand) refOptimistic {
 	claimed := make([]float64, n)
 	for _, v := range refOrderBySize(demands) {
 		size := demands[v].Size
-		best := bestCenter(chip, claimed, size)
+		best := refBestCenter(chip, claimed, size)
 		out.Center[v] = best
 		remaining := size
 		cur := chip.Topo.RingFrom(best)

@@ -2,30 +2,12 @@ package place
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"cdcs/internal/mesh"
 )
-
-// exhaustiveBestCenter is the paper's unpruned candidate search, kept as the
-// reference the pruned path must degenerate to at paper scale.
-func exhaustiveBestCenter(chip Chip, claimed []float64, size float64) mesh.Tile {
-	s := newCenterSearch(chip, claimed, size)
-	for c := 0; c < chip.Banks(); c++ {
-		s.consider(mesh.Tile(c))
-	}
-	return s.best
-}
-
-// footprintContention is the full (unbounded) contention of a compact
-// placement of size lines around c.
-func footprintContention(chip Chip, claimed []float64, c mesh.Tile, size float64) float64 {
-	x, y := chip.Topo.Coords(c)
-	return newCenterSearch(chip, claimed, size).footprint(x, y, math.Inf(1))
-}
 
 func TestBestCenterExhaustiveAtOrBelowThreshold(t *testing.T) {
 	// Every chip the paper evaluates (up to 16x16 = PruneThreshold banks)
@@ -214,4 +196,145 @@ func radiusCovering(topo *mesh.Topology, center mesh.Tile, k int) int {
 		r = cur.Dist()
 	}
 	return r
+}
+
+// oracleCaps returns the bank capacities of one oracle case: nil (every bank
+// holds BankLines), uniform but explicit (as on a coarse chip whose clusters
+// all have the same size), or ragged.
+func oracleCaps(rng *rand.Rand, mode, n int, bankLines float64) []float64 {
+	switch mode {
+	case 0:
+		return nil
+	case 1:
+		caps := make([]float64, n)
+		k := float64(1 + rng.Intn(25))
+		for b := range caps {
+			caps[b] = k * bankLines
+		}
+		return caps
+	default:
+		caps := make([]float64, n)
+		for b := range caps {
+			caps[b] = float64(1+rng.Intn(25)) * bankLines
+		}
+		return caps
+	}
+}
+
+// oracleClaims returns one oracle case's claimed capacity per bank: all
+// zero, fractional everywhere, mostly exact zeros, near-ties (values a few
+// 1e-10 apart, inside the comparator's 1e-9 tie band), or decaying hot spots
+// around random tiles (corners and edges included), which push the winner
+// to the cold edges or the interior.
+func oracleClaims(rng *rand.Rand, mode int, topo *mesh.Topology, bankLines float64) []float64 {
+	n := topo.Tiles()
+	claimed := make([]float64, n)
+	switch mode {
+	case 1:
+		for b := range claimed {
+			claimed[b] = rng.Float64() * 2 * bankLines
+		}
+	case 2:
+		for b := range claimed {
+			if rng.Intn(8) == 0 {
+				claimed[b] = rng.Float64() * bankLines
+			}
+		}
+	case 3:
+		for b := range claimed {
+			claimed[b] = float64(rng.Intn(2))*bankLines + float64(rng.Intn(5))*3e-10
+		}
+	case 4:
+		for hot := 0; hot < 1+rng.Intn(4); hot++ {
+			cur := topo.RingFrom(mesh.Tile(rng.Intn(n)))
+			r := 1 + rng.Intn(8)
+			for {
+				b, ok := cur.Next()
+				if !ok || cur.Dist() > r {
+					break
+				}
+				claimed[b] += bankLines / float64(1+cur.Dist())
+			}
+		}
+	}
+	return claimed
+}
+
+// oracleSizes returns the VC sizes one oracle case tries: zero, below the
+// 1e-9 cut-off, a fraction of a bank, exactly one and several banks, a
+// random share of the chip, and more than the chip holds.
+func oracleSizes(rng *rand.Rand, chip Chip) []float64 {
+	total := chip.TotalLines()
+	bl := chip.BankLines
+	return []float64{
+		0, 5e-10, rng.Float64() * bl, bl, float64(2+rng.Intn(6)) * bl,
+		rng.Float64() * total / 8, 1.3 * total,
+	}
+}
+
+func TestBestCenterMatchesFrozenOracle(t *testing.T) {
+	// bestCenter must pick exactly the tile the frozen search of
+	// centerref_test.go picks, on both sides of PruneThreshold, for every
+	// claim shape, capacity layout and VC size the oracle generators make.
+	rng := rand.New(rand.NewSource(22))
+	dims := [][2]int{
+		{1, 1}, {1, 7}, {7, 1}, {2, 3}, {8, 8}, {16, 16}, {17, 15},
+		{32, 32}, {33, 31}, {45, 37}, {48, 48}, {64, 64}, {70, 70}, {90, 3},
+	}
+	for i := 0; i < 4; i++ {
+		dims = append(dims, [2]int{1 + rng.Intn(70), 1 + rng.Intn(70)})
+	}
+	for _, d := range dims {
+		topo := mesh.New(d[0], d[1])
+		for capMode := 0; capMode < 3; capMode++ {
+			for claimMode := 0; claimMode < 5; claimMode++ {
+				chip := Chip{Topo: topo, BankLines: 8192}
+				chip.BankCap = oracleCaps(rng, capMode, topo.Tiles(), chip.BankLines)
+				claimed := oracleClaims(rng, claimMode, topo, chip.BankLines)
+				for _, size := range oracleSizes(rng, chip) {
+					got, want := bestCenter(chip, claimed, size), refBestCenter(chip, claimed, size)
+					if got != want {
+						t.Fatalf("%dx%d caps %d claims %d size %g: bestCenter=%d, frozen=%d",
+							d[0], d[1], capMode, claimMode, size, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestOptimisticPlaceMatchesFrozenOracle(t *testing.T) {
+	// Whole step-2 runs, where each VC's claims shape the next VC's search:
+	// every center must match a replay through the frozen search, on flat
+	// chips with nil capacities and on coarse-style chips with uniform and
+	// ragged ones.
+	rng := rand.New(rand.NewSource(23))
+	for _, d := range [][2]int{{8, 8}, {15, 15}, {32, 32}, {45, 37}, {64, 64}} {
+		topo := mesh.New(d[0], d[1])
+		for capMode := 0; capMode < 3; capMode++ {
+			chip := Chip{Topo: topo, BankLines: 8192}
+			chip.BankCap = oracleCaps(rng, capMode, topo.Tiles(), chip.BankLines)
+			demands := make([]Demand, topo.Tiles()/16+3)
+			for v := range demands {
+				size := rng.Float64() * chip.TotalLines() / float64(len(demands))
+				if v%5 == 0 {
+					size = float64(rng.Intn(4)) * chip.CapOf(0)
+				}
+				demands[v] = NewDemand(size, map[int]float64{v: 10})
+			}
+			opt := OptimisticPlaceIn(nil, chip, demands)
+			claimed := make([]float64, topo.Tiles())
+			for _, v := range orderBySizeIn(NewArena(), demands) {
+				size := demands[v].Size
+				if want := refBestCenter(chip, claimed, size); opt.Center[v] != want {
+					t.Fatalf("%dx%d caps %d VC %d: center %d, frozen %d", d[0], d[1], capMode, v, opt.Center[v], want)
+				}
+				cv := &opt.Claims[v]
+				for i := 0; i < cv.Len(); i++ {
+					b, l := cv.At(i)
+					claimed[b] += l
+				}
+			}
+		}
+	}
 }
