@@ -43,9 +43,11 @@ var reconfigureCases = []struct {
 // 128×128. Besides ns/op it reports each step's time (from Result.Timing)
 // and work counts that, unlike time, do not drift with a busy host. Step 1:
 // curves/op, the number of distinct cost curves built, and knots/op, the
-// summed length of the per-VC cost curves. Step 4: spiral/op, the banks the
-// trade spirals visited, desirables/op, the candidate banks they inserted,
-// and trades/op, the moves they evaluated.
+// summed length of the per-VC cost curves. Step 2: centers/op, the
+// candidate centers whose footprint was summed, and footprint/op, the bank
+// claims those sums read. Step 4: spiral/op, the banks the trade spirals
+// visited, desirables/op, the candidate banks they inserted, and trades/op,
+// the moves they evaluated.
 func BenchmarkReconfigure(b *testing.B) {
 	for _, tc := range reconfigureCases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -57,6 +59,7 @@ func BenchmarkReconfigure(b *testing.B) {
 			}
 			distinct, knots := ar.Alloc.SharedWork()
 			work0 := ar.Place.RefineWork()
+			center0 := ar.Place.CenterWork()
 			var sum Timing
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -72,9 +75,12 @@ func BenchmarkReconfigure(b *testing.B) {
 			}
 			b.StopTimer()
 			work := ar.Place.RefineWork()
+			center := ar.Place.CenterWork()
 			n := float64(b.N)
 			b.ReportMetric(float64(distinct), "curves/op")
 			b.ReportMetric(float64(knots), "knots/op")
+			b.ReportMetric(float64(center.Centers-center0.Centers)/n, "centers/op")
+			b.ReportMetric(float64(center.Footprint-center0.Footprint)/n, "footprint/op")
 			b.ReportMetric(float64(work.Spiral-work0.Spiral)/n, "spiral/op")
 			b.ReportMetric(float64(work.Inserted-work0.Inserted)/n, "desirables/op")
 			b.ReportMetric(float64(work.Tried-work0.Tried)/n, "trades/op")

@@ -31,10 +31,12 @@ type Arena struct {
 	order []int
 
 	// OptimisticPlaceIn.
-	claimed []float64
-	centers []mesh.Tile
-	com     []Point
-	claims  Assignment
+	claimed    []float64
+	centers    []mesh.Tile
+	com        []Point
+	claims     Assignment
+	center     centerSearch
+	centerWork CenterWork
 
 	// GreedyIn.
 	free     []float64
@@ -100,6 +102,18 @@ func (a *Arena) RefineWork() RefineWork {
 	}
 	for _, hw := range a.hWorkers {
 		w.add(hw.ar.RefineWork())
+	}
+	return w
+}
+
+// CenterWork returns the candidate-center search work counted by every
+// OptimisticPlaceIn call through this arena so far, including the
+// hierarchical path's coarse pass. The counts only grow: a caller measuring
+// one round subtracts the value read before it.
+func (a *Arena) CenterWork() CenterWork {
+	w := a.centerWork
+	if a.hCoarse != nil {
+		w.add(a.hCoarse.CenterWork())
 	}
 	return w
 }

@@ -48,10 +48,14 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 	}
 
 	claimed := grow(&ar.claimed, n) // relaxed per-bank claim tally, in lines
+	s := &ar.center
+	s.init(chip, claimed)
+	defer s.release()
 
 	for _, v := range orderBySizeIn(ar, demands) {
 		size := demands[v].Size
-		best := bestCenter(chip, claimed, size)
+		best, work := s.search(size)
+		ar.centerWork.add(work)
 		out.Center[v] = best
 		// Claim compactly around the chosen center (up to a full bank per
 		// tile, regardless of other VCs' claims: relaxed constraints).

@@ -2,6 +2,7 @@ package place
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -336,5 +337,48 @@ func TestOptimisticPlaceMatchesFrozenOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestFootprintPlanMatchesWalk(t *testing.T) {
+	// On uniform-capacity chips, every candidate whose planned banks lie on
+	// the mesh sums its footprint from the per-VC plan instead of walking
+	// the ring. For any bound, the plan's result must equal the frozen
+	// walk's bit for bit, or both must have reached the bound.
+	rng := rand.New(rand.NewSource(24))
+	planned := 0
+	for _, d := range [][2]int{{1, 1}, {3, 5}, {8, 8}, {16, 16}, {23, 9}, {19, 13}, {24, 20}} {
+		topo := mesh.New(d[0], d[1])
+		for capMode := 0; capMode < 2; capMode++ {
+			chip := Chip{Topo: topo, BankLines: 8192}
+			chip.BankCap = oracleCaps(rng, capMode, topo.Tiles(), chip.BankLines)
+			for claimMode := 0; claimMode < 5; claimMode++ {
+				claimed := oracleClaims(rng, claimMode, topo, chip.BankLines)
+				for _, size := range oracleSizes(rng, chip) {
+					var s centerSearch
+					s.init(chip, claimed)
+					s.size = size
+					s.plan()
+					ref := refNewCenterSearch(chip, claimed, size)
+					for c := 0; c < topo.Tiles(); c++ {
+						x, y := topo.Coords(mesh.Tile(c))
+						full := ref.footprint(x, y, math.Inf(1))
+						if s.planned && x >= s.x0 && x < s.x1 && y >= s.y0 && y < s.y1 {
+							planned++
+						}
+						for _, bound := range []float64{math.Inf(1), full, math.Nextafter(full, math.Inf(1)), full * rng.Float64(), 0} {
+							got, want := s.footprint(c, x, y, bound), ref.footprint(x, y, bound)
+							if (got < bound || want < bound) && math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%dx%d caps %d claims %d size %g tile %d bound %g: plan %v, walk %v",
+									d[0], d[1], capMode, claimMode, size, c, bound, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if planned == 0 {
+		t.Fatal("no candidate took the planned footprint")
 	}
 }
