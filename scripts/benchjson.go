@@ -205,11 +205,14 @@ func readFile(path string) (*File, error) {
 // deterministic step-1 work counts: the summed length of the per-VC cost
 // curves, and the number of distinct curves built. They catch a lost early
 // exit or lost curve sharing even when a busy host's timing noise hides it
-// in ns/op. spiral/op, desirables/op and trades/op are its step-4 work
-// counts: banks the trade spirals visited, candidate banks they inserted,
-// and moves they evaluated. They catch a trade pass that walks or offers
-// more than it used to.
-var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op", "spiral/op", "desirables/op", "trades/op"}
+// in ns/op. centers/op and footprint/op are its step-2 work counts:
+// candidate centers whose footprint was summed, and bank claims those sums
+// read. They catch a center search that scores candidates it could have
+// skipped or walks past a bound it could have stopped at. spiral/op,
+// desirables/op and trades/op are its step-4 work counts: banks the trade
+// spirals visited, candidate banks they inserted, and moves they evaluated.
+// They catch a trade pass that walks or offers more than it used to.
+var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op", "centers/op", "footprint/op", "spiral/op", "desirables/op", "trades/op"}
 
 // gate compares current against base for benchmarks matching the prefix and
 // returns 1 if any shared sub-benchmark regressed beyond maxRegress in

@@ -287,3 +287,29 @@ func TestGateSpiralRegressionFails(t *testing.T) {
 		}
 	}
 }
+
+func TestGateFootprintRegressionFails(t *testing.T) {
+	// A center search that loses its lattice bound or its footprint plan
+	// reads about 3x the bank claims (1,140,234 against 377,381 at 64x64)
+	// while ns/op can stay inside the bound on a contended host: each
+	// step-2 work count must trip the gate on its own.
+	for _, metric := range []string{"centers/op", "footprint/op"} {
+		base := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/64x64", NsPerOp: 1000, Runs: 5,
+			Metrics: map[string]float64{"B/op": 0, "allocs/op": 0, "centers/op": 87394, "footprint/op": 377381}}}}
+		cur := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/64x64", NsPerOp: 1150, Runs: 5,
+			Metrics: map[string]float64{"B/op": 0, "allocs/op": 0, "centers/op": 87394, "footprint/op": 377381}}}}
+		cur.Benchmarks[0].Metrics[metric] *= 3
+		var log strings.Builder
+		if code := gate(&log, base, cur, "BenchmarkReconfigure", 0.20); code != 1 {
+			t.Errorf("gate passed a 3x %s regression: exit %d\n%s", metric, code, log.String())
+		}
+		if !strings.Contains(log.String(), metric+", ") || !strings.Contains(log.String(), "REGRESSION") {
+			t.Errorf("gate log does not flag %s:\n%s", metric, log.String())
+		}
+		// The same run with the count restored passes.
+		cur.Benchmarks[0].Metrics[metric] = base.Benchmarks[0].Metrics[metric]
+		if code := gate(io.Discard, base, cur, "BenchmarkReconfigure", 0.20); code != 0 {
+			t.Errorf("gate failed a run with unchanged %s: exit %d", metric, code)
+		}
+	}
+}
