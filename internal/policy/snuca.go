@@ -1,6 +1,9 @@
 package policy
 
 import (
+	"math"
+
+	"cdcs/internal/curves"
 	"cdcs/internal/mesh"
 	"cdcs/internal/workload"
 )
@@ -31,60 +34,87 @@ func buildSNUCA(ar *Arena, env Env, mix *workload.Mix, threads []mesh.Tile) (Sch
 // (miss rate × access intensity), which is the classic shared-cache
 // occupancy model. restrict optionally limits which VCs participate (nil =
 // all); excluded VCs get zero. Returns per-VC sizes and effective ratios.
+//
+// VCs with the same miss curve (by storage identity) and the same access
+// intensity start from the same size and receive the same update every
+// iteration, so the iteration runs once per such class. The total
+// insertion rate is still summed over the VCs in VC order, so every size
+// and ratio is bit-identical to iterating VC by VC.
 func sharedLRUFixedPoint(vcs []workload.VC, include func(int) bool, capacity float64) (sizes, ratios []float64) {
 	n := len(vcs)
 	sizes = make([]float64, n)
 	ratios = make([]float64, n)
-	active := make([]int, 0, n)
+	type classKey struct {
+		curve curves.ID
+		apki  uint64
+	}
+	type class struct {
+		vc                   int // the first member, whose curve the class evaluates
+		apki, size, w, ratio float64
+	}
+	type member struct{ vc, class int }
+	var classes []class
+	index := map[classKey]int{}
+	var active []member // the participating VCs, in VC order
 	for v := range vcs {
-		if include == nil || include(v) {
-			active = append(active, v)
+		if include != nil && !include(v) {
+			continue
 		}
+		// TotalAPKI walks the accessor map, so it is read once per VC, not
+		// once per iteration.
+		apki := vcs[v].TotalAPKI()
+		key := classKey{vcs[v].MissRatio.ID(), math.Float64bits(apki)}
+		c, ok := index[key]
+		if !ok {
+			c = len(classes)
+			index[key] = c
+			classes = append(classes, class{vc: v, apki: apki})
+		}
+		active = append(active, member{v, c})
 	}
 	if len(active) == 0 {
 		return sizes, ratios
 	}
-	// Hoist the per-VC access intensities: TotalAPKI walks the accessor map
-	// on every call, and the fixed point below used to re-sum it on every
-	// iteration of every VC.
-	apki := make([]float64, len(active))
-	for i, v := range active {
-		apki[i] = vcs[v].TotalAPKI()
-	}
 	// Start from an equal split; iterate occupancy ∝ insertion rate.
-	for _, v := range active {
-		sizes[v] = capacity / float64(len(active))
+	for c := range classes {
+		classes[c].size = capacity / float64(len(active))
 	}
-	ws := make([]float64, len(active))
 	for iter := 0; iter < 100; iter++ {
-		totalW := 0.0
-		for i, v := range active {
-			r := vcs[v].MissRatio.Eval(sizes[v])
+		for c := range classes {
+			cl := &classes[c]
+			r := vcs[cl.vc].MissRatio.Eval(cl.size)
 			// Small floor keeps fully-fitting VCs resident (they still own
 			// their working set even with near-zero insertions).
-			w := apki[i]*r + 1e-3
-			ws[i] = w
-			totalW += w
+			cl.w = cl.apki*r + 1e-3
+		}
+		totalW := 0.0
+		for _, m := range active {
+			totalW += classes[m.class].w
 		}
 		maxDelta := 0.0
-		for i, v := range active {
-			target := capacity * ws[i] / totalW
+		for c := range classes {
+			cl := &classes[c]
+			target := capacity * cl.w / totalW
 			// A VC never needs more than its curve domain.
-			if max := vcs[v].MissRatio.MaxX(); target > max {
+			if max := vcs[cl.vc].MissRatio.MaxX(); target > max {
 				target = max
 			}
-			next := 0.5*sizes[v] + 0.5*target
-			if d := abs(next - sizes[v]); d > maxDelta {
+			next := 0.5*cl.size + 0.5*target
+			if d := abs(next - cl.size); d > maxDelta {
 				maxDelta = d
 			}
-			sizes[v] = next
+			cl.size = next
 		}
 		if maxDelta < 1 {
 			break
 		}
 	}
-	for _, v := range active {
-		ratios[v] = vcs[v].MissRatio.Eval(sizes[v])
+	for c := range classes {
+		cl := &classes[c]
+		cl.ratio = vcs[cl.vc].MissRatio.Eval(cl.size)
+	}
+	for _, m := range active {
+		sizes[m.vc], ratios[m.vc] = classes[m.class].size, classes[m.class].ratio
 	}
 	return sizes, ratios
 }
