@@ -196,9 +196,9 @@ func NewMix() *Mix { return &Mix{inner: workload.NewMix()} }
 
 // Add appends n instances of a single-threaded benchmark (see Benchmarks).
 func (m *Mix) Add(bench string, n int) error {
-	p := workload.ByName(workload.SPECCPU(), bench)
-	if p == nil {
-		return fmt.Errorf("cdcs: unknown benchmark %q", bench)
+	p, err := stProfile(bench)
+	if err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		m.inner.AddST(p)
@@ -208,14 +208,30 @@ func (m *Mix) Add(bench string, n int) error {
 
 // AddMT appends n instances of an 8-thread benchmark (see MTBenchmarks).
 func (m *Mix) AddMT(bench string, n int) error {
-	p := workload.MTByName(workload.SPECOMP(), bench)
-	if p == nil {
-		return fmt.Errorf("cdcs: unknown MT benchmark %q", bench)
+	p, err := mtProfile(bench)
+	if err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		m.inner.AddMT(p)
 	}
 	return nil
+}
+
+// stProfile looks up a single-threaded benchmark by name.
+func stProfile(bench string) (*workload.Profile, error) {
+	if p := workload.ByName(workload.SPECCPU(), bench); p != nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("cdcs: unknown benchmark %q", bench)
+}
+
+// mtProfile looks up a multithreaded benchmark by name.
+func mtProfile(bench string) (*workload.MTProfile, error) {
+	if p := workload.MTByName(workload.SPECOMP(), bench); p != nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("cdcs: unknown MT benchmark %q", bench)
 }
 
 // Threads returns the mix's total thread count.

@@ -453,7 +453,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeCompare(w, hash, true, body)
 		return
 	}
-	if _, err := canon.Mix.Build(); err != nil { // validate benchmark names up front
+	if err := canon.Mix.Validate(); err != nil { // benchmark names, without building the mix
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -563,8 +563,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	for i, mix := range canon.Mixes { // validate benchmark names up front
-		if _, err := mix.Build(); err != nil {
+	for i, mix := range canon.Mixes { // benchmark names, without building the mixes
+		if err := mix.Validate(); err != nil {
 			writeErr(w, http.StatusBadRequest, "mix %d: %v", i, err)
 			return
 		}

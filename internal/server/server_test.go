@@ -403,3 +403,33 @@ func TestPprofMountedOnlyWhenEnabled(t *testing.T) {
 		t.Errorf("Pprof on: /healthz -> %d, want 200", w.Code)
 	}
 }
+
+func TestBadAppNamesExact400(t *testing.T) {
+	// A compare or sweep naming an unknown benchmark is rejected with 400
+	// and the exact error MixSpec.Build gives, before any simulation.
+	s, h := testServer(t, Options{})
+	for _, tc := range []struct{ mix, want string }{
+		{`{"kind": "apps", "apps": [{"bench": "omnet"}, {"bench": "no-such"}]}`, `cdcs: unknown benchmark "no-such"`},
+		{`{"kind": "apps", "apps": [{"bench": "omnet", "mt": true}]}`, `cdcs: unknown MT benchmark "omnet"`},
+	} {
+		for _, req := range []struct{ path, body, prefix string }{
+			{"/v1/compare", `{"mix": ` + tc.mix + `}`, ""},
+			{"/v1/sweep", `{"mixes": [{"kind": "casestudy"}, ` + tc.mix + `]}`, "mix 1: "},
+		} {
+			w := do(h, "POST", req.path, req.body)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("%s %s -> %d, want 400 (body: %s)", req.path, tc.mix, w.Code, w.Body)
+			}
+			var body struct{ Error string }
+			if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+				t.Fatal(err)
+			}
+			if want := req.prefix + tc.want; body.Error != want {
+				t.Errorf("%s %s: error %q, want %q", req.path, tc.mix, body.Error, want)
+			}
+		}
+	}
+	if n := s.simulations.Load(); n != 0 {
+		t.Errorf("%d simulations ran for rejected requests", n)
+	}
+}

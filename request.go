@@ -112,6 +112,27 @@ func (s MixSpec) Label() string {
 	}
 }
 
+// Validate returns the error Build would return, without materializing the
+// mix. Random and case-study kinds cannot fail once normalized; an explicit
+// app list fails on its first unknown benchmark name.
+func (s MixSpec) Validate() error {
+	ns, err := s.normalize()
+	if err != nil || ns.Kind != MixApps {
+		return err
+	}
+	for _, a := range ns.Apps {
+		if a.MT {
+			_, err = mtProfile(a.Bench)
+		} else {
+			_, err = stProfile(a.Bench)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Build materializes the mix. It validates benchmark names, so an invalid
 // spec fails here rather than mid-simulation.
 func (s MixSpec) Build() (*Mix, error) {

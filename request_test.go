@@ -219,3 +219,31 @@ func TestCompareRequestRunMatchesDirectCompare(t *testing.T) {
 		t.Errorf("request path diverged from direct Compare:\n%s\nvs\n%s", gj, wj)
 	}
 }
+
+func TestMixSpecValidateMatchesBuild(t *testing.T) {
+	// Validate must fail exactly when Build fails, with the same error, so
+	// the server can reject a bad spec without materializing the mix.
+	specs := []MixSpec{
+		{Kind: MixRandom, Seed: 1, N: 64},
+		{Kind: MixRandom, Seed: 1, N: 0},
+		{Kind: MixRandomMT, Seed: 2, N: 8},
+		{Kind: MixRandomMT, N: -1},
+		{Kind: MixCaseStudy, Seed: 9},
+		{Kind: MixApps, Apps: []AppSpec{{Bench: "omnet", Count: 2}, {Bench: "ilbdc", MT: true}}},
+		{Kind: MixApps, Apps: []AppSpec{{Bench: "omnet"}, {Bench: "no-such"}, {Bench: "nor-this", MT: true}}},
+		{Kind: MixApps, Apps: []AppSpec{{Bench: "no-such-mt", MT: true}}},
+		{Kind: MixApps, Apps: []AppSpec{{Bench: "ilbdc"}}},           // an MT name as ST
+		{Kind: MixApps, Apps: []AppSpec{{Bench: "omnet", MT: true}}}, // an ST name as MT
+		{Kind: MixApps, Apps: []AppSpec{{Bench: "omnet", Count: -1}}},
+		{Kind: MixApps},
+		{Kind: ""},
+		{Kind: "wat"},
+	}
+	for _, s := range specs {
+		_, buildErr := s.Build()
+		valErr := s.Validate()
+		if (buildErr == nil) != (valErr == nil) || (buildErr != nil && buildErr.Error() != valErr.Error()) {
+			t.Errorf("%+v: Validate %v, Build %v", s, valErr, buildErr)
+		}
+	}
+}
