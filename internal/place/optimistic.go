@@ -28,8 +28,12 @@ type Point struct{ X, Y float64 }
 //
 // Above PruneThreshold banks the per-VC candidate search switches to the
 // pruned two-level scan (see prune.go); at or below it, every tile is
-// evaluated exactly as in the paper. Scratch and the placement's backing
-// come from ar (nil: a fresh arena).
+// evaluated exactly as in the paper. Either way a candidate is scored only
+// while it can still win: a footprint sum stops at the bound the current
+// best sets, and on chips whose banks all have the same capacity each VC's
+// footprint is planned once and read by tile-index offset. One center
+// search serves every VC, and its work is added to ar's CenterWork.
+// Scratch and the placement's backing come from ar (nil: a fresh arena).
 func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 	if ar == nil {
 		ar = NewArena()

@@ -132,9 +132,6 @@ func (s *centerSearch) plan() {
 	if s.partial {
 		needed++
 	}
-	if needed > n {
-		return
-	}
 	if s.deltaW != s.w || s.deltaH != s.h {
 		s.deltas, s.deltaW, s.deltaH = s.deltas[:0], s.w, s.h
 	}
