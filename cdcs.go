@@ -187,6 +187,9 @@ func Schemes() []Scheme {
 }
 
 // Mix is a workload: a set of single- and multi-threaded app instances.
+// Add and AddMT build it; a built mix is read-only to Run and Compare, so
+// any number of them may run on one mix concurrently. Adding apps while a
+// Run or Compare is in flight is a data race.
 type Mix struct {
 	inner *workload.Mix
 }
@@ -382,9 +385,6 @@ func (s *System) CompareWithOptions(mix *Mix, seed int64, opts RunOptions, schem
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("cdcs: Compare needs at least one scheme")
 	}
-	// Materialize dense accessor views once, here on the single-threaded
-	// path, so the per-scheme workers share sealed read-only state.
-	mix.inner.Seal()
 	results := make([]*Result, len(schemes))
 	if err := opts.engine().ForEach(len(schemes), func(i int) error {
 		r, err := s.Run(schemes[i], mix, seed+int64(i))

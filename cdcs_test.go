@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -169,6 +170,54 @@ func TestCompareWithOptionsDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain.WeightedSpeedup, seq.WeightedSpeedup) {
 		t.Error("Compare and CompareWithOptions disagree")
+	}
+}
+
+// TestConcurrentRunAndCompareOneMix runs Run and Compare on one mix from two
+// goroutines. A built mix is read-only, so neither call may write to it
+// (go test -race checks), and both results must equal sequential runs on
+// separately built copies.
+func TestConcurrentRunAndCompareOneMix(t *testing.T) {
+	sys := DefaultSystem()
+	build := func() *Mix {
+		m := NewMix()
+		if err := m.Add("omnet", 6); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddMT("ilbdc", 2); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	schemes := []Scheme{SNUCA, CDCS}
+	wantRun, err := sys.Run(CDCS, build(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCmp, err := sys.Compare(build(), 3, schemes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mix := build()
+	var (
+		wg             sync.WaitGroup
+		gotRun         *Result
+		gotCmp         *Comparison
+		errRun, errCmp error
+	)
+	wg.Add(2)
+	go func() { defer wg.Done(); gotRun, errRun = sys.Run(CDCS, mix, 3) }()
+	go func() { defer wg.Done(); gotCmp, errCmp = sys.Compare(mix, 3, schemes...) }()
+	wg.Wait()
+	if errRun != nil || errCmp != nil {
+		t.Fatalf("Run: %v, Compare: %v", errRun, errCmp)
+	}
+	if !reflect.DeepEqual(gotRun, wantRun) {
+		t.Errorf("concurrent Run differs from a sequential one:\ngot  %+v\nwant %+v", gotRun, wantRun)
+	}
+	if !reflect.DeepEqual(gotCmp, wantCmp) {
+		t.Errorf("concurrent Compare differs from a sequential one:\ngot  %+v\nwant %+v", gotCmp, wantCmp)
 	}
 }
 

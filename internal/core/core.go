@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cdcs/internal/alloc"
@@ -105,10 +106,10 @@ type Result struct {
 //
 // Reusing one arena makes a steady-state round — capacity allocation
 // (step 1) and the placement pipeline (steps 2-4) — allocation-free across
-// rounds, and a sealed mix (workload.Mix.Seal) additionally skips every
-// per-round map walk. The returned Result then borrows the arena's memory
-// (VCSizes, Assignment, ThreadCore, Optimistic) and stays valid only until
-// the arena's next use; pass nil to get an independent Result.
+// rounds; the placement demands alias the mix's accessor lists. The
+// returned Result then borrows the arena's memory (VCSizes, Assignment,
+// ThreadCore, Optimistic) and stays valid only until the arena's next use;
+// pass nil to get an independent Result.
 func ReconfigureWith(cfg Config, mix *workload.Mix, fixedThreads []mesh.Tile, ar *Arena) (Result, error) {
 	nThreads := len(mix.Threads)
 	if nThreads > cfg.Chip.Banks() {
@@ -131,20 +132,8 @@ func ReconfigureWith(cfg Config, mix *workload.Mix, fixedThreads []mesh.Tile, ar
 	res.VCSizes = allocate(cfg, mix, &ar.Alloc)
 	res.Timing.Alloc = time.Since(start)
 
-	totalAcc := 0
-	for v := range mix.VCs {
-		totalAcc += len(mix.VCs[v].Accessors)
-	}
-	demands := pa.StartDemands(len(mix.VCs), totalAcc)
-	for v := range mix.VCs {
-		if ids, rates := mix.VCs[v].DenseAccessors(); ids != nil {
-			// Sealed mix: the dense views are already in ascending thread-id
-			// order, exactly what AppendDemand would produce — alias them.
-			demands = pa.AppendDemandSorted(demands, res.VCSizes[v], ids, rates)
-		} else {
-			demands = pa.AppendDemand(demands, res.VCSizes[v], mix.VCs[v].Accessors)
-		}
-	}
+	ar.demands = fillDemands(ar.demands, mix, res.VCSizes)
+	demands := ar.demands
 
 	// Steps 2-4 dispatch on chip size: above place.HierarchyThreshold banks
 	// the flat pipeline's O(banks²) scans would dominate, so placement runs
@@ -230,9 +219,21 @@ func allocate(cfg Config, mix *workload.Mix, aa *alloc.Arena) []float64 {
 
 // OnChipLatency evaluates Eq. 2 (access·hops) for a result.
 func (r Result) OnChipLatency(cfg Config, mix *workload.Mix) float64 {
-	demands := make([]place.Demand, len(mix.VCs))
+	return place.OnChipLatency(cfg.Chip, Demands(mix, r.VCSizes), r.Assignment, r.ThreadCore)
+}
+
+// Demands returns the placement view of the mix at the given VC sizes. Each
+// demand aliases its VC's accessor lists, which placement only reads.
+func Demands(mix *workload.Mix, sizes []float64) []place.Demand {
+	return fillDemands(nil, mix, sizes)
+}
+
+// fillDemands is Demands into buf's storage.
+func fillDemands(buf []place.Demand, mix *workload.Mix, sizes []float64) []place.Demand {
+	buf = slices.Grow(buf[:0], len(mix.VCs))
 	for v := range mix.VCs {
-		demands[v] = place.NewDemand(r.VCSizes[v], mix.VCs[v].Accessors)
+		vc := &mix.VCs[v]
+		buf = append(buf, place.Demand{Size: sizes[v], Threads: vc.Threads, Rates: vc.Rates})
 	}
-	return place.OnChipLatency(cfg.Chip, demands, r.Assignment, r.ThreadCore)
+	return buf
 }

@@ -34,11 +34,7 @@ func TestReconfigureCaseStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	demands := make([]place.Demand, len(mix.VCs))
-	for v := range mix.VCs {
-		demands[v] = place.NewDemand(res.VCSizes[v], mix.VCs[v].Accessors)
-	}
-	if err := res.Assignment.Validate(cfg.Chip, demands, 1); err != nil {
+	if err := res.Assignment.Validate(cfg.Chip, Demands(mix, res.VCSizes), 1); err != nil {
 		t.Fatalf("assignment invalid: %v", err)
 	}
 

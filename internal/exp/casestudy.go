@@ -2,9 +2,7 @@ package exp
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
-	"slices"
 	"strings"
 
 	"cdcs/internal/alloc"
@@ -135,8 +133,7 @@ func omnetDataHops(env policy.Env, mix *workload.Mix, res sim.MixResult) float64
 		if proc.Bench != "omnet" {
 			continue
 		}
-		// Sorted iteration keeps the float sums map-order independent.
-		for _, v := range slices.Sorted(maps.Keys(mix.Threads[t].Access)) {
+		for _, v := range mix.Threads[t].VCs {
 			size := core.VCSizes[v]
 			if size <= 0 {
 				continue

@@ -341,3 +341,17 @@ func TestSec6CBankGranularity(t *testing.T) {
 		t.Error("bank-granular CDCS should still beat S-NUCA")
 	}
 }
+
+// TestExtMixesValidate checks the adjacency invariants of the mixes the
+// ext-phases and ext-hwsim experiments build by hand.
+func TestExtMixesValidate(t *testing.T) {
+	apps := phasedApps()
+	for epoch := 0; epoch < 4; epoch++ {
+		if err := mixAtEpoch(apps, epoch).Validate(); err != nil {
+			t.Errorf("ext-phases epoch %d: %v", epoch, err)
+		}
+	}
+	if err := scaledMix().Validate(); err != nil {
+		t.Errorf("ext-hwsim: %v", err)
+	}
+}

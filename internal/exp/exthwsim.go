@@ -2,9 +2,7 @@ package exp
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
-	"slices"
 
 	"cdcs/internal/cachesim"
 	"cdcs/internal/core"
@@ -59,9 +57,8 @@ func runExtHWSim(opts Options) (*Report, error) {
 		}
 		if len(alloc) == 0 {
 			// Zero-capacity VCs still need a home bank for lookups: the
-			// lowest-id accessor's local bank, with a zero partition target
-			// (deterministic pick; map iteration order is random).
-			if ts := slices.Sorted(maps.Keys(mix.VCs[v].Accessors)); len(ts) > 0 {
+			// lowest-id accessor's local bank, with a zero partition target.
+			if ts := mix.VCs[v].Threads; len(ts) > 0 {
 				alloc[int(res.ThreadCore[ts[0]])] = 1
 			}
 		}

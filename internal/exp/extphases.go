@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"maps"
-	"slices"
-
 	"cdcs/internal/core"
 	"cdcs/internal/mesh"
 	"cdcs/internal/perfmodel"
@@ -121,13 +118,12 @@ func evalSchedule(env policy.Env, mix *workload.Mix, res core.Result) float64 {
 		th := &mix.Threads[t]
 		in := perfmodel.ThreadInput{CPIBase: th.CPIBase, MLP: th.MLP}
 		corePos := res.ThreadCore[t]
-		// VC-id order keeps the model's reductions map-order independent.
-		for _, v := range slices.Sorted(maps.Keys(th.Access)) {
+		for k, v := range th.VCs {
 			size := res.VCSizes[v]
 			ratio := mix.VCs[v].MissRatio.Eval(size)
 			hops, memHops := resultHops(env, &res.Assignment[v], size, corePos)
 			in.Accesses = append(in.Accesses, perfmodel.VCAccess{
-				APKI: th.Access[v], MissRatio: ratio, AvgHops: hops, MemHops: memHops,
+				APKI: th.Rates[k], MissRatio: ratio, AvgHops: hops, MemHops: memHops,
 			})
 		}
 		inputs[t] = in

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"cdcs/internal/core"
 	"cdcs/internal/curves"
 	"cdcs/internal/monitor"
 	"cdcs/internal/place"
@@ -23,11 +24,7 @@ func init() {
 
 // cdcsDemands rebuilds the place.Demand view of a CDCS schedule.
 func cdcsDemands(mix *workload.Mix, s policy.Sched) []place.Demand {
-	d := make([]place.Demand, len(mix.VCs))
-	for v := range mix.VCs {
-		d[v] = place.NewDemand(s.VCSizes[v], mix.VCs[v].Accessors)
-	}
-	return d
+	return core.Demands(mix, s.VCSizes)
 }
 
 // runSec6CILP compares CDCS data placement against the exact transportation

@@ -162,12 +162,13 @@ func Evaluate(p Params, threads []ThreadInput) ChipResult {
 	validate(p)
 
 	memLat := p.MemZeroLoad + p.MemBurst
+	per := make([]ThreadResult, len(threads))
 	var res ChipResult
 	// Fixed point: IPC depends on memory latency; bandwidth demand depends
 	// on IPC; memory latency depends on bandwidth demand. Damped iteration
 	// converges quickly for all workloads we generate.
 	for iter := 0; iter < 60; iter++ {
-		res = evaluateAt(p, threads, memLat)
+		res = evaluateAt(p, threads, memLat, per)
 		demand := 0.0 // miss lines per cycle
 		for i := range res.Threads {
 			demand += res.Threads[i].IPC * res.Threads[i].MPKI / 1000
@@ -194,9 +195,10 @@ func Evaluate(p Params, threads []ThreadInput) ChipResult {
 	return res
 }
 
-// evaluateAt computes per-thread results for a given memory latency.
-func evaluateAt(p Params, threads []ThreadInput, memLat float64) ChipResult {
-	out := ChipResult{Threads: make([]ThreadResult, len(threads))}
+// evaluateAt computes per-thread results for a given memory latency,
+// overwriting per (one entry per thread), which the result's Threads aliases.
+func evaluateAt(p Params, threads []ThreadInput, memLat float64, per []ThreadResult) ChipResult {
+	out := ChipResult{Threads: per}
 	for i, th := range threads {
 		var netPKI, bankPKI, offPKI, mpki, apki float64
 		for _, a := range th.Accesses {

@@ -1,28 +1,18 @@
 package place
 
-import (
-	"sort"
-
-	"cdcs/internal/mesh"
-)
+import "cdcs/internal/mesh"
 
 // Arena holds reusable scratch buffers for one placement pipeline (one
 // reconfiguration of one simulated cell). Threading one arena through
-// demand construction, OptimisticPlaceIn, PlaceThreadsIn, GreedyIn and
-// RefineIn makes the steady-state placement round allocation-free: every
-// buffer is grown once and reused on subsequent rounds.
+// OptimisticPlaceIn, PlaceThreadsIn, GreedyIn and RefineIn makes the
+// steady-state placement round allocation-free: every buffer is grown once
+// and reused on subsequent rounds.
 //
 // An Arena is not safe for concurrent use. Results produced through an
-// arena (assignments, claims, thread placements, distance rows, demands)
-// borrow its memory: they stay valid only until the arena's next placement
-// call, so callers that retain results across rounds must either copy what
+// arena (assignments, claims, thread placements, distance rows) borrow its
+// memory: they stay valid only until the arena's next placement call, so callers that retain results across rounds must either copy what
 // they need or pass a nil arena, which gives the call a fresh one.
 type Arena struct {
-	// Demand backing (StartDemands / AppendDemand).
-	demands []Demand
-	accTh   []int
-	accRate []float64
-
 	// VCDistancesIn.
 	dist     [][]float64
 	distFlat []float64
@@ -215,45 +205,4 @@ func growResidents(buf *[][]resident, n int) [][]resident {
 	}
 	*buf = s
 	return s
-}
-
-// StartDemands prepares arena storage for n demands totalling totalAcc
-// accessor entries and returns the empty demand slice to AppendDemand into.
-func (a *Arena) StartDemands(n, totalAcc int) []Demand {
-	grow(&a.demands, n)
-	grow(&a.accTh, totalAcc)
-	grow(&a.accRate, totalAcc)
-	a.demands = a.demands[:0]
-	a.accTh = a.accTh[:0]
-	a.accRate = a.accRate[:0]
-	return a.demands
-}
-
-// AppendDemand appends a dense Demand built from an accessor map, reusing
-// the backing prepared by StartDemands (accessor ids are sorted here, once,
-// exactly as NewDemand does). Earlier demands stay valid even if the backing
-// grows: their slices keep aliasing the block they were written to.
-func (a *Arena) AppendDemand(ds []Demand, size float64, accessors map[int]float64) []Demand {
-	start := len(a.accTh)
-	for t := range accessors {
-		a.accTh = append(a.accTh, t)
-	}
-	seg := a.accTh[start:]
-	sort.Ints(seg)
-	for _, t := range seg {
-		a.accRate = append(a.accRate, accessors[t])
-	}
-	ds = append(ds, Demand{Size: size, Threads: seg, Rates: a.accRate[start:]})
-	a.demands = ds
-	return ds
-}
-
-// AppendDemandSorted appends a Demand that aliases caller-owned accessor
-// slices already sorted by ascending thread id — a sealed mix's dense views
-// fit directly. Nothing is copied; the caller must keep the slices alive and
-// unmutated for the demand's lifetime (placement only reads them).
-func (a *Arena) AppendDemandSorted(ds []Demand, size float64, ids []int, rates []float64) []Demand {
-	ds = append(ds, Demand{Size: size, Threads: ids, Rates: rates})
-	a.demands = ds
-	return ds
 }

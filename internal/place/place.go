@@ -19,7 +19,6 @@ package place
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"cdcs/internal/mesh"
 )
@@ -70,21 +69,6 @@ type Demand struct {
 	// Rates[i] is Threads[i]'s access rate into this VC (any consistent
 	// unit; APKI throughout this repo).
 	Rates []float64
-}
-
-// NewDemand builds a Demand from an accessor-rate map, sorting the accessor
-// ids once up front (the map is not retained).
-func NewDemand(size float64, accessors map[int]float64) Demand {
-	ths := make([]int, 0, len(accessors))
-	for t := range accessors {
-		ths = append(ths, t)
-	}
-	sort.Ints(ths)
-	rates := make([]float64, len(ths))
-	for i, t := range ths {
-		rates[i] = accessors[t]
-	}
-	return Demand{Size: size, Threads: ths, Rates: rates}
 }
 
 // TotalRate sums accessor rates (in thread-id order, for bit-reproducible

@@ -3,6 +3,7 @@ package place
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"cdcs/internal/mesh"
@@ -16,6 +17,21 @@ func chip36() Chip {
 // chip64 returns the 8x8 evaluation chip.
 func chip64() Chip {
 	return Chip{Topo: mesh.New(8, 8), BankLines: 8192}
+}
+
+// NewDemand builds a Demand from an accessor-rate map, listing the accessors
+// in ascending thread-id order as Demand requires.
+func NewDemand(size float64, accessors map[int]float64) Demand {
+	ths := make([]int, 0, len(accessors))
+	for t := range accessors {
+		ths = append(ths, t)
+	}
+	sort.Ints(ths)
+	rates := make([]float64, len(ths))
+	for i, t := range ths {
+		rates[i] = accessors[t]
+	}
+	return Demand{Size: size, Threads: ths, Rates: rates}
 }
 
 // singleThreadDemands builds n VCs, each with one accessor thread i and the

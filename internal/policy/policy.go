@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"cdcs/internal/alloc"
 	"cdcs/internal/core"
@@ -148,7 +147,6 @@ type Arena struct {
 	core    core.Arena
 	order   []int
 	threads []mesh.Tile
-	keys    []int
 	inputs  []perfmodel.ThreadInput
 	acc     []perfmodel.VCAccess
 }
@@ -305,7 +303,7 @@ func buildInputs(ar *Arena, env Env, mix *workload.Mix, ratios []float64, hops f
 	inputs := grow(&ar.inputs, len(mix.Threads))
 	total := 0
 	for t := range mix.Threads {
-		total += len(mix.Threads[t].Access)
+		total += len(mix.Threads[t].VCs)
 	}
 	if cap(ar.acc) < total {
 		ar.acc = make([]perfmodel.VCAccess, 0, total)
@@ -314,19 +312,11 @@ func buildInputs(ar *Arena, env Env, mix *workload.Mix, ratios []float64, hops f
 	for t := range mix.Threads {
 		th := &mix.Threads[t]
 		in := perfmodel.ThreadInput{CPIBase: th.CPIBase, MLP: th.MLP}
-		// VC-id order keeps the Accesses slice (and the model's reductions
-		// over it) independent of map iteration order.
-		keys := ar.keys[:0]
-		for v := range th.Access {
-			keys = append(keys, v)
-		}
-		sort.Ints(keys)
-		ar.keys = keys
 		start := len(acc)
-		for _, v := range keys {
+		for k, v := range th.VCs {
 			ah, mh := hops(t, v)
 			acc = append(acc, perfmodel.VCAccess{
-				APKI:      th.Access[v],
+				APKI:      th.Rates[k],
 				MissRatio: ratios[v],
 				AvgHops:   ah,
 				MemHops:   mh,

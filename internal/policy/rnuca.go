@@ -22,8 +22,9 @@ func buildRNUCA(ar *Arena, env Env, mix *workload.Mix, threads []mesh.Tile) (Sch
 		privAt[i] = -1
 	}
 	for t := range mix.Threads {
-		for v, apki := range mix.Threads[t].Access {
-			if mix.VCs[v].Kind == workload.ThreadPrivate && apki > 0 {
+		th := &mix.Threads[t]
+		for k, v := range th.VCs {
+			if mix.VCs[v].Kind == workload.ThreadPrivate && th.Rates[k] > 0 {
 				privAt[threads[t]] = v
 			}
 		}
@@ -35,9 +36,9 @@ func buildRNUCA(ar *Arena, env Env, mix *workload.Mix, threads []mesh.Tile) (Sch
 		}
 	}
 
-	// Hoist per-VC intensities out of the fixed point (TotalAPKI walks the
-	// accessor map on every call; the loops below used to re-sum it per bank
-	// per iteration).
+	// Hoist per-VC intensities out of the fixed point (TotalAPKI re-sums
+	// the accessor list on every call; the loops below would repeat it per
+	// bank per iteration).
 	apkiOf := make([]float64, len(mix.VCs))
 	for v := range mix.VCs {
 		apkiOf[v] = mix.VCs[v].TotalAPKI()

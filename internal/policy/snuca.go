@@ -60,8 +60,8 @@ func sharedLRUFixedPoint(vcs []workload.VC, include func(int) bool, capacity flo
 		if include != nil && !include(v) {
 			continue
 		}
-		// TotalAPKI walks the accessor map, so it is read once per VC, not
-		// once per iteration.
+		// TotalAPKI re-sums the accessor list, so it is read once per VC,
+		// not once per iteration.
 		apki := vcs[v].TotalAPKI()
 		key := classKey{vcs[v].MissRatio.ID(), math.Float64bits(apki)}
 		c, ok := index[key]

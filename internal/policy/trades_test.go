@@ -27,7 +27,6 @@ func quickTradeMixes(t *testing.T) map[string]tradeStat {
 	out := map[string]tradeStat{}
 	run := func(key string, env Env, apps, m int) {
 		mix := workload.RandomST(rand.New(rand.NewSource(1+int64(m)*7919)), cpu, apps)
-		mix.Seal()
 		s, err := BuildWith(env, SchemeCDCS, mix, rand.New(rand.NewSource(1)), nil)
 		if err != nil {
 			t.Fatal(err)

@@ -190,9 +190,6 @@ func (e Engine) RunCampaign(env policy.Env, schemes []policy.Scheme, nMixes int,
 	if err := e.silent().ForEach(nMixes, func(m int) error {
 		mixRng := rand.New(rand.NewSource(baseSeed + int64(m)*7919))
 		mixes[m] = genMix(mixRng)
-		// Seal inside the per-mix job: each worker owns its mix here, and
-		// phase 2's barrier publishes the dense views to all readers.
-		mixes[m].Seal()
 		return nil
 	}); err != nil {
 		return nil, err

@@ -2,9 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"maps"
+	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 
 	"cdcs/internal/curves"
 )
@@ -41,27 +42,18 @@ type VC struct {
 	Kind VCKind
 	// MissRatio maps allocated lines to miss ratio for accesses to this VC.
 	MissRatio curves.Curve
-	// Accessors maps thread index to that thread's APKI into this VC.
-	Accessors map[int]float64
-
-	// Dense sealed views (ascending thread id); nil until Mix.Seal.
-	accIDs   []int
-	accRates []float64
+	// Threads lists the accessor thread ids in ascending order; Rates[i] is
+	// Threads[i]'s APKI into this VC. Both are read-only once built.
+	Threads []int
+	Rates   []float64
 }
 
-// TotalAPKI sums access intensity over all accessor threads (in thread-id
-// order, so the floating-point sum is reproducible run to run). Sealed mixes
-// sum the dense view — same values, same order, no map walk.
+// TotalAPKI sums access intensity over all accessor threads, in thread-id
+// order, so the floating-point sum is reproducible run to run.
 func (v *VC) TotalAPKI() float64 {
 	sum := 0.0
-	if v.accIDs != nil {
-		for _, r := range v.accRates {
-			sum += r
-		}
-		return sum
-	}
-	for _, t := range slices.Sorted(maps.Keys(v.Accessors)) {
-		sum += v.Accessors[t]
+	for _, r := range v.Rates {
+		sum += r
 	}
 	return sum
 }
@@ -77,27 +69,18 @@ type Thread struct {
 	// CPIBase and MLP come from the owning profile.
 	CPIBase float64
 	MLP     float64
-	// Access maps VC id to APKI.
-	Access map[int]float64
-
-	// Dense sealed views (ascending VC id); nil until Mix.Seal.
-	vcIDs   []int
-	vcRates []float64
+	// VCs lists the VC ids the thread accesses in ascending order; Rates[i]
+	// is its APKI into VCs[i]. Both are read-only once built.
+	VCs   []int
+	Rates []float64
 }
 
-// TotalAPKI sums the thread's access intensity over all VCs (in VC-id order,
-// so the floating-point sum is reproducible run to run). Sealed mixes sum
-// the dense view — same values, same order, no map walk.
+// TotalAPKI sums the thread's access intensity over all VCs, in VC-id order,
+// so the floating-point sum is reproducible run to run.
 func (t *Thread) TotalAPKI() float64 {
 	sum := 0.0
-	if t.vcIDs != nil {
-		for _, r := range t.vcRates {
-			sum += r
-		}
-		return sum
-	}
-	for _, v := range slices.Sorted(maps.Keys(t.Access)) {
-		sum += t.Access[v]
+	for _, r := range t.Rates {
+		sum += r
 	}
 	return sum
 }
@@ -116,16 +99,17 @@ type Process struct {
 	VCIDs []int
 }
 
-// Mix is a complete workload: processes expanded into threads and VCs. Build
-// with NewMix and the Add methods; a Mix is immutable once handed to a
-// simulator.
+// Mix is a complete workload: processes expanded into threads and VCs, joined
+// by the access graph (VC.Threads/Rates and Thread.VCs/Rates). Build with
+// NewMix and the Add methods, which append every adjacency list already in
+// ascending-id order; a built Mix is read-only and safe for concurrent
+// readers.
 type Mix struct {
 	Procs   []Process
 	Threads []Thread
 	VCs     []VC
 
 	counts map[string]int // instances per bench name, for naming
-	sealed bool           // dense views materialized (see Seal)
 }
 
 // NewMix returns an empty mix.
@@ -133,104 +117,145 @@ func NewMix() *Mix {
 	return &Mix{counts: map[string]int{}}
 }
 
+// instanceName returns "bench#k" for the next instance of the named profile.
+func (m *Mix) instanceName(bench string) string {
+	m.counts[bench]++
+	return bench + "#" + strconv.Itoa(m.counts[bench])
+}
+
 // AddST appends a single-threaded app instance: one thread, one private VC.
+// The thread and its VC are each other's only neighbour, so the two edge
+// lists share one rate slice, and the process reuses the id slices.
 func (m *Mix) AddST(p *Profile) *Mix {
-	m.unseal()
-	m.counts[p.Name]++
-	name := fmt.Sprintf("%s#%d", p.Name, m.counts[p.Name])
+	name := m.instanceName(p.Name)
 	proc := len(m.Procs)
-	tid := len(m.Threads)
-	vid := len(m.VCs)
+	tids := []int{len(m.Threads)}
+	vids := []int{len(m.VCs)}
+	rates := []float64{p.APKI}
 
 	m.VCs = append(m.VCs, VC{
-		ID: vid, Proc: proc, Kind: ThreadPrivate,
+		ID: vids[0], Proc: proc, Kind: ThreadPrivate,
 		MissRatio: p.MissRatio,
-		Accessors: map[int]float64{tid: p.APKI},
+		Threads:   tids, Rates: rates,
 	})
 	m.Threads = append(m.Threads, Thread{
-		ID: tid, Proc: proc, Name: name,
+		ID: tids[0], Proc: proc, Name: name,
 		CPIBase: p.CPIBase, MLP: p.MLP,
-		Access: map[int]float64{vid: p.APKI},
+		VCs: vids, Rates: rates,
 	})
 	m.Procs = append(m.Procs, Process{
 		Name: name, Bench: p.Name,
-		ThreadIDs: []int{tid}, VCIDs: []int{vid},
+		ThreadIDs: tids, VCIDs: vids,
 	})
 	return m
 }
 
 // AddMT appends a multithreaded app instance: p.Threads threads, one private
-// VC per thread, and one shared VC accessed by all of them.
+// VC per thread, and one shared VC accessed by all of them. The shared VC is
+// appended first, so every thread's list is [shared, private], and threads
+// join the shared VC's list in id order.
 func (m *Mix) AddMT(p *MTProfile) *Mix {
-	m.unseal()
-	m.counts[p.Name]++
-	name := fmt.Sprintf("%s#%d", p.Name, m.counts[p.Name])
+	name := m.instanceName(p.Name)
 	proc := len(m.Procs)
-
+	n := p.Threads
 	shID := len(m.VCs)
-	shared := VC{
+	procRec := Process{
+		Name: name, Bench: p.Name, Multithreaded: true,
+		ThreadIDs: make([]int, n), VCIDs: make([]int, n+1),
+	}
+	procRec.VCIDs[0] = shID
+	// Every thread's list holds the same two rates, [shared, private], and
+	// every private VC's the private one, so they all share one rate pair.
+	// Thread i's VC pair and private VC i's accessor are carved out of flat
+	// arrays.
+	rates := []float64{p.APKI * p.SharedFrac, p.APKI * (1 - p.SharedFrac)}
+	shRates := make([]float64, n)
+	thVCs := make([]int, 2*n)
+	m.VCs = append(m.VCs, VC{
 		ID: shID, Proc: proc, Kind: ProcessShared,
 		MissRatio: p.SharedRatio,
-		Accessors: map[int]float64{},
-	}
-	m.VCs = append(m.VCs, shared)
-
-	procRec := Process{Name: name, Bench: p.Name, Multithreaded: true, VCIDs: []int{shID}}
-	privAPKI := p.APKI * (1 - p.SharedFrac)
-	shAPKI := p.APKI * p.SharedFrac
-	for i := 0; i < p.Threads; i++ {
+		Threads:   procRec.ThreadIDs, Rates: shRates,
+	})
+	for i := 0; i < n; i++ {
 		tid := len(m.Threads)
 		vid := len(m.VCs)
+		procRec.ThreadIDs[i] = tid
+		procRec.VCIDs[i+1] = vid
+		shRates[i] = rates[0]
+		thVCs[2*i], thVCs[2*i+1] = shID, vid
 		m.VCs = append(m.VCs, VC{
 			ID: vid, Proc: proc, Kind: ThreadPrivate,
 			MissRatio: p.PrivRatio,
-			Accessors: map[int]float64{tid: privAPKI},
+			Threads:   procRec.ThreadIDs[i : i+1 : i+1], Rates: rates[1:2:2],
 		})
 		m.Threads = append(m.Threads, Thread{
-			ID: tid, Proc: proc, Name: fmt.Sprintf("%s.%d", name, i),
+			ID: tid, Proc: proc, Name: name + "." + strconv.Itoa(i),
 			CPIBase: p.CPIBase, MLP: p.MLP,
-			Access: map[int]float64{vid: privAPKI, shID: shAPKI},
+			VCs: thVCs[2*i : 2*i+2 : 2*i+2], Rates: rates,
 		})
-		m.VCs[shID].Accessors[tid] = shAPKI
-		procRec.ThreadIDs = append(procRec.ThreadIDs, tid)
-		procRec.VCIDs = append(procRec.VCIDs, vid)
 	}
 	m.Procs = append(m.Procs, procRec)
 	return m
 }
 
 // Validate checks internal consistency; it returns an error describing the
-// first violation found. Simulators call this once per mix.
+// first violation found. Every adjacency list must have as many rates as
+// ids and be strictly ascending; every edge must have a reverse edge with
+// the bit-equal rate; and the thread and VC sides must count the same edges.
 func (m *Mix) Validate() error {
-	for ti, th := range m.Threads {
-		if th.ID != ti {
-			return fmt.Errorf("thread %d has ID %d", ti, th.ID)
-		}
-		if len(th.Access) == 0 {
-			return fmt.Errorf("thread %q accesses no VCs", th.Name)
-		}
-		for vid := range th.Access {
-			if vid < 0 || vid >= len(m.VCs) {
-				return fmt.Errorf("thread %q references VC %d out of range", th.Name, vid)
-			}
-			if _, ok := m.VCs[vid].Accessors[th.ID]; !ok {
-				return fmt.Errorf("thread %q -> VC %d missing reverse edge", th.Name, vid)
-			}
-		}
-	}
-	for vi, vc := range m.VCs {
+	vcEdges := 0
+	for vi := range m.VCs {
+		vc := &m.VCs[vi]
 		if vc.ID != vi {
 			return fmt.Errorf("VC %d has ID %d", vi, vc.ID)
 		}
-		for tid, apki := range vc.Accessors {
+		if len(vc.Threads) != len(vc.Rates) {
+			return fmt.Errorf("VC %d lists %d accessors but %d rates", vi, len(vc.Threads), len(vc.Rates))
+		}
+		for k, tid := range vc.Threads {
 			if tid < 0 || tid >= len(m.Threads) {
 				return fmt.Errorf("VC %d accessor thread %d out of range", vi, tid)
 			}
-			got, ok := m.Threads[tid].Access[vc.ID]
-			if !ok || got != apki {
-				return fmt.Errorf("VC %d accessor %d rate mismatch", vi, tid)
+			if k > 0 && tid <= vc.Threads[k-1] {
+				return fmt.Errorf("VC %d accessor list not ascending at %d", vi, k)
 			}
 		}
+		vcEdges += len(vc.Threads)
+	}
+	// With both sides ascending, a reverse edge for every thread edge plus
+	// equal edge counts means the VC side has no edge the threads lack.
+	threadEdges := 0
+	for ti := range m.Threads {
+		th := &m.Threads[ti]
+		if th.ID != ti {
+			return fmt.Errorf("thread %d has ID %d", ti, th.ID)
+		}
+		if len(th.VCs) != len(th.Rates) {
+			return fmt.Errorf("thread %q lists %d VCs but %d rates", th.Name, len(th.VCs), len(th.Rates))
+		}
+		if len(th.VCs) == 0 {
+			return fmt.Errorf("thread %q accesses no VCs", th.Name)
+		}
+		for k, vid := range th.VCs {
+			if vid < 0 || vid >= len(m.VCs) {
+				return fmt.Errorf("thread %q references VC %d out of range", th.Name, vid)
+			}
+			if k > 0 && vid <= th.VCs[k-1] {
+				return fmt.Errorf("thread %q VC list not ascending at %d", th.Name, k)
+			}
+			vc := &m.VCs[vid]
+			j, ok := slices.BinarySearch(vc.Threads, th.ID)
+			if !ok {
+				return fmt.Errorf("thread %q -> VC %d missing reverse edge", th.Name, vid)
+			}
+			if math.Float64bits(vc.Rates[j]) != math.Float64bits(th.Rates[k]) {
+				return fmt.Errorf("thread %q -> VC %d rate mismatch", th.Name, vid)
+			}
+		}
+		threadEdges += len(th.VCs)
+	}
+	if threadEdges != vcEdges {
+		return fmt.Errorf("threads list %d edges, VCs list %d", threadEdges, vcEdges)
 	}
 	return nil
 }
@@ -242,7 +267,6 @@ func RandomST(rng *rand.Rand, profiles []*Profile, n int) *Mix {
 	for i := 0; i < n; i++ {
 		m.AddST(profiles[rng.Intn(len(profiles))])
 	}
-	m.Seal()
 	return m
 }
 
@@ -253,7 +277,6 @@ func RandomMT(rng *rand.Rand, profiles []*MTProfile, n int) *Mix {
 	for i := 0; i < n; i++ {
 		m.AddMT(profiles[rng.Intn(len(profiles))])
 	}
-	m.Seal()
 	return m
 }
 
@@ -272,7 +295,6 @@ func CaseStudy() *Mix {
 	for i := 0; i < 2; i++ {
 		m.AddMT(MTByName(omp, "ilbdc"))
 	}
-	m.Seal()
 	return m
 }
 
@@ -284,6 +306,9 @@ func Fig16CaseStudy() *Mix {
 	for _, name := range []string{"mgrid", "md", "ilbdc", "nab"} {
 		m.AddMT(MTByName(omp, name))
 	}
-	m.Seal()
 	return m
 }
+
+// Seal does nothing: Add methods build the access graph in its final
+// sorted form. It remains only for bench/decompose.go, which still calls it.
+func (m *Mix) Seal() {}

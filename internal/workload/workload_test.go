@@ -143,8 +143,8 @@ func TestAddSTStructure(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	th := m.Threads[0]
-	if len(th.Access) != 1 {
-		t.Errorf("ST thread accesses %d VCs, want 1", len(th.Access))
+	if len(th.VCs) != 1 {
+		t.Errorf("ST thread accesses %d VCs, want 1", len(th.VCs))
 	}
 	if th.TotalAPKI() != ByName(cpu, "omnet").APKI {
 		t.Errorf("thread APKI %g != profile APKI", th.TotalAPKI())
@@ -168,8 +168,8 @@ func TestAddMTStructure(t *testing.T) {
 	for _, vc := range m.VCs {
 		if vc.Kind == ProcessShared {
 			shared++
-			if len(vc.Accessors) != 8 {
-				t.Errorf("shared VC has %d accessors, want 8", len(vc.Accessors))
+			if len(vc.Threads) != 8 {
+				t.Errorf("shared VC has %d accessors, want 8", len(vc.Threads))
 			}
 			// Shared intensity: 8 threads × APKI × SharedFrac.
 			want := 8 * ilbdc.APKI * ilbdc.SharedFrac

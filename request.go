@@ -160,7 +160,6 @@ func (s MixSpec) Build() (*Mix, error) {
 		if m.Threads() == 0 {
 			return nil, fmt.Errorf("cdcs: apps mix resolved to zero threads")
 		}
-		m.inner.Seal()
 		return m, nil
 	case MixCaseStudy:
 		return CaseStudyMix(), nil
