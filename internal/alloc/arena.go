@@ -94,14 +94,6 @@ func growCurves(buf *[]curves.Curve, n int) []curves.Curve {
 	return s
 }
 
-// Costs returns n cost-curve slots with separate backings, one per VC.
-// Build each slot in place with TotalLatencyPrefixInto /
-// MissLatencyCurveInto, then feed the slice to a Peekahead*In call; every
-// VC is then its own class. Callers whose VCs share curves use SharedCosts.
-func (a *Arena) Costs(n int) []curves.Curve {
-	return growCurves(&a.classCosts, n)
-}
-
 // SharedCosts starts a round in which VCs with the same miss-ratio curve
 // and APKI share one cost curve, and returns n per-VC headers. Fill every
 // header, in VC order, through Share:
@@ -114,7 +106,7 @@ func (a *Arena) Costs(n int) []curves.Curve {
 //
 // Passing the headers, unmodified, to a Peekahead*In call on the same arena
 // hulls each class once. The headers stay valid until the arena's next
-// Costs or SharedCosts call.
+// SharedCosts call.
 func (a *Arena) SharedCosts(n int) []curves.Curve {
 	if a.classIdx == nil {
 		a.classIdx = make(map[costKey]int)

@@ -162,9 +162,9 @@ func TestAllocArenaSteadyStateZeroAlloc(t *testing.T) {
 	profiles := workload.SPECCPU()
 	total := 64 * 8192.0
 	ar := NewArena()
+	costs := make([]curves.Curve, 64) // one slot per VC, backings reused
 	round := func() {
 		dist := ar.CompactDistance(topo, 8192)
-		costs := ar.Costs(64)
 		for i := range costs {
 			p := profiles[i%len(profiles)]
 			costs[i] = TotalLatencyPrefixInto(costs[i], p.MissRatio, p.APKI, dist, m, total)

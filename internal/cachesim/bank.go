@@ -36,7 +36,6 @@ type Bank struct {
 
 	// Statistics.
 	hits, misses int64
-	evictions    int64
 }
 
 // NewBank builds a bank with the given geometry. It panics on non-positive
@@ -57,12 +56,6 @@ func NewBank(sets, ways int) *Bank {
 // Sets returns the number of sets.
 func (b *Bank) Sets() int { return b.sets }
 
-// Ways returns the associativity.
-func (b *Bank) Ways() int { return b.ways }
-
-// Capacity returns total lines.
-func (b *Bank) Capacity() int { return b.sets * b.ways }
-
 // SetTarget sets a partition's allocation in lines. Targets are advisory
 // quotas: replacement drives occupancy toward them.
 func (b *Bank) SetTarget(p PartID, lines int) {
@@ -71,21 +64,6 @@ func (b *Bank) SetTarget(p PartID, lines int) {
 	}
 	b.target[p] = lines
 }
-
-// Target returns the partition's current quota.
-func (b *Bank) Target(p PartID) int { return b.target[p] }
-
-// Occupancy returns the partition's resident line count.
-func (b *Bank) Occupancy(p PartID) int { return b.occupancy[p] }
-
-// Hits returns the hit count.
-func (b *Bank) Hits() int64 { return b.hits }
-
-// Misses returns the miss count.
-func (b *Bank) Misses() int64 { return b.misses }
-
-// Evictions returns how many valid lines were evicted.
-func (b *Bank) Evictions() int64 { return b.evictions }
 
 // setSlice returns the lines of the set holding addr.
 func (b *Bank) setSlice(addr Addr) []line {
@@ -144,7 +122,6 @@ func (b *Bank) insert(set []line, addr Addr, p PartID) {
 	}
 	if victim < 0 {
 		victim = b.pickVictim(set)
-		b.evictions++
 		b.occupancy[set[victim].part]--
 	}
 	set[victim] = line{tag: addr, part: p, valid: true, lru: b.clock}
@@ -178,20 +155,6 @@ func (b *Bank) pickVictim(set []line) int {
 	return bestIdx
 }
 
-// InvalidatePartition drops all lines of partition p, returning how many
-// were dropped. Used by bulk-invalidation reconfigurations.
-func (b *Bank) InvalidatePartition(p PartID) int {
-	n := 0
-	for i := range b.lines {
-		if b.lines[i].valid && b.lines[i].part == p {
-			b.lines[i].valid = false
-			n++
-		}
-	}
-	b.occupancy[p] -= n
-	return n
-}
-
 // InvalidateAddr drops a single line if resident, reporting whether it was.
 func (b *Bank) InvalidateAddr(addr Addr) bool {
 	set := b.setSlice(addr)
@@ -222,9 +185,4 @@ func (b *Bank) WalkSet(set int, keep func(Addr, PartID) bool) int {
 		}
 	}
 	return n
-}
-
-// ResetStats clears hit/miss/eviction counters (occupancies are preserved).
-func (b *Bank) ResetStats() {
-	b.hits, b.misses, b.evictions = 0, 0, 0
 }

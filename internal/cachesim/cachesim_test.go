@@ -76,8 +76,8 @@ func TestLRUStackDeepReusesAreCold(t *testing.T) {
 
 func TestBankGeometry(t *testing.T) {
 	b := NewBank(64, 16)
-	if b.Sets() != 64 || b.Ways() != 16 || b.Capacity() != 1024 {
-		t.Errorf("geometry wrong: %d sets %d ways", b.Sets(), b.Ways())
+	if b.Sets() != 64 || b.ways != 16 || b.sets*b.ways != 1024 {
+		t.Errorf("geometry wrong: %d sets %d ways", b.Sets(), b.ways)
 	}
 	defer func() {
 		if recover() == nil {
@@ -95,8 +95,8 @@ func TestBankHitMiss(t *testing.T) {
 	if !b.Access(100, 0) {
 		t.Error("second access missed")
 	}
-	if b.Hits() != 1 || b.Misses() != 1 {
-		t.Errorf("counters: %d hits %d misses", b.Hits(), b.Misses())
+	if b.hits != 1 || b.misses != 1 {
+		t.Errorf("counters: %d hits %d misses", b.hits, b.misses)
 	}
 	if !b.Contains(100) {
 		t.Error("Contains(100) false")
@@ -132,9 +132,9 @@ func TestBankPartitionEnforcement(t *testing.T) {
 			b.Access(Addr(1<<20+rng.Intn(512)), 2)
 		}
 	}
-	occ1, occ2 := b.Occupancy(1), b.Occupancy(2)
-	if occ1+occ2 > b.Capacity() {
-		t.Fatalf("occupancy exceeds capacity: %d+%d > %d", occ1, occ2, b.Capacity())
+	occ1, occ2 := b.occupancy[1], b.occupancy[2]
+	if occ1+occ2 > b.sets*b.ways {
+		t.Fatalf("occupancy exceeds capacity: %d+%d > %d", occ1, occ2, b.sets*b.ways)
 	}
 	// Partition 1 should hold roughly 3x partition 2 (96 vs 32 quota);
 	// allow generous slack for set-level interference.
@@ -154,7 +154,7 @@ func TestBankZeroTargetPartitionIsEvictable(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		b.Access(Addr(1000+i%32), 1)
 	}
-	if occ := b.Occupancy(2); occ > 4 {
+	if occ := b.occupancy[2]; occ > 4 {
 		t.Errorf("zero-target partition still holds %d lines", occ)
 	}
 }
@@ -162,32 +162,13 @@ func TestBankZeroTargetPartitionIsEvictable(t *testing.T) {
 func TestBankReclassificationMovesAccounting(t *testing.T) {
 	b := NewBank(4, 4)
 	b.Access(42, 1)
-	if b.Occupancy(1) != 1 {
-		t.Fatalf("occupancy(1)=%d", b.Occupancy(1))
+	if b.occupancy[1] != 1 {
+		t.Fatalf("occupancy(1)=%d", b.occupancy[1])
 	}
 	// Same line accessed under a different partition: accounting follows.
 	b.Access(42, 2)
-	if b.Occupancy(1) != 0 || b.Occupancy(2) != 1 {
-		t.Errorf("reclassification: occ1=%d occ2=%d", b.Occupancy(1), b.Occupancy(2))
-	}
-}
-
-func TestInvalidatePartition(t *testing.T) {
-	b := NewBank(8, 4)
-	for i := 0; i < 10; i++ {
-		b.Access(Addr(i), 1)
-	}
-	for i := 100; i < 105; i++ {
-		b.Access(Addr(i), 2)
-	}
-	if n := b.InvalidatePartition(1); n != 10 {
-		t.Errorf("invalidated %d, want 10", n)
-	}
-	if b.Occupancy(1) != 0 {
-		t.Errorf("occupancy(1)=%d after invalidation", b.Occupancy(1))
-	}
-	if b.Occupancy(2) != 5 {
-		t.Errorf("occupancy(2)=%d, partition 2 should be untouched", b.Occupancy(2))
+	if b.occupancy[1] != 0 || b.occupancy[2] != 1 {
+		t.Errorf("reclassification: occ1=%d occ2=%d", b.occupancy[1], b.occupancy[2])
 	}
 }
 
@@ -221,19 +202,6 @@ func TestWalkSet(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	b := NewBank(4, 2)
-	b.Access(1, 0)
-	b.Access(1, 0)
-	b.ResetStats()
-	if b.Hits() != 0 || b.Misses() != 0 {
-		t.Error("ResetStats did not clear counters")
-	}
-	if !b.Contains(1) {
-		t.Error("ResetStats dropped contents")
-	}
-}
-
 func TestBankOccupancyConservation(t *testing.T) {
 	b := NewBank(16, 4)
 	b.SetTarget(1, 30)
@@ -244,9 +212,9 @@ func TestBankOccupancyConservation(t *testing.T) {
 		p := PartID(1 + rng.Intn(3))
 		b.Access(Addr(int(p)<<24|rng.Intn(200)), p)
 	}
-	total := b.Occupancy(1) + b.Occupancy(2) + b.Occupancy(3)
-	if total > b.Capacity() {
-		t.Errorf("total occupancy %d exceeds capacity %d", total, b.Capacity())
+	total := b.occupancy[1] + b.occupancy[2] + b.occupancy[3]
+	if total > b.sets*b.ways {
+		t.Errorf("total occupancy %d exceeds capacity %d", total, b.sets*b.ways)
 	}
 	if total <= 0 {
 		t.Error("no lines resident after 30k accesses")

@@ -69,9 +69,6 @@ func (s *LRUStack) Access(addr Addr) int {
 	return ColdMiss
 }
 
-// Accesses returns the number of references observed.
-func (s *LRUStack) Accesses() int64 { return s.n }
-
 // MissRatioAt returns the miss ratio of a fully-associative LRU cache with
 // the given capacity in lines: the fraction of accesses whose stack distance
 // was >= capacity (cold misses always miss).
@@ -91,13 +88,4 @@ func (s *LRUStack) MissRatioAt(capacity int) float64 {
 		hits += s.hist[d]
 	}
 	return float64(s.n-hits) / float64(s.n)
-}
-
-// MissRatioCurve samples the miss ratio at the given capacities (lines).
-func (s *LRUStack) MissRatioCurve(capacities []int) []float64 {
-	out := make([]float64, len(capacities))
-	for i, c := range capacities {
-		out[i] = s.MissRatioAt(c)
-	}
-	return out
 }

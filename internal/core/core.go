@@ -74,11 +74,6 @@ type Timing struct {
 	DataPlace   time.Duration
 }
 
-// Total sums all steps.
-func (t Timing) Total() time.Duration {
-	return t.Alloc + t.VCPlace + t.ThreadPlace + t.DataPlace
-}
-
 // Result is a complete co-schedule: VC sizes, data placement, and thread
 // placement, plus step timings and trade statistics.
 type Result struct {

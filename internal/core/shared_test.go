@@ -42,7 +42,10 @@ func perVCSizes(cfg core.Config, mix *workload.Mix) []float64 {
 // monitored returns a copy of mix whose VCs carry GMON-measured miss curves:
 // one distinct curve per VC, so no two VCs share a class.
 func monitored(mix *workload.Mix, totalLines float64) *workload.Mix {
-	measured := sim.MonitoredMix(mix, totalLines, 20000, 7)
+	measured, err := sim.Engine{}.MonitoredMix(mix, totalLines, 20000, 7)
+	if err != nil {
+		panic(err) // a default Engine's per-VC jobs cannot fail
+	}
 	m := *mix
 	m.VCs = slices.Clone(mix.VCs)
 	for v := range m.VCs {

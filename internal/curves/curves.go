@@ -64,9 +64,6 @@ func (c Curve) Ys() []float64 { return append([]float64(nil), c.ys...) }
 // MaxX returns the largest knot X.
 func (c Curve) MaxX() float64 { return c.xs[len(c.xs)-1] }
 
-// MinX returns the smallest knot X.
-func (c Curve) MinX() float64 { return c.xs[0] }
-
 // Eval returns y(x) with linear interpolation between knots and clamping
 // outside the domain.
 func (c Curve) Eval(x float64) float64 {
@@ -86,44 +83,6 @@ func (c Curve) Eval(x float64) float64 {
 	x1, y1 := c.xs[i], c.ys[i]
 	f := (x - x0) / (x1 - x0)
 	return y0 + f*(y1-y0)
-}
-
-// Scale returns the curve with all Y values multiplied by k.
-func (c Curve) Scale(k float64) Curve {
-	ys := make([]float64, len(c.ys))
-	for i, y := range c.ys {
-		ys[i] = y * k
-	}
-	return Curve{xs: append([]float64(nil), c.xs...), ys: ys}
-}
-
-// ShiftY returns the curve with dy added to all Y values.
-func (c Curve) ShiftY(dy float64) Curve {
-	ys := make([]float64, len(c.ys))
-	for i, y := range c.ys {
-		ys[i] = y + dy
-	}
-	return Curve{xs: append([]float64(nil), c.xs...), ys: ys}
-}
-
-// Add returns the pointwise sum of two curves, defined on the union of their
-// knot sets.
-func Add(a, b Curve) Curve {
-	xs := mergeXs(a.xs, b.xs)
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = a.Eval(x) + b.Eval(x)
-	}
-	return Curve{xs: xs, ys: ys}
-}
-
-// Resample returns the curve evaluated at the given ascending X values.
-func (c Curve) Resample(xs []float64) Curve {
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = c.Eval(x)
-	}
-	return New(xs, ys)
 }
 
 // IsNonIncreasing reports whether the curve never rises as capacity grows
@@ -188,55 +147,6 @@ func (c Curve) ConvexHull() Curve {
 // above the segment a-p, so b is not part of the lower hull.
 func cross(a, b, p struct{ x, y float64 }) float64 {
 	return (b.x-a.x)*(p.y-a.y) - (p.x-a.x)*(b.y-a.y)
-}
-
-// mergeXs merges two ascending slices, removing duplicates.
-func mergeXs(a, b []float64) []float64 {
-	out := make([]float64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v float64
-		switch {
-		case i >= len(a):
-			v = b[j]
-			j++
-		case j >= len(b):
-			v = a[i]
-			i++
-		case a[i] < b[j]:
-			v = a[i]
-			i++
-		case b[j] < a[i]:
-			v = b[j]
-			j++
-		default:
-			v = a[i]
-			i++
-			j++
-		}
-		if len(out) == 0 || v > out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// AreaUnder integrates the curve over [x0, x1] with the same clamped-linear
-// semantics as Eval. Used by tests and by average-latency summaries.
-func (c Curve) AreaUnder(x0, x1 float64) float64 {
-	if x1 < x0 {
-		x0, x1 = x1, x0
-	}
-	const steps = 256
-	h := (x1 - x0) / steps
-	if h == 0 {
-		return 0
-	}
-	sum := 0.5 * (c.Eval(x0) + c.Eval(x1))
-	for i := 1; i < steps; i++ {
-		sum += c.Eval(x0 + float64(i)*h)
-	}
-	return sum * h
 }
 
 // Equal reports whether two curves have identical knots within eps.

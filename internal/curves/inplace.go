@@ -2,9 +2,9 @@ package curves
 
 // In-place variants of the hot-path operations. The capacity allocator
 // rebuilds cost curves and convex hulls every reconfiguration round; the
-// allocating entry points (New, ConvexHull, Add, Scale) copy their knot
-// slices defensively, which dominates the allocator's heap profile in
-// steady state. The *Into forms below reuse a destination curve's backing
+// allocating entry points (New, ConvexHull) copy their knot slices
+// defensively, which dominates the allocator's heap profile in steady
+// state. The *Into forms below reuse a destination curve's backing
 // arrays instead, and Wrap adopts caller-built slices without a copy.
 //
 // Borrowing contract: a curve built by Wrap or an Into variant shares
@@ -56,24 +56,6 @@ func (c Curve) ID() ID {
 	return ID{xs: &c.xs[0], ys: &c.ys[0], n: len(c.xs)}
 }
 
-// CloneInto copies c's knots into dst's backing arrays (growing them as
-// needed) and returns the result. dst must not alias c.
-func (c Curve) CloneInto(dst Curve) Curve {
-	xs, ys := dst.Reuse()
-	return Curve{xs: append(xs, c.xs...), ys: append(ys, c.ys...)}
-}
-
-// ScaleInto is Scale with the result built in dst's backing arrays. dst
-// must not alias c.
-func (c Curve) ScaleInto(dst Curve, k float64) Curve {
-	xs, ys := dst.Reuse()
-	xs = append(xs, c.xs...)
-	for _, y := range c.ys {
-		ys = append(ys, y*k)
-	}
-	return Curve{xs: xs, ys: ys}
-}
-
 // ConvexHullInto is ConvexHull with the hull built in dst's backing
 // arrays: identical monotone chain, identical cross-product test, so the
 // result matches ConvexHull bit for bit. dst must not alias c.
@@ -100,50 +82,6 @@ func (c Curve) ConvexHullInto(dst Curve) Curve {
 		ys = append(ys, py)
 	}
 	return Curve{xs: xs, ys: ys}
-}
-
-// AddInto is Add with the sum built in dst's backing arrays. dst must not
-// alias a or b.
-func AddInto(dst, a, b Curve) Curve {
-	xs, ys := dst.Reuse()
-	xs = mergeXsInto(xs, a.xs, b.xs)
-	var wa, wb Walker
-	wa.Reset(a)
-	wb.Reset(b)
-	for _, x := range xs {
-		ys = append(ys, wa.Eval(x)+wb.Eval(x))
-	}
-	return Curve{xs: xs, ys: ys}
-}
-
-// mergeXsInto is mergeXs appending into dst instead of a fresh slice.
-func mergeXsInto(dst, a, b []float64) []float64 {
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v float64
-		switch {
-		case i >= len(a):
-			v = b[j]
-			j++
-		case j >= len(b):
-			v = a[i]
-			i++
-		case a[i] < b[j]:
-			v = a[i]
-			i++
-		case b[j] < a[i]:
-			v = b[j]
-			j++
-		default:
-			v = a[i]
-			i++
-			j++
-		}
-		if len(dst) == 0 || v > dst[len(dst)-1] {
-			dst = append(dst, v)
-		}
-	}
-	return dst
 }
 
 // Walker evaluates a curve at a non-decreasing sequence of points with an

@@ -57,37 +57,6 @@ func TestConvexHullIntoBitIdentical(t *testing.T) {
 	}
 }
 
-func TestAddIntoBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var dst Curve
-	for trial := 0; trial < 300; trial++ {
-		a := randomCurve(rng, 2+rng.Intn(30))
-		b := randomCurve(rng, 2+rng.Intn(30))
-		want := Add(a, b)
-		dst = AddInto(dst, a, b)
-		if !bitEqual(want, dst) {
-			t.Fatalf("trial %d: sums differ", trial)
-		}
-	}
-}
-
-func TestScaleCloneInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var s, cl Curve
-	for trial := 0; trial < 200; trial++ {
-		c := randomCurve(rng, 2+rng.Intn(20))
-		k := rng.NormFloat64()
-		s = c.ScaleInto(s, k)
-		if !bitEqual(c.Scale(k), s) {
-			t.Fatalf("trial %d: ScaleInto differs from Scale", trial)
-		}
-		cl = c.CloneInto(cl)
-		if !bitEqual(c, cl) {
-			t.Fatalf("trial %d: CloneInto differs from source", trial)
-		}
-	}
-}
-
 func TestWalkerMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 200; trial++ {
@@ -96,7 +65,7 @@ func TestWalkerMatchesEval(t *testing.T) {
 		w.Reset(c)
 		// A non-decreasing query sweep spanning beyond both curve ends,
 		// including exact knot hits.
-		x := c.MinX() - 10
+		x := c.xs[0] - 10
 		for x <= c.MaxX()+10 {
 			if got, want := w.Eval(x), c.Eval(x); got != want {
 				t.Fatalf("trial %d: Walker.Eval(%g)=%g, Eval=%g", trial, x, got, want)
@@ -116,14 +85,11 @@ func TestWalkerMatchesEval(t *testing.T) {
 func TestIntoVariantsDoNotAllocateSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	c := randomCurve(rng, 64)
-	d := randomCurve(rng, 64)
-	var hull, sum Curve
-	// Warm up the destination backings.
+	var hull Curve
+	// Warm up the destination backing.
 	hull = c.ConvexHullInto(hull)
-	sum = AddInto(sum, c, d)
 	allocs := testing.AllocsPerRun(50, func() {
 		hull = c.ConvexHullInto(hull)
-		sum = AddInto(sum, c, d)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Into variants allocated %.1f times per run", allocs)

@@ -120,8 +120,9 @@ type Options struct {
 	// re-routes only the cells not yet started — in-flight cells complete
 	// on the route they were dispatched with. Rebalancing is incremental
 	// by construction: rendezvous ranking moves a key only when the set of
-	// its top holders changes (see MovedKeys), so a join or leave touches
-	// the joiner's/leaver's share of the keyspace and nothing else. An
+	// its top holders changes (TestRebalanceIsIncremental checks this), so
+	// a join or leave touches the joiner's/leaver's share of the keyspace
+	// and nothing else. An
 	// empty snapshot is ignored (the initial replica list is used) so a
 	// transient membership hiccup cannot strand cells with no candidates.
 	Members func() []string
@@ -404,12 +405,17 @@ func post(ctx context.Context, client *http.Client, url string, body []byte) (re
 		return nil, true, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes+1))
 	if err != nil {
 		return nil, true, err
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
+		if len(b) > maxReplyBytes {
+			// Not retriable: the body is a pure function of the request,
+			// so every replica would send the same one.
+			return nil, false, fmt.Errorf("%s: reply exceeds %d bytes", url, maxReplyBytes)
+		}
 		return b, false, nil
 	case resp.StatusCode >= 500:
 		return nil, true, fmt.Errorf("%s: %s", resp.Status, trim(b))
@@ -417,6 +423,10 @@ func post(ctx context.Context, client *http.Client, url string, body []byte) (re
 		return nil, false, fmt.Errorf("%s: %s", resp.Status, trim(b))
 	}
 }
+
+// maxReplyBytes bounds one replica reply, the same bound the peer tier puts
+// on a fetched blob.
+const maxReplyBytes = 64 << 20
 
 // trim bounds an error body for message embedding.
 func trim(b []byte) string {
@@ -476,54 +486,4 @@ func Rank(replicas []string, key string) []string {
 		out = append(out, s.replica)
 	}
 	return out
-}
-
-// TopK returns the first k replicas of a key's rendezvous ranking — the
-// key's holder set under top-K routing (k is clamped to the replica count).
-func TopK(replicas []string, key string, k int) []string {
-	ranked := Rank(replicas, key)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return ranked[:k]
-}
-
-// MovedKeys returns the keys whose top-k holder *set* differs between two
-// replica lists — the cells a membership change actually re-routes. This is
-// the incremental-rebalance contract of rendezvous hashing: adding a
-// replica moves exactly the keys whose new top-k includes it (each key
-// independently with probability k/(n+1) going from n to n+1 replicas), and
-// removing one moves exactly the keys whose old top-k contained it — every
-// other key keeps its holders, because the relative scores of surviving
-// replicas never change.
-func MovedKeys(oldReplicas, newReplicas []string, keys []string, k int) []string {
-	oldReps := NormalizeReplicas(oldReplicas)
-	newReps := NormalizeReplicas(newReplicas)
-	var moved []string
-	for _, key := range keys {
-		if !sameHolders(TopK(oldReps, key, k), TopK(newReps, key, k)) {
-			moved = append(moved, key)
-		}
-	}
-	return moved
-}
-
-// sameHolders compares two holder slices as sets.
-func sameHolders(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	in := make(map[string]bool, len(a))
-	for _, r := range a {
-		in[r] = true
-	}
-	for _, r := range b {
-		if !in[r] {
-			return false
-		}
-	}
-	return true
 }

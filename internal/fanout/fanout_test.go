@@ -181,6 +181,37 @@ func TestDo4xxIsNotRetried(t *testing.T) {
 	}
 }
 
+func TestDoOversizedReplyIsNotRetried(t *testing.T) {
+	var aHits, bHits atomic.Int64
+	huge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		aHits.Add(1)
+		chunk := make([]byte, 1<<20)
+		for range maxReplyBytes / len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+		w.Write([]byte("x")) // one byte past the limit
+	}))
+	defer huge.Close()
+	ok := echoReplica(t, "b", &bHits)
+
+	var cell Cell
+	for i := 0; ; i++ {
+		cell = Cell{Index: 0, Key: fmt.Sprintf("%064x", i), Body: []byte("x")}
+		if Rank([]string{huge.URL, ok.URL}, cell.Key)[0] == huge.URL {
+			break
+		}
+	}
+	_, _, err := Do(context.Background(), []string{huge.URL, ok.URL}, []Cell{cell}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("err = %v, want an oversized-reply failure", err)
+	}
+	if aHits.Load() != 1 || bHits.Load() != 0 {
+		t.Errorf("oversized reply was retried: %d, %d hits", aHits.Load(), bHits.Load())
+	}
+}
+
 func TestDo5xxFailsOverThenErrorsWhenExhausted(t *testing.T) {
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"overloaded"}`, http.StatusServiceUnavailable)

@@ -15,17 +15,47 @@ func rebalanceKeys(n int) []string {
 	return keys
 }
 
-func TestTopKClamps(t *testing.T) {
-	reps := []string{"http://a:1", "http://b:2", "http://c:3"}
-	if got := TopK(reps, "k", 5); len(got) != 3 {
-		t.Errorf("TopK over-asks: %v", got)
+// topK returns the first k replicas of a key's rendezvous ranking: the
+// key's holder set under top-K routing.
+func topK(replicas []string, key string, k int) []string {
+	return Rank(replicas, key)[:min(k, len(replicas))]
+}
+
+// movedKeys returns the keys whose top-k holder *set* differs between two
+// replica lists — the cells a membership change actually re-routes. This is
+// the incremental-rebalance contract of rendezvous hashing: adding a
+// replica moves exactly the keys whose new top-k includes it (each key
+// independently with probability k/(n+1) going from n to n+1 replicas), and
+// removing one moves exactly the keys whose old top-k contained it — every
+// other key keeps its holders, because the relative scores of surviving
+// replicas never change.
+func movedKeys(oldReplicas, newReplicas []string, keys []string, k int) []string {
+	oldReps := NormalizeReplicas(oldReplicas)
+	newReps := NormalizeReplicas(newReplicas)
+	var moved []string
+	for _, key := range keys {
+		if !sameHolders(topK(oldReps, key, k), topK(newReps, key, k)) {
+			moved = append(moved, key)
+		}
 	}
-	if got := TopK(reps, "k", 0); len(got) != 0 {
-		t.Errorf("TopK(0) = %v", got)
+	return moved
+}
+
+// sameHolders compares two holder slices as sets.
+func sameHolders(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	if got := TopK(reps, "k", 2); len(got) != 2 || got[0] != Rank(reps, "k")[0] {
-		t.Errorf("TopK(2) = %v, want the rank prefix", got)
+	in := make(map[string]bool, len(a))
+	for _, r := range a {
+		in[r] = true
 	}
+	for _, r := range b {
+		if !in[r] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestRebalanceIsIncremental pins the tentpole routing invariant: a
@@ -56,23 +86,23 @@ func TestRebalanceIsIncremental(t *testing.T) {
 		return false
 	}
 
-	// Join: MovedKeys must equal, key for key, the set whose new top-K
+	// Join: movedKeys must equal, key for key, the set whose new top-K
 	// includes the newcomer — no other key may move.
-	moved := MovedKeys(old, grown, keys, k)
+	moved := movedKeys(old, grown, keys, k)
 	movedSet := map[string]bool{}
 	for _, key := range moved {
 		movedSet[key] = true
 	}
 	for _, key := range keys {
-		wantMoved := contains(TopK(grown, key, k), joined)
+		wantMoved := contains(topK(grown, key, k), joined)
 		if movedSet[key] != wantMoved {
 			t.Fatalf("join: key %s moved=%v, want %v (newcomer in new top-%d: %v)",
-				key, movedSet[key], wantMoved, k, TopK(grown, key, k))
+				key, movedSet[key], wantMoved, k, topK(grown, key, k))
 		}
 		if !wantMoved {
 			// An unmoved key's holders are identical, not merely
 			// set-equal-by-accident.
-			o, g := TopK(old, key, k), TopK(grown, key, k)
+			o, g := topK(old, key, k), topK(grown, key, k)
 			for i := range o {
 				if o[i] != g[i] {
 					t.Fatalf("join: unmoved key %s changed holders %v -> %v", key, o, g)
@@ -88,18 +118,18 @@ func TestRebalanceIsIncremental(t *testing.T) {
 	}
 
 	// Leave (the join reversed): a key moves iff the leaver held it.
-	movedBack := MovedKeys(grown, old, keys, k)
+	movedBack := movedKeys(grown, old, keys, k)
 	if len(movedBack) != len(moved) {
 		t.Errorf("remove moved %d keys, join moved %d — they must mirror", len(movedBack), len(moved))
 	}
 	for _, key := range movedBack {
-		if !contains(TopK(grown, key, k), joined) {
+		if !contains(topK(grown, key, k), joined) {
 			t.Fatalf("remove: key %s moved but the leaver was not a holder", key)
 		}
 	}
 
 	// No change, no movement.
-	if m := MovedKeys(old, old, keys, k); len(m) != 0 {
+	if m := movedKeys(old, old, keys, k); len(m) != 0 {
 		t.Errorf("identical member lists moved %d keys", len(m))
 	}
 }

@@ -217,11 +217,6 @@ func (f *Fleet) Replicas() []string {
 	return append([]string(nil), f.urls...)
 }
 
-// Membership returns the registry this fleet follows (nil unless built with
-// AdoptMembers). Callers may Apply snapshots they obtain out of band — e.g.
-// the body of a join announcement — and the fleet view follows.
-func (f *Fleet) Membership() *Membership { return f.mem }
-
 // SetMembers replaces the member set. Records of retained members (breaker
 // state, latency, counters) survive; new members start fresh; removed
 // members are dropped — their in-flight completion callbacks still run but
@@ -653,13 +648,4 @@ func (r *replica) tickRPSOnlyLocked(sec int64) {
 		}
 		r.lastSec = sec
 	}
-}
-
-// Trips sums breaker trips across the fleet.
-func (f *Fleet) Trips() int64 {
-	var n int64
-	for _, r := range f.Snapshot() {
-		n += r.Trips
-	}
-	return n
 }

@@ -176,7 +176,7 @@ func TestAdoptMembersFollowsHealthzSnapshots(t *testing.T) {
 	if reps[0] != "http://joined:1" && reps[1] != "http://joined:1" {
 		t.Fatalf("Replicas = %v, want the joined member present", reps)
 	}
-	if got := f.Membership().Epoch(); got != 3 {
+	if _, got := f.mem.Snapshot(); got != 3 {
 		t.Errorf("epoch = %d, want 3", got)
 	}
 	if adopted.Load() == 0 {

@@ -43,7 +43,7 @@ func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 	if f.Healthy("http://a:1") {
 		t.Fatal("breaker still closed after 3 consecutive failures")
 	}
-	if got := f.Trips(); got != 1 {
+	if got := f.Snapshot()[0].Trips; got != 1 {
 		t.Errorf("Trips = %d, want 1", got)
 	}
 	snap := f.Snapshot()
@@ -98,7 +98,7 @@ func TestBreakerHalfOpenTrialClosesOrReopens(t *testing.T) {
 	if f.Healthy("http://a:1") {
 		t.Fatal("failed trial left the breaker admitting traffic")
 	}
-	if got := f.Trips(); got != 1 {
+	if got := f.Snapshot()[0].Trips; got != 1 {
 		t.Errorf("Trips after failed trial = %d, want 1", got)
 	}
 	// Second trial succeeds: closed again.
@@ -149,7 +149,7 @@ func TestProberTripsAndRecovers(t *testing.T) {
 		"initial probes to settle closed")
 
 	proxy.Kill()
-	wait(func() bool { return f.Trips() >= 1 && !f.Healthy(proxy.URL()) },
+	wait(func() bool { return f.Snapshot()[0].Trips >= 1 && !f.Healthy(proxy.URL()) },
 		"breaker to trip after death")
 
 	proxy.Revive()

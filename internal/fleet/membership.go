@@ -73,31 +73,11 @@ func (m *Membership) Members() []string {
 	return append([]string(nil), m.members...)
 }
 
-// Epoch returns the current epoch.
-func (m *Membership) Epoch() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.epoch
-}
-
 // Snapshot returns the member list and epoch as one consistent pair.
 func (m *Membership) Snapshot() ([]string, uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]string(nil), m.members...), m.epoch
-}
-
-// Contains reports whether url is currently a member.
-func (m *Membership) Contains(url string) bool {
-	url = NormalizeURL(url)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, u := range m.members {
-		if u == url {
-			return true
-		}
-	}
-	return false
 }
 
 // Join adds url as a member, bumping the epoch. Reports whether the list

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -10,29 +11,29 @@ func TestMembershipJoinLeaveEpochs(t *testing.T) {
 	if got := m.Members(); !reflect.DeepEqual(got, []string{"http://a:1", "http://b:2"}) {
 		t.Fatalf("initial members = %v", got)
 	}
-	if m.Epoch() != 0 {
-		t.Fatalf("initial epoch = %d, want 0", m.Epoch())
+	if m.epoch != 0 {
+		t.Fatalf("initial epoch = %d, want 0", m.epoch)
 	}
 
 	if !m.Join("http://c:3") {
 		t.Fatal("Join of a new member reported no change")
 	}
-	if m.Epoch() != 1 || !m.Contains("http://c:3") {
-		t.Fatalf("after join: epoch %d members %v", m.Epoch(), m.Members())
+	if m.epoch != 1 || !slices.Contains(m.Members(), "http://c:3") {
+		t.Fatalf("after join: epoch %d members %v", m.epoch, m.Members())
 	}
 	// Re-announcing is idempotent: no change, no epoch churn.
 	if m.Join("http://c:3/") {
 		t.Fatal("re-join of a member reported a change")
 	}
-	if m.Epoch() != 1 {
-		t.Fatalf("idempotent join moved the epoch to %d", m.Epoch())
+	if m.epoch != 1 {
+		t.Fatalf("idempotent join moved the epoch to %d", m.epoch)
 	}
 
 	if !m.Leave("http://a:1") {
 		t.Fatal("Leave of a member reported no change")
 	}
-	if m.Epoch() != 2 || m.Contains("http://a:1") {
-		t.Fatalf("after leave: epoch %d members %v", m.Epoch(), m.Members())
+	if m.epoch != 2 || slices.Contains(m.Members(), "http://a:1") {
+		t.Fatalf("after leave: epoch %d members %v", m.epoch, m.Members())
 	}
 	if m.Leave("http://a:1") {
 		t.Fatal("leave of a non-member reported a change")
@@ -54,16 +55,16 @@ func TestMembershipApplyEpochRules(t *testing.T) {
 	if m.Apply([]string{"http://a:1", "http://b:2", "http://c:3"}, 1) {
 		t.Fatal("identical snapshot reported a change")
 	}
-	if m.Epoch() != 1 {
-		t.Fatalf("no-op applies moved the epoch to %d", m.Epoch())
+	if m.epoch != 1 {
+		t.Fatalf("no-op applies moved the epoch to %d", m.epoch)
 	}
 
 	// Newer epoch: adopted wholesale, even when it shrinks the list.
 	if !m.Apply([]string{"http://a:1"}, 5) {
 		t.Fatal("newer snapshot not applied")
 	}
-	if m.Epoch() != 5 || !reflect.DeepEqual(m.Members(), []string{"http://a:1"}) {
-		t.Fatalf("after newer apply: epoch %d members %v", m.Epoch(), m.Members())
+	if m.epoch != 5 || !reflect.DeepEqual(m.Members(), []string{"http://a:1"}) {
+		t.Fatalf("after newer apply: epoch %d members %v", m.epoch, m.Members())
 	}
 
 	// Equal epoch, different list: union under epoch+1 — both racing sides

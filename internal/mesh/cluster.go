@@ -76,9 +76,6 @@ func NewClusters(t *Topology, maxClusters int) *Clusters {
 	return c
 }
 
-// Base returns the fine mesh the view partitions.
-func (c *Clusters) Base() *Topology { return c.base }
-
 // Coarse returns the cluster-granularity mesh: one tile per cluster, row-
 // major in cluster coordinates, distances in cluster hops.
 func (c *Clusters) Coarse() *Topology { return c.coarse }

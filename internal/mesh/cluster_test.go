@@ -14,7 +14,7 @@ func checkPartition(t *testing.T, w, h, maxClusters int) {
 	if cl.N() > maxClusters {
 		t.Fatalf("%dx%d/%d: %d clusters exceed the bound", w, h, maxClusters, cl.N())
 	}
-	if cl.Base() != topo {
+	if cl.base != topo {
 		t.Fatalf("%dx%d/%d: Base does not round-trip", w, h, maxClusters)
 	}
 	if got := cl.Coarse().Tiles(); got != cl.N() {

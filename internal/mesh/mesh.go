@@ -65,10 +65,6 @@ type Topology struct {
 	// meanMCDist is the mean of avgMCDist over all tiles.
 	meanMCDist float64
 
-	// meanPairDist is the mean distance between two uniformly random tiles
-	// (the expected hop count of an S-NUCA access).
-	meanPairDist float64
-
 	// clusters is the default cluster view (built on first use; see
 	// Clusters).
 	clustersOnce sync.Once
@@ -119,18 +115,15 @@ func New(width, height int) *Topology {
 	// Closed-form per-tile distance sums. The sum of |ax-x| over a row (and
 	// |ay-y| over a column) is a pair of triangular numbers, so the total
 	// distance from tile a to all tiles is h·Sx(ax) + w·Sy(ay). These are
-	// exact integers well below 2^53, so float64(total)/n equals a float64
+	// exact integers well below 2^53, so float64(sum)/n equals a float64
 	// accumulation of the individual hop counts bit for bit.
 	lineSum := func(p, n int) int { return p*(p+1)/2 + (n-1-p)*(n-p)/2 }
 	t.avgDist = make([]float64, n)
-	total := 0
 	for a := 0; a < n; a++ {
 		x, y := t.Coords(Tile(a))
 		sum := height*lineSum(x, width) + width*lineSum(y, height)
 		t.avgDist[a] = float64(sum) / float64(n)
-		total += sum
 	}
-	t.meanPairDist = float64(total) / float64(n*n)
 
 	meanMC := 0.0
 	for a := 0; a < n; a++ {
@@ -212,21 +205,10 @@ func (t *Topology) MaxDistance() int {
 	return t.width - 1 + t.height - 1
 }
 
-// MemControllers returns the tiles adjacent to memory controllers.
-func (t *Topology) MemControllers() []Tile {
-	return t.memControllers
-}
-
 // AvgMemDistance returns the mean hop count from tile a to the memory
 // controllers (pages are interleaved across controllers).
 func (t *Topology) AvgMemDistance(a Tile) float64 {
 	return t.avgMCDist[a]
-}
-
-// MeanPairDistance returns the mean distance between two uniformly random
-// tiles: the expected hop count of an S-NUCA LLC access.
-func (t *Topology) MeanPairDistance() float64 {
-	return t.meanPairDist
 }
 
 // CenterTile returns a tile closest to the geometric center of the chip. For

@@ -208,7 +208,6 @@ func TestLazyMatchesEager(t *testing.T) {
 		if got := m.MaxDistance(); got != maxDist {
 			t.Fatalf("%dx%d: MaxDistance = %d, want %d", w, h, got, maxDist)
 		}
-		total := 0
 		meanMC := 0.0
 		for a := 0; a < n; a++ {
 			sum := 0.0
@@ -217,23 +216,19 @@ func TestLazyMatchesEager(t *testing.T) {
 					t.Fatalf("%dx%d: Distance(%d,%d) = %d, want %d", w, h, a, b, got, matrix[a][b])
 				}
 				sum += float64(matrix[a][b])
-				total += matrix[a][b]
 			}
 			if got, want := m.MeanDistanceFrom(Tile(a)), sum/float64(n); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%dx%d: MeanDistanceFrom(%d) = %v, want %v", w, h, a, got, want)
 			}
 			mcSum := 0
-			for _, mc := range m.MemControllers() {
+			for _, mc := range m.memControllers {
 				mcSum += matrix[a][mc]
 			}
-			wantMC := float64(mcSum) / float64(len(m.MemControllers()))
+			wantMC := float64(mcSum) / float64(len(m.memControllers))
 			if got := m.AvgMemDistance(Tile(a)); math.Float64bits(got) != math.Float64bits(wantMC) {
 				t.Fatalf("%dx%d: AvgMemDistance(%d) = %v, want %v", w, h, a, got, wantMC)
 			}
 			meanMC += wantMC
-		}
-		if got, want := m.MeanPairDistance(), float64(total)/float64(n*n); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%dx%d: MeanPairDistance = %v, want %v", w, h, got, want)
 		}
 		if got, want := m.MeanMemDistance(), meanMC/float64(n); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%dx%d: MeanMemDistance = %v, want %v", w, h, got, want)
@@ -377,7 +372,7 @@ func TestRadiusCovering(t *testing.T) {
 
 func TestMemControllers(t *testing.T) {
 	m := New(8, 8)
-	mcs := m.MemControllers()
+	mcs := m.memControllers
 	if len(mcs) != 8 {
 		t.Fatalf("8x8 mesh: %d controllers, want 8", len(mcs))
 	}
@@ -391,7 +386,7 @@ func TestMemControllers(t *testing.T) {
 
 func TestMemControllersSmallMesh(t *testing.T) {
 	m := New(1, 1)
-	if len(m.MemControllers()) != 1 {
+	if len(m.memControllers) != 1 {
 		t.Fatalf("1x1 mesh should have one controller")
 	}
 }
@@ -409,15 +404,6 @@ func TestAvgMemDistanceSymmetricTiles(t *testing.T) {
 		if m.AvgMemDistance(Tile(i)) <= 0 {
 			t.Errorf("tile %d: non-positive MC distance", i)
 		}
-	}
-}
-
-func TestMeanPairDistance(t *testing.T) {
-	// For a WxW mesh, mean 1-D distance is (W^2-1)/(3W); Manhattan doubles it.
-	m := New(8, 8)
-	want := 2 * (64.0 - 1) / (3 * 8)
-	if got := m.MeanPairDistance(); !close(got, want, 1e-9) {
-		t.Errorf("MeanPairDistance=%f, want %f", got, want)
 	}
 }
 

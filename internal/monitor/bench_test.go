@@ -16,7 +16,10 @@ func BenchmarkGMONAccess(b *testing.B) {
 	gen := trace.NewGenerator(
 		curves.New([]float64{0, 8192, 16384}, []float64{0.8, 0.3, 0.1}),
 		0, rand.New(rand.NewSource(1)))
-	addrs := gen.Stream(1 << 16)
+	addrs := make([]cachesim.Addr, 1<<16)
+	for i := range addrs {
+		addrs[i] = gen.Next()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Access(addrs[i&(1<<16-1)])

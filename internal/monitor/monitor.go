@@ -138,9 +138,6 @@ func (m *Monitor) Gamma() float64 {
 	return m.rate[1] / m.rate[0]
 }
 
-// SampleRate returns the address-sampling rate σ.
-func (m *Monitor) SampleRate() float64 { return m.sigma }
-
 // Ways returns the way count.
 func (m *Monitor) Ways() int { return m.ways }
 
@@ -242,17 +239,6 @@ func (m *Monitor) MissRatioCurve() curves.Curve {
 		ys = append(ys, ratio)
 	}
 	return curves.New(xs, ys)
-}
-
-// Reset clears tag state and counters for the next monitoring epoch.
-func (m *Monitor) Reset() {
-	for i := range m.tags {
-		m.tags[i] = invalidTag
-	}
-	for i := range m.hits {
-		m.hits[i] = 0
-	}
-	m.sampled, m.observed = 0, 0
 }
 
 // StateBytes returns the monitor's hardware footprint in bytes: 16-bit tags

@@ -39,7 +39,7 @@ func TestGMONPaperGeometry(t *testing.T) {
 	if g := m.Gamma(); g < 0.93 || g > 0.97 {
 		t.Errorf("gamma=%g, want ~0.95", g)
 	}
-	if s := m.SampleRate(); math.Abs(s-1.0/64) > 1e-9 {
+	if s := m.sigma; math.Abs(s-1.0/64) > 1e-9 {
 		t.Errorf("sample rate %g, want 1/64", s)
 	}
 	if c := m.WayCapacity(0); math.Abs(c-1024) > 1e-6 {
@@ -175,25 +175,6 @@ func TestMissRatioCurveShape(t *testing.T) {
 		if y < 0 || y > 1 {
 			t.Errorf("curve value %g outside [0,1]", y)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := NewGMON(16, 8, 256, 2048)
-	gen := trace.NewGenerator(curves.Constant(0.3, 512), 0, rand.New(rand.NewSource(6)))
-	for i := 0; i < 50000; i++ {
-		m.Access(gen.Next())
-	}
-	if m.Sampled() == 0 {
-		t.Fatal("nothing sampled before reset")
-	}
-	m.Reset()
-	if m.Sampled() != 0 || m.Observed() != 0 {
-		t.Error("Reset did not clear counters")
-	}
-	c := m.MissRatioCurve()
-	if c.Eval(1024) != 1 {
-		t.Error("Reset did not clear tag state")
 	}
 }
 

@@ -33,9 +33,7 @@ type Sim struct {
 	// 3=south).
 	linkFree [][4]float64
 
-	packets    int64
-	flitHops   int64
-	totalLat   float64
+	flitHops   int64 // flit-link traversals (the traffic metric)
 	lastInject float64
 }
 
@@ -73,13 +71,10 @@ func (s *Sim) Inject(t float64, src, dst mesh.Tile, flits int) float64 {
 	if flits < 1 {
 		flits = 1
 	}
-	s.packets++
 
 	if src == dst {
 		// Local delivery: router pipeline only.
-		arrive := t + s.routerDelay + float64(flits-1)
-		s.totalLat += arrive - t
-		return arrive
+		return t + s.routerDelay + float64(flits-1)
 	}
 
 	x, y := s.topo.Coords(src)
@@ -117,9 +112,7 @@ func (s *Sim) Inject(t float64, src, dst mesh.Tile, flits int) float64 {
 		cur = s.topo.TileAt(x, y)
 	}
 	// Tail flit trails the head by (flits-1) link cycles.
-	arrive := head + float64(flits-1)*s.linkDelay
-	s.totalLat += arrive - t
-	return arrive
+	return head + float64(flits-1)*s.linkDelay
 }
 
 // ZeroLoadLatency returns the analytic uncontended latency for a packet:
@@ -130,26 +123,4 @@ func (s *Sim) ZeroLoadLatency(src, dst mesh.Tile, flits int) float64 {
 		return s.routerDelay + float64(flits-1)
 	}
 	return hops*(s.routerDelay+s.linkDelay) + float64(flits-1)*s.linkDelay
-}
-
-// Packets returns the number of packets injected.
-func (s *Sim) Packets() int64 { return s.packets }
-
-// FlitHops returns total flit-link traversals (the traffic metric).
-func (s *Sim) FlitHops() int64 { return s.flitHops }
-
-// MeanLatency returns the mean packet latency so far.
-func (s *Sim) MeanLatency() float64 {
-	if s.packets == 0 {
-		return 0
-	}
-	return s.totalLat / float64(s.packets)
-}
-
-// Reset clears link state and statistics.
-func (s *Sim) Reset() {
-	for i := range s.linkFree {
-		s.linkFree[i] = [4]float64{}
-	}
-	s.packets, s.flitHops, s.totalLat, s.lastInject = 0, 0, 0, 0
 }

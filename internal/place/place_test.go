@@ -312,12 +312,6 @@ func TestPlaceThreadsPriorityOrder(t *testing.T) {
 
 func TestClusteredAndRandomThreads(t *testing.T) {
 	chip := chip36()
-	cl := ClusteredThreads(chip, 4)
-	for i, c := range cl {
-		if c != mesh.Tile(i) {
-			t.Errorf("clustered thread %d at %d", i, c)
-		}
-	}
 	rng := rand.New(rand.NewSource(42))
 	perm := rng.Perm(36)
 	r1 := RandomThreads(chip, 10, perm)
@@ -346,7 +340,10 @@ func TestGreedyRespectsCapacityAndPlacesAll(t *testing.T) {
 		t.Fatal("test demand exceeds chip capacity; adjust generator")
 	}
 	d := singleThreadDemands(sizes, rates)
-	threads := ClusteredThreads(chip, n)
+	threads := make([]mesh.Tile, n)
+	for i := range threads {
+		threads[i] = mesh.Tile(i)
+	}
 	a := GreedyIn(nil, chip, d, threads, 512)
 	if err := a.Validate(chip, d, 1); err != nil {
 		t.Fatalf("greedy assignment invalid: %v", err)

@@ -191,17 +191,6 @@ func scanFreeCores(topo *mesh.Topology, free []bool, x, y float64) mesh.Tile {
 	return best
 }
 
-// ClusteredThreads packs threads onto cores in index order (tile 0, 1, 2…):
-// the "clustered" scheduler of §II-B/§VI (Jigsaw+C) that groups instances of
-// the same process next to each other.
-func ClusteredThreads(chip Chip, nThreads int) []mesh.Tile {
-	out := make([]mesh.Tile, nThreads)
-	for t := 0; t < nThreads; t++ {
-		out[t] = mesh.Tile(t % chip.Banks())
-	}
-	return out
-}
-
 // RandomThreads places threads on distinct random cores (Jigsaw+R): the rng
 // must be seeded by the caller for reproducibility.
 func RandomThreads(chip Chip, nThreads int, perm []int) []mesh.Tile {

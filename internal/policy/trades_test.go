@@ -18,7 +18,7 @@ type tradeStat struct {
 
 // quickTradeMixes rebuilds the mixes the fig11 and ext-scaling quick
 // campaigns schedule (8 mixes each, base seed 1, per-mix seed
-// 1 + m·7919 as sim.RunCampaign derives it) and returns each one's CDCS
+// 1 + m·7919 as sim.Engine.RunCampaign derives it) and returns each one's CDCS
 // trade outcome, keyed "fig11/m" and "ext-scaling/<tiles>/m". ext-scaling's
 // 8×8 point schedules exactly fig11's mixes, so it is covered once.
 func quickTradeMixes(t *testing.T) map[string]tradeStat {

@@ -44,10 +44,6 @@ func Chain(tiers ...Tier) *TierChain {
 	return &TierChain{tiers: tiers, flight: map[string]*chainCall{}}
 }
 
-// Tiers returns the chain's tiers, fastest first. The slice is shared; do
-// not modify it.
-func (c *TierChain) Tiers() []Tier { return c.tiers }
-
 // Get implements Store: probe tiers in order, counting a hit or miss on
 // each tier probed, and promote a hit into every faster tier.
 func (c *TierChain) Get(key string) ([]byte, bool) {

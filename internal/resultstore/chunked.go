@@ -222,9 +222,6 @@ func OpenChunkedDisk(dir string, maxBytes int64) (*ChunkedDisk, error) {
 	return d, nil
 }
 
-// Dir returns the tier's root directory.
-func (d *ChunkedDisk) Dir() string { return d.dir }
-
 // Name implements Tier. The chunked store is the disk tier — same role,
 // same metrics label — just a denser encoding.
 func (d *ChunkedDisk) Name() string { return "disk" }
@@ -523,20 +520,6 @@ func (d *ChunkedDisk) Keys() []string {
 		out = append(out, strings.TrimSuffix(name, manifestSuffix))
 	}
 	return out
-}
-
-// Len returns the number of indexed entries.
-func (d *ChunkedDisk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lru.Len()
-}
-
-// Chunks returns the number of unique chunks resident on disk.
-func (d *ChunkedDisk) Chunks() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.chunks)
 }
 
 // Stats snapshots the tier's counters. Bytes is compressed, deduplicated

@@ -57,8 +57,8 @@ func TestChunkedRoundTripAndReopen(t *testing.T) {
 	if st2.Entries != st.Entries || st2.Bytes != st.Bytes || st2.LogicalBytes != st.LogicalBytes {
 		t.Errorf("reopen accounting drifted: %+v vs %+v", st2, st)
 	}
-	if d2.Chunks() != d.Chunks() {
-		t.Errorf("reopen chunk count %d, want %d", d2.Chunks(), d.Chunks())
+	if len(d2.chunks) != len(d.chunks) {
+		t.Errorf("reopen chunk count %d, want %d", len(d2.chunks), len(d.chunks))
 	}
 	for i, v := range vals {
 		if got, ok := d2.Get(fmt.Sprintf("k%d", i)); !ok || !bytes.Equal(got, v) {
@@ -90,13 +90,13 @@ func TestChunkedDedupAndCompression(t *testing.T) {
 	}
 	// Chunk dedup, not just compression: 8 copies of one body must not
 	// store 8 copies of its chunks.
-	if perEntry := 8 * len(splitChunks(vals[0])); d.Chunks() >= perEntry {
-		t.Errorf("%d unique chunks for 8 near-identical entries (%d without dedup)", d.Chunks(), perEntry)
+	if perEntry := 8 * len(splitChunks(vals[0])); len(d.chunks) >= perEntry {
+		t.Errorf("%d unique chunks for 8 near-identical entries (%d without dedup)", len(d.chunks), perEntry)
 	}
 
 	// Bytes must equal what is actually on disk.
 	var onDisk int64
-	err := filepath.Walk(d.Dir(), func(path string, info os.FileInfo, err error) error {
+	err := filepath.Walk(d.dir, func(path string, info os.FileInfo, err error) error {
 		if err == nil && !info.IsDir() {
 			onDisk += info.Size()
 		}
@@ -147,8 +147,8 @@ func TestChunkedCorruptChunkMissAndRepair(t *testing.T) {
 	if errs := d.Stats().Errors; errs == 0 {
 		t.Error("corruption not counted in Errors")
 	}
-	if d.Len() != 0 {
-		t.Errorf("%d entries survive store-wide corruption, want 0", d.Len())
+	if d.Stats().Entries != 0 {
+		t.Errorf("%d entries survive store-wide corruption, want 0", d.Stats().Entries)
 	}
 
 	// Put repairs: the same keys round-trip again, fully verified.
@@ -211,7 +211,7 @@ func TestChunkedMissingChunkIsMiss(t *testing.T) {
 	d.Put("k", val)
 
 	removed := 0
-	filepath.Walk(filepath.Join(d.Dir(), "c"), func(path string, info os.FileInfo, err error) error {
+	filepath.Walk(filepath.Join(d.dir, "c"), func(path string, info os.FileInfo, err error) error {
 		if err == nil && !info.IsDir() && removed == 0 {
 			os.Remove(path)
 			removed++
@@ -316,7 +316,7 @@ func TestChunkedIdenticalRePut(t *testing.T) {
 	if after.Entries != 1 || after.Bytes != before.Bytes || after.LogicalBytes != before.LogicalBytes {
 		t.Errorf("accounting drifted on identical re-Put: %+v vs %+v", after, before)
 	}
-	if d.Chunks() == 0 {
+	if len(d.chunks) == 0 {
 		t.Error("chunks vanished on identical re-Put")
 	}
 }

@@ -125,9 +125,6 @@ func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 	return d, nil
 }
 
-// Dir returns the tier's root directory.
-func (d *Disk) Dir() string { return d.dir }
-
 // Name implements Tier.
 func (d *Disk) Name() string { return "disk" }
 
@@ -335,13 +332,6 @@ func (d *Disk) Keys() []string {
 		out = append(out, strings.TrimSuffix(name, entrySuffix))
 	}
 	return out
-}
-
-// Len returns the number of indexed entries.
-func (d *Disk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lru.Len()
 }
 
 // Stats snapshots the tier's counters.

@@ -50,8 +50,8 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Len() != 5 {
-		t.Fatalf("reopened tier has %d entries, want 5", d2.Len())
+	if d2.Stats().Entries != 5 {
+		t.Fatalf("reopened tier has %d entries, want 5", d2.Stats().Entries)
 	}
 	for i := 0; i < 5; i++ {
 		v, ok := d2.Get(diskKey(i))
@@ -92,7 +92,7 @@ func TestDiskTruncatedEntryIsMissAndRepaired(t *testing.T) {
 		}
 		// Reopen so the index reflects the damaged file even if a prior
 		// iteration's Get dropped it.
-		d2, err := OpenDisk(d.Dir(), 0)
+		d2, err := OpenDisk(d.dir, 0)
 		if err != nil {
 			t.Fatalf("cut=%d: reopen: %v", cut, err)
 		}
@@ -136,7 +136,7 @@ func TestDiskBitFlippedEntryIsMiss(t *testing.T) {
 		if err := os.WriteFile(p, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		d2, err := OpenDisk(d.Dir(), 0)
+		d2, err := OpenDisk(d.dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestDiskOpenSweepsTempFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Len() != 0 {
+	if d.Stats().Entries != 0 {
 		t.Errorf("temp file was indexed as an entry")
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
@@ -259,7 +259,7 @@ func TestDiskUnsafeKeysAreRehashed(t *testing.T) {
 		}
 	}
 	// Nothing escaped the root.
-	err = filepath.Walk(d.Dir(), func(path string, info os.FileInfo, err error) error { return err })
+	err = filepath.Walk(d.dir, func(path string, info os.FileInfo, err error) error { return err })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestTieredComputeErrorNotStored(t *testing.T) {
 	if _, ok := tiered.Get(diskKey(3)); ok {
 		t.Error("failed compute left an entry in a tier")
 	}
-	if disk.Len() != 0 {
+	if disk.Stats().Entries != 0 {
 		t.Error("failed compute wrote a disk entry")
 	}
 }

@@ -244,9 +244,6 @@ const maxBlobBytes = 64 << 20
 // to.
 func (p *PeerTier) Put(string, []byte) {}
 
-// Peers returns the normalized peer list.
-func (p *PeerTier) Peers() []string { return p.peers }
-
 // Stats implements Tier. Entries/Bytes stay zero: the tier holds nothing.
 func (p *PeerTier) Stats() TierStats {
 	return TierStats{

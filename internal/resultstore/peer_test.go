@@ -284,9 +284,9 @@ func TestPeerTierPutIsNoOp(t *testing.T) {
 
 func TestPeerTierNormalizesPeers(t *testing.T) {
 	p := NewPeerTier([]string{" http://a:1/ ", "", "http://a:1", "http://b:2"}, nil, 0)
-	got := p.Peers()
+	got := p.peers
 	want := []string{"http://a:1", "http://b:2"}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("Peers() = %v, want %v", got, want)
+		t.Errorf("peers = %v, want %v", got, want)
 	}
 }

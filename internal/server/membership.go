@@ -49,9 +49,6 @@ func newInstanceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// ID returns this server's instance identity token.
-func (s *Server) ID() string { return s.id }
-
 // refuseDraining rejects a work-accepting request while draining or
 // drained, with a retryable status: 503 is what the fan-out client already
 // treats as "try the next replica in the ranking", so a coordinator

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -148,7 +149,7 @@ func TestHealthzCarriesIdentityAndMembership(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "ok" || body.ID == "" || body.ID != s.ID() {
+	if body.Status != "ok" || body.ID == "" || body.ID != s.id {
 		t.Errorf("healthz status/id = %q/%q", body.Status, body.ID)
 	}
 	if len(body.Members) != 1 || body.Members[0] != "http://self:1" || body.Epoch == nil {
@@ -162,7 +163,7 @@ func TestHealthzCarriesIdentityAndMembership(t *testing.T) {
 	if strings.Contains(w.Body.String(), `"members"`) {
 		t.Errorf("membership-less healthz leaked members: %s", w.Body)
 	}
-	if s2.ID() == s.ID() {
+	if s2.id == s.id {
 		t.Error("two instances minted the same identity token")
 	}
 }
@@ -210,7 +211,7 @@ func TestDrainLifecycle(t *testing.T) {
 		json.NewDecoder(hr.Body).Decode(&body)
 		return hr.StatusCode == http.StatusServiceUnavailable && body.Status == "drained"
 	}, "the drain to complete")
-	if s.membership.Contains(url) {
+	if slices.Contains(s.membership.Members(), url) {
 		t.Error("drained replica still in its own member list")
 	}
 
@@ -287,7 +288,7 @@ func TestJoinFleetWarmFill(t *testing.T) {
 		m, _, _ := membersOf(t, seedURL)
 		return len(m) == 2
 	}, "the seed to admit the joiner")
-	if !joiner.membership.Contains(joinerURL) || !joiner.membership.Contains(seedURL) {
+	if !slices.Contains(joiner.membership.Members(), joinerURL) || !slices.Contains(joiner.membership.Members(), seedURL) {
 		t.Fatalf("joiner's view = %v", joiner.membership.Members())
 	}
 
@@ -350,7 +351,7 @@ func TestJoinFleetRequiresReachableSeed(t *testing.T) {
 	}
 	// A joiner starts outside its own member list and the failed join must
 	// not have admitted it anywhere — not even in its own view.
-	if joiner.membership.Contains(joinerURL) {
+	if slices.Contains(joiner.membership.Members(), joinerURL) {
 		t.Fatalf("failed join admitted the joiner: %v", joiner.membership.Members())
 	}
 }

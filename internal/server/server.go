@@ -26,6 +26,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	netpprof "net/http/pprof"
 	"runtime"
@@ -412,7 +413,9 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	// More would report false before a stray '}' or ']': only the end of
+	// the body may follow the value.
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("unexpected data after JSON body")
 	}
 	return nil

@@ -51,6 +51,8 @@ func TestHandlerTable(t *testing.T) {
 		{"compare bad JSON", "POST", "/v1/compare", `{not json`, 400, "bad request body"},
 		{"compare unknown field", "POST", "/v1/compare", `{"mxi": {}}`, 400, "unknown field"},
 		{"compare trailing garbage", "POST", "/v1/compare", `{"mix":{"kind":"casestudy"}} trailing`, 400, ""},
+		{"compare trailing garbage brace", "POST", "/v1/compare", `{"mix":{"kind":"casestudy"}}}`, 400, "unexpected data"},
+		{"compare trailing garbage bracket", "POST", "/v1/compare", `{"mix":{"kind":"casestudy"}}]`, 400, "unexpected data"},
 		{"compare no mix kind", "POST", "/v1/compare", `{"seed": 1}`, 400, "kind"},
 		{"compare bad mix kind", "POST", "/v1/compare", `{"mix": {"kind": "wat"}}`, 400, "unknown mix kind"},
 		{"compare unknown scheme", "POST", "/v1/compare", `{"mix": {"kind": "casestudy"}, "schemes": ["NUCA-9000"]}`, 400, "unknown scheme"},
@@ -205,9 +207,10 @@ func TestExperimentAsyncThenCached(t *testing.T) {
 
 func TestExperimentCancellationMidJob(t *testing.T) {
 	_, h := testServer(t, Options{Workers: 1})
-	// fig11 at paper scale is long enough to be mid-flight when the cancel
-	// lands.
-	w := do(h, "POST", "/v1/experiment", `{"id": "fig11", "mixes": 40}`)
+	// fig11 runs 40 mixes in tens of milliseconds, so a job that short can
+	// finish between the running check and the cancel; 4000 mixes take
+	// seconds, long enough to be mid-flight when the cancel lands.
+	w := do(h, "POST", "/v1/experiment", `{"id": "fig11", "mixes": 4000}`)
 	if w.Code != 202 {
 		t.Fatalf("submit: %d %s", w.Code, w.Body)
 	}

@@ -87,7 +87,7 @@ func TestSingleAppFullChip(t *testing.T) {
 
 func TestCampaignPropagatesErrors(t *testing.T) {
 	env := policy.ScaledEnv(2, 2)
-	_, err := RunCampaign(env, []policy.Scheme{policy.SchemeSNUCA}, 1, 1,
+	_, err := Engine{}.RunCampaign(env, []policy.Scheme{policy.SchemeSNUCA}, 1, 1,
 		func(rng *rand.Rand) *workload.Mix {
 			return workload.RandomST(rng, workload.SPECCPU(), 10) // too many
 		})

@@ -161,8 +161,7 @@ func (e Engine) ForEach(n int, fn func(i int) error) error {
 }
 
 // RunCampaign evaluates schemes across mixes generated by genMix, using
-// scheme[0] as the baseline (conventionally S-NUCA). It is the parallel,
-// cancelable equivalent of the package-level RunCampaign and produces
+// scheme[0] as the baseline (conventionally S-NUCA). It produces
 // bit-identical results for any Parallelism: each mix is generated from an
 // rng seeded baseSeed + m*7919 and each (mix, scheme) run from
 // baseSeed + m*7919 + i + 1, exactly the sequential seed streams, and the
@@ -274,7 +273,10 @@ func (e Engine) RunCampaign(env policy.Env, schemes []policy.Scheme, nMixes int,
 	return out, nil
 }
 
-// MonitoredMix is the engine form of the package-level MonitoredMix: every
+// MonitoredMix reconstructs every VC miss curve in a mix through GMONs,
+// returning measured curves parallel to mix.VCs. Access counts per VC are
+// proportional to the VC's intensity (heavier VCs get better-sampled
+// curves, as in the real system where monitors see live traffic). Every
 // VC's GMON simulation is an independent job (seeded seed+v), so curves are
 // identical for any worker count.
 func (e Engine) MonitoredMix(mix *workload.Mix, totalLines float64, baseAccesses int, seed int64) ([]curves.Curve, error) {

@@ -105,14 +105,3 @@ type CampaignResult struct {
 	Traffic    perfmodel.Traffic
 	Energy     perfmodel.Energy
 }
-
-// RunCampaign evaluates schemes across mixes generated by genMix, using
-// scheme[0] as the baseline (conventionally S-NUCA). Each (mix, scheme) run
-// gets a deterministic rng derived from baseSeed.
-//
-// It runs on a default Engine (GOMAXPROCS workers); results are identical
-// for any worker count. Use an explicit Engine for cancellation, progress
-// reporting, or a specific parallelism.
-func RunCampaign(env policy.Env, schemes []policy.Scheme, nMixes int, baseSeed int64, genMix func(*rand.Rand) *workload.Mix) ([]CampaignResult, error) {
-	return Engine{}.RunCampaign(env, schemes, nMixes, baseSeed, genMix)
-}

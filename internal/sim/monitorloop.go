@@ -7,7 +7,6 @@ import (
 	"cdcs/internal/curves"
 	"cdcs/internal/monitor"
 	"cdcs/internal/trace"
-	"cdcs/internal/workload"
 )
 
 // MonitoredCurve samples one VC's miss curve the way the hardware would
@@ -27,21 +26,6 @@ func MonitoredCurve(trueCurve curves.Curve, totalLines float64, accesses int, ba
 		m.Access(gen.Next())
 	}
 	return m.MissRatioCurve()
-}
-
-// MonitoredMix reconstructs every VC miss curve in a mix through GMONs,
-// returning measured curves parallel to mix.VCs. Access counts per VC are
-// proportional to the VC's intensity (heavier VCs get better-sampled
-// curves, as in the real system where monitors see live traffic). Each VC's
-// monitor runs as an independent job on a default Engine.
-func MonitoredMix(mix *workload.Mix, totalLines float64, baseAccesses int, seed int64) []curves.Curve {
-	out, err := Engine{}.MonitoredMix(mix, totalLines, baseAccesses, seed)
-	if err != nil {
-		// A default Engine has a background context and the per-VC jobs
-		// cannot fail, so this is unreachable.
-		panic(err)
-	}
-	return out
 }
 
 // CurveError returns the mean absolute error between two miss-ratio curves

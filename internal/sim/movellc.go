@@ -126,26 +126,3 @@ func (l *MoveLLC) Resident(addr cachesim.Addr) int {
 	}
 	return n
 }
-
-// BulkInvalidate models Jigsaw's reconfiguration instead: walk everything
-// immediately, dropping all lines whose home changed, and clear shadows.
-// Returns the number of invalidated lines (the cost the §IV-H hardware
-// avoids paying synchronously).
-func (l *MoveLLC) BulkInvalidate() int64 {
-	var n int64
-	sets := l.banks[0].Sets()
-	for s := 0; s < sets; s++ {
-		for bi, bank := range l.banks {
-			n += int64(bank.WalkSet(s, func(addr cachesim.Addr, p cachesim.PartID) bool {
-				cur, _, _, err := l.vtb.Lookup(int(p), addr)
-				if err != nil {
-					return false
-				}
-				return cur.Bank == bi
-			}))
-		}
-	}
-	l.vtb.ClearShadows()
-	l.BGInvals += n
-	return n
-}

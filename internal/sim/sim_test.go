@@ -95,7 +95,7 @@ func TestRunCampaignOrdering(t *testing.T) {
 		policy.SchemeJigsawC, policy.SchemeJigsawR, policy.SchemeCDCS,
 	}
 	cpu := workload.SPECCPU()
-	res, err := RunCampaign(env, schemes, 5, 42, func(rng *rand.Rand) *workload.Mix {
+	res, err := Engine{}.RunCampaign(env, schemes, 5, 42, func(rng *rand.Rand) *workload.Mix {
 		return workload.RandomST(rng, cpu, 64)
 	})
 	if err != nil {
@@ -134,7 +134,7 @@ func TestRunCampaignMTOrderReversal(t *testing.T) {
 		policy.SchemeSNUCA, policy.SchemeJigsawC, policy.SchemeJigsawR, policy.SchemeCDCS,
 	}
 	omp := workload.SPECOMP()
-	res, err := RunCampaign(env, schemes, 5, 17, func(rng *rand.Rand) *workload.Mix {
+	res, err := Engine{}.RunCampaign(env, schemes, 5, 17, func(rng *rand.Rand) *workload.Mix {
 		return workload.RandomMT(rng, omp, 8)
 	})
 	if err != nil {
@@ -236,32 +236,6 @@ func TestMoveLLCBackgroundWalk(t *testing.T) {
 		if llc.banks[0].Contains(cachesim.Addr(i)) {
 			t.Fatalf("stale line %d still in old bank after walk", i)
 		}
-	}
-}
-
-func TestMoveLLCBulkInvalidate(t *testing.T) {
-	llc := NewMoveLLC(2, 32, 8, 1)
-	d0 := mustDescriptor(t, map[int]float64{0: 1})
-	llc.Install(0, d0, 256)
-	for i := 0; i < 100; i++ {
-		llc.Access(0, cachesim.Addr(i))
-	}
-	d1 := mustDescriptor(t, map[int]float64{1: 1})
-	llc.Install(0, d1, 256)
-	n := llc.BulkInvalidate()
-	if n == 0 {
-		t.Fatal("bulk invalidation dropped nothing")
-	}
-	if llc.Reconfiguring() {
-		t.Error("shadow active after bulk invalidation")
-	}
-	// Unlike demand moves, re-access now misses (refetch from memory).
-	missesBefore := llc.Misses
-	for i := 0; i < 100; i++ {
-		llc.Access(0, cachesim.Addr(i))
-	}
-	if llc.Misses == missesBefore {
-		t.Error("bulk-invalidated lines did not miss on re-access")
 	}
 }
 

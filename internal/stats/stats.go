@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the paper reports: weighted
-// speedups, geometric means across workload mixes, confidence intervals, and
-// sorted inverse-CDF series for distribution plots (Fig. 11a style).
+// speedups, geometric means across workload mixes, and sorted inverse-CDF
+// series for distribution plots (Fig. 11a style).
 package stats
 
 import (
@@ -37,33 +37,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// StdDev returns the sample standard deviation (n-1 denominator), or 0 when
-// fewer than two values are supplied.
-func StdDev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the mean
-// using the normal approximation (the paper runs enough mixes for CLT to
-// apply; it reports <=1% CIs).
-func CI95(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(n))
-}
-
 // WeightedSpeedup computes the paper's metric: the mean of per-app IPC ratios
 // against a baseline run of the same mix. The slices must be parallel
 // (ipc[i] and base[i] describe the same app); it panics otherwise.
@@ -89,40 +62,6 @@ func Sorted(xs []float64) []float64 {
 	return out
 }
 
-// Percentile returns the p-th percentile (0..100) by linear interpolation on
-// the sorted data, or 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo] + frac*(s[lo+1]-s[lo])
-}
-
-// Min returns the minimum, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum, or -Inf for an empty slice.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -132,20 +71,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// HarmonicMean returns the harmonic mean of positive values, or 0 for an
-// empty slice.
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: HarmonicMean of non-positive value")
-		}
-		sum += 1 / x
-	}
-	return float64(len(xs)) / sum
 }

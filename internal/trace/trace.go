@@ -200,41 +200,3 @@ func (g *Generator) invert(u float64) int {
 	}
 	return int(hi)
 }
-
-// Stream emits n addresses into a slice.
-func (g *Generator) Stream(n int) []cachesim.Addr {
-	out := make([]cachesim.Addr, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
-// Interleave merges several per-generator streams access-by-access using the
-// given weights (relative access rates), producing the mixed reference
-// stream a shared cache bank observes. It returns the merged stream and the
-// generator index of each access.
-func Interleave(rng *rand.Rand, gens []*Generator, weights []float64, n int) ([]cachesim.Addr, []int) {
-	if len(gens) != len(weights) {
-		panic("trace: generators/weights mismatch")
-	}
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	addrs := make([]cachesim.Addr, n)
-	who := make([]int, n)
-	for i := 0; i < n; i++ {
-		u := rng.Float64() * total
-		k := 0
-		for ; k < len(weights)-1; k++ {
-			if u < weights[k] {
-				break
-			}
-			u -= weights[k]
-		}
-		addrs[i] = gens[k].Next()
-		who[i] = k
-	}
-	return addrs, who
-}

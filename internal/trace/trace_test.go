@@ -87,48 +87,13 @@ func TestFreshAddressesAreUnique(t *testing.T) {
 func TestBaseSeparatesAddressSpaces(t *testing.T) {
 	g1 := NewGenerator(curves.Constant(1, 16), 0, rand.New(rand.NewSource(1)))
 	g2 := NewGenerator(curves.Constant(1, 16), 1<<32, rand.New(rand.NewSource(1)))
-	s1 := g1.Stream(100)
-	s2 := g2.Stream(100)
 	inS1 := map[cachesim.Addr]bool{}
-	for _, a := range s1 {
-		inS1[a] = true
+	for range 100 {
+		inS1[g1.Next()] = true
 	}
-	for _, a := range s2 {
-		if inS1[a] {
+	for range 100 {
+		if a := g2.Next(); inS1[a] {
 			t.Fatalf("address collision across bases: %d", a)
 		}
 	}
-}
-
-func TestStreamLength(t *testing.T) {
-	g := NewGenerator(curves.Constant(0.5, 128), 0, rand.New(rand.NewSource(2)))
-	if got := len(g.Stream(777)); got != 777 {
-		t.Errorf("Stream(777) returned %d addresses", got)
-	}
-}
-
-func TestInterleaveWeights(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g1 := NewGenerator(curves.Constant(0.5, 128), 0, rng)
-	g2 := NewGenerator(curves.Constant(0.5, 128), 1<<32, rng)
-	_, who := Interleave(rng, []*Generator{g1, g2}, []float64{3, 1}, 40000)
-	n1 := 0
-	for _, w := range who {
-		if w == 0 {
-			n1++
-		}
-	}
-	frac := float64(n1) / 40000
-	if frac < 0.71 || frac > 0.79 {
-		t.Errorf("weight-3 generator got %.3f of accesses, want ~0.75", frac)
-	}
-}
-
-func TestInterleavePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Interleave mismatch did not panic")
-		}
-	}()
-	Interleave(rand.New(rand.NewSource(1)), nil, []float64{1}, 1)
 }

@@ -32,9 +32,6 @@ type Descriptor struct {
 	buckets []Loc
 }
 
-// Buckets returns the descriptor's bucket count.
-func (d Descriptor) Buckets() int { return len(d.buckets) }
-
 // IsZero reports whether the descriptor is uninitialized.
 func (d Descriptor) IsZero() bool { return len(d.buckets) == 0 }
 
@@ -228,15 +225,4 @@ func (v *VTB) ClearShadows() {
 		v.entries[i].ShadowActive = false
 		v.entries[i].Shadow = Descriptor{}
 	}
-}
-
-// Entries returns the number of installed entries.
-func (v *VTB) Entries() int { return len(v.entries) }
-
-// StateBytes returns the hardware footprint: per entry, two descriptors of
-// 12 bits per bucket (6-bit bank + 6-bit partition) plus a 4-byte tag. The
-// paper's 3-entry, 64-bucket VTB is ~588 bytes.
-func (v *VTB) StateBytes() int {
-	perDescriptor := DefaultBuckets * 12 / 8
-	return v.cap * (2*perDescriptor + 4)
 }

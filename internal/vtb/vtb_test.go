@@ -22,7 +22,7 @@ func TestBuildDescriptorProportional(t *testing.T) {
 	}
 	// Partition ids preserved.
 	counts := map[Loc]int{}
-	for i := 0; i < d.Buckets(); i++ {
+	for i := 0; i < len(d.buckets); i++ {
 		counts[d.buckets[i]]++
 	}
 	if counts[Loc{3, 5}] != 16 || counts[Loc{9, 2}] != 48 {
@@ -150,8 +150,8 @@ func TestVTBCapacity(t *testing.T) {
 	if err := v.Install(3, d); err == nil {
 		t.Error("overfull VTB accepted entry")
 	}
-	if v.Entries() != 2 {
-		t.Errorf("entries=%d", v.Entries())
+	if len(v.entries) != 2 {
+		t.Errorf("entries=%d", len(v.entries))
 	}
 }
 
@@ -211,14 +211,6 @@ func TestVTBShadowUnmovedLines(t *testing.T) {
 	frac := float64(movedCount) / float64(total)
 	if frac < 0.3 || frac > 0.7 {
 		t.Errorf("moved fraction %.3f, want ~0.5", frac)
-	}
-}
-
-func TestVTBStateBytes(t *testing.T) {
-	// Paper: 3-entry VTB with 64-bucket descriptors is ~588 bytes.
-	v := New(3)
-	if b := v.StateBytes(); b < 550 || b > 650 {
-		t.Errorf("VTB state %dB, want ~588B", b)
 	}
 }
 

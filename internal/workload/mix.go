@@ -75,16 +75,6 @@ type Thread struct {
 	Rates []float64
 }
 
-// TotalAPKI sums the thread's access intensity over all VCs, in VC-id order,
-// so the floating-point sum is reproducible run to run.
-func (t *Thread) TotalAPKI() float64 {
-	sum := 0.0
-	for _, r := range t.Rates {
-		sum += r
-	}
-	return sum
-}
-
 // Process groups the threads of one application instance.
 type Process struct {
 	// Name is "bench#k".

@@ -36,11 +36,7 @@ func (p *PhasedProfile) At(epoch int) *Profile {
 	if len(p.Phases) == 0 {
 		panic("workload: phased profile with no phases")
 	}
-	total := 0
-	for _, ph := range p.Phases {
-		total += ph.Epochs
-	}
-	e := epoch % total
+	e := epoch % p.TotalEpochs()
 	for _, ph := range p.Phases {
 		if e < ph.Epochs {
 			return &Profile{

@@ -78,19 +78,6 @@ func (p *Profile) MPKI(lines float64) float64 {
 	return p.APKI * p.MissRatio.Eval(lines)
 }
 
-// FootprintLines returns the capacity beyond which the app sees (almost) no
-// further miss-ratio improvement: the knee used for classification.
-func (p *Profile) FootprintLines() float64 {
-	final := p.MissRatio.Eval(p.MissRatio.MaxX())
-	for i := 0; i < p.MissRatio.Len(); i++ {
-		x, y := p.MissRatio.Knot(i)
-		if y <= final+0.005 {
-			return x
-		}
-	}
-	return p.MissRatio.MaxX()
-}
-
 // maxCurveLines bounds profile curve domains: 64 banks × 8192 lines = 32MB.
 const maxCurveLines = 64 * 8192
 

@@ -64,21 +64,6 @@ func TestFig2Shapes(t *testing.T) {
 	}
 }
 
-func TestFootprintLines(t *testing.T) {
-	cpu := SPECCPU()
-	omnet := ByName(cpu, "omnet")
-	fp := omnet.FootprintLines()
-	if fp < 2*LinesPerMB || fp > 3.5*LinesPerMB {
-		t.Errorf("omnet footprint = %g lines (%.2f MB), want ~2.5MB", fp, fp/LinesPerMB)
-	}
-	// Streaming apps have no footprint knee before the end of the domain:
-	// the first knot already equals the final ratio.
-	milc := ByName(cpu, "milc")
-	if fp := milc.FootprintLines(); fp != 0 {
-		t.Errorf("milc footprint = %g, want 0 (flat curve)", fp)
-	}
-}
-
 func TestClassString(t *testing.T) {
 	cases := map[Class]string{
 		Streaming:   "streaming",
@@ -146,8 +131,8 @@ func TestAddSTStructure(t *testing.T) {
 	if len(th.VCs) != 1 {
 		t.Errorf("ST thread accesses %d VCs, want 1", len(th.VCs))
 	}
-	if th.TotalAPKI() != ByName(cpu, "omnet").APKI {
-		t.Errorf("thread APKI %g != profile APKI", th.TotalAPKI())
+	if th.Rates[0] != ByName(cpu, "omnet").APKI {
+		t.Errorf("thread APKI %g != profile APKI", th.Rates[0])
 	}
 }
 
@@ -183,8 +168,8 @@ func TestAddMTStructure(t *testing.T) {
 	}
 	// Thread access split respects SharedFrac.
 	th := m.Threads[0]
-	if !within(th.TotalAPKI(), ilbdc.APKI, 1e-9) {
-		t.Errorf("thread TotalAPKI=%g, want %g", th.TotalAPKI(), ilbdc.APKI)
+	if got := th.Rates[0] + th.Rates[1]; !within(got, ilbdc.APKI, 1e-9) {
+		t.Errorf("thread APKI=%g, want %g", got, ilbdc.APKI)
 	}
 }
 
