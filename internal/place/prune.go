@@ -299,15 +299,6 @@ func (s *centerSearch) singleBankScan() {
 	s.work.Footprint += scored
 }
 
-// bestCenter picks the least-contended center for a VC of the given size on
-// a fresh search.
-func bestCenter(chip Chip, claimed []float64, size float64) mesh.Tile {
-	var s centerSearch
-	s.init(chip, claimed)
-	best, _ := s.search(size)
-	return best
-}
-
 // latticeStride returns the smallest stride >= 1 whose coarse lattice over a
 // w×h mesh has at most PruneThreshold points.
 func latticeStride(w, h int) int {

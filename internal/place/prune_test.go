@@ -10,6 +10,15 @@ import (
 	"cdcs/internal/mesh"
 )
 
+// bestCenter picks the least-contended center for a VC of the given size on
+// a fresh search, the way OptimisticPlaceIn runs one per VC.
+func bestCenter(chip Chip, claimed []float64, size float64) mesh.Tile {
+	var s centerSearch
+	s.init(chip, claimed)
+	best, _ := s.search(size)
+	return best
+}
+
 func TestBestCenterExhaustiveAtOrBelowThreshold(t *testing.T) {
 	// Every chip the paper evaluates (up to 16x16 = PruneThreshold banks)
 	// must take the exhaustive path bit for bit.

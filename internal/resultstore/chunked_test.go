@@ -2,6 +2,8 @@ package resultstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -331,5 +333,80 @@ func TestChunkedEmptyValue(t *testing.T) {
 	d2 := openChunked(t, dir, 0)
 	if got, ok := d2.Get("empty"); !ok || len(got) != 0 {
 		t.Errorf("empty entry after reopen: ok=%v len=%d", ok, len(got))
+	}
+}
+
+// diskOccupancy sums the sizes of every file under dir.
+func diskOccupancy(t *testing.T, dir string) int64 {
+	t.Helper()
+	var n int64
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			n += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestChunkedMissingSharedChunkIsRewritten: a chunk file that vanishes while
+// other entries still reference it must be dropped store-wide, so the next
+// Put of an entry that uses it writes it again. Keeping it in the refcount
+// map would make Put skip the write, and the rewritten entry would miss on
+// every Get. The entry that still references the old chunk record must not
+// release the rewritten one when it is dropped in turn.
+func TestChunkedMissingSharedChunkIsRewritten(t *testing.T) {
+	d := openChunked(t, t.TempDir(), 0)
+	vals := corpus(2, 30<<10)
+	for i, v := range vals {
+		d.Put(fmt.Sprintf("k%d", i), v)
+	}
+	if err := os.RemoveAll(filepath.Join(d.dir, "c")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.Get("k0"); ok {
+		t.Fatal("k0 served with its chunk files gone")
+	}
+	d.Put("k0", vals[0])
+	if got, ok := d.Get("k0"); !ok || !bytes.Equal(got, vals[0]) {
+		t.Fatalf("rewritten k0: ok=%v, errors=%d", ok, d.Stats().Errors)
+	}
+	// k1's own first chunk is still missing: it misses and is dropped,
+	// which must leave the chunks k0 shares with it in place.
+	if _, ok := d.Get("k1"); ok {
+		t.Fatal("k1 served with its first chunk gone")
+	}
+	if got, ok := d.Get("k0"); !ok || !bytes.Equal(got, vals[0]) {
+		t.Fatal("dropping k1 damaged the chunks rewritten for k0")
+	}
+	if st := d.Stats(); st.Entries != 1 || st.Errors != 2 || st.Bytes != diskOccupancy(t, d.dir) {
+		t.Errorf("stats = %+v, on disk = %d", st, diskOccupancy(t, d.dir))
+	}
+}
+
+// TestChunkedForgedLengthDroppedAtOpen: a manifest whose payload length
+// field is damaged must be refused, not trusted to size the read buffer.
+func TestChunkedForgedLengthDroppedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	d := openChunked(t, dir, 0)
+	d.Put("k", randBytes(3, 20<<10))
+	path := d.manifestPath(manifestName("k"))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint64(raw[len(chunkedMagic)+sha256.Size:], 1<<62)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d2 := openChunked(t, dir, 0)
+	if _, ok := d2.Get("k"); ok {
+		t.Error("manifest with a forged length served")
+	}
+	if st := d2.Stats(); st.Entries != 0 || st.Errors != 1 || st.LogicalBytes != 0 {
+		t.Errorf("stats = %+v, want the forged manifest dropped at open", st)
 	}
 }

@@ -150,119 +150,178 @@ func TestDiskBitFlippedEntryIsMiss(t *testing.T) {
 	}
 }
 
+// persistentTier is what the tests shared by both persistent formats
+// drive: a tier and the path of an entry's file.
+type persistentTier interface {
+	Tier
+	path(name string) string
+}
+
+// persistentFormat is one persistent tier format under test.
+type persistentFormat struct {
+	name string
+	open func(dir string, maxBytes int64) (persistentTier, error)
+	// entryName maps a key to its entry file's name.
+	entryName func(key string) string
+	// tempDirs are shard directories, relative to the root, where an
+	// interrupted write can leave a temp file.
+	tempDirs []string
+}
+
+var persistentFormats = []persistentFormat{
+	{
+		name:      "disk",
+		open:      func(dir string, maxBytes int64) (persistentTier, error) { return OpenDisk(dir, maxBytes) },
+		entryName: fileName,
+		tempDirs:  []string{"de"},
+	},
+	{
+		name:      "chunked",
+		open:      func(dir string, maxBytes int64) (persistentTier, error) { return OpenChunkedDisk(dir, maxBytes) },
+		entryName: manifestName,
+		tempDirs:  []string{filepath.Join("m", "de"), filepath.Join("c", "de")},
+	},
+}
+
+// forEachFormat runs test once per persistent format, as a subtest.
+func forEachFormat(t *testing.T, test func(t *testing.T, f persistentFormat, open func(dir string, maxBytes int64) persistentTier)) {
+	for _, f := range persistentFormats {
+		t.Run(f.name, func(t *testing.T) {
+			test(t, f, func(dir string, maxBytes int64) persistentTier {
+				t.Helper()
+				d, err := f.open(dir, maxBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			})
+		})
+	}
+}
+
+// entryBytes is the occupancy one entry of val adds to an empty tier.
+func entryBytes(t *testing.T, open func(dir string, maxBytes int64) persistentTier, val []byte) int64 {
+	t.Helper()
+	d := open(t.TempDir(), 0)
+	d.Put(diskKey(0), val)
+	return d.Stats().Bytes
+}
+
 func TestDiskSizeCapEvictsLRU(t *testing.T) {
-	entry := int64(diskHeaderLen + 10) // every payload below is 10 bytes
-	d, err := OpenDisk(t.TempDir(), 4*entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		d.Put(diskKey(i), []byte(fmt.Sprintf("payload-%02d", i)))
-	}
-	st := d.Stats()
-	if st.Entries != 4 {
-		t.Fatalf("entries = %d, want 4 (cap %d bytes)", st.Entries, 4*entry)
-	}
-	if st.Bytes > 4*entry {
-		t.Errorf("bytes = %d exceeds cap %d", st.Bytes, 4*entry)
-	}
-	if st.Evictions != 4 {
-		t.Errorf("evictions = %d, want 4", st.Evictions)
-	}
-	// The four newest survive; the four oldest are gone from disk too.
-	for i := 0; i < 4; i++ {
-		if _, ok := d.Get(diskKey(i)); ok {
-			t.Errorf("old entry %d survived eviction", i)
+	forEachFormat(t, func(t *testing.T, f persistentFormat, open func(string, int64) persistentTier) {
+		entry := entryBytes(t, open, []byte("payload-00")) // every payload below is 10 bytes
+		d := open(t.TempDir(), 4*entry)
+		for i := 0; i < 8; i++ {
+			d.Put(diskKey(i), []byte(fmt.Sprintf("payload-%02d", i)))
 		}
-		if _, err := os.Stat(d.path(fileName(diskKey(i)))); !os.IsNotExist(err) {
-			t.Errorf("old entry %d file still on disk", i)
+		st := d.Stats()
+		if st.Entries != 4 {
+			t.Fatalf("entries = %d, want 4 (cap %d bytes)", st.Entries, 4*entry)
 		}
-	}
-	for i := 4; i < 8; i++ {
-		if _, ok := d.Get(diskKey(i)); !ok {
-			t.Errorf("new entry %d evicted", i)
+		if st.Bytes > 4*entry {
+			t.Errorf("bytes = %d exceeds cap %d", st.Bytes, 4*entry)
 		}
-	}
+		if st.Evictions != 4 {
+			t.Errorf("evictions = %d, want 4", st.Evictions)
+		}
+		// The four newest survive; the four oldest are gone from disk too.
+		for i := 0; i < 4; i++ {
+			if _, ok := d.Get(diskKey(i)); ok {
+				t.Errorf("old entry %d survived eviction", i)
+			}
+			if _, err := os.Stat(d.path(f.entryName(diskKey(i)))); !os.IsNotExist(err) {
+				t.Errorf("old entry %d file still on disk", i)
+			}
+		}
+		for i := 4; i < 8; i++ {
+			if _, ok := d.Get(diskKey(i)); !ok {
+				t.Errorf("new entry %d evicted", i)
+			}
+		}
+	})
 }
 
 func TestDiskRecencySurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Put(diskKey(0), []byte("aaaaaaaaaa"))
-	d.Put(diskKey(1), []byte("bbbbbbbbbb"))
-	// Backdate both entries, then touch entry 0 via Get so its mtime — the
-	// persisted access index — is newest.
-	old := time.Now().Add(-time.Hour)
-	for i := 0; i < 2; i++ {
-		if err := os.Chtimes(d.path(fileName(diskKey(i))), old, old); err != nil {
-			t.Fatal(err)
+	forEachFormat(t, func(t *testing.T, f persistentFormat, open func(string, int64) persistentTier) {
+		dir := t.TempDir()
+		d := open(dir, 0)
+		d.Put(diskKey(0), []byte("aaaaaaaaaa"))
+		d.Put(diskKey(1), []byte("bbbbbbbbbb"))
+		// Backdate both entries, then touch entry 0 via Get so its mtime —
+		// the persisted access index — is newest.
+		old := time.Now().Add(-time.Hour)
+		for i := 0; i < 2; i++ {
+			if err := os.Chtimes(d.path(f.entryName(diskKey(i))), old, old); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if _, ok := d.Get(diskKey(0)); !ok {
-		t.Fatal("entry 0 missing")
-	}
+		if _, ok := d.Get(diskKey(0)); !ok {
+			t.Fatal("entry 0 missing")
+		}
 
-	// Reopen with a cap that forces one eviction: the stale entry 1 goes.
-	entry := int64(diskHeaderLen + 10)
-	d2, err := OpenDisk(dir, entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d2.Get(diskKey(0)); !ok {
-		t.Error("recently-accessed entry evicted at reopen")
-	}
-	if _, ok := d2.Get(diskKey(1)); ok {
-		t.Error("least-recently-accessed entry survived reopen eviction")
-	}
+		// Reopen with a cap that forces one eviction: the stale entry 1 goes.
+		d2 := open(dir, entryBytes(t, open, []byte("aaaaaaaaaa")))
+		if _, ok := d2.Get(diskKey(0)); !ok {
+			t.Error("recently-accessed entry evicted at reopen")
+		}
+		if _, ok := d2.Get(diskKey(1)); ok {
+			t.Error("least-recently-accessed entry survived reopen eviction")
+		}
+	})
 }
 
 func TestDiskOpenSweepsTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "de"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	tmp := filepath.Join(dir, "de", "tmp-12345")
-	if err := os.WriteFile(tmp, []byte("half a write"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenDisk(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Stats().Entries != 0 {
-		t.Errorf("temp file was indexed as an entry")
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Errorf("temp file not swept at open")
-	}
+	forEachFormat(t, func(t *testing.T, f persistentFormat, open func(string, int64) persistentTier) {
+		dir := t.TempDir()
+		var tmps []string
+		for _, sub := range f.tempDirs {
+			if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			tmp := filepath.Join(dir, sub, "tmp-12345")
+			if err := os.WriteFile(tmp, []byte("half a write"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tmps = append(tmps, tmp)
+		}
+		d := open(dir, 0)
+		if st := d.Stats(); st.Entries != 0 || st.Bytes != 0 {
+			t.Errorf("temp file was indexed: %+v", st)
+		}
+		for _, tmp := range tmps {
+			if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+				t.Errorf("temp file %s not swept at open", tmp)
+			}
+		}
+	})
 }
 
 func TestDiskUnsafeKeysAreRehashed(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{"../../etc/passwd", "UPPER", "", strings.Repeat("k", 200), "sp ace"}
-	for i, k := range keys {
-		val := []byte(fmt.Sprintf("v-%d", i))
-		d.Put(k, val)
-		got, ok := d.Get(k)
-		if !ok || string(got) != string(val) {
-			t.Errorf("key %q: Get = %q, %v", k, got, ok)
+	forEachFormat(t, func(t *testing.T, f persistentFormat, open func(string, int64) persistentTier) {
+		dir := t.TempDir()
+		d := open(dir, 0)
+		keys := []string{"../../etc/passwd", "UPPER", "", strings.Repeat("k", 200), "sp ace"}
+		for i, k := range keys {
+			val := []byte(fmt.Sprintf("v-%d", i))
+			d.Put(k, val)
+			got, ok := d.Get(k)
+			if !ok || string(got) != string(val) {
+				t.Errorf("key %q: Get = %q, %v", k, got, ok)
+			}
+			name := f.entryName(k)
+			if strings.ContainsAny(name, "/\\ ") || len(name) > 128+len(filepath.Ext(name)) {
+				t.Errorf("key %q mapped to unsafe file name %q", k, name)
+			}
 		}
-		name := fileName(k)
-		if strings.ContainsAny(name, "/\\ ") || len(name) > 128+len(entrySuffix) {
-			t.Errorf("key %q mapped to unsafe file name %q", k, name)
+		// Nothing escaped the root: every key is still served after a
+		// reopen, which indexes only what lies under it.
+		d2 := open(dir, 0)
+		for i, k := range keys {
+			if got, ok := d2.Get(k); !ok || string(got) != fmt.Sprintf("v-%d", i) {
+				t.Errorf("key %q after reopen: Get = %q, %v", k, got, ok)
+			}
 		}
-	}
-	// Nothing escaped the root.
-	err = filepath.Walk(d.dir, func(path string, info os.FileInfo, err error) error { return err })
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestTieredPromotesDiskHitsToMemory(t *testing.T) {

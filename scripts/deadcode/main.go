@@ -11,11 +11,12 @@
 //   - an unreached package: no root reaches it through imports. The roots
 //     are every main package and each module's root package (package cdcs,
 //     whose exported API is the library surface);
-//   - an unused exported function or method of a reached library package:
-//     no non-test file of either module names it outside its own body. A
-//     method also counts as used when its receiver implements an interface
-//     that declares it, because a call through the interface never names
-//     the concrete method.
+//   - an unused function or method, exported or not, of a reached library
+//     package: no non-test file of either module names it outside its own
+//     body. A method also counts as used when its receiver implements an
+//     interface that declares it, because a call through the interface
+//     never names the concrete method. Package init functions run without
+//     being named, so they are never reported.
 //
 // scripts/deadcode/allowlist.txt keeps what should stay anyway, one entry a
 // line: the reported name, then the reason it stays. Blank lines and lines
@@ -61,7 +62,7 @@ func main() {
 	os.Exit(1)
 }
 
-// A finding is one unreached package or unused exported function or method.
+// A finding is one unreached package or unused function or method.
 type finding struct {
 	// Name is the package import path, "pkg.Func" or "pkg.Type.Method".
 	Name string
@@ -321,7 +322,7 @@ func scan(root string) ([]finding, error) {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
+				if !ok || fd.Recv == nil && fd.Name.Name == "init" {
 					continue
 				}
 				dd := decl{fn: p.info.Defs[fd.Name].(*types.Func), pos: fd.Pos(), end: fd.End()}
@@ -349,9 +350,9 @@ func scan(root string) ([]finding, error) {
 		if used[d.fn] || implementsUsed(d.fn, ifaces) {
 			continue
 		}
-		kind := "unused exported function"
+		kind := "unused function"
 		if receiver(d.fn) != nil {
-			kind = "unused exported method"
+			kind = "unused method"
 		}
 		pos := l.fset.Position(d.pos)
 		findings = append(findings, finding{Name: funcName(d.fn), Pos: fmt.Sprintf("%s:%d", rel(pos.Filename), pos.Line), Kind: kind})

@@ -32,6 +32,21 @@ func TestScanFixture(t *testing.T) {
 			t.Errorf("fix/lib.TestOnly not reported: %v", findings)
 		}
 	})
+	t.Run("unexported function called only from a test file is reported", func(t *testing.T) {
+		if !reported["fix/lib.testOnly"] {
+			t.Errorf("fix/lib.testOnly not reported: %v", findings)
+		}
+		for _, f := range findings {
+			if f.Name == "fix/lib.testOnly" && f.Kind != "unused function" {
+				t.Errorf("fix/lib.testOnly reported as %q, want \"unused function\"", f.Kind)
+			}
+		}
+	})
+	t.Run("unexported function with a caller and init are not reported", func(t *testing.T) {
+		if reported["fix/lib.one"] || reported["fix/lib.init"] {
+			t.Errorf("reported %v, but Used calls one and init runs unnamed", findings)
+		}
+	})
 	t.Run("method that satisfies a used interface is not reported", func(t *testing.T) {
 		if reported["fix/lib.Square.Area"] {
 			t.Error("fix/lib.Square.Area reported, but Run calls it through Shape")
@@ -46,7 +61,7 @@ func TestScanFixture(t *testing.T) {
 		}
 	})
 	t.Run("nothing else is reported", func(t *testing.T) {
-		want := map[string]bool{"fix/orphan": true, "fix/lib.TestOnly": true, "fix/lib.Square.Perimeter": true}
+		want := map[string]bool{"fix/orphan": true, "fix/lib.TestOnly": true, "fix/lib.testOnly": true, "fix/lib.Square.Perimeter": true}
 		if !reflect.DeepEqual(reported, want) {
 			t.Errorf("reported %v, want %v", findings, want)
 		}
@@ -55,6 +70,7 @@ func TestScanFixture(t *testing.T) {
 		allow := map[string]string{
 			"fix/orphan":               "kept on purpose",
 			"fix/lib.TestOnly":         "test oracle",
+			"fix/lib.testOnly":         "test oracle",
 			"fix/lib.Square.Perimeter": "test oracle",
 		}
 		if problems := check(findings, allow); len(problems) != 0 {

@@ -14,7 +14,16 @@ func (s Square) Area() float64 { return s.Side * s.Side }
 func (s Square) Perimeter() float64 { return 4 * s.Side }
 
 // Used is called from the root package.
-func Used() float64 { return 1 }
+func Used() float64 { return one() }
+
+// one is unexported and called from Used.
+func one() float64 { return 1 }
+
+// testOnly is unexported and called only from lib_test.go.
+func testOnly() int { return 0 }
+
+// init runs without being named, so it is never reported.
+func init() { _ = one() }
 
 // TestOnly is called only from lib_test.go and from its own body.
 func TestOnly(n int) int {
