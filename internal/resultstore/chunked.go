@@ -184,6 +184,8 @@ func (d *ChunkedDisk) Peek(key string) ([]byte, bool) {
 		out = append(out, chunk...)
 	}
 	if bad != nil || int64(len(out)) != m.logical || sha256.Sum256(out) != m.sum {
+		// Forget the chunks first: a Put of this key that runs between the
+		// two steps then finds them gone and writes them again.
 		d.errors.Add(1)
 		d.forget(bad)
 		d.dropStale(name, gen, true)
