@@ -232,20 +232,18 @@ func (t *diskTier[M]) dropStale(name string, gen uint64, removeFile bool) {
 // evicts past the cap. Called with mu held.
 func (t *diskTier[M]) installLocked(name string, size int64, meta M) {
 	t.gen++
-	t.bytes += size
-	el, ok := t.idx[name]
-	if !ok {
+	if el, ok := t.idx[name]; ok {
+		r := el.Value.(*diskRecord[M])
+		old := r.meta
+		t.bytes += size - r.size
+		r.size, r.gen, r.meta = size, t.gen, meta
+		t.lru.MoveToFront(el)
+		if t.release != nil {
+			t.release(old)
+		}
+	} else {
 		t.idx[name] = t.lru.PushFront(&diskRecord[M]{name: name, size: size, gen: t.gen, meta: meta})
-		t.evictOverCapLocked()
-		return
-	}
-	r := el.Value.(*diskRecord[M])
-	old := r.meta
-	t.bytes -= r.size
-	r.size, r.gen, r.meta = size, t.gen, meta
-	t.lru.MoveToFront(el)
-	if t.release != nil {
-		t.release(old)
+		t.bytes += size
 	}
 	t.evictOverCapLocked()
 }
