@@ -98,7 +98,7 @@ func OpenChunkedDisk(dir string, maxBytes int64) (*ChunkedDisk, error) {
 	// A manifest that does not parse, or references a chunk that is not on
 	// disk, is dead: remove it so the entry is recomputed cleanly later.
 	err = d.load(func(f diskFile) (manifest, bool) {
-		path := d.manifestPath(f.name)
+		path := d.path(f.name)
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			return manifest{}, false
@@ -144,10 +144,6 @@ func OpenChunkedDisk(dir string, maxBytes int64) (*ChunkedDisk, error) {
 // manifestName maps a content address to its manifest file name.
 func manifestName(key string) string { return safeName(key) + manifestSuffix }
 
-// manifestPath returns a manifest's path: the manifests are this tier's
-// entry files.
-func (d *ChunkedDisk) manifestPath(name string) string { return d.path(name) }
-
 // chunkPath returns a chunk's path, sharded by hash prefix.
 func (d *ChunkedDisk) chunkPath(hexSum string) string {
 	return shardPath(d.chunkRoot, hexSum+chunkSuffix)
@@ -191,7 +187,7 @@ func (d *ChunkedDisk) Peek(key string) ([]byte, bool) {
 		d.dropStale(name, gen, true)
 		return nil, false
 	}
-	touch(d.manifestPath(name))
+	touch(d.path(name))
 	return out, true
 }
 
@@ -249,7 +245,7 @@ func (d *ChunkedDisk) Put(key string, val []byte) {
 		}
 		written[h] = &chunkInfo{size: int64(len(comps[i]))}
 	}
-	if !d.writeFile(d.manifestPath(name), raw) {
+	if !d.writeFile(d.path(name), raw) {
 		d.unwindLocked(written)
 		return
 	}

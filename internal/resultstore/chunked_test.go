@@ -172,7 +172,7 @@ func TestChunkedTruncatedManifestDroppedAtOpen(t *testing.T) {
 
 	// Truncate one manifest mid-frame, as a crash during write would if the
 	// write were not atomic.
-	torn := d.manifestPath(manifestName("torn"))
+	torn := d.path(manifestName("torn"))
 	raw, err := os.ReadFile(torn)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +393,7 @@ func TestChunkedForgedLengthDroppedAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	d := openChunked(t, dir, 0)
 	d.Put("k", randBytes(3, 20<<10))
-	path := d.manifestPath(manifestName("k"))
+	path := d.path(manifestName("k"))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -3,12 +3,9 @@ package resultstore
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -16,12 +13,11 @@ import (
 // persistent format (disk/, chunked/), written by an earlier build, and
 // want.json records the entries they hold and the Stats that build
 // reported. A replica restarted onto a new binary keeps its warm cache only
-// if the new code serves those files unchanged. Regenerate deliberately,
-// only for an intentional format change, with:
-//
-//	go test -run TestFormatCompatibility -update-compat ./internal/resultstore
-var updateCompat = flag.Bool("update-compat", false, "rewrite testdata/compat with the current code")
-
+// if the new code serves those files unchanged, so the fixture is a fixed
+// reference: the code under test never rewrites it. The entries are four
+// near-identical JSON result bodies (the shape of neighboring sweep cells,
+// so the chunked format shares and compresses chunks), an empty payload,
+// and a key the tiers rehash because it is not a safe file name.
 const compatDir = "testdata/compat"
 
 // compatFile is want.json.
@@ -47,55 +43,6 @@ type compatStats struct {
 var compatFormats = map[string]func(dir string) (Tier, error){
 	"disk":    func(dir string) (Tier, error) { return OpenDisk(dir, 0) },
 	"chunked": func(dir string) (Tier, error) { return OpenChunkedDisk(dir, 0) },
-}
-
-// compatEntries builds the fixture's payloads: near-identical JSON result
-// bodies, the shape of neighboring sweep cells (so the chunked format
-// shares and compresses chunks), an empty payload, and a key the tiers
-// rehash because it is not a safe file name.
-func compatEntries() []compatEntry {
-	var body strings.Builder
-	for app := 0; app < 160; app++ {
-		fmt.Fprintf(&body, `{"app":%d,"vc":%d,"ipc":%d.%04d,"lat":%d},`, app, app%37, app%3, (app*7919)%10000, 20+app%41)
-	}
-	var out []compatEntry
-	for cell := 0; cell < 4; cell++ {
-		out = append(out, compatEntry{
-			Key:   strings.Repeat(fmt.Sprintf("%016x", 0x9e3779b97f4a7c15*uint64(cell+1)), 4),
-			Value: []byte(fmt.Sprintf(`{"cell":%d,"hop":%d,"threads":[%s]}`, cell, 2+cell, body.String())),
-		})
-	}
-	out = append(out,
-		compatEntry{Key: strings.Repeat("0", 64), Value: []byte{}},
-		compatEntry{Key: "Not A/Safe Key", Value: []byte(`{"cell":"rehashed"}`)},
-	)
-	return out
-}
-
-// writeCompat rewrites the fixture with the current code.
-func writeCompat(t *testing.T) {
-	if err := os.RemoveAll(compatDir); err != nil {
-		t.Fatal(err)
-	}
-	want := compatFile{Entries: compatEntries(), Tiers: map[string]compatStats{}}
-	for name, open := range compatFormats {
-		tier, err := open(filepath.Join(compatDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range want.Entries {
-			tier.Put(e.Key, e.Value)
-		}
-		st := tier.Stats()
-		want.Tiers[name] = compatStats{Entries: st.Entries, Bytes: st.Bytes, LogicalBytes: st.LogicalBytes}
-	}
-	raw, err := json.MarshalIndent(want, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(compatDir, "want.json"), append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // copyTree copies the fixture directory src into dst, so a test that
@@ -127,9 +74,6 @@ func copyTree(t *testing.T, src, dst string) {
 // TestFormatCompatibility opens the committed directories of both formats
 // and requires every entry back byte for byte, with the recorded occupancy.
 func TestFormatCompatibility(t *testing.T) {
-	if *updateCompat {
-		writeCompat(t)
-	}
 	raw, err := os.ReadFile(filepath.Join(compatDir, "want.json"))
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ func FuzzDecodeManifest(f *testing.F) {
 			f.Fatal(err)
 		}
 		d.Put("k", val)
-		raw, err := os.ReadFile(d.manifestPath(manifestName("k")))
+		raw, err := os.ReadFile(d.path(manifestName("k")))
 		if err != nil {
 			f.Fatal(err)
 		}
