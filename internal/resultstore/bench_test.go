@@ -1,8 +1,10 @@
 package resultstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -12,51 +14,101 @@ import (
 // cells), read every entry back verified — so the chunked tier's
 // split+compress+dedup cost is visible next to the whole-entry tier it
 // replaces. The stored metric reports physical occupancy per logical byte.
+//
+// "disk" and "chunked" re-put the same 16 entries on every iteration, so
+// after the first one every chunk deduplicates. "chunked-fresh" puts 16
+// new neighboring cells on every iteration, as warm-mixed's fresh writes
+// do, into a store that already holds their neighbors: each new cell
+// shares the body but carries its own header and one changed field in the
+// middle, so a few of its chunks are new. It reports the chunk work that
+// costs, compressed/op and chunkwrites/op, next to chunks/op, the chunks
+// the op's payloads hold; set-up work is not counted.
 func BenchmarkStoreWriteRead(b *testing.B) {
-	vals := corpus(16, 8<<10)
-	var logical int64
-	for _, v := range vals {
-		logical += int64(len(v))
-	}
+	const n, size = 16, 8 << 10
+	vals := corpus(n, size)
 
-	run := func(b *testing.B, open func(dir string) Tier) {
-		dir := b.TempDir()
-		tier := open(dir)
+	// run times, per iteration i, a Put of every entry j then a Get of each.
+	run := func(b *testing.B, tier Tier, key func(i, j int) string, val func(i, j int) []byte) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for j, v := range vals {
-				tier.Put(fmt.Sprintf("key-%d", j), v)
+			for j := 0; j < n; j++ {
+				tier.Put(key(i, j), val(i, j))
 			}
-			for j := range vals {
-				if _, ok := tier.Get(fmt.Sprintf("key-%d", j)); !ok {
-					b.Fatalf("key-%d unreadable", j)
+			for j := 0; j < n; j++ {
+				if _, ok := tier.Get(key(i, j)); !ok {
+					b.Fatalf("%s unreadable", key(i, j))
 				}
 			}
 		}
 		b.StopTimer()
 		st := tier.Stats()
-		b.ReportMetric(float64(st.Bytes)/float64(logical), "stored/logical")
+		b.ReportMetric(float64(st.Bytes)/float64(st.LogicalBytes), "stored/logical")
 	}
+	fixedKey := func(_, j int) string { return fmt.Sprintf("key-%d", j) }
+	fixedVal := func(_, j int) []byte { return vals[j] }
 
 	b.Run("disk", func(b *testing.B) {
-		run(b, func(dir string) Tier {
-			d, err := OpenDisk(dir, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return d
-		})
+		d, err := OpenDisk(b.TempDir(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, d, fixedKey, fixedVal)
 	})
 	b.Run("chunked", func(b *testing.B) {
-		run(b, func(dir string) Tier {
-			d, err := OpenChunkedDisk(dir, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return d
-		})
+		defer steadyCodecPools()()
+		d, err := OpenChunkedDisk(b.TempDir(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, d, fixedKey, fixedVal)
 	})
+	b.Run("chunked-fresh", func(b *testing.B) {
+		defer steadyCodecPools()()
+		d, err := OpenChunkedDisk(b.TempDir(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, v := range vals {
+			d.Put(fixedKey(0, j), v)
+		}
+		compressed0, written0 := d.Work()
+		bufs := make([][]byte, n) // one reused payload buffer per cell slot
+		cell := func(i, j int) []byte {
+			v := fmt.Appendf(bufs[j][:0], "cell-%08d:", i*n+j)
+			v = append(v, vals[0][len("entry-0000:"):]...)
+			copy(v[len(v)/2:], fmt.Sprintf("%08x", i*n+j))
+			bufs[j] = v
+			return v
+		}
+		run(b, d, func(i, j int) string { return fmt.Sprintf("fresh-%d-%d", i, j) }, cell)
+		compressed, written := d.Work()
+		chunks := 0
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < n; j++ {
+				chunks += len(splitChunks(cell(i, j)))
+			}
+		}
+		b.ReportMetric(float64(compressed-compressed0)/float64(b.N), "compressed/op")
+		b.ReportMetric(float64(written-written0)/float64(b.N), "chunkwrites/op")
+		b.ReportMetric(float64(chunks)/float64(b.N), "chunks/op")
+	})
+}
+
+// steadyCodecPools runs the rest of a sub-benchmark on one P with both
+// codec pools filled, and returns the function that restores GOMAXPROCS.
+// sync.Pool keeps a codec per P and lets no other P take it, so on several
+// Ps a timed run allocates a new writer (about 800 KB) whenever a Put's
+// syscalls move it to a P that has none: B/op then varies by up to two
+// writers per run, more than the gate's bound. On one P, with the pools
+// filled after the pre-run GC, the timed run allocates no codec.
+func steadyCodecPools() (restore func()) {
+	prev := runtime.GOMAXPROCS(1)
+	comp := compressChunk(new(bytes.Buffer), []byte("warm"))
+	if _, err := inflateChunk(make([]byte, chunkMax), bytes.NewReader(comp)); err != nil {
+		panic(err)
+	}
+	return func() { runtime.GOMAXPROCS(prev) }
 }
 
 // BenchmarkTierChainHit times hits through the tier chain on the warm
@@ -66,9 +118,10 @@ func BenchmarkStoreWriteRead(b *testing.B) {
 // at any core count. The readers start before the timer, so an op
 // allocates nothing and B/op and allocs/op stay exact (b.RunParallel's
 // per-call goroutine start-up does not, over the gate's 5 iterations).
-// "disk-promote" serves every lookup from the disk tier behind a memory
-// tier too small to hold it, and promotes it: one op is one pass over 64
-// keys.
+// "disk-promote" serves every lookup from the plain disk tier behind a
+// memory tier too small to hold it, and promotes it: one op is one pass
+// over 64 keys. "chunked-promote" is the same over the chunked tier, the
+// read path of warm-mixed's memory misses.
 func BenchmarkTierChainHit(b *testing.B) {
 	const nKeys = 1024
 	keys := make([]string, nKeys)
@@ -76,8 +129,7 @@ func BenchmarkTierChainHit(b *testing.B) {
 		keys[i] = fmt.Sprintf("%064x", i*2654435761)
 	}
 	vals := corpus(nKeys, 8<<10)
-	open := func(b *testing.B, memCap int) *TierChain {
-		disk, err := OpenDisk(b.TempDir(), 0)
+	open := func(b *testing.B, memCap int, disk Tier, err error) *TierChain {
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,11 +139,15 @@ func BenchmarkTierChainHit(b *testing.B) {
 		}
 		return chain
 	}
+	openDisk := func(b *testing.B, memCap int) *TierChain {
+		disk, err := OpenDisk(b.TempDir(), 0)
+		return open(b, memCap, disk, err)
+	}
 
 	b.Run("memory", func(b *testing.B) {
 		// Twice the key count, so no shard overflows and every key stays
 		// resident.
-		chain := open(b, 2*nKeys)
+		chain := openDisk(b, 2*nKeys)
 		zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.01, 1, nKeys-1)
 		draws := make([]string, 4096)
 		for i := range draws {
@@ -129,9 +185,8 @@ func BenchmarkTierChainHit(b *testing.B) {
 			b.Fatalf("%d lookups missed the memory tier", n)
 		}
 	})
-	b.Run("disk-promote", func(b *testing.B) {
+	promote := func(b *testing.B, chain *TierChain) {
 		const batch = 64
-		chain := open(b, 0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -146,5 +201,10 @@ func BenchmarkTierChainHit(b *testing.B) {
 		if st := chain.Stats().Tier("disk"); st.Hits != int64(b.N*batch) {
 			b.Fatalf("disk served %d of %d lookups; the memory tier absorbed some", st.Hits, b.N*batch)
 		}
+	}
+	b.Run("disk-promote", func(b *testing.B) { promote(b, openDisk(b, 0)) })
+	b.Run("chunked-promote", func(b *testing.B) {
+		disk, err := OpenChunkedDisk(b.TempDir(), 0)
+		promote(b, open(b, 0, disk, err))
 	})
 }

@@ -1,13 +1,16 @@
 package resultstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 )
 
 // ChunkedDisk is the compressed, deduplicated persistent tier: entry
@@ -16,7 +19,8 @@ import (
 // per-entry manifest records how to reassemble the payload. Neighboring
 // sweep cells share most of their response bytes, so their entries share
 // most of their chunks — the corpus stores far more cells per GB than the
-// whole-entry Disk tier.
+// whole-entry Disk tier. A Put hashes its chunks before anything else and
+// compresses and writes only the ones the store does not hold yet.
 //
 // The manifests are the shared diskTier's entry files, so recency,
 // eviction, atomic writes and the generation-checked drop are Disk's. The
@@ -33,6 +37,11 @@ import (
 // unique compressed chunks, the number the cap evicts against — while
 // LogicalBytes is the uncompressed payload volume represented, so
 // Bytes/LogicalBytes is the observable dedup+compression ratio.
+//
+// mu guards the index and the chunk records only: Put holds it to claim
+// chunks and to install the manifest, never across compression or an
+// fsync (see Put), and Get holds it only to look the entry up, and to drop
+// it if the read finds it damaged.
 type ChunkedDisk struct {
 	diskTier[manifest]
 
@@ -41,6 +50,16 @@ type ChunkedDisk struct {
 	// Guarded by mu.
 	chunks  map[string]*chunkInfo // chunk hex hash → refcount and on-disk size
 	logical int64                 // uncompressed payload bytes represented
+
+	compressed  atomic.Int64 // chunks Put compressed
+	chunkWrites atomic.Int64 // chunk files Put wrote
+}
+
+// Work returns the chunk work Puts have done so far: the chunks they
+// compressed and the chunk files they wrote. A Put adds its counts once,
+// as it finishes.
+func (d *ChunkedDisk) Work() (compressed, written int64) {
+	return d.compressed.Load(), d.chunkWrites.Load()
 }
 
 // manifest is one entry's reassembly record: everything needed to
@@ -63,8 +82,8 @@ type chunkRef struct {
 
 // chunkInfo is the store-wide record for one unique chunk.
 type chunkInfo struct {
-	refs int
-	size int64
+	refs int   // installed entries' references plus running Puts' pins
+	size int64 // compressed size on disk; 0 until the file is written
 }
 
 // Manifest framing: magic, payload SHA-256, payload length, chunk count,
@@ -156,53 +175,71 @@ func (d *ChunkedDisk) chunkPath(hexSum string) string {
 func (d *ChunkedDisk) Get(key string) ([]byte, bool) { return d.counted(d.Peek(key)) }
 
 // Peek is Get without the hit/miss counters (integrity errors are still
-// counted). It reassembles an entry from its chunks, verifying every step.
+// counted). It reassembles an entry from its chunks, verifying every step:
+// each chunk inflates straight into the payload buffer, sized once from the
+// manifest, into at most chunkMax bytes of it, and must match its SHA-256;
+// the whole payload must match the manifest's length and SHA-256.
 func (d *ChunkedDisk) Peek(key string) ([]byte, bool) {
 	name := manifestName(key)
 	gen, m, ok := d.lookup(name)
 	if !ok {
 		return nil, false
 	}
-	out := make([]byte, 0, m.logical)
-	var bad []chunkRef
+	out := make([]byte, m.logical)
+	off := 0
+	var bad []chunkRef // chunks that are missing or rotten
+	short := false     // a chunk overran the manifest's payload length
 	for _, cr := range m.chunks {
-		comp, err := os.ReadFile(d.chunkPath(hex.EncodeToString(cr.sum[:])))
-		var chunk []byte
-		if err == nil {
-			chunk, err = decompressChunk(comp)
-		}
-		if err != nil || sha256.Sum256(chunk) != cr.sum {
+		space := out[off:min(off+chunkMax, len(out))]
+		n, err := d.readChunk(space, cr.sum)
+		switch {
+		case err == nil && sha256.Sum256(space[:n]) == cr.sum:
+			off += n
+		case errors.Is(err, errChunkTooLarge) && len(space) < chunkMax:
+			// Only the manifest's length is known wrong here, not the chunk.
+			short = true
+		default:
 			// Every chunk is checked, so one failed read finds all of the
 			// entry's damaged chunks and the next Put rewrites them all.
 			bad = append(bad, cr)
-			continue
 		}
-		out = append(out, chunk...)
 	}
-	if bad != nil || int64(len(out)) != m.logical || sha256.Sum256(out) != m.sum {
-		// Forget the chunks first: a Put of this key that runs between the
-		// two steps then finds them gone and writes them again.
-		d.errors.Add(1)
-		d.forget(bad)
-		d.dropStale(name, gen, true)
+	if bad != nil || short || off != len(out) || sha256.Sum256(out) != m.sum {
+		// The damage is real only if the entry is still the generation
+		// looked up: otherwise a concurrent Put replaced it, or eviction
+		// removed it and released its chunks, after the lookup, and this is
+		// a plain miss. Checking and dropping under one lock leaves no
+		// window in which a Put could reference a chunk about to be
+		// forgotten.
+		d.mu.Lock()
+		if d.dropStaleLocked(name, gen, true) {
+			d.forgetLocked(bad)
+		}
+		d.mu.Unlock()
 		return nil, false
 	}
 	touch(d.path(name))
 	return out, true
 }
 
-// forget drops missing or rotten chunks store-wide: every entry that
+// readChunk inflates the chunk stored under sum into dst; see inflateChunk.
+func (d *ChunkedDisk) readChunk(dst []byte, sum [sha256.Size]byte) (int, error) {
+	f, err := os.Open(d.chunkPath(hex.EncodeToString(sum[:])))
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return inflateChunk(dst, f)
+}
+
+// forgetLocked drops missing or rotten chunks store-wide: every entry that
 // references one is unservable, and removing the chunk's record makes the
 // next Put of any of them write it again. Each referencing entry degrades
 // to a miss when read. A chunk is dropped only if its record is still the
-// one the failed read counted on; a concurrent Put that wrote a fresh copy
-// made a new record, and that copy stays.
-func (d *ChunkedDisk) forget(bad []chunkRef) {
-	if len(bad) == 0 {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// one the failed read counted on; a Put that wrote a fresh copy after an
+// earlier drop made a new record, and that copy stays. A Put that pinned
+// a dropped record gives up at install. Called with mu held.
+func (d *ChunkedDisk) forgetLocked(bad []chunkRef) {
 	for _, cr := range bad {
 		h := hex.EncodeToString(cr.sum[:])
 		if ci, ok := d.chunks[h]; ok && ci == cr.info {
@@ -211,80 +248,150 @@ func (d *ChunkedDisk) forget(bad []chunkRef) {
 	}
 }
 
-// Put stores key's bytes: chunk, compress, write the chunks this store does
-// not already hold, then the manifest, evicting LRU entries past the cap.
-// Failures are tolerated (counted in Errors) — the tier is an accelerator,
-// never a correctness dependency.
+// Put stores key's bytes. Failures are tolerated (counted in Errors) — the
+// tier is an accelerator, never a correctness dependency.
+//
+// Put splits the payload and hashes every chunk first, then does file work
+// only for chunks the store does not hold yet, with d.mu held only on
+// either side of that work:
+//
+//  1. Claim, under the lock: pin every chunk the manifest names by counting
+//     its reference now, so eviction cannot delete it in the meantime, and
+//     create a record for each chunk the store has never seen. A chunk
+//     whose record has no size yet is not on disk yet (its record is new,
+//     or another Put is still writing it).
+//  2. Write, without the lock: compress each chunk that is not on disk yet,
+//     once even if the payload repeats it, and write it atomically under
+//     its content address; stage the manifest. A chunk already on disk is
+//     neither compressed nor written: its compressed length comes from its
+//     record. Two Puts that carry the same new chunk both write it; the
+//     bytes are identical, so either rename leaves the same file.
+//  3. Install, under the lock: unless a chunk the Put pinned was dropped
+//     store-wide meanwhile (a failed read found it rotten), publish the
+//     manifest, record the sizes of the chunks now on disk, and index the
+//     entry, evicting past the cap. The pins taken at claim are the
+//     entry's references.
+//
+// A Put that fails gives its pins back; a chunk is deleted only when no
+// installed entry references it and no other Put pins it, so a failed Put
+// never removes a chunk another Put installed or is about to. A crash
+// between any two steps leaves only chunk files no manifest names, or temp
+// files, both of which Open sweeps.
 func (d *ChunkedDisk) Put(key string, val []byte) {
 	name := manifestName(key)
 	spans := splitChunks(val)
 	m := manifest{sum: sha256.Sum256(val), logical: int64(len(val)), chunks: make([]chunkRef, len(spans))}
 	hexes := make([]string, len(spans))
-	comps := make([][]byte, len(spans))
 	for i, sp := range spans {
-		comps[i] = compressChunk(sp)
-		m.chunks[i] = chunkRef{sum: sha256.Sum256(sp), clen: uint32(len(comps[i]))}
+		m.chunks[i].sum = sha256.Sum256(sp)
 		hexes[i] = hex.EncodeToString(m.chunks[i].sum[:])
 	}
-	raw := encodeManifest(m)
 
-	// Chunk writes happen inside the critical section because the refcount
-	// map must agree with the files on disk; the manifest's rename and
-	// install are atomic with respect to dropStale and eviction, so readers
-	// can never remove what this Put just wrote.
+	// Claim. fresh maps each chunk not on disk yet to its first reference.
+	fresh := map[*chunkInfo]int{}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	written := map[string]*chunkInfo{} // chunks written by this Put
-	for i, h := range hexes {
-		if d.chunks[h] != nil || written[h] != nil {
-			continue // dedup: already on disk, or repeated within this payload
-		}
-		if !d.writeFile(d.chunkPath(h), comps[i]) {
-			d.unwindLocked(written)
-			return
-		}
-		written[h] = &chunkInfo{size: int64(len(comps[i]))}
-	}
-	if !d.writeFile(d.path(name), raw) {
-		d.unwindLocked(written)
-		return
-	}
-	for h, ci := range written {
-		d.chunks[h] = ci
-		d.bytes += ci.size
-	}
-	// Reference the new generation's chunks before installLocked releases
-	// the old one's: chunks shared across generations (most of them, when
-	// an entry is re-rendered — all of them, on an identical re-Put) must
-	// not dip to zero references in between, or release would delete their
-	// files out from under the new entry.
 	for i, h := range hexes {
 		ci := d.chunks[h]
+		if ci == nil {
+			ci = &chunkInfo{}
+			d.chunks[h] = ci
+		}
 		ci.refs++
 		m.chunks[i].info = ci
+		m.chunks[i].clen = uint32(ci.size)
+		if _, ok := fresh[ci]; !ok && ci.size == 0 {
+			fresh[ci] = i
+		}
+	}
+	d.mu.Unlock()
+
+	// Write.
+	var compressed, written int64
+	defer func() {
+		d.compressed.Add(compressed)
+		d.chunkWrites.Add(written)
+	}()
+	var buf bytes.Buffer
+	for i := range m.chunks {
+		first, ok := fresh[m.chunks[i].info]
+		switch {
+		case !ok:
+		case first < i: // repeated within this payload
+			m.chunks[i].clen = m.chunks[first].clen
+		default:
+			comp := compressChunk(&buf, spans[i])
+			compressed++
+			if !d.writeFile(d.chunkPath(hexes[i]), comp) {
+				d.unpin(m.chunks)
+				return
+			}
+			written++
+			m.chunks[i].clen = uint32(len(comp))
+		}
+	}
+	raw := encodeManifest(m)
+	path := d.path(name)
+	tmp, ok := d.stage(path, raw)
+	if !ok {
+		d.unpin(m.chunks)
+		return
+	}
+
+	// Install. The manifest's rename and indexing are atomic with respect
+	// to dropStaleLocked and eviction, so no reader removes what this Put
+	// just published.
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, h := range hexes {
+		if d.chunks[h] != m.chunks[i].info {
+			_ = os.Remove(tmp)
+			d.unpinLocked(m.chunks)
+			return
+		}
+	}
+	if !d.publish(tmp, path) {
+		d.unpinLocked(m.chunks)
+		return
+	}
+	for _, cr := range m.chunks {
+		if cr.info.size == 0 {
+			cr.info.size = int64(cr.clen)
+			d.bytes += cr.info.size
+		}
 	}
 	d.logical += m.logical
+	// The pins are already references, so chunks shared with the entry's
+	// previous generation (all of them, on an identical re-Put) never dip
+	// to zero references while installLocked releases that generation.
 	d.installLocked(name, int64(len(raw)), m)
 }
 
-// unwindLocked removes chunks a failed Put wrote before its manifest became
-// visible; nothing references them yet.
-func (d *ChunkedDisk) unwindLocked(written map[string]*chunkInfo) {
-	for h := range written {
-		_ = os.Remove(d.chunkPath(h))
-	}
+// unpin gives back the pins of a Put that failed; see unpinLocked.
+func (d *ChunkedDisk) unpin(refs []chunkRef) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.unpinLocked(refs)
 }
 
 // release is the diskTier cleanup hook: an entry left the index (dropped,
-// evicted or replaced), so drop one reference per chunk and delete the
-// chunks nothing references any more. A reference whose chunk was dropped
-// store-wide since (see forget) was counted on a record that is gone, and
-// is skipped. Called with mu held.
+// evicted or replaced), so its chunk references go. Called with mu held.
 func (d *ChunkedDisk) release(m manifest) {
 	d.logical -= m.logical
-	for _, cr := range m.chunks {
+	d.unpinLocked(m.chunks)
+}
+
+// unpinLocked drops one reference per chunk and deletes the chunks nothing
+// references or pins any more. A reference whose chunk was dropped
+// store-wide since (see forgetLocked) was counted on a record that is
+// gone, and is skipped; if no new record took its place, any copy a Put
+// wrote after the drop is deleted too. Called with mu held.
+func (d *ChunkedDisk) unpinLocked(refs []chunkRef) {
+	for _, cr := range refs {
 		h := hex.EncodeToString(cr.sum[:])
-		if ci, ok := d.chunks[h]; ok && ci == cr.info {
+		switch ci, ok := d.chunks[h]; {
+		case !ok:
+			_ = os.Remove(d.chunkPath(h))
+		case ci == cr.info:
 			if ci.refs--; ci.refs <= 0 {
 				d.removeChunkLocked(h)
 			}

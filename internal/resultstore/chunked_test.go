@@ -5,9 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -408,5 +412,167 @@ func TestChunkedForgedLengthDroppedAtOpen(t *testing.T) {
 	}
 	if st := d2.Stats(); st.Entries != 0 || st.Errors != 1 || st.LogicalBytes != 0 {
 		t.Errorf("stats = %+v, want the forged manifest dropped at open", st)
+	}
+}
+
+// TestChunkedConcurrentPutGetEvict runs Puts of overlapping neighboring
+// entries into a small-capped store, which evicts all the time, next to
+// Gets. Every Get must return the exact bytes or miss, and reads racing
+// eviction are misses, not errors. In "failing-manifests", a third of the
+// Puts cannot write their manifests (their shard directory is a file), so
+// they give back pins on chunks that concurrent Puts install: none of
+// those may go. Once the goroutines finish, the accounting must match the
+// files, no chunk file may lack a record, every indexed entry must read
+// back verified, and a reopen must find the same store and sweep nothing.
+func TestChunkedConcurrentPutGetEvict(t *testing.T) {
+	for _, failing := range []bool{false, true} {
+		name := "clean"
+		if failing {
+			name = "failing-manifests"
+		}
+		t.Run(name, func(t *testing.T) { concurrentPutGetEvict(t, failing) })
+	}
+}
+
+func concurrentPutGetEvict(t *testing.T, failing bool) {
+	const (
+		nKeys   = 24
+		putters = 3
+		getters = 2
+		rounds  = 80
+		maxDisk = 24 << 10 // the three bodies and a few entries' own chunks
+	)
+	// Three bodies, so entries of one body share their chunks and evicting
+	// all of a body's entries deletes its chunks.
+	bodies := [][]byte{randBytes(11, 6<<10), randBytes(12, 6<<10), randBytes(13, 6<<10)}
+	keys := make([]string, nKeys)
+	vals := make([][]byte, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%02x%062x", 0x10+i, i)
+		vals[i] = append(randBytes(int64(100+i), 600), bodies[i%len(bodies)]...)
+	}
+	dir := t.TempDir()
+	d := openChunked(t, dir, maxDisk)
+	// Manifests of keys in shard "ff" cannot be written: the shard
+	// directory's name is taken by a file. Their chunks can.
+	if err := os.WriteFile(filepath.Join(dir, "m", "ff"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	blocked := func(i int) string { return fmt.Sprintf("ff%062x", i) }
+
+	var puts, gets sync.WaitGroup
+	var failed atomic.Int64 // Puts expected to fail, one error each
+	for p := 0; p < putters; p++ {
+		puts.Add(1)
+		go func(p int) {
+			defer puts.Done()
+			rng := rand.New(rand.NewSource(int64(p)))
+			for r := 0; r < rounds; r++ {
+				i := rng.Intn(nKeys)
+				if failing && p == 0 {
+					d.Put(blocked(i), vals[i])
+					failed.Add(1)
+					continue
+				}
+				d.Put(keys[i], vals[i])
+			}
+		}(p)
+	}
+	done := make(chan struct{})
+	var hits atomic.Int64
+	for g := 0; g < getters; g++ {
+		gets.Add(1)
+		go func(g int) {
+			defer gets.Done()
+			rng := rand.New(rand.NewSource(int64(100 + g)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := rng.Intn(nKeys)
+				got, ok := d.Get(keys[i])
+				if ok {
+					hits.Add(1)
+				}
+				if ok && !bytes.Equal(got, vals[i]) {
+					t.Errorf("key %d: served bytes differ from what was put", i)
+				}
+			}
+		}(g)
+	}
+	puts.Wait()
+	close(done)
+	gets.Wait()
+
+	st := d.Stats()
+	if st.Errors != failed.Load() {
+		t.Errorf("Errors = %d, want %d (one per Put whose manifest could not be written)", st.Errors, failed.Load())
+	}
+	if st.Evictions == 0 || hits.Load() == 0 {
+		t.Errorf("%d evictions, %d hits: the test does not race reads with eviction", st.Evictions, hits.Load())
+	}
+	if on := diskOccupancy(t, dir); st.Bytes != on {
+		t.Errorf("Stats().Bytes = %d, on disk = %d", st.Bytes, on)
+	}
+	files := readTree(t, filepath.Join(dir, "c"))
+	for path, b := range files {
+		h := strings.TrimSuffix(filepath.Base(path), chunkSuffix)
+		if ci := d.chunks[h]; ci == nil || ci.refs <= 0 || ci.size != int64(len(b)) {
+			t.Errorf("chunk file %s: record %+v, file size %d", path, ci, len(b))
+		}
+	}
+	if len(files) != len(d.chunks) {
+		t.Errorf("%d chunk files, %d chunk records", len(files), len(d.chunks))
+	}
+	readAll := func(d *ChunkedDisk) {
+		t.Helper()
+		for _, k := range d.Keys() {
+			i := slices.Index(keys, k)
+			if got, ok := d.Get(k); i < 0 || !ok || !bytes.Equal(got, vals[i]) {
+				t.Errorf("indexed entry %.8s (key %d) does not read back: ok=%v", k, i, ok)
+			}
+		}
+	}
+	readAll(d)
+
+	d2 := openChunked(t, dir, maxDisk)
+	st2 := d2.Stats()
+	if st2.Entries != st.Entries || st2.Bytes != st.Bytes || st2.LogicalBytes != st.LogicalBytes || st2.Errors != 0 {
+		t.Errorf("reopen found %+v, want the store left at %+v", st2, st)
+	}
+	if after := readTree(t, filepath.Join(dir, "c")); len(after) != len(files) {
+		t.Errorf("reopen swept %d orphan chunk files", len(files)-len(after))
+	}
+	readAll(d2)
+}
+
+// TestChunkedFailedPutKeepsInstalledChunks: a Put whose manifest cannot be
+// written gives back its pins. The chunks an installed entry references
+// stay; the chunk only the failed Put wrote goes, leaving no orphan.
+func TestChunkedFailedPutKeepsInstalledChunks(t *testing.T) {
+	dir := t.TempDir()
+	d := openChunked(t, dir, 0)
+	body := randBytes(21, 16<<10)
+	kept := append([]byte("cell-0001:"), body...)
+	d.Put("aa01", kept)
+	before := readTree(t, filepath.Join(dir, "c"))
+	if err := os.WriteFile(filepath.Join(dir, "m", "ff"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The same body behind a header of its own: one new first chunk.
+	d.Put("ff01", append(randBytes(22, 1<<10), body...))
+	if got, ok := d.Get("aa01"); !ok || !bytes.Equal(got, kept) {
+		t.Fatal("the installed entry lost chunks to a failed Put")
+	}
+	if after := readTree(t, filepath.Join(dir, "c")); len(after) != len(before) {
+		t.Errorf("%d chunk files before the failed Put, %d after", len(before), len(after))
+	}
+	if st := d.Stats(); st.Entries != 1 || st.Errors != 1 || st.Bytes != diskOccupancy(t, dir) {
+		t.Errorf("stats = %+v, on disk = %d", st, diskOccupancy(t, dir))
+	}
+	if compressed, written := d.Work(); compressed != int64(len(before))+1 || written != compressed {
+		t.Errorf("%d chunks compressed and %d written, want %d of each", compressed, written, len(before)+1)
 	}
 }

@@ -1,12 +1,15 @@
 package resultstore
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Content-defined chunking (FastCDC-style) for the chunked disk tier.
@@ -101,30 +104,80 @@ func splitChunks(data []byte) [][]byte {
 // modules, so vendoring klauspost/compress is not on the table — and at the
 // few-KB chunk sizes used here DEFLATE's ratio on JSON payloads is within a
 // few percent of zstd's while keeping the store self-contained.
+//
+// A flate.Writer allocates about 800 KB of match-finder state and a reader
+// about 45 KB of window and tables, so both are pooled and reset per chunk rather than
+// built per chunk. Reset restores a codec to its freshly built state: a
+// pooled writer emits the same bytes a new one would (the chunk files are
+// part of the on-disk format), and a reader that hit a corrupt stream
+// decodes the next one cleanly.
+var (
+	flateWriters = sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(nil, flate.DefaultCompression)
+		if err != nil { // impossible for a valid level
+			panic(err)
+		}
+		return zw
+	}}
+	flateReaders = sync.Pool{New: func() any {
+		r := &inflater{src: bufio.NewReaderSize(nil, 4096)}
+		r.zr = flate.NewReader(r.src)
+		return r
+	}}
+)
 
-// compressChunk returns chunk DEFLATE-compressed.
-func compressChunk(chunk []byte) []byte {
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil { // impossible for a valid level; fall back to stored
-		panic(err)
-	}
+// inflater is a pooled flate reader and the buffered source it reads from;
+// flate needs an io.ByteReader, or it wraps one of its own per stream.
+type inflater struct {
+	src *bufio.Reader
+	zr  io.ReadCloser // implements flate.Resetter
+}
+
+// compressChunk DEFLATE-compresses chunk into buf, replacing its contents,
+// and returns buf's bytes, which stay valid until buf is next written. Put
+// calls it only for chunks the store does not hold yet.
+func compressChunk(buf *bytes.Buffer, chunk []byte) []byte {
+	buf.Reset()
+	zw := flateWriters.Get().(*flate.Writer)
+	zw.Reset(buf)
 	_, _ = zw.Write(chunk) // bytes.Buffer writes cannot fail
 	_ = zw.Close()
+	flateWriters.Put(zw)
 	return buf.Bytes()
 }
 
-// decompressChunk inflates a compressed chunk, rejecting anything that
-// exceeds the chunker's maximum size (a corrupt stream must not balloon).
-func decompressChunk(comp []byte) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(comp))
-	defer zr.Close()
-	out, err := io.ReadAll(io.LimitReader(zr, chunkMax+1))
-	if err != nil {
-		return nil, fmt.Errorf("resultstore: inflate chunk: %w", err)
+// inflateChunk inflates the compressed chunk read from src into dst and
+// returns its length. A stream that inflates past len(dst) is rejected
+// with errChunkTooLarge (a corrupt stream must not balloon), and so is one
+// that does not parse.
+func inflateChunk(dst []byte, src io.Reader) (int, error) {
+	r := flateReaders.Get().(*inflater)
+	defer flateReaders.Put(r)
+	r.src.Reset(src)
+	if err := r.zr.(flate.Resetter).Reset(r.src, nil); err != nil {
+		return 0, fmt.Errorf("resultstore: inflate chunk: %w", err)
 	}
-	if len(out) > chunkMax {
-		return nil, fmt.Errorf("resultstore: inflated chunk exceeds %d bytes", chunkMax)
+	n := 0
+	for n < len(dst) {
+		m, err := r.zr.Read(dst[n:])
+		n += m
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return 0, fmt.Errorf("resultstore: inflate chunk: %w", err)
+		}
 	}
-	return out, nil
+	// dst is full: the stream must end here.
+	var one [1]byte
+	switch m, err := r.zr.Read(one[:]); {
+	case m > 0:
+		return 0, errChunkTooLarge
+	case err != io.EOF:
+		return 0, fmt.Errorf("resultstore: inflate chunk: %w", err)
+	}
+	return n, nil
 }
+
+// errChunkTooLarge reports a chunk that inflates past the space given to it.
+var errChunkTooLarge = errors.New("resultstore: inflated chunk exceeds its space")

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"compress/flate"
 	"crypto/sha256"
 	"math/rand"
 	"testing"
@@ -76,6 +77,17 @@ func chunkSums(data []byte) [][32]byte {
 	return out
 }
 
+// compress is compressChunk into a buffer of its own.
+func compress(chunk []byte) []byte { return compressChunk(new(bytes.Buffer), chunk) }
+
+// decompressChunk inflates comp into at most chunkMax bytes, as Peek does
+// for a chunk with a whole chunkMax of payload left.
+func decompressChunk(comp []byte) ([]byte, error) {
+	out := make([]byte, chunkMax)
+	n, err := inflateChunk(out, bytes.NewReader(comp))
+	return out[:n], err
+}
+
 func TestCompressChunkRoundTrip(t *testing.T) {
 	for _, data := range [][]byte{
 		nil,
@@ -83,7 +95,7 @@ func TestCompressChunkRoundTrip(t *testing.T) {
 		bytes.Repeat([]byte("abcd"), chunkMax/4), // compressible, exactly max-sized
 		randBytes(3, chunkAvg),                   // incompressible
 	} {
-		comp := compressChunk(data)
+		comp := compress(data)
 		got, err := decompressChunk(comp)
 		if err != nil {
 			t.Fatalf("decompress: %v", err)
@@ -97,7 +109,7 @@ func TestCompressChunkRoundTrip(t *testing.T) {
 func TestDecompressChunkRejectsOversize(t *testing.T) {
 	// A stream inflating past chunkMax can never come from splitChunks; the
 	// decoder must reject it rather than balloon memory on a forged chunk.
-	if _, err := decompressChunk(compressChunk(make([]byte, chunkMax+1))); err == nil {
+	if _, err := decompressChunk(compress(make([]byte, chunkMax+1))); err == nil {
 		t.Error("decompressChunk accepted a stream larger than chunkMax")
 	}
 	if _, err := decompressChunk([]byte("not a flate stream")); err == nil {
@@ -124,7 +136,7 @@ func FuzzChunkReassemble(f *testing.F) {
 			if len(c) == 0 || len(c) > chunkMax {
 				t.Fatalf("chunk %d has invalid size %d", i, len(c))
 			}
-			rt, err := decompressChunk(compressChunk(c))
+			rt, err := decompressChunk(compress(c))
 			if err != nil {
 				t.Fatalf("chunk %d compress round trip: %v", i, err)
 			}
@@ -134,4 +146,64 @@ func FuzzChunkReassemble(f *testing.F) {
 			t.Fatal("reassembled payload differs from input")
 		}
 	})
+}
+
+// TestCompressChunkPooledMatchesFresh: chunk files are content-addressed
+// and part of the on-disk format, so a pooled, reset writer must emit
+// exactly the bytes a freshly built one does, however often it is reused
+// and whatever it compressed before.
+func TestCompressChunkPooledMatchesFresh(t *testing.T) {
+	inputs := [][]byte{
+		nil,
+		[]byte("x"),
+		bytes.Repeat([]byte("abcd"), chunkMax/4), // compressible, chunkMax-sized
+		randBytes(4, chunkMax),                   // incompressible, chunkMax-sized
+		randBytes(5, chunkAvg),
+	}
+	fresh := make([][]byte, len(inputs))
+	for i, in := range inputs {
+		var buf bytes.Buffer
+		zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := zw.Write(in); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = buf.Bytes()
+	}
+	var buf bytes.Buffer
+	for round := 0; round < 3; round++ {
+		for k := range inputs {
+			i := (k + round) % len(inputs) // vary what the writer held before
+			if got := compressChunk(&buf, inputs[i]); !bytes.Equal(got, fresh[i]) {
+				t.Fatalf("round %d, input %d (%d bytes): pooled writer's output differs from a fresh writer's", round, i, len(inputs[i]))
+			}
+		}
+	}
+}
+
+// TestInflateAfterCorruptStream: a pooled reader that failed on a corrupt,
+// truncated or oversized stream goes back to the pool; the next chunk it
+// decodes must still inflate exactly.
+func TestInflateAfterCorruptStream(t *testing.T) {
+	good := randBytes(6, chunkAvg)
+	comp := compress(good)
+	bad := [][]byte{
+		[]byte("not a flate stream"),
+		comp[:len(comp)/2], // truncated
+		compress(make([]byte, chunkMax+1)),
+	}
+	for round := 0; round < 20; round++ {
+		if _, err := decompressChunk(bad[round%len(bad)]); err == nil {
+			t.Fatalf("round %d: bad stream %d accepted", round, round%len(bad))
+		}
+		got, err := decompressChunk(comp)
+		if err != nil || !bytes.Equal(got, good) {
+			t.Fatalf("round %d: decode after a failed one: err=%v, bytes equal=%v", round, err, bytes.Equal(got, good))
+		}
+	}
 }

@@ -108,3 +108,63 @@ func TestFormatCompatibility(t *testing.T) {
 		})
 	}
 }
+
+// readTree returns every file under dir by path relative to dir.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || de.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestChunkedWritesCompatFixture is the write side of the compatibility
+// contract: storing the fixture's entries in an empty chunked tier must
+// write exactly the committed manifest and chunk files, byte for byte, so
+// a store written by this build reads back under the build that wrote the
+// fixture as well. It pins the chunking, the compressor's output and the
+// manifest framing together.
+func TestChunkedWritesCompatFixture(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(compatDir, "want.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want compatFile
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	d := openChunked(t, dir, 0)
+	for _, e := range want.Entries {
+		d.Put(e.Key, e.Value)
+	}
+	st := d.Stats()
+	if got := (compatStats{Entries: st.Entries, Bytes: st.Bytes, LogicalBytes: st.LogicalBytes}); got != want.Tiers["chunked"] {
+		t.Errorf("occupancy after writing = %+v, recorded %+v", got, want.Tiers["chunked"])
+	}
+	got, fixture := readTree(t, dir), readTree(t, filepath.Join(compatDir, "chunked"))
+	for path, b := range fixture {
+		if g, ok := got[path]; !ok {
+			t.Errorf("%s: not written", path)
+		} else if !bytes.Equal(g, b) {
+			t.Errorf("%s: written bytes differ from the fixture's", path)
+		}
+	}
+	for path := range got {
+		if _, ok := fixture[path]; !ok {
+			t.Errorf("%s: written, but not in the fixture", path)
+		}
+	}
+}

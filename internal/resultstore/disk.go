@@ -62,7 +62,6 @@ func (d *Disk) Peek(key string) ([]byte, bool) {
 	if err != nil {
 		// Indexed but unreadable (deleted underneath us, permissions):
 		// drop the index record and miss, leaving the file, if any, alone.
-		d.errors.Add(1)
 		d.dropStale(name, gen, false)
 		return nil, false
 	}
@@ -70,7 +69,6 @@ func (d *Disk) Peek(key string) ([]byte, bool) {
 	if err != nil {
 		// Torn write or bit rot: never serve it. Remove the file so the
 		// next store of this address rewrites it cleanly.
-		d.errors.Add(1)
 		d.dropStale(name, gen, true)
 		return nil, false
 	}

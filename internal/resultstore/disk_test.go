@@ -487,3 +487,41 @@ func TestStatsAggregation(t *testing.T) {
 		t.Errorf("hits = %d, want 0", st.Hits())
 	}
 }
+
+// TestDropStaleOnlyDropsTheGenerationRead: a read that fails counts an
+// error and drops the entry only if the entry is still the generation the
+// read looked up. If a Put replaced it, or eviction removed it (and with
+// it the files the read wanted) after the lookup, the read is a plain
+// miss: no error, and the fresh entry stays.
+func TestDropStaleOnlyDropsTheGenerationRead(t *testing.T) {
+	var tier diskTier[struct{}]
+	tier.open(t.TempDir(), "e", ".e", 0, nil)
+	install := func() {
+		tier.mu.Lock()
+		defer tier.mu.Unlock()
+		tier.installLocked("a.e", 1, struct{}{})
+	}
+	check := func(step string, entries int, errors int64) {
+		t.Helper()
+		if st := tier.stats(func(int, int64) int64 { return 0 }); st.Entries != entries || st.Errors != errors {
+			t.Errorf("%s: %d entries and %d errors, want %d and %d", step, st.Entries, st.Errors, entries, errors)
+		}
+	}
+	install()
+	gen, _, _ := tier.lookup("a.e")
+	install() // replaced after the read's lookup
+	tier.dropStale("a.e", gen, false)
+	check("replaced", 1, 0)
+
+	gen, _, _ = tier.lookup("a.e")
+	tier.mu.Lock()
+	tier.removeLocked(tier.idx["a.e"], false) // evicted after the lookup
+	tier.mu.Unlock()
+	tier.dropStale("a.e", gen, false)
+	check("evicted", 0, 0)
+
+	install()
+	gen, _, _ = tier.lookup("a.e")
+	tier.dropStale("a.e", gen, false) // damaged
+	check("damaged", 0, 1)
+}

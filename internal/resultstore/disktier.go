@@ -214,17 +214,30 @@ func touch(path string) {
 	_ = os.Chtimes(path, now, now)
 }
 
-// dropStale removes name's entry after a failed read, but only if its
-// generation is still gen: a moved-on generation means a concurrent Put
-// replaced the entry after the read, and the fresh entry stays. removeFile
-// also deletes the entry file, under mu, so a racing Put (which renames
-// and installs under mu too) cannot have put a fresh file there.
+// dropStale handles a read that found name's entry unreadable or damaged.
+// The damage is real only if the entry's generation is still gen: then it
+// counts an error and removes the entry, and removeFile also deletes the
+// entry file, under mu, so a racing Put (which renames and installs under
+// mu too) cannot have put a fresh file there. A moved-on generation, or no
+// entry at all, means a concurrent Put replaced the entry or eviction
+// removed it after the read's lookup: the fresh entry stays, and the read
+// is a plain miss.
 func (t *diskTier[M]) dropStale(name string, gen uint64, removeFile bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if el, ok := t.idx[name]; ok && el.Value.(*diskRecord[M]).gen == gen {
-		t.removeLocked(el, removeFile)
+	t.dropStaleLocked(name, gen, removeFile)
+}
+
+// dropStaleLocked is dropStale with mu held; it reports whether the entry
+// was dropped.
+func (t *diskTier[M]) dropStaleLocked(name string, gen uint64, removeFile bool) bool {
+	el, ok := t.idx[name]
+	if !ok || el.Value.(*diskRecord[M]).gen != gen {
+		return false
 	}
+	t.errors.Add(1)
+	t.removeLocked(el, removeFile)
+	return true
 }
 
 // installLocked indexes a freshly written entry file as the most recently

@@ -11,7 +11,9 @@
 // ns/op or a gated metric: B/op, allocs/op and BenchmarkReconfigure's work
 // counts (see gatedMetrics). A metric beyond ns/op is gated only when the
 // baseline recorded it, so baselines captured without -benchmem still gate
-// on time alone. Names are normalized by stripping the trailing
+// on time alone. A gated metric beyond ns/op that beats its baseline by more
+// than -max-regress is printed as STALE, a warning that does not fail the
+// gate. Names are normalized by stripping the trailing
 // -GOMAXPROCS suffix so runs from machines with different core counts still
 // compare on their shared sub-benchmarks (e.g. j=1, j=2); sub-benchmarks
 // present on only one side are reported and skipped.
@@ -212,7 +214,14 @@ func readFile(path string) (*File, error) {
 // desirables/op and trades/op are its step-4 work counts: banks the trade
 // spirals visited, candidate banks they inserted, and moves they evaluated.
 // They catch a trade pass that walks or offers more than it used to.
-var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op", "centers/op", "footprint/op", "spiral/op", "desirables/op", "trades/op"}
+// compressed/op and chunkwrites/op are the chunked store's write work:
+// chunks compressed and chunk files written. They catch a Put that
+// compresses or writes chunks the store already holds.
+//
+// All of these are deterministic, so one that beats its baseline by more
+// than the bound means the entry no longer binds: the gate flags it STALE
+// (without failing) so the change that moved it refreshes it.
+var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op", "centers/op", "footprint/op", "spiral/op", "desirables/op", "trades/op", "compressed/op", "chunkwrites/op"}
 
 // gate compares current against base for benchmarks matching the prefix and
 // returns 1 if any shared sub-benchmark regressed beyond maxRegress in
@@ -257,13 +266,18 @@ func gate(w io.Writer, base, cur *File, prefix string, maxRegress float64) int {
 		fmt.Fprintf(w, "benchjson: WARNING: %-36s matches %q but has NO BASELINE entry — ungated; refresh the baseline\n", name, prefix)
 	}
 
-	failed, compared := 0, 0
+	failed, compared, stale := 0, 0, 0
 	check := func(name, unit string, baseV, curV float64) {
 		ratio := curV / baseV
 		verdict := "ok"
-		if ratio > 1+maxRegress {
+		switch {
+		case ratio > 1+maxRegress:
 			verdict = fmt.Sprintf("REGRESSION > %+.0f%%", maxRegress*100)
 			failed++
+		case ratio < 1-maxRegress && unit != "ns/op":
+			// ns/op stays out: a quiet host beats a noisy baseline.
+			verdict = fmt.Sprintf("STALE: beats the baseline by > %.0f%%, refresh it", maxRegress*100)
+			stale++
 		}
 		fmt.Fprintf(w, "benchjson: %-45s base %14.0f %-9s now %14.0f (%+.1f%%) %s\n",
 			name, baseV, unit+",", curV, (ratio-1)*100, verdict)
@@ -315,6 +329,10 @@ func gate(w io.Writer, base, cur *File, prefix string, maxRegress float64) int {
 	if compared == 0 {
 		fmt.Fprintf(w, "benchjson: no shared sub-benchmarks matching %q to compare\n", prefix)
 		return 1
+	}
+	if stale > 0 {
+		fmt.Fprintf(w, "benchjson: WARNING: %d STALE baseline values beat by more than %.0f%% no longer bind; refresh them\n",
+			stale, maxRegress*100)
 	}
 	if failed > 0 {
 		fmt.Fprintf(w, "benchjson: %d regressions beyond %.0f%% across %d gated benchmarks\n",

@@ -313,3 +313,58 @@ func TestGateFootprintRegressionFails(t *testing.T) {
 		}
 	}
 }
+
+func TestGateCompressedRegressionFails(t *testing.T) {
+	// A chunked Put that compresses and writes every chunk of a payload,
+	// not only the ones the store lacks, does about twice the chunk work on
+	// chunked-fresh (64 chunks against 33.6 new ones per op) while ns/op
+	// can stay inside the bound on a contended host: each count must trip
+	// the gate on its own.
+	for _, metric := range []string{"compressed/op", "chunkwrites/op"} {
+		base := &File{Benchmarks: []Benchmark{{Name: "BenchmarkStoreWriteRead/chunked-fresh", NsPerOp: 1000, Runs: 5,
+			Metrics: map[string]float64{"B/op": 400000, "allocs/op": 1800, "compressed/op": 33.6, "chunkwrites/op": 33.6}}}}
+		cur := &File{Benchmarks: []Benchmark{{Name: "BenchmarkStoreWriteRead/chunked-fresh", NsPerOp: 1150, Runs: 5,
+			Metrics: map[string]float64{"B/op": 400000, "allocs/op": 1800, "compressed/op": 33.6, "chunkwrites/op": 33.6}}}}
+		cur.Benchmarks[0].Metrics[metric] = 64
+		var log strings.Builder
+		if code := gate(&log, base, cur, "BenchmarkStoreWriteRead", 0.20); code != 1 {
+			t.Errorf("gate passed a %s regression from 33.6 to 64: exit %d\n%s", metric, code, log.String())
+		}
+		if !strings.Contains(log.String(), metric+", ") || !strings.Contains(log.String(), "REGRESSION") {
+			t.Errorf("gate log does not flag %s:\n%s", metric, log.String())
+		}
+		cur.Benchmarks[0].Metrics[metric] = base.Benchmarks[0].Metrics[metric]
+		if code := gate(io.Discard, base, cur, "BenchmarkStoreWriteRead", 0.20); code != 0 {
+			t.Errorf("gate failed a run with unchanged %s: exit %d", metric, code)
+		}
+	}
+}
+
+func TestGateWarnsOnStaleBaseline(t *testing.T) {
+	// A deterministic metric far below its baseline means the entry no
+	// longer binds: flag it STALE, but pass. ns/op far below its baseline
+	// is only a quieter host and is not flagged.
+	base := &File{Benchmarks: []Benchmark{{Name: "BenchmarkStoreWriteRead/chunked", NsPerOp: 38504014, Runs: 5,
+		Metrics: map[string]float64{"B/op": 55668889, "allocs/op": 3509}}}}
+	cur := &File{Benchmarks: []Benchmark{{Name: "BenchmarkStoreWriteRead/chunked", NsPerOp: 9000000, Runs: 5,
+		Metrics: map[string]float64{"B/op": 283000, "allocs/op": 3400}}}}
+	var log strings.Builder
+	if code := gate(&log, base, cur, "BenchmarkStoreWriteRead", 0.20); code != 0 {
+		t.Fatalf("a stale baseline failed the gate: exit %d\n%s", code, log.String())
+	}
+	var staleLines []string
+	for _, line := range strings.Split(log.String(), "\n") {
+		if strings.Contains(line, "STALE") {
+			staleLines = append(staleLines, line)
+		}
+	}
+	if len(staleLines) != 2 || !strings.Contains(staleLines[0], "B/op") || !strings.Contains(staleLines[1], "1 STALE") {
+		t.Errorf("want B/op flagged STALE (and not ns/op or allocs/op within the bound), then a summary; got:\n%s", log.String())
+	}
+	// Refreshed, the entry binds again and nothing is flagged.
+	base.Benchmarks[0].Metrics["B/op"] = 283000
+	log.Reset()
+	if code := gate(&log, base, cur, "BenchmarkStoreWriteRead", 0.20); code != 0 || strings.Contains(log.String(), "STALE") {
+		t.Errorf("refreshed baseline: exit %d\n%s", code, log.String())
+	}
+}
