@@ -22,10 +22,12 @@
 //	                                 # first-class member; replicas join/leave
 //	                                 # at runtime via POST /v1/join, /v1/leave,
 //	                                 # /v1/drain, converging on one member list
-//	cdcs-serve -advertise auto -join http://10.0.0.1:8080
+//	cdcs-serve -addr 10.0.0.2:8080 -advertise auto -join http://10.0.0.1:8080
 //	                                 # join an existing fleet warm: adopt its
 //	                                 # member list, batch-fill the cache from
 //	                                 # the seed's corpus manifest, then announce
+//	                                 # (auto needs a concrete listen host; on a
+//	                                 # wildcard address pass -advertise URL)
 //	cdcs-serve -pprof                # opt-in net/http/pprof at /debug/pprof/
 //
 //	curl -s localhost:8080/healthz
@@ -74,7 +76,7 @@ func run() int {
 		diskBytes = flag.Int64("cache-disk-bytes", server.DefaultCacheDiskBytes, "disk-tier size cap in bytes, LRU-evicted past it (requires -cache-dir; <0 = uncapped)")
 		compress  = flag.Bool("cache-compress", false, "store the disk tier chunked: content-defined chunks, SHA-256 dedup, DEFLATE compression (requires -cache-dir)")
 		peers     = flag.String("peers", "", "comma-separated sibling replica base URLs; local misses fetch entries from the fleet before simulating")
-		advertise = flag.String("advertise", "", "this replica's own base URL as peers reach it (\"auto\" = derive from the bound listen address); makes fleet membership dynamic: join/leave/drain endpoints active")
+		advertise = flag.String("advertise", "", "this replica's own base URL as peers reach it (\"auto\" = derive from the bound listen address, which must not be a wildcard); makes fleet membership dynamic: join/leave/drain endpoints active")
 		join      = flag.String("join", "", "seed peer base URL to join the fleet through at startup: adopt its member list, warm-fill the cache from its corpus manifest, then announce -advertise (requires -advertise)")
 
 		probeInterval    = flag.Duration("fleet-probe-interval", 0, "health-probe period over the peer members (0 = default 2s, negative disables probing; requires -peers or -advertise)")
@@ -154,6 +156,13 @@ func run() int {
 		return 1
 	}
 	if *advertise == "auto" {
+		// A wildcard address ([::]:N) is every host's own loopback to its
+		// peers, and two hosts on one port would collide as one member.
+		if ln.Addr().(*net.TCPAddr).IP.IsUnspecified() {
+			_ = ln.Close()
+			fmt.Fprintf(os.Stderr, "cdcs-serve: -advertise auto cannot derive a reachable URL from wildcard address %s; pass -advertise http://HOST:PORT\n", ln.Addr())
+			return 2
+		}
 		*advertise = "http://" + ln.Addr().String()
 	}
 
@@ -197,8 +206,8 @@ func run() int {
 	if *advertise != "" {
 		fmt.Fprintf(os.Stderr, "cdcs-serve: dynamic membership as %s (POST /v1/join, /v1/leave, /v1/drain)\n", *advertise)
 	}
-	// The resolved address goes to stdout so scripts (e.g. the CI smoke job)
-	// can scrape the ephemeral port.
+	// The resolved address goes to stdout so scripts and the end-to-end test
+	// (e2e_test.go) can scrape the ephemeral port.
 	fmt.Printf("cdcs-serve: listening on %s\n", ln.Addr())
 
 	if *pprof {

@@ -74,8 +74,8 @@ func smallCompareHop(hop int) string {
 	}`, hop)
 }
 
-// TestMetricsCarryTierLabels pins the exposition format the CI smoke job
-// greps for.
+// TestMetricsCarryTierLabels pins the tier-labelled exposition format that
+// dashboards and TestServeEndToEnd (cmd/cdcs-serve) read.
 func TestMetricsCarryTierLabels(t *testing.T) {
 	dir := t.TempDir()
 	_, h := testServer(t, Options{CacheDir: dir})
