@@ -9,20 +9,22 @@
 // same replicas those cells would hash to if the dead one were removed from
 // the set.
 //
-// A fleet view (internal/fleet) is the only memory of which replica is
-// down: every request's outcome feeds its per-replica circuit breakers,
-// breaker-open replicas are skipped and retried last, so a dead replica
-// costs O(1) failed dials per fan-out rather than one per owned cell. With
-// Options.Fleet the view is the caller's, and routing also reacts to load:
-// each cell goes to the least-loaded healthy replica among its top-K
-// rendezvous holders (cache affinity preserved — the holders don't change,
-// only the order among them), and cells whose service latency exceeds
+// The caller's fleet view (internal/fleet) is the only record of which
+// replicas exist and which are down. Each cell is ranked over the view's
+// members when it is dispatched, so a join or drain mid-fan-out re-routes
+// only cells not yet started, and of those only the ones whose top
+// rendezvous holders changed (TestRebalanceIsIncremental); in-flight cells
+// complete on the route they were dispatched with. Every request's outcome
+// feeds the view's per-replica circuit breakers; breaker-open replicas are
+// skipped and retried last, so a dead replica costs O(1) failed dials per
+// fan-out rather than one per owned cell. Routing also reacts to load: each
+// cell goes to the least-loaded healthy replica among its top-K rendezvous
+// holders (cache affinity preserved — the holders don't change, only the
+// order among them), and cells whose service latency exceeds
 // Options.HotLatency are replicated in the background to a second holder so
-// warm copies exist on more than one replica. Without one, Do builds a
-// private view that routes by pure rendezvous and remembers a failure for
-// the rest of the fan-out. Routing only ever changes *where* a cell is
-// computed, never *what* it returns: responses are a pure function of the
-// cell's content address.
+// warm copies exist on more than one replica. Routing only ever changes
+// *where* a cell is computed, never *what* it returns: responses are a pure
+// function of the cell's content address.
 package fanout
 
 import (
@@ -32,7 +34,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -91,75 +92,50 @@ type Stats struct {
 type Options struct {
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
-	// Path is the request path POSTed on each replica (default
-	// "/v1/compare").
-	Path string
 	// Parallelism caps concurrent in-flight requests (default 4 per
 	// replica).
 	Parallelism int
 	// OnProgress, if set, is called after each completed cell with (done,
 	// total).
 	OnProgress func(done, total int)
-	// Fleet is the view whose breakers record replica failures and whose
-	// Order routes each cell: least-loaded healthy holder among the top-K
-	// first, breaker-open replicas last. Every request's outcome feeds it.
-	// Nil means a private view for this fan-out only: no prober, TopK 1
-	// (pure rendezvous), and a breaker that opens on the first failure and
-	// stays open until the fan-out ends.
-	Fleet *fleet.Fleet
 	// HotLatency marks a cell hot when its serving request took longer
 	// than this. A hot cell is re-POSTed in the background to the first
 	// other healthy holder among its top-K (fleet.Alternate), which warms
 	// its cache (from its own compute, or via its peer tier's /v1/blob
 	// pull when so configured) so later requests for the cell have a
-	// second warm home. 0 disables replication, and so does a nil Fleet,
-	// whose private view has no second holder.
+	// second warm home. 0 disables replication.
 	HotLatency time.Duration
-	// Members, when non-nil, makes the replica set live: it is consulted
-	// when each cell is *dispatched*, so a membership change mid-fan-out
-	// re-routes only the cells not yet started — in-flight cells complete
-	// on the route they were dispatched with. Rebalancing is incremental
-	// by construction: rendezvous ranking moves a key only when the set of
-	// its top holders changes (TestRebalanceIsIncremental checks this), so
-	// a join or leave touches the joiner's/leaver's share of the keyspace
-	// and nothing else. An
-	// empty snapshot is ignored (the initial replica list is used) so a
-	// transient membership hiccup cannot strand cells with no candidates.
-	Members func() []string
 }
 
-// privateCooldown outlasts any fan-out: a private view's open breaker never
-// goes half-open, so a replica that failed once is tried only as a last
-// resort until Do returns.
-const privateCooldown = time.Duration(math.MaxInt64)
+// path is the endpoint each cell is POSTed to on its replica.
+const path = "/v1/compare"
 
-// Do fans cells out across replicas and returns their results ordered by
-// cell (results[i] belongs to cells[i]). Each cell is tried on every
-// replica in its routing order before the whole fan-out fails; a 4xx
+// Do fans cells out across the replicas of fl and returns their results
+// ordered by cell (results[i] belongs to cells[i]). Each cell is ranked
+// over fl.Replicas() when it is dispatched; an empty member list falls back
+// to the members the fan-out started with, so a transient membership
+// hiccup cannot strand cells with no candidates. Each cell is tried on
+// every replica in its routing order before the whole fan-out fails; a 4xx
 // response fails immediately (the request itself is invalid — no other
 // replica will accept it). On error the first failure is returned and
 // in-flight work is canceled; a fan-out whose context ends returns
 // ctx.Err().
-func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]Result, Stats, error) {
+func Do(ctx context.Context, fl *fleet.Fleet, cells []Cell, opts Options) ([]Result, Stats, error) {
 	stats := Stats{Replicas: map[string]ReplicaStats{}}
-	reps := NormalizeReplicas(replicas)
-	if len(reps) == 0 {
+	initial := fl.Replicas()
+	if len(initial) == 0 {
 		return nil, stats, fmt.Errorf("fanout: no replicas")
 	}
-	for _, r := range reps {
+	for _, r := range initial {
 		stats.Replicas[r] = ReplicaStats{}
 	}
 	client := opts.Client
 	if client == nil {
 		client = http.DefaultClient
 	}
-	path := opts.Path
-	if path == "" {
-		path = "/v1/compare"
-	}
 	workers := opts.Parallelism
 	if workers <= 0 {
-		workers = 4 * len(reps)
+		workers = 4 * len(initial)
 	}
 	if workers > len(cells) {
 		workers = len(cells)
@@ -167,37 +143,11 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 	if workers < 1 {
 		workers = 1
 	}
-
-	// members resolves the replica set a cell is ranked over at dispatch
-	// time: the static list, or the live view when Options.Members is set.
-	members := func() []string { return reps }
-	if opts.Members != nil {
-		members = func() []string {
-			if m := NormalizeReplicas(opts.Members()); len(m) > 0 {
-				return m
-			}
-			return reps
+	members := func() []string {
+		if m := fl.Replicas(); len(m) > 0 {
+			return m
 		}
-	}
-	fl := opts.Fleet
-	if fl == nil {
-		fl = fleet.New(reps, fleet.Options{
-			ProbeInterval:    -1,
-			TopK:             1,
-			BreakerThreshold: 1,
-			BreakerCooldown:  privateCooldown,
-		})
-		defer fl.Close()
-		if opts.Members != nil {
-			// The private view follows the live set, so a joiner's
-			// failures are remembered like any other member's.
-			live := members
-			members = func() []string {
-				m := live()
-				fl.SetMembers(m)
-				return m
-			}
-		}
+		return initial
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -260,7 +210,7 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 				stats.Replicas[ranked[0]] = rs
 				mu.Unlock()
 
-				res, served, failed, err := tryReplicas(ctx, client, route, path, cell, fl)
+				res, served, failed, err := tryReplicas(ctx, client, route, cell, fl)
 				mu.Lock()
 				for _, r := range failed {
 					rs := stats.Replicas[r]
@@ -324,7 +274,7 @@ feed:
 // failed along the way so the caller can account them. A request cut short
 // by the fan-out's own context blames no replica: the cell fails with
 // ctx.Err().
-func tryReplicas(ctx context.Context, client *http.Client, route []string, path string, cell Cell, fl *fleet.Fleet) (res Result, served string, failed []string, err error) {
+func tryReplicas(ctx context.Context, client *http.Client, route []string, cell Cell, fl *fleet.Fleet) (res Result, served string, failed []string, err error) {
 	var lastErr error
 	attempts := 0
 	// tryOne issues one request; ok reports success, terminal a
@@ -435,23 +385,6 @@ func trim(b []byte) string {
 		s = s[:200] + "..."
 	}
 	return s
-}
-
-// NormalizeReplicas applies fleet.NormalizeURL to each replica and drops
-// empties and duplicates, preserving first-seen order, so the fan-out ranks
-// (Rank) the same URL strings as the fleet view and the peer tier.
-func NormalizeReplicas(replicas []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range replicas {
-		r = fleet.NormalizeURL(r)
-		if r == "" || seen[r] {
-			continue
-		}
-		seen[r] = true
-		out = append(out, r)
-	}
-	return out
 }
 
 // Rank orders replicas for a key by rendezvous (highest-random-weight)

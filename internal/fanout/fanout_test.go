@@ -31,6 +31,16 @@ func echoReplica(t *testing.T, name string, hits *atomic.Int64) *httptest.Server
 	return ts
 }
 
+// view builds a fleet view over replicas without a prober, so request
+// outcomes alone drive its breakers, and closes it when the test ends.
+func view(t *testing.T, opts fleet.Options, replicas ...string) *fleet.Fleet {
+	t.Helper()
+	opts.ProbeInterval = -1
+	fl := fleet.New(replicas, opts)
+	t.Cleanup(fl.Close)
+	return fl
+}
+
 // makeCells builds n cells with hex-ish keys.
 func makeCells(n int) []Cell {
 	cells := make([]Cell, n)
@@ -82,7 +92,7 @@ func TestDoSpreadsCellsAcrossReplicas(t *testing.T) {
 	a := echoReplica(t, "a", nil)
 	b := echoReplica(t, "b", nil)
 	cells := makeCells(64)
-	results, stats, err := Do(context.Background(), []string{a.URL, b.URL}, cells, Options{})
+	results, stats, err := Do(context.Background(), view(t, fleet.Options{}, a.URL, b.URL), cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +129,7 @@ func TestDoRetriesOnSurvivingReplica(t *testing.T) {
 	b.Close() // connection refused: the classic dead replica
 
 	cells := makeCells(32)
-	results, stats, err := Do(context.Background(), []string{a.URL, dead}, cells, Options{})
+	results, stats, err := Do(context.Background(), view(t, fleet.Options{}, a.URL, dead), cells, Options{})
 	if err != nil {
 		t.Fatalf("fan-out with one dead replica failed: %v", err)
 	}
@@ -148,7 +158,7 @@ func TestDoAllReplicasDownFails(t *testing.T) {
 	ua, ub := a.URL, b.URL
 	a.Close()
 	b.Close()
-	_, _, err := Do(context.Background(), []string{ua, ub}, makeCells(4), Options{})
+	_, _, err := Do(context.Background(), view(t, fleet.Options{}, ua, ub), makeCells(4), Options{})
 	if err == nil || !strings.Contains(err.Error(), "all 2 replicas") {
 		t.Fatalf("err = %v, want all-replicas failure", err)
 	}
@@ -172,7 +182,7 @@ func TestDo4xxIsNotRetried(t *testing.T) {
 			break
 		}
 	}
-	_, _, err := Do(context.Background(), []string{reject.URL, ok.URL}, []Cell{cell}, Options{})
+	_, _, err := Do(context.Background(), view(t, fleet.Options{}, reject.URL, ok.URL), []Cell{cell}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("err = %v, want 400 failure", err)
 	}
@@ -203,7 +213,7 @@ func TestDoOversizedReplyIsNotRetried(t *testing.T) {
 			break
 		}
 	}
-	_, _, err := Do(context.Background(), []string{huge.URL, ok.URL}, []Cell{cell}, Options{})
+	_, _, err := Do(context.Background(), view(t, fleet.Options{}, huge.URL, ok.URL), []Cell{cell}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("err = %v, want an oversized-reply failure", err)
 	}
@@ -219,7 +229,7 @@ func TestDo5xxFailsOverThenErrorsWhenExhausted(t *testing.T) {
 	defer flaky.Close()
 	ok := echoReplica(t, "b", nil)
 
-	results, stats, err := Do(context.Background(), []string{flaky.URL, ok.URL}, makeCells(8), Options{})
+	results, stats, err := Do(context.Background(), view(t, fleet.Options{}, flaky.URL, ok.URL), makeCells(8), Options{})
 	if err != nil {
 		t.Fatalf("5xx should fail over: %v", err)
 	}
@@ -233,7 +243,7 @@ func TestDo5xxFailsOverThenErrorsWhenExhausted(t *testing.T) {
 	}
 
 	// Alone, the 5xx replica exhausts the ranking.
-	_, _, err = Do(context.Background(), []string{flaky.URL}, makeCells(2), Options{})
+	_, _, err = Do(context.Background(), view(t, fleet.Options{}, flaky.URL), makeCells(2), Options{})
 	if err == nil || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("err = %v, want 503 failure", err)
 	}
@@ -242,7 +252,7 @@ func TestDo5xxFailsOverThenErrorsWhenExhausted(t *testing.T) {
 func TestDoProgressAndCancellation(t *testing.T) {
 	var calls atomic.Int64
 	a := echoReplica(t, "a", nil)
-	_, _, err := Do(context.Background(), []string{a.URL}, makeCells(10), Options{
+	_, _, err := Do(context.Background(), view(t, fleet.Options{}, a.URL), makeCells(10), Options{
 		OnProgress: func(done, total int) {
 			calls.Add(1)
 			if total != 10 {
@@ -259,24 +269,17 @@ func TestDoProgressAndCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = Do(ctx, []string{a.URL}, makeCells(10), Options{})
+	_, _, err = Do(ctx, view(t, fleet.Options{}, a.URL), makeCells(10), Options{})
 	if err == nil {
 		t.Fatal("canceled fan-out returned nil error")
 	}
 }
 
-func TestNormalizeReplicas(t *testing.T) {
-	got := NormalizeReplicas([]string{" http://a/ ", "", "http://a", "http://b"})
-	if strings.Join(got, ",") != "http://a,http://b" {
-		t.Fatalf("normalize = %v", got)
-	}
-}
-
 // TestDoCachesDeathVerdictPerFanOut is the regression test for the O(N)
 // dial-timeout bug: without a remembered verdict, every cell ranked to a
-// dead replica paid its own connection attempt. Without a fleet, Do's
-// private view opens the replica's breaker on the first failure for the
-// rest of the fan-out, so an N-cell sweep against a dead replica touches it
+// dead replica paid its own connection attempt. The fleet's breaker opens
+// on the first failure (threshold 1) and, with a cooldown longer than the
+// fan-out, stays open, so an N-cell sweep against a dead replica touches it
 // O(1) times, not O(N).
 func TestDoCachesDeathVerdictPerFanOut(t *testing.T) {
 	alive := echoReplica(t, "a", nil)
@@ -291,9 +294,8 @@ func TestDoCachesDeathVerdictPerFanOut(t *testing.T) {
 	// Parallelism 1 serializes the cells, so after the first verdict no
 	// concurrent cell can be mid-flight toward the dead replica.
 	cells := makeCells(24)
-	results, stats, err := Do(context.Background(), []string{alive.URL, proxy.URL()}, cells, Options{
-		Parallelism: 1,
-	})
+	fl := view(t, fleet.Options{BreakerThreshold: 1, BreakerCooldown: time.Hour}, alive.URL, proxy.URL())
+	results, stats, err := Do(context.Background(), fl, cells, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("fan-out with one dead replica failed: %v", err)
 	}
@@ -309,10 +311,8 @@ func TestDoCachesDeathVerdictPerFanOut(t *testing.T) {
 }
 
 // TestDoFleetRevivalClearsDeadVerdict: a dead verdict must not outlive the
-// replica's recovery when a fleet view is watching — the breaker's cooldown
-// admits trial traffic, so a revived replica regains traffic within the
-// same fan-out. (Without a fleet, the private view's verdict correctly
-// lasts the fan-out.)
+// replica's recovery — the breaker's cooldown admits trial traffic, so a
+// revived replica regains traffic within the same fan-out.
 func TestDoFleetRevivalClearsDeadVerdict(t *testing.T) {
 	backend := echoReplica(t, "b", nil)
 	proxy, err := testutil.NewFaultProxy(backend.URL)
@@ -324,19 +324,13 @@ func TestDoFleetRevivalClearsDeadVerdict(t *testing.T) {
 
 	// No prober; breaker threshold 1 so the single failure opens it, and a
 	// short cooldown lets Healthy turn true again mid-fan-out.
-	fl := fleet.New([]string{alive.URL, proxy.URL()}, fleet.Options{
-		ProbeInterval:    -1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
-	defer fl.Close()
+	fl := view(t, fleet.Options{BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond}, alive.URL, proxy.URL())
 
 	proxy.Kill()
 	cells := makeCells(12)
 	var revived atomic.Bool
-	_, _, err = Do(context.Background(), []string{alive.URL, proxy.URL()}, cells, Options{
+	_, _, err = Do(context.Background(), fl, cells, Options{
 		Parallelism: 1,
-		Fleet:       fl,
 		OnProgress: func(done, total int) {
 			if done == 2 && !revived.Load() {
 				proxy.Revive()
@@ -357,10 +351,7 @@ func TestDoFleetRevivalClearsDeadVerdict(t *testing.T) {
 		}
 		// A second fan-out after the cooldown must reach it.
 		time.Sleep(60 * time.Millisecond)
-		if _, _, err := Do(context.Background(), []string{alive.URL, proxy.URL()}, makeCells(12), Options{
-			Parallelism: 1,
-			Fleet:       fl,
-		}); err != nil {
+		if _, _, err := Do(context.Background(), fl, makeCells(12), Options{Parallelism: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,15 +370,9 @@ func TestDoFleetSteersLoadOffSlowReplica(t *testing.T) {
 	t.Cleanup(proxy.Close)
 	proxy.SetLatency(40 * time.Millisecond)
 
-	reps := []string{fast.URL, proxy.URL()}
-	fl := fleet.New(reps, fleet.Options{ProbeInterval: -1, TopK: 2})
-	defer fl.Close()
-
+	fl := view(t, fleet.Options{TopK: 2}, fast.URL, proxy.URL())
 	cells := makeCells(48)
-	results, stats, err := Do(context.Background(), reps, cells, Options{
-		Parallelism: 2,
-		Fleet:       fl,
-	})
+	results, stats, err := Do(context.Background(), fl, cells, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,15 +402,9 @@ func TestDoHotCellReplication(t *testing.T) {
 	var aHits, bHits atomic.Int64
 	a := echoReplica(t, "a", &aHits)
 	b := echoReplica(t, "b", &bHits)
-	reps := []string{a.URL, b.URL}
-	fl := fleet.New(reps, fleet.Options{ProbeInterval: -1, TopK: 2})
-	defer fl.Close()
-
+	fl := view(t, fleet.Options{TopK: 2}, a.URL, b.URL)
 	cells := makeCells(16)
-	_, stats, err := Do(context.Background(), reps, cells, Options{
-		Fleet:      fl,
-		HotLatency: time.Nanosecond,
-	})
+	_, stats, err := Do(context.Background(), fl, cells, Options{HotLatency: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,8 +417,8 @@ func TestDoHotCellReplication(t *testing.T) {
 		t.Errorf("total requests = %d, want %d", total, 2*len(cells))
 	}
 
-	// Without a fleet (or with HotLatency 0) nothing replicates.
-	_, stats, err = Do(context.Background(), reps, cells, Options{})
+	// With HotLatency 0 nothing replicates.
+	_, stats, err = Do(context.Background(), fl, cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,12 +469,11 @@ func TestDoCancelBlamesNoReplica(t *testing.T) {
 
 	t.Run("caller", func(t *testing.T) {
 		slow := hangingReplica(t)
-		fl := fleet.New([]string{slow.URL}, fleet.Options{ProbeInterval: -1})
-		defer fl.Close()
+		fl := view(t, fleet.Options{}, slow.URL)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		time.AfterFunc(100*time.Millisecond, cancel)
-		_, stats, err := Do(ctx, []string{slow.URL}, makeCells(8), Options{Parallelism: 4, Fleet: fl})
+		_, stats, err := Do(ctx, fl, makeCells(8), Options{Parallelism: 4})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
@@ -507,9 +485,8 @@ func TestDoCancelBlamesNoReplica(t *testing.T) {
 
 	t.Run("sibling-4xx", func(t *testing.T) {
 		slow := hangingReplica(t, "c3")
-		fl := fleet.New([]string{slow.URL}, fleet.Options{ProbeInterval: -1})
-		defer fl.Close()
-		_, stats, err := Do(context.Background(), []string{slow.URL}, makeCells(8), Options{Parallelism: 4, Fleet: fl})
+		fl := view(t, fleet.Options{}, slow.URL)
+		_, stats, err := Do(context.Background(), fl, makeCells(8), Options{Parallelism: 4})
 		if err == nil || !strings.Contains(err.Error(), "400") {
 			t.Fatalf("err = %v, want the 400 that aborted the fan-out", err)
 		}
@@ -517,10 +494,12 @@ func TestDoCancelBlamesNoReplica(t *testing.T) {
 	})
 }
 
-// TestDoPrivateViewFollowsMembers: without a fleet, a dead replica that
-// joins through Options.Members is remembered like a listed one — touched
-// once for the whole fan-out.
-func TestDoPrivateViewFollowsMembers(t *testing.T) {
+// TestDoRoutesOverLiveMembers: each cell is ranked over the fleet's
+// members when it is dispatched. A dead replica that joins the view
+// mid-fan-out is tried for the cells it owns, its breaker then remembers it
+// like any other member's, so it is touched once for the whole fan-out;
+// and an emptied view falls back to the members the fan-out started with.
+func TestDoRoutesOverLiveMembers(t *testing.T) {
 	alive := echoReplica(t, "a", nil)
 	backend := echoReplica(t, "b", nil)
 	proxy, err := testutil.NewFaultProxy(backend.URL)
@@ -530,10 +509,15 @@ func TestDoPrivateViewFollowsMembers(t *testing.T) {
 	t.Cleanup(proxy.Close)
 	proxy.Kill()
 
+	fl := view(t, fleet.Options{BreakerThreshold: 1, BreakerCooldown: time.Hour}, alive.URL)
 	cells := makeCells(24)
-	_, stats, err := Do(context.Background(), []string{alive.URL}, cells, Options{
+	_, stats, err := Do(context.Background(), fl, cells, Options{
 		Parallelism: 1,
-		Members:     func() []string { return []string{alive.URL, proxy.URL()} },
+		OnProgress: func(done, total int) {
+			if done == 1 {
+				fl.SetMembers([]string{alive.URL, proxy.URL()})
+			}
+		},
 	})
 	if err != nil {
 		t.Fatalf("fan-out with a dead joiner failed: %v", err)
@@ -543,5 +527,21 @@ func TestDoPrivateViewFollowsMembers(t *testing.T) {
 	}
 	if got := stats.Replicas[alive.URL].Served; got != len(cells) {
 		t.Errorf("survivor served %d, want %d", got, len(cells))
+	}
+
+	fl = view(t, fleet.Options{}, alive.URL)
+	_, stats, err = Do(context.Background(), fl, cells, Options{
+		Parallelism: 1,
+		OnProgress: func(done, total int) {
+			if done == 1 {
+				fl.SetMembers(nil)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("fan-out over an emptied view failed: %v", err)
+	}
+	if got := stats.Replicas[alive.URL].Served; got != len(cells) {
+		t.Errorf("starting member served %d after the view emptied, want %d", got, len(cells))
 	}
 }

@@ -30,11 +30,9 @@ func topK(replicas []string, key string, k int) []string {
 // other key keeps its holders, because the relative scores of surviving
 // replicas never change.
 func movedKeys(oldReplicas, newReplicas []string, keys []string, k int) []string {
-	oldReps := NormalizeReplicas(oldReplicas)
-	newReps := NormalizeReplicas(newReplicas)
 	var moved []string
 	for _, key := range keys {
-		if !sameHolders(topK(oldReps, key, k), topK(newReps, key, k)) {
+		if !sameHolders(topK(oldReplicas, key, k), topK(newReplicas, key, k)) {
 			moved = append(moved, key)
 		}
 	}

@@ -15,16 +15,18 @@
 // revived one: a changed token resets the record (breaker, failure streak,
 // latency EWMA), because the new process shares nothing but the address.
 //
-// Consumers — the sweep fan-out client (internal/fanout), for which the
-// breakers are the only record of a dead replica (a fan-out without a view
-// of its own builds a private one), and the result store's peer tier
-// (internal/resultstore) — ask the view two questions: "is this replica
-// usable right now?" (Healthy) and "in what order should these rendezvous
-// candidates be tried?" (Order). Order keeps the
-// DistCache-style two-layer shape: the top-K rendezvous holders of a key
-// stay the preferred servers (cache affinity), but among them the
-// least-loaded healthy one goes first, so load skew steers requests without
-// scattering the key across the whole fleet.
+// A fleet is the only replica view its consumers have: the sweep fan-out
+// client (internal/fanout) and the result store's peer tier
+// (internal/resultstore) take their member list from Replicas and their
+// record of dead replicas from the breakers, and keep neither of their own,
+// so every consumer of one fleet agrees on one health-checked replica set.
+// They ask the view two questions: "is this replica usable right now?"
+// (Healthy) and "in what order should these rendezvous candidates be
+// tried?" (Order). Order keeps the DistCache-style two-layer shape: the
+// top-K rendezvous holders of a key stay the preferred servers (cache
+// affinity), but among them the least-loaded healthy one goes first, so
+// load skew steers requests without scattering the key across the whole
+// fleet.
 //
 // The view deliberately knows nothing about rendezvous hashing or request
 // semantics: callers hand it candidate lists already ranked by fanout.Rank
@@ -79,18 +81,12 @@ type Options struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe request (default 1s).
 	ProbeTimeout time.Duration
-	// ProbePath is the liveness endpoint probed on each replica (default
-	// "/healthz").
-	ProbePath string
 	// BreakerThreshold is the number of consecutive failures (requests or
 	// probes) that opens a replica's breaker (default 3).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker waits before admitting
 	// half-open trial traffic (default 4×ProbeInterval, at least 1s).
 	BreakerCooldown time.Duration
-	// EWMAAlpha is the smoothing factor of the per-replica latency EWMA
-	// (default 0.3; higher tracks faster).
-	EWMAAlpha float64
 	// TopK is how many of a key's top rendezvous holders compete on load
 	// in Order (default 2; 1 restores pure rendezvous routing).
 	TopK int
@@ -115,9 +111,6 @@ func (o Options) withDefaults() Options {
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = time.Second
 	}
-	if o.ProbePath == "" {
-		o.ProbePath = "/healthz"
-	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
 	}
@@ -127,17 +120,19 @@ func (o Options) withDefaults() Options {
 			o.BreakerCooldown = time.Second
 		}
 	}
-	if o.EWMAAlpha <= 0 || o.EWMAAlpha > 1 {
-		o.EWMAAlpha = 0.3
-	}
 	if o.TopK <= 0 {
 		o.TopK = 2
 	}
 	return o
 }
 
-// rpsBuckets is the sliding-window width, in seconds, of the RPS estimate.
-const rpsBuckets = 8
+const (
+	// probePath is the liveness endpoint probed on each replica.
+	probePath = "/healthz"
+	// ewmaAlpha is the smoothing factor of the per-replica latency EWMA
+	// (higher tracks faster).
+	ewmaAlpha = 0.3
+)
 
 // replica is one member's live record. All mutable fields are guarded by mu.
 type replica struct {
@@ -154,8 +149,6 @@ type replica struct {
 	requests     int64 // completed requests (not probes)
 	errors       int64 // failed requests (not probes)
 	trips        int64 // closed → open transitions
-	buckets      [rpsBuckets]int64
-	lastSec      int64
 }
 
 // healthzInfo is the identity and membership payload replicas embed in
@@ -306,7 +299,7 @@ func (f *Fleet) probeOne(r *replica) {
 	defer cancel()
 	ok := false
 	var info healthzInfo
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+f.opts.ProbePath, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.url+probePath, nil)
 	if err == nil {
 		resp, rerr := f.opts.Client.Do(req)
 		if rerr == nil {
@@ -326,7 +319,7 @@ func (f *Fleet) probeOne(r *replica) {
 		r.failureLocked(f.opts.BreakerThreshold, time.Now())
 	}
 	r.mu.Unlock()
-	if f.mem != nil && len(info.Members) > 0 {
+	if f.mem != nil {
 		f.mem.Apply(info.Members, info.Epoch)
 	}
 }
@@ -423,7 +416,7 @@ var ErrAbandoned = errors.New("fleet: request abandoned by its issuer")
 
 // Begin records the start of one request to url and returns the completion
 // callback: call it with the request's outcome (nil on success) and the
-// view updates in-flight, latency EWMA, RPS, error counters and the
+// view updates in-flight, latency EWMA, error counters and the
 // breaker. ErrAbandoned releases the in-flight slot and records nothing
 // else. Unknown URLs return a no-op callback.
 func (f *Fleet) Begin(url string) func(err error) {
@@ -444,7 +437,6 @@ func (f *Fleet) Begin(url string) func(err error) {
 			return
 		}
 		r.requests++
-		r.tickLocked(now.Unix())
 		if err != nil {
 			r.errors++
 			r.failureLocked(f.opts.BreakerThreshold, now)
@@ -454,24 +446,10 @@ func (f *Fleet) Begin(url string) func(err error) {
 		if r.ewmaMs == 0 {
 			r.ewmaMs = ms
 		} else {
-			r.ewmaMs = f.opts.EWMAAlpha*ms + (1-f.opts.EWMAAlpha)*r.ewmaMs
+			r.ewmaMs = ewmaAlpha*ms + (1-ewmaAlpha)*r.ewmaMs
 		}
 		r.successLocked()
 	}
-}
-
-// tickLocked advances the RPS ring to sec and counts one request in it.
-func (r *replica) tickLocked(sec int64) {
-	if d := sec - r.lastSec; d > 0 {
-		if d > rpsBuckets {
-			d = rpsBuckets
-		}
-		for i := int64(0); i < d; i++ {
-			r.buckets[(r.lastSec+1+i)%rpsBuckets] = 0
-		}
-		r.lastSec = sec
-	}
-	r.buckets[sec%rpsBuckets]++
 }
 
 // Order returns the routing order for candidates already ranked by
@@ -576,8 +554,6 @@ type ReplicaStats struct {
 	EWMALatencyMs float64 `json:"ewma_latency_ms"`
 	// Inflight is the number of requests currently outstanding.
 	Inflight int `json:"inflight"`
-	// RPS is the completed-request rate over the last few seconds.
-	RPS float64 `json:"rps"`
 	// Requests and Errors count completed and failed requests (probes are
 	// membership-only and excluded).
 	Requests int64 `json:"requests"`
@@ -604,7 +580,6 @@ func StateCode(state string) int {
 
 // Snapshot returns per-replica stats in listing order.
 func (f *Fleet) Snapshot() []ReplicaStats {
-	now := time.Now()
 	f.mu.RLock()
 	targets := make([]*replica, 0, len(f.urls))
 	for _, url := range f.urls {
@@ -614,18 +589,12 @@ func (f *Fleet) Snapshot() []ReplicaStats {
 	out := make([]ReplicaStats, 0, len(targets))
 	for _, r := range targets {
 		r.mu.Lock()
-		r.tickRPSOnlyLocked(now.Unix())
-		var n int64
-		for _, b := range r.buckets {
-			n += b
-		}
 		out = append(out, ReplicaStats{
 			URL:           r.url,
 			ID:            r.id,
 			State:         r.state.String(),
 			EWMALatencyMs: r.ewmaMs,
 			Inflight:      r.inflight,
-			RPS:           float64(n) / rpsBuckets,
 			Requests:      r.requests,
 			Errors:        r.errors,
 			Trips:         r.trips,
@@ -634,18 +603,4 @@ func (f *Fleet) Snapshot() []ReplicaStats {
 		r.mu.Unlock()
 	}
 	return out
-}
-
-// tickRPSOnlyLocked expires stale RPS buckets without counting a request,
-// so an idle replica's rate decays to zero between snapshots.
-func (r *replica) tickRPSOnlyLocked(sec int64) {
-	if d := sec - r.lastSec; d > 0 {
-		if d > rpsBuckets {
-			d = rpsBuckets
-		}
-		for i := int64(0); i < d; i++ {
-			r.buckets[(r.lastSec+1+i)%rpsBuckets] = 0
-		}
-		r.lastSec = sec
-	}
 }

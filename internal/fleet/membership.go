@@ -1,11 +1,11 @@
 package fleet
 
 import (
+	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
-
-	"strings"
 )
 
 // Membership is the epoch-versioned member registry behind dynamic fleets:
@@ -61,6 +61,28 @@ func normalizeMembers(urls []string) []string {
 	return out
 }
 
+// maxEpoch is where the epoch counter stops. A change at maxEpoch is
+// refused rather than wrapping the counter to zero, where every older
+// snapshot would win; stopping one short of the uint64 limit keeps every
+// epoch a registry can hold a valid snapshot epoch for its peers.
+const maxEpoch = math.MaxUint64 - 1
+
+// ValidSnapshot reports whether a (members, epoch) snapshot received from
+// another replica may be applied: it names at least one member, and its
+// epoch is at most maxEpoch. Apply ignores any other snapshot; the serving
+// layer rejects one arriving as gossip.
+func ValidSnapshot(members []string, epoch uint64) bool {
+	if epoch > maxEpoch {
+		return false
+	}
+	for _, u := range members {
+		if NormalizeURL(u) != "" {
+			return true
+		}
+	}
+	return false
+}
+
 // NewMembership builds a registry holding the initial members at epoch 0.
 func NewMembership(initial []string) *Membership {
 	return &Membership{members: normalizeMembers(initial)}
@@ -89,6 +111,10 @@ func (m *Membership) Join(url string) bool {
 		return false
 	}
 	m.mu.Lock()
+	if m.epoch == maxEpoch {
+		m.mu.Unlock()
+		return false
+	}
 	for _, u := range m.members {
 		if u == url {
 			m.mu.Unlock()
@@ -111,6 +137,10 @@ func (m *Membership) Join(url string) bool {
 func (m *Membership) Leave(url string) bool {
 	url = NormalizeURL(url)
 	m.mu.Lock()
+	if m.epoch == maxEpoch {
+		m.mu.Unlock()
+		return false
+	}
 	kept := m.members[:0]
 	removed := false
 	for _, u := range m.members {
@@ -141,16 +171,19 @@ func (m *Membership) Leave(url string) bool {
 // identical list is a no-op; an equal epoch with a different list is a
 // concurrency conflict, resolved by adopting the union under epoch+1 (both
 // conflicting sides compute the same union and the same successor epoch, so
-// one more exchange converges them); an older epoch is ignored. Reports
-// whether the local view changed — the caller then re-propagates its view
-// so stragglers catch up.
+// one more exchange converges them); an older epoch is ignored, and so is
+// a snapshot ValidSnapshot refuses. Reports whether the local view changed
+// — the caller then re-propagates its view so stragglers catch up.
 func (m *Membership) Apply(members []string, epoch uint64) bool {
+	if !ValidSnapshot(members, epoch) {
+		return false
+	}
 	incoming := normalizeMembers(members)
 	m.mu.Lock()
 	switch {
 	case epoch > m.epoch:
 		// Newer view wins wholesale.
-	case epoch < m.epoch:
+	case epoch < m.epoch, epoch == maxEpoch:
 		m.mu.Unlock()
 		return false
 	case equalMembers(incoming, m.members):

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -118,5 +119,30 @@ func TestMembershipOnChange(t *testing.T) {
 	// Apply counted one add and one remove against the previous view.
 	if m.Joins() != 2 || m.Leaves() != 2 {
 		t.Errorf("Joins/Leaves = %d/%d, want 2/2", m.Joins(), m.Leaves())
+	}
+}
+
+// TestMembershipIgnoresInvalidSnapshots: Apply ignores a snapshot with no
+// member, which would empty the view, and one whose epoch is past
+// maxEpoch. At maxEpoch every change is refused, where the increment
+// used to wrap the counter to 0 so that every older snapshot won.
+func TestMembershipIgnoresInvalidSnapshots(t *testing.T) {
+	m := NewMembership([]string{"http://a:1"})
+	for _, members := range [][]string{nil, {}, {" ", "/"}} {
+		if m.Apply(members, 5) {
+			t.Errorf("snapshot %q applied", members)
+		}
+	}
+	if m.Apply([]string{"http://a:1", "http://x:1"}, math.MaxUint64) {
+		t.Error("snapshot at epoch 2^64-1 applied")
+	}
+	if !m.Apply([]string{"http://a:1"}, math.MaxUint64-1) {
+		t.Fatal("snapshot at the last epoch not applied")
+	}
+	if m.Join("http://x:1") || m.Leave("http://a:1") || m.Apply([]string{"http://y:1"}, math.MaxUint64-1) {
+		t.Error("a change at the last epoch was applied")
+	}
+	if members, epoch := m.Snapshot(); epoch != math.MaxUint64-1 || !reflect.DeepEqual(members, []string{"http://a:1"}) {
+		t.Fatalf("view = %v@%d, want [http://a:1]@%d", members, epoch, uint64(math.MaxUint64-1))
 	}
 }

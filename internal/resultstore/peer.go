@@ -1,7 +1,7 @@
 package resultstore
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,17 +35,14 @@ import (
 // a cold hash (a sweep's worth of clients converging on one cell) cost one
 // peer round trip, not N.
 //
-// With a fleet view attached (UseFleet), membership is health-checked:
-// peers whose circuit breaker is open are skipped outright — a dead peer
-// costs nothing after the breaker trips, instead of a dial timeout per
-// lookup — and every fetch's outcome feeds the view.
+// The peers are the members of a fleet view (internal/fleet), so the list
+// is live and health-checked: replicas that join or drain are picked up as
+// the view changes, peers whose circuit breaker is open are skipped
+// outright — a dead peer costs nothing after the breaker trips, instead of
+// a dial timeout per lookup — and every fetch's outcome feeds the view.
 type PeerTier struct {
-	peers       []string
-	client      *http.Client
-	maxAttempts int
-	fleet       *fleet.Fleet
-	membership  *fleet.Membership // non-nil: live peer list (members − self)
-	self        string            // this replica's own advertised URL
+	fleet  *fleet.Fleet
+	client *http.Client
 
 	flightMu sync.Mutex
 	flight   map[string]*peerFlight
@@ -68,53 +65,14 @@ type peerFlight struct {
 // turning a fleet-wide cold miss into a full broadcast.
 const DefaultPeerAttempts = 2
 
-// NewPeerTier builds a peer tier over sibling base URLs (e.g.
-// "http://10.0.0.2:8080"). client may be nil for a default with a 5s
-// timeout; maxAttempts ≤ 0 means DefaultPeerAttempts, capped at the number
-// of peers.
-func NewPeerTier(peers []string, client *http.Client, maxAttempts int) *PeerTier {
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultPeerAttempts
-	}
+// NewPeerTier builds a peer tier over the members of fl, which must not
+// include this replica itself (a replica never fetches from itself).
+func NewPeerTier(fl *fleet.Fleet) *PeerTier {
 	return &PeerTier{
-		peers:       fanout.NormalizeReplicas(peers),
-		client:      client,
-		maxAttempts: maxAttempts,
-		flight:      map[string]*peerFlight{},
+		fleet:  fl,
+		client: &http.Client{Timeout: 5 * time.Second},
+		flight: map[string]*peerFlight{},
 	}
-}
-
-// UseFleet attaches a fleet view: breaker-open peers are skipped and fetch
-// outcomes feed the view's instrumentation. Call before serving traffic.
-func (p *PeerTier) UseFleet(f *fleet.Fleet) { p.fleet = f }
-
-// UseMembership makes the peer list live: lookups walk the registry's
-// current members (minus this replica's own advertised URL, self) instead
-// of the static list given to NewPeerTier, so peers that join or drain are
-// picked up without reconstruction. Call before serving traffic.
-func (p *PeerTier) UseMembership(m *fleet.Membership, self string) {
-	p.membership = m
-	if n := fanout.NormalizeReplicas([]string{self}); len(n) == 1 {
-		p.self = n[0]
-	}
-}
-
-// peerList resolves the peers a lookup may consult right now.
-func (p *PeerTier) peerList() []string {
-	if p.membership == nil {
-		return p.peers
-	}
-	members := p.membership.Members()
-	out := members[:0]
-	for _, m := range members {
-		if m != p.self {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // Name implements Tier.
@@ -144,9 +102,10 @@ func (p *PeerTier) Peek(key string) ([]byte, bool) {
 }
 
 // fetch coalesces concurrent lookups of one key onto a single network walk
-// (fetchLocked does the walking).
+// (walk does the walking).
 func (p *PeerTier) fetch(key string) ([]byte, bool) {
-	if len(p.peerList()) == 0 {
+	peers := p.fleet.Replicas()
+	if len(peers) == 0 {
 		return nil, false
 	}
 	p.flightMu.Lock()
@@ -159,7 +118,7 @@ func (p *PeerTier) fetch(key string) ([]byte, bool) {
 	p.flight[key] = fl
 	p.flightMu.Unlock()
 
-	fl.val, fl.ok = p.walk(key)
+	fl.val, fl.ok = p.walk(peers, key)
 
 	p.flightMu.Lock()
 	delete(p.flight, key)
@@ -172,26 +131,21 @@ func (p *PeerTier) fetch(key string) ([]byte, bool) {
 // simply does not hold the entry; transport errors, non-200 statuses and
 // integrity failures count in Errors. Either way the next ranked holder is
 // tried, and running out of holders is a miss. Breaker-open peers are
-// skipped without a request when a fleet view is attached.
-func (p *PeerTier) walk(key string) ([]byte, bool) {
-	ranked := fanout.Rank(p.peerList(), key)
+// skipped without a request, and at most DefaultPeerAttempts peers are
+// asked.
+func (p *PeerTier) walk(peers []string, key string) ([]byte, bool) {
 	attempts := 0
-	for _, peer := range ranked {
-		if attempts >= p.maxAttempts {
+	for _, peer := range fanout.Rank(peers, key) {
+		if attempts >= DefaultPeerAttempts {
 			break
 		}
-		if p.fleet != nil && !p.fleet.Healthy(peer) {
+		if !p.fleet.Healthy(peer) {
 			continue
 		}
 		attempts++
-		var end func(error)
-		if p.fleet != nil {
-			end = p.fleet.Begin(peer)
-		}
-		val, err := p.fetchOne(peer, key)
-		if end != nil {
-			end(err)
-		}
+		end := p.fleet.Begin(peer)
+		val, err := FetchBlob(context.Background(), p.client, peer, key)
+		end(err)
 		if err != nil {
 			p.errors.Add(1)
 			continue
@@ -203,10 +157,17 @@ func (p *PeerTier) walk(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// fetchOne asks a single peer for the framed entry. Returns (nil, nil) for
-// a clean not-found — the peer is healthy, it just doesn't hold the key.
-func (p *PeerTier) fetchOne(peer, key string) ([]byte, error) {
-	resp, err := p.client.Get(peer + "/v1/blob/" + key)
+// FetchBlob asks one peer (a replica base URL) for the framed entry of key
+// over GET /v1/blob/{key} and returns the verified payload. It returns
+// (nil, nil) for a clean not-found — the peer is healthy, it just doesn't
+// hold the key. The peer tier's lookups and a warm join's batch fill both
+// fetch through it.
+func FetchBlob(ctx context.Context, client *http.Client, peer, key string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/blob/"+key, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -230,9 +191,11 @@ func (p *PeerTier) fetchOne(peer, key string) ([]byte, error) {
 		return nil, fmt.Errorf("resultstore: peer %s: %w", peer, err)
 	}
 	// val aliases the whole read buffer: the frame header plus ReadAll's
-	// growth slack. The chain keeps a fetched value in its memory tier, so
-	// copy out just the payload.
-	return bytes.Clone(val), nil
+	// growth slack. Callers keep a fetched value in a memory tier, so copy
+	// out just the payload (make, unlike bytes.Clone, adds no capacity).
+	out := make([]byte, len(val))
+	copy(out, val)
+	return out, nil
 }
 
 // maxBlobBytes bounds one fetched entry; result bodies are JSON documents

@@ -10,7 +10,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cdcs/internal/fleet"
 )
+
+// peerTier builds a peer tier over a fleet view of peers without a prober,
+// so fetch outcomes alone drive its breakers.
+func peerTier(t *testing.T, peers ...string) *PeerTier {
+	t.Helper()
+	fl := fleet.New(peers, fleet.Options{ProbeInterval: -1})
+	t.Cleanup(fl.Close)
+	return NewPeerTier(fl)
+}
 
 // blobServer is a minimal stand-in for a sibling replica's /v1/blob
 // endpoint: it serves framed entries from a map.
@@ -34,7 +45,7 @@ func blobServer(t *testing.T, entries map[string][]byte) (*httptest.Server, *ato
 func TestPeerTierServesVerifiedEntries(t *testing.T) {
 	val := []byte(`{"result": "from-peer"}`)
 	srv, _ := blobServer(t, map[string][]byte{"k": val})
-	p := NewPeerTier([]string{srv.URL}, nil, 0)
+	p := peerTier(t, srv.URL)
 
 	got, ok := p.Get("k")
 	if !ok || !bytes.Equal(got, val) {
@@ -64,7 +75,7 @@ func TestPeerTierRejectsDamagedFrame(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	p := NewPeerTier([]string{srv.URL}, nil, 0)
+	p := peerTier(t, srv.URL)
 	if _, ok := p.Get("k"); ok {
 		t.Fatal("damaged frame served")
 	}
@@ -88,7 +99,7 @@ func TestPeerTierRejectsWrongKeyBlob(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	p := NewPeerTier([]string{srv.URL}, nil, 0)
+	p := peerTier(t, srv.URL)
 	if _, ok := p.Get("k"); ok {
 		t.Fatal("blob for a different content address served")
 	}
@@ -119,8 +130,8 @@ func TestPeerTierHangCountsOneErrorWithinDeadline(t *testing.T) {
 	}))
 	t.Cleanup(func() { close(release); srv.Close() })
 
-	client := &http.Client{Timeout: 150 * time.Millisecond}
-	p := NewPeerTier([]string{srv.URL}, client, 0)
+	p := peerTier(t, srv.URL)
+	p.client = &http.Client{Timeout: 150 * time.Millisecond}
 	start := time.Now()
 	_, ok := p.Get("k")
 	elapsed := time.Since(start)
@@ -153,7 +164,7 @@ func TestPeerTierCoalescesConcurrentFetches(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 
-	p := NewPeerTier([]string{srv.URL}, nil, 0)
+	p := peerTier(t, srv.URL)
 	const callers = 8
 	var wg sync.WaitGroup
 	results := make([][]byte, callers)
@@ -195,7 +206,7 @@ func TestPeerTierSurvivesDeadPeer(t *testing.T) {
 
 	// Both orders: whichever way rendezvous ranks them, the lookup must
 	// fall through the dead peer to the live one.
-	p := NewPeerTier([]string{dead.URL, alive.URL}, nil, 0)
+	p := peerTier(t, dead.URL, alive.URL)
 	got, ok := p.Get("k")
 	if !ok || !bytes.Equal(got, val) {
 		t.Fatalf("Get with a dead peer in the ranking = %q, %v", got, ok)
@@ -203,8 +214,8 @@ func TestPeerTierSurvivesDeadPeer(t *testing.T) {
 }
 
 func TestPeerTierAttemptsBounded(t *testing.T) {
-	// Three peers, none holding the key: only maxAttempts of them may be
-	// asked, so a fleet-wide cold miss is not a broadcast.
+	// Three peers, none holding the key: only DefaultPeerAttempts of them
+	// may be asked, so a fleet-wide cold miss is not a broadcast.
 	var asked atomic.Int64
 	mk := func() *httptest.Server {
 		s := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -214,13 +225,12 @@ func TestPeerTierAttemptsBounded(t *testing.T) {
 		t.Cleanup(s.Close)
 		return s
 	}
-	peers := []string{mk().URL, mk().URL, mk().URL}
-	p := NewPeerTier(peers, nil, 2)
+	p := peerTier(t, mk().URL, mk().URL, mk().URL)
 	if _, ok := p.Get("cold"); ok {
 		t.Fatal("miss reported as hit")
 	}
-	if n := asked.Load(); n != 2 {
-		t.Errorf("%d peers asked, want 2", n)
+	if n := asked.Load(); n != DefaultPeerAttempts {
+		t.Errorf("%d peers asked, want %d", n, DefaultPeerAttempts)
 	}
 }
 
@@ -230,7 +240,7 @@ func TestPeerTierAttemptsBounded(t *testing.T) {
 func TestPeerTierInChain(t *testing.T) {
 	val := []byte(`{"result": 42}`)
 	srv, requests := blobServer(t, map[string][]byte{"k": val})
-	chain := Chain(MemoryTier(16), NewPeerTier([]string{srv.URL}, nil, 0))
+	chain := Chain(MemoryTier(16), peerTier(t, srv.URL))
 
 	got, ok := chain.Get("k")
 	if !ok || !bytes.Equal(got, val) {
@@ -258,7 +268,7 @@ func TestPeerTierInChain(t *testing.T) {
 func TestPeerTierAskedOncePerComputedMiss(t *testing.T) {
 	srvA, reqA := blobServer(t, nil)
 	srvB, reqB := blobServer(t, nil)
-	chain := Chain(MemoryTier(16), NewPeerTier([]string{srvA.URL, srvB.URL}, nil, 0))
+	chain := Chain(MemoryTier(16), peerTier(t, srvA.URL, srvB.URL))
 
 	for i, key := range []string{"k1", "k2", "k3"} {
 		_, hit, err := chain.GetOrCompute(context.Background(), key, func() ([]byte, error) {
@@ -275,18 +285,9 @@ func TestPeerTierAskedOncePerComputedMiss(t *testing.T) {
 
 func TestPeerTierPutIsNoOp(t *testing.T) {
 	srv, requests := blobServer(t, nil)
-	p := NewPeerTier([]string{srv.URL}, nil, 0)
+	p := peerTier(t, srv.URL)
 	p.Put("k", []byte("v"))
 	if requests.Load() != 0 {
 		t.Error("Put issued a request; the peer tier must be read-only")
-	}
-}
-
-func TestPeerTierNormalizesPeers(t *testing.T) {
-	p := NewPeerTier([]string{" http://a:1/ ", "", "http://a:1", "http://b:2"}, nil, 0)
-	got := p.peers
-	want := []string{"http://a:1", "http://b:2"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("peers = %v, want %v", got, want)
 	}
 }

@@ -148,8 +148,11 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 
 // handleMembershipChange decodes an announcement-or-gossip body, applies it
 // via change (Join or Leave) or Membership.Apply, and responds with the
-// resulting snapshot. Gossip of local changes rides the registry's OnChange
-// hook (see New), not this handler.
+// resulting snapshot. A gossip snapshot that fleet.ValidSnapshot refuses is
+// a 400: one with no member would empty every view it reached, and one
+// past the epoch limit would leave the counter nowhere to go. Gossip of
+// local changes rides the registry's OnChange hook (see New), not this
+// handler.
 func (s *Server) handleMembershipChange(w http.ResponseWriter, r *http.Request, change func(string) bool) {
 	var msg membershipMessage
 	if err := decodeStrict(w, r, &msg); err != nil {
@@ -157,12 +160,12 @@ func (s *Server) handleMembershipChange(w http.ResponseWriter, r *http.Request, 
 		return
 	}
 	switch {
-	case msg.URL != "":
+	case fleet.NormalizeURL(msg.URL) != "":
 		change(msg.URL)
-	case len(msg.Members) > 0 || msg.Epoch > 0:
+	case fleet.ValidSnapshot(msg.Members, msg.Epoch):
 		s.membership.Apply(msg.Members, msg.Epoch)
 	default:
-		writeErr(w, http.StatusBadRequest, "need url (announcement) or members+epoch (gossip)")
+		writeErr(w, http.StatusBadRequest, "need url (announcement) or members+epoch (gossip) with at least one member and an epoch below the maximum")
 		return
 	}
 	members, epoch := s.membership.Snapshot()
@@ -248,8 +251,7 @@ func (s *Server) propagate(members []string, epoch uint64) {
 			}
 			defer resp.Body.Close()
 			var theirs membershipMessage
-			if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&theirs) == nil &&
-				len(theirs.Members) > 0 {
+			if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&theirs) == nil {
 				s.membership.Apply(theirs.Members, theirs.Epoch)
 			}
 		}()
@@ -339,9 +341,9 @@ func (s *Server) JoinFleet(ctx context.Context) (JoinStats, error) {
 						mu.Unlock()
 						continue
 					}
-					val, err := s.fetchBlob(ctx, st.Seed, key)
+					val, err := resultstore.FetchBlob(ctx, s.client, st.Seed, key)
 					mu.Lock()
-					if err != nil {
+					if err != nil || val == nil {
 						st.Failed++
 					} else {
 						filler.Put(key, val)
@@ -389,28 +391,6 @@ func (s *Server) JoinFleet(ctx context.Context) (JoinStats, error) {
 	st.Members = len(s.membership.Members())
 	st.Elapsed = time.Since(start)
 	return st, nil
-}
-
-// fetchBlob fetches and verifies one framed entry from a peer.
-func (s *Server) fetchBlob(ctx context.Context, peer, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/blob/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("%s", resp.Status)
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	return resultstore.DecodeBlob(key, raw)
 }
 
 // getJSON issues one GET and decodes the JSON response into v.

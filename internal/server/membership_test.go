@@ -355,3 +355,69 @@ func TestJoinFleetRequiresReachableSeed(t *testing.T) {
 		t.Fatalf("failed join admitted the joiner: %v", joiner.membership.Members())
 	}
 }
+
+// TestGossipRejectsInvalidSnapshots: a gossip body that names no member, or
+// whose epoch is past the counter's limit, is refused with a 400 and
+// changes no view. Applied, {"epoch":N} alone wiped the member list of the
+// replica it reached, and gossip carried the empty view on to the rest of
+// the fleet.
+func TestGossipRejectsInvalidSnapshots(t *testing.T) {
+	_, urlA := liveServer(t, Options{})
+	_, urlB := liveServer(t, Options{})
+	resp := postJSON(t, urlA+"/v1/join", fmt.Sprintf(`{"url":%q}`, urlB))
+	resp.Body.Close()
+	waitUntil(t, func() bool {
+		m, _, _ := membersOf(t, urlB)
+		return len(m) == 2
+	}, "the join to gossip to b")
+	want, wantEpoch, _ := membersOf(t, urlA)
+
+	for _, body := range []string{
+		`{"epoch":999}`,
+		`{"members":[],"epoch":999}`,
+		`{"members":[" ","/"],"epoch":999}`,
+		fmt.Sprintf(`{"members":[%q],"epoch":18446744073709551615}`, urlA),
+	} {
+		resp := postJSON(t, urlA+"/v1/join", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("gossip %s -> %d, want 400", body, resp.StatusCode)
+		}
+	}
+	for _, url := range []string{urlA, urlB} {
+		if m, e, _ := membersOf(t, url); !slices.Equal(m, want) || e != wantEpoch {
+			t.Errorf("%s view = %v@%d, want %v@%d", url, m, e, want, wantEpoch)
+		}
+	}
+}
+
+// TestJoinFleetFillKeepsOnlyPayload: a warm-filled entry holds just its
+// payload. A fill that keeps the slice DecodeBlob returns keeps the whole
+// read buffer alive — the blob header and ReadAll's growth slack — in the
+// memory tier, where its Bytes does not count them.
+func TestJoinFleetFillKeepsOnlyPayload(t *testing.T) {
+	seed, seedURL := liveServer(t, Options{})
+	resp := postJSON(t, seedURL+"/v1/compare", smallCompare)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed compare -> %d", resp.StatusCode)
+	}
+
+	joiner, _ := liveServer(t, Options{Join: seedURL})
+	if _, err := joiner.JoinFleet(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	keys := seed.cache.(manifestLister).LocalKeys()
+	if len(keys) == 0 {
+		t.Fatal("seed holds no entries")
+	}
+	for _, key := range keys {
+		val, ok := joiner.cache.(warmFiller).GetLocal(key)
+		if !ok {
+			t.Fatalf("%.12s not warm-filled", key)
+		}
+		if cap(val) != len(val) {
+			t.Errorf("%.12s: filled entry has cap %d for %d payload bytes", key, cap(val), len(val))
+		}
+	}
+}

@@ -12,7 +12,7 @@
 //	GET  /v1/jobs/{id}       job status; SSE progress with Accept: text/event-stream
 //	DELETE /v1/jobs/{id}     cancel a queued or running job
 //	GET  /healthz            liveness
-//	GET  /metrics            counters in Prometheus text format (also on expvar)
+//	GET  /metrics            counters in Prometheus text format
 //
 // Correctness of the cache rests on PR 1's bit-determinism: a request's
 // SHA-256 content address (see cdcs.CompareRequest.Hash) fully determines
@@ -24,7 +24,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -250,14 +249,13 @@ func New(opts Options) (*Server, error) {
 			tiers = append(tiers, disk)
 		}
 		if membership != nil {
-			peer := resultstore.NewPeerTier(opts.Peers, nil, 0)
-			peer.UseMembership(membership, advertise)
+			// The fleet view holds the members minus this replica; the
+			// OnChange hook below keeps it so.
 			fl = fleet.New(without(membership.Members(), advertise), fleet.Options{
 				ProbeInterval:    opts.FleetProbeInterval,
 				BreakerThreshold: opts.FleetBreakerThreshold,
 			})
-			peer.UseFleet(fl)
-			tiers = append(tiers, peer)
+			tiers = append(tiers, resultstore.NewPeerTier(fl))
 		}
 		store = resultstore.Chain(tiers...)
 	}
@@ -288,7 +286,6 @@ func New(opts Options) (*Server, error) {
 	if fl != nil {
 		fl.Start()
 	}
-	publishExpvar(s)
 	return s, nil
 }
 
@@ -342,25 +339,6 @@ func (s *Server) Stats() Stats {
 		st.Fleet = s.fleet.Snapshot()
 	}
 	return st
-}
-
-// current is the server expvar reads from; expvar registration is global and
-// permanent, so it indirects through a pointer the newest Server owns.
-var (
-	current    atomic.Pointer[Server]
-	expvarOnce sync.Once
-)
-
-func publishExpvar(s *Server) {
-	current.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("cdcs_serve", expvar.Func(func() any {
-			if srv := current.Load(); srv != nil {
-				return srv.Stats()
-			}
-			return nil
-		}))
-	})
 }
 
 // Handler returns the API mux.

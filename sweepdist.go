@@ -135,7 +135,7 @@ func SweepDistributed(req SweepRequest, replicas []string, opts DistributedSweep
 	// mid-sweep starts absorbing the not-yet-dispatched cells it owns, and
 	// one that drains stops receiving new ones. The member list given here
 	// is only the starting point.
-	fl := fleet.New(fanout.NormalizeReplicas(replicas), fleet.Options{
+	fl := fleet.New(replicas, fleet.Options{
 		ProbeInterval:    opts.FleetProbeInterval,
 		BreakerThreshold: opts.FleetBreakerThreshold,
 		TopK:             opts.TopK,
@@ -146,14 +146,11 @@ func SweepDistributed(req SweepRequest, replicas []string, opts DistributedSweep
 	fl.Start()
 	defer fl.Close()
 
-	results, fstats, err := fanout.Do(ctx, replicas, units, fanout.Options{
+	results, fstats, err := fanout.Do(ctx, fl, units, fanout.Options{
 		Client:      opts.Client,
-		Path:        "/v1/compare",
 		Parallelism: opts.Parallelism,
 		OnProgress:  opts.Progress,
-		Fleet:       fl,
 		HotLatency:  opts.HotCellLatency,
-		Members:     fl.Replicas,
 	})
 	stats := &SweepReplicaStats{
 		Assigned:   map[string]int{},
