@@ -79,6 +79,12 @@ type goldenFile struct {
 //   - "st72": 324 apps on 72×72, hierarchical. Its 5-wide clusters leave a
 //     2-wide edge, so the coarse chip's bank capacities are not uniform and
 //     step 2 on the coarse mesh takes its ragged-capacity path.
+//
+// "mt96" is the hierarchical regime under a multithreaded mix: 72 8-thread
+// apps (one thread per 16 tiles) on 96×96. Projected onto the coarse mesh,
+// each app's shared VC has accessors in several clusters, so the coarse
+// greedy pass walks a sorted bank order rather than a ring, a path no
+// single-threaded entry above the hierarchy threshold reaches.
 func goldenRequests() map[string]CompareRequest {
 	cfg16 := DefaultConfig()
 	cfg16.MeshWidth, cfg16.MeshHeight = 16, 16
@@ -92,6 +98,8 @@ func goldenRequests() map[string]CompareRequest {
 	cfg64.MeshWidth, cfg64.MeshHeight = 64, 64
 	cfg72 := DefaultConfig()
 	cfg72.MeshWidth, cfg72.MeshHeight = 72, 72
+	cfg96 := DefaultConfig()
+	cfg96.MeshWidth, cfg96.MeshHeight = 96, 96
 	cfg128 := DefaultConfig()
 	cfg128.MeshWidth, cfg128.MeshHeight = 128, 128
 	return map[string]CompareRequest{
@@ -109,6 +117,8 @@ func goldenRequests() map[string]CompareRequest {
 		"st32":    {Config: &cfg32, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 64}, Seed: 1},
 		"st45x37": {Config: &cfg45x37, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 104}, Seed: 1},
 		"st72":    {Config: &cfg72, Mix: MixSpec{Kind: MixRandom, Seed: 42, N: 324}, Seed: 1},
+
+		"mt96": {Config: &cfg96, Mix: MixSpec{Kind: MixRandomMT, Seed: 42, N: 72}, Seed: 1},
 	}
 }
 
