@@ -134,6 +134,9 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		live = live[:k]
 	}
 	ar.gLive = live
+	for v := range assign {
+		assign[v].seal()
+	}
 	return assign
 }
 
@@ -149,10 +152,12 @@ type greedyCursor struct {
 	held  float64
 }
 
-// flush adds the held claim to the VC's allocation.
+// flush pushes the held claim to the VC's allocation. The cursor never
+// returns to a bank it left, so each bank is pushed at most once, and the
+// pushed value is exactly what adding the claim to an empty slot gives.
 func (g *greedyCursor) flush(a *BankAlloc) {
 	if g.held > 0 {
-		a.Add(g.bank, g.held)
+		a.push(g.bank, g.held)
 		g.held = 0
 	}
 }

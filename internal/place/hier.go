@@ -61,8 +61,9 @@ func HierOptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 		cv := &copt.Claims[v]
 		for i := 0; i < cv.Len(); i++ {
 			c, l := cv.At(i)
-			out.Claims[v].Set(cl.Rep(c), l)
+			out.Claims[v].push(cl.Rep(c), l)
 		}
+		out.Claims[v].seal()
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}
 	}
@@ -277,15 +278,17 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 
 	// Merge in ascending cluster order. Every fine bank belongs to exactly
 	// one cluster and each (VC, bank) pair appears at most once per cluster,
-	// so Set never collides; the order fixes the order of inserts into each
-	// VC's bank index but the values themselves are independent of it.
+	// so each VC's banks are distinct: push them and sort each VC once.
 	out := arenaAssignment(&ar.assign, len(demands))
 	for c := 0; c < cl.N(); c++ {
 		for _, e := range entries[c] {
-			out[e.v].Set(e.bank, e.lines)
+			out[e.v].push(e.bank, e.lines)
 		}
 		trades += cTrades[c]
 		delta += cDeltas[c]
+	}
+	for v := range out {
+		out[v].seal()
 	}
 	return out, trades, delta
 }

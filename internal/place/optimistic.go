@@ -74,13 +74,14 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 			if take > remaining {
 				take = remaining
 			}
-			out.Claims[v].Set(b, take)
+			out.Claims[v].push(b, take)
 			claimed[b] += take
 			remaining -= take
 			if remaining <= 1e-9 {
 				break
 			}
 		}
+		out.Claims[v].seal()
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}
 	}

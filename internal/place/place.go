@@ -19,6 +19,7 @@ package place
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"cdcs/internal/mesh"
 )
@@ -89,10 +90,11 @@ func (d Demand) TotalRate() float64 {
 //
 // Get, Add and Set binary-search the sorted index; a bank above the highest
 // touched one is absent, or appended, without a search. The placement hot
-// paths do not search per operation: greedy placement adds a VC's claim on
-// a bank once, as its cursor moves on, and the trade pass reads the VC it
-// refines from a per-arena snapshot and its trade partners from the banks'
-// resident lists (see RefineIn).
+// paths do not search per operation: builds that write each bank once (the
+// greedy cursors, the optimistic claims, the hierarchical merge) push the
+// banks unsorted and sort once (push, seal), and the trade pass reads the
+// VC it refines from a per-arena snapshot and its trade partners from the
+// banks' resident lists (see RefineIn).
 //
 // A touched bank stays in the index even when arithmetic drives its lines
 // back to exactly zero, mirroring the key semantics of the map
@@ -149,6 +151,46 @@ func (a *BankAlloc) Add(b mesh.Tile, delta float64) float64 {
 
 // Set sets bank b's lines.
 func (a *BankAlloc) Set(b mesh.Tile, v float64) { a.vals[a.slot(b)] = v }
+
+// push appends bank b with v lines, leaving the index unsorted. It serves
+// builds that write each bank once, in whatever order they meet the banks
+// (a greedy cursor's ring, a cluster-by-cluster merge): they push every
+// bank and then call seal once, instead of paying a sorted insert per
+// bank. Nothing may read the alloc between the first push and seal.
+func (a *BankAlloc) push(b mesh.Tile, v float64) {
+	a.banks = append(a.banks, b)
+	a.vals = append(a.vals, v)
+}
+
+// seal sorts pushed banks into ascending id order, carrying their lines
+// along. The banks are distinct, so the result is the index a sequence of
+// Set calls would have built. Footprints are short, so it insertion-sorts
+// them in place; long ones go through sort.Sort.
+func (a *BankAlloc) seal() {
+	bs, vs := a.banks, a.vals
+	if len(bs) > 32 {
+		sort.Sort((*bankOrder)(a))
+		return
+	}
+	for i := 1; i < len(bs); i++ {
+		b, v := bs[i], vs[i]
+		j := i
+		for ; j > 0 && bs[j-1] > b; j-- {
+			bs[j], vs[j] = bs[j-1], vs[j-1]
+		}
+		bs[j], vs[j] = b, v
+	}
+}
+
+// bankOrder sorts a BankAlloc's parallel slices by bank id.
+type bankOrder BankAlloc
+
+func (o *bankOrder) Len() int           { return len(o.banks) }
+func (o *bankOrder) Less(i, j int) bool { return o.banks[i] < o.banks[j] }
+func (o *bankOrder) Swap(i, j int) {
+	o.banks[i], o.banks[j] = o.banks[j], o.banks[i]
+	o.vals[i], o.vals[j] = o.vals[j], o.vals[i]
+}
 
 // Banks returns the touched banks in ascending id order. The slice is shared
 // with the BankAlloc; callers must not modify it.
