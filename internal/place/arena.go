@@ -41,6 +41,7 @@ type Arena struct {
 	used       []float64
 	accPerLine []float64
 	residents  [][]resident
+	resBounds  []residentBound
 	desirables []desirable
 	tileW      []float64
 	pcTiles    []mesh.Tile

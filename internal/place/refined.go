@@ -1,6 +1,7 @@
 package place
 
 import (
+	"math"
 	"slices"
 
 	"cdcs/internal/mesh"
@@ -94,14 +95,16 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 			accPerLine[v] = demands[v].TotalRate() / size
 		}
 	}
-	// residents[b] lists VCs with data in bank b (kept fresh lazily: an
-	// entry stays when its lines drain) and mirrors their lines there.
-	residents := growResidents(&ar.residents, chip.Banks())
+	// res.lists[b] lists VCs with data in bank b (kept fresh lazily: an
+	// entry stays when its lines drain) and mirrors their lines there,
+	// beside the two factors every offer to them reads: their distance to b
+	// and their accesses per line.
+	res := newResidency(ar, chip.Banks())
 	for v := range assign {
 		av := &assign[v]
 		for i := 0; i < av.Len(); i++ {
 			if b, l := av.At(i); l > 1e-9 {
-				residents[b] = append(residents[b], resident{v, l})
+				res.add(b, resident{int32(v), l, dist.at(v, b), accPerLine[v]})
 			}
 		}
 	}
@@ -180,6 +183,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 			}
 			seen += have
 			offer++
+			bx, by := chip.Topo.Coords(b)
 			// Try to move v's data in b into closer desirable banks. left
 			// mirrors av.Get(b) through every move below.
 			left := have
@@ -191,14 +195,13 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 					break // sorted: no closer candidates remain
 				}
 				moveGain := accPerLine[v] * (cand.d - dvb) // < 0
-				kx, ky := int(cand.x), int(cand.y)
 
 				// Free space first: a move into unclaimed capacity has no
 				// counterparty and always helps.
 				if room := chip.CapOf(cand.bank) - used[cand.bank]; room > 1e-9 {
 					work.Tried++
 					m := minF(left, room)
-					shift(assign, residents, v, b, cand.bank, m)
+					res.shift(assign, v, b, cand.bank, m, cand.d, accPerLine[v])
 					used[b] -= m
 					used[cand.bank] += m
 					left -= m
@@ -209,35 +212,41 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 					}
 				}
 				// Offer trades to resident VCs (those present when the offers
-				// start: v joins the list as it trades in).
-				for i, n := 0, len(residents[cand.bank]); i < n; i++ {
-					u, theirs := residents[cand.bank][i].vc, residents[cand.bank][i].lines
-					if u == v || theirs <= 1e-9 {
+				// start: v joins the list as it trades in). Each entry carries
+				// u's distance to cand.bank and its accesses per line, so an
+				// offer computes only D(u, b), once per data bank. Offers that
+				// the loss floor proves cannot gain are not made, and neither
+				// is any offer to a bank whose floor covers all its residents.
+				rs := res.lists[cand.bank]
+				if len(rs) == 0 {
+					continue
+				}
+				h := float64(abs(bx-int(cand.x)) + abs(by-int(cand.y)))
+				gain := -moveGain
+				if rb := &res.bounds[cand.bank]; cannotGain(rb.wmin*h-2*rb.wdmax, rb.wmin*h+2*rb.wdmax, gain) {
+					continue
+				}
+				for i, n := 0, len(rs); i < n && left > 1e-9; i++ {
+					r := &rs[i]
+					u := int(r.vc)
+					if r.lines <= 1e-9 || u == v || cannotGain(r.w*(h-2*r.d), r.w*(h+2*r.d), gain) {
 						continue
-					}
-					if left <= 1e-9 {
-						break
 					}
 					work.Tried++
 					if dubStep[u] != offer {
-						dubStep[u], dub[u] = offer, dist.at(u, b)
+						dubStep[u], dub[u] = offer, dist.atXY(u, b, bx, by)
 					}
-					// D(u, cand.bank), as dist.at computes it, with the
-					// bank's coordinates looked up once per candidate.
-					var duc float64
-					if su := &dist.srcs[u]; su.multi {
-						duc = dist.at(u, cand.bank)
-					} else {
-						duc = su.term(abs(kx-su.ax) + abs(ky-su.ay))
-					}
-					gainU := accPerLine[u] * (dub[u] - duc)
+					gainU := r.w * (dub[u] - r.d)
 					if moveGain+gainU >= -1e-12 {
 						continue
 					}
-					m := minF(left, theirs)
-					// Swap m lines: v moves b→cand, u moves cand→b.
-					shift(assign, residents, v, b, cand.bank, m)
-					shift(assign, residents, u, cand.bank, b, m)
+					m, wu := minF(left, r.lines), r.w
+					// Swap m lines: v moves b→cand, u moves cand→b. Both
+					// shifts may append to a resident list, so rs is
+					// reloaded (v joins cand.bank's list past n).
+					res.shift(assign, v, b, cand.bank, m, cand.d, accPerLine[v])
+					res.shift(assign, u, cand.bank, b, m, dub[u], wu)
+					rs = res.lists[cand.bank]
 					left -= m
 					trades++
 					delta += (moveGain + gainU) * m
@@ -302,8 +311,13 @@ func newVCDist(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile) v
 
 // at returns D(v, b).
 func (vd *vcDist) at(v int, b mesh.Tile) float64 {
+	x, y := vd.chip.Topo.Coords(b)
+	return vd.atXY(v, b, x, y)
+}
+
+// atXY returns D(v, b) for the bank b at (x, y).
+func (vd *vcDist) atXY(v int, b mesh.Tile, x, y int) float64 {
 	if s := &vd.srcs[v]; !s.multi {
-		x, y := vd.chip.Topo.Coords(b)
 		return s.term(abs(x-s.ax) + abs(y-s.ay))
 	}
 	return vd.row(v)[b]
@@ -398,26 +412,72 @@ func preferredCenter(ar *Arena, chip Chip, d *Demand, alloc *BankAlloc, threadCo
 
 // resident is one VC's entry in a bank's resident list. lines mirrors
 // assign[vc].Get(bank), so offering a trade reads the counterparty's
-// holding without a lookup.
+// holding without a lookup; d is D(vc, bank) and w the VC's accesses per
+// line, both fixed for the pass, so an offer reads its two factors from the
+// entry instead of from per-VC tables.
 type resident struct {
-	vc    int
+	vc    int32
 	lines float64
+	d, w  float64
+}
+
+// residency is the trade pass's per-bank view: each bank's resident list,
+// and a bound over every entry the list has held.
+type residency struct {
+	lists  [][]resident
+	bounds []residentBound
+}
+
+// residentBound holds, over every entry a bank's resident list has held,
+// the least accesses per line and the largest product of accesses per line
+// and distance. An entry that drains stays counted, so the bank's floor
+// (see cannotGain) can only be lower than that of its live residents.
+type residentBound struct{ wmin, wdmax float64 }
+
+// newResidency returns empty lists and bounds for n banks, from ar.
+func newResidency(ar *Arena, n int) residency {
+	bounds := ensure(&ar.resBounds, n)
+	for i := range bounds {
+		bounds[i] = residentBound{math.Inf(1), 0}
+	}
+	return residency{lists: growResidents(&ar.residents, n), bounds: bounds}
+}
+
+// add appends r to bank b's list.
+func (rs *residency) add(b mesh.Tile, r resident) {
+	rs.lists[b] = append(rs.lists[b], r)
+	rb := &rs.bounds[b]
+	rb.wmin = min(rb.wmin, r.w)
+	rb.wdmax = max(rb.wdmax, r.w*r.d)
 }
 
 // shift moves m lines of VC v from bank b to bank nb, registers v in nb's
-// resident list if absent, and brings v's entries in both lists up to date.
-func shift(assign Assignment, residents [][]resident, v int, b, nb mesh.Tile, m float64) {
-	mirror(residents[b], v, assign[v].Add(b, -m))
-	if l := assign[v].Add(nb, m); !mirror(residents[nb], v, l) {
-		residents[nb] = append(residents[nb], resident{v, l})
+// resident list if absent (dnb is D(v, nb), w v's accesses per line), and
+// brings v's entries in both lists up to date.
+func (rs *residency) shift(assign Assignment, v int, b, nb mesh.Tile, m, dnb, w float64) {
+	mirror(rs.lists[b], v, assign[v].Add(b, -m))
+	if l := assign[v].Add(nb, m); !mirror(rs.lists[nb], v, l) {
+		rs.add(nb, resident{int32(v), l, dnb, w})
 	}
 }
+
+// cannotGain reports whether an offer of gain (v's latency saving, > 0)
+// to a partner u that must lose at least floor is sure to be refused. D(u,
+// ·) is an access-weighted mean of hop counts, and hop counts obey the
+// triangle inequality, so D(u, b) ≥ H(b, c) - D(u, c) for the data bank b,
+// the candidate c and their distance H: taking m lines from c to b costs u
+// at least w·(H - 2·D(u, c)) per line. When that floor beats the gain, the
+// exact check finds moveGain + gainU ≥ 0 and refuses the trade. The slack,
+// a millionth of mag (the size of the terms in floor) and of the gain,
+// stays far above the rounding of the D values, so the floor never refuses
+// an offer the exact check would accept.
+func cannotGain(floor, mag, gain float64) bool { return floor >= gain+1e-6*(mag+gain)+1e-9 }
 
 // mirror sets v's lines in the resident list and reports whether v has an
 // entry there.
 func mirror(rs []resident, v int, lines float64) bool {
 	for i := range rs {
-		if rs[i].vc == v {
+		if int(rs[i].vc) == v {
 			rs[i].lines = lines
 			return true
 		}
