@@ -25,6 +25,9 @@ type Arena struct {
 	centers    []mesh.Tile
 	com        []Point
 	claims     Assignment
+	oRecs      []bankRec
+	oParts     [][]bankRec
+	oCount     []int
 	center     centerSearch
 	centerWork CenterWork
 
@@ -34,6 +37,9 @@ type Arena struct {
 	gCursors []greedyCursor
 	gRem     []float64
 	gLive    []int
+	gRecs    []bankRec
+	gParts   [][]bankRec
+	gCount   []int
 	assign   Assignment
 
 	// RefineIn (which also reuses distFlat for its on-demand rows).
@@ -42,6 +48,7 @@ type Arena struct {
 	accPerLine []float64
 	residents  [][]resident
 	resBounds  []residentBound
+	resCount   []int
 	desirables []desirable
 	tileW      []float64
 	pcTiles    []mesh.Tile
@@ -65,7 +72,9 @@ type Arena struct {
 	hPullX   []float64
 	hPullY   []float64
 	hCVCs    [][]hierVC
-	hEntries [][]hierEntry
+	hCCount  []int
+	hParts   [][]bankRec
+	hCount   []int
 	hTrades  []int
 	hDeltas  []float64
 	hWorkers []*hierWorker
@@ -109,12 +118,12 @@ func (a *Arena) CenterWork() CenterWork {
 	return w
 }
 
-// growClusterVCs returns n per-cluster VC-slice lists, each truncated to
-// empty while keeping its capacity.
-func growClusterVCs(buf *[][]hierVC, n int) [][]hierVC {
+// growLists returns n lists, each truncated to empty while keeping its
+// capacity.
+func growLists[T any](buf *[][]T, n int) [][]T {
 	s := *buf
 	if cap(s) < n {
-		ns := make([][]hierVC, n)
+		ns := make([][]T, n)
 		copy(ns, s[:cap(s)])
 		s = ns
 	} else {
@@ -127,19 +136,25 @@ func growClusterVCs(buf *[][]hierVC, n int) [][]hierVC {
 	return s
 }
 
-// growClusterEntries returns n per-cluster entry buffers with their
-// capacities retained. Entries are truncated by the workers that own them.
-func growClusterEntries(buf *[][]hierEntry, n int) [][]hierEntry {
-	s := *buf
-	if cap(s) < n {
-		ns := make([][]hierEntry, n)
-		copy(ns, s[:cap(s)])
-		s = ns
-	} else {
-		s = s[:n]
+// reserveLists is Assignment.reserve for lists of one slice each: every
+// (empty) list with less capacity than counts[i] gets a capped region of
+// counts[i]+slack in one new backing array.
+func reserveLists[T any](lists [][]T, counts []int, slack int) {
+	need := 0
+	for i, n := range counts {
+		if cap(lists[i]) < n {
+			need += n + slack
+		}
 	}
-	*buf = s
-	return s
+	if need == 0 {
+		return
+	}
+	flat := make([]T, need)
+	for i, n := range counts {
+		if cap(lists[i]) < n {
+			lists[i], flat = flat[:0:n+slack], flat[n+slack:]
+		}
+	}
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
@@ -190,20 +205,3 @@ func arenaAssignment(buf *Assignment, n int) Assignment {
 	return a
 }
 
-// growResidents returns n per-bank resident lists, each truncated to empty
-// while keeping its capacity.
-func growResidents(buf *[][]resident, n int) [][]resident {
-	s := *buf
-	if cap(s) < n {
-		ns := make([][]resident, n)
-		copy(ns, s[:cap(s)])
-		s = ns
-	} else {
-		s = s[:n]
-	}
-	for i := range s {
-		s[i] = s[i][:0]
-	}
-	*buf = s
-	return s
-}

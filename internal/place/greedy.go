@@ -64,6 +64,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	cursors := grow(&ar.gCursors, len(demands))
 	remaining := grow(&ar.gRem, len(demands))
 	live := ensure(&ar.gLive, len(demands))[:0]
+	recs := ar.gRecs[:0]
 	slot := 0
 	for v := range demands {
 		if remaining[v] = demands[v].Size; remaining[v] > 1e-9 {
@@ -104,7 +105,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 			// Advance to a bank with free space.
 			cur := &cursors[v]
 			if cur.ok && free[cur.bank] <= 1e-9 {
-				cur.flush(&assign[v])
+				recs = cur.flush(recs, v)
 				cur.seek(free)
 			}
 			if !cur.ok {
@@ -125,7 +126,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 			free[b] -= take
 			remaining[v] -= take
 			if remaining[v] <= 1e-9 {
-				cur.flush(&assign[v])
+				recs = cur.flush(recs, v)
 				continue
 			}
 			live[k] = v
@@ -134,9 +135,9 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		live = live[:k]
 	}
 	ar.gLive = live
-	for v := range assign {
-		assign[v].seal()
-	}
+	ar.gRecs = recs
+	ar.gParts = append(ar.gParts[:0], recs)
+	assign.build(grow(&ar.gCount, len(demands)), ar.gParts)
 	return assign
 }
 
@@ -152,14 +153,15 @@ type greedyCursor struct {
 	held  float64
 }
 
-// flush pushes the held claim to the VC's allocation. The cursor never
-// returns to a bank it left, so each bank is pushed at most once, and the
-// pushed value is exactly what adding the claim to an empty slot gives.
-func (g *greedyCursor) flush(a *BankAlloc) {
+// flush records VC v's held claim in recs. The cursor never returns to a
+// bank it left, so each (VC, bank) pair is recorded at most once, and the
+// recorded value is exactly what adding the claim to an empty slot gives.
+func (g *greedyCursor) flush(recs []bankRec, v int) []bankRec {
 	if g.held > 0 {
-		a.push(g.bank, g.held)
+		recs = append(recs, bankRec{int32(v), g.bank, g.held})
 		g.held = 0
 	}
+	return recs
 }
 
 // seek advances to the first bank, from the current one on, with free space.

@@ -56,14 +56,19 @@ func HierOptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 		Claims: arenaAssignment(&ar.claims, len(demands)),
 		CoM:    grow(&ar.com, len(demands)),
 	}
+	recs := ar.oRecs[:0]
 	for v := range demands {
 		out.Center[v] = cl.Rep(copt.Center[v])
 		cv := &copt.Claims[v]
 		for i := 0; i < cv.Len(); i++ {
 			c, l := cv.At(i)
-			out.Claims[v].push(cl.Rep(c), l)
+			recs = append(recs, bankRec{int32(v), cl.Rep(c), l})
 		}
-		out.Claims[v].seal()
+	}
+	ar.oRecs = recs
+	ar.oParts = append(ar.oParts[:0], recs)
+	out.Claims.build(grow(&ar.oCount, len(demands)), ar.oParts)
+	for v := range demands {
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}
 	}
@@ -138,18 +143,12 @@ type hierVC struct {
 	lines float64
 }
 
-// hierEntry is one merged placement record: VC v holds lines in fine bank b.
-type hierEntry struct {
-	v     int
-	bank  mesh.Tile
-	lines float64
-}
-
 // hierWorker holds one interior-refinement worker's private scratch. Workers
-// never share mutable state: each owns its arena and demand backings, writes
-// only its clusters' entry buffers, and results are merged sequentially.
+// never share mutable state: each owns its arena, demand backings and record
+// buffer, and results are merged sequentially.
 type hierWorker struct {
 	ar    *Arena
+	recs  []bankRec // fine-bank records of the worker's clusters, in cluster order
 	ds    []Demand
 	ths   []int
 	rates []float64
@@ -211,7 +210,17 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	}
 
 	// Group the coarse result by cluster: ascending VC order within each.
-	cvcs := growClusterVCs(&ar.hCVCs, cl.N())
+	cvcs := growLists(&ar.hCVCs, cl.N())
+	ccount := grow(&ar.hCCount, cl.N())
+	for v := range demands {
+		cv := &cAssign[v]
+		for i := 0; i < cv.Len(); i++ {
+			if c, l := cv.At(i); l > 1e-9 {
+				ccount[c]++
+			}
+		}
+	}
+	reserveLists(cvcs, ccount, 0)
 	for v := range demands {
 		cv := &cAssign[v]
 		for i := 0; i < cv.Len(); i++ {
@@ -241,7 +250,6 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	}
 
 	// Level 2: independent per-cluster interiors across a bounded pool.
-	entries := growClusterEntries(&ar.hEntries, cl.N())
 	cTrades := grow(&ar.hTrades, cl.N())
 	cDeltas := grow(&ar.hDeltas, cl.N())
 	nw := runtime.GOMAXPROCS(0)
@@ -257,6 +265,9 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	for len(ar.hWorkers) < nw {
 		ar.hWorkers = append(ar.hWorkers, &hierWorker{ar: NewArena()})
 	}
+	for _, w := range ar.hWorkers[:nw] {
+		w.recs = w.recs[:0]
+	}
 	per := (cl.N() + nw - 1) / nw
 	var wg sync.WaitGroup
 	for k := 0; k < nw; k++ {
@@ -268,27 +279,28 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 		go func(w *hierWorker, lo, hi int) {
 			defer wg.Done()
 			for c := lo; c < hi; c++ {
-				entries[c] = w.interior(chip, cl, c, cvcs[c],
+				w.interior(chip, cl, c, cvcs[c],
 					pullX, pullY, demands, chunk, refine,
-					entries[c][:0], &cTrades[c], &cDeltas[c])
+					&cTrades[c], &cDeltas[c])
 			}
 		}(ar.hWorkers[k], lo, hi)
 	}
 	wg.Wait()
 
-	// Merge in ascending cluster order. Every fine bank belongs to exactly
-	// one cluster and each (VC, bank) pair appears at most once per cluster,
-	// so each VC's banks are distinct: push them and sort each VC once.
+	// Merge in ascending cluster order: worker k holds the clusters after
+	// worker k-1's, in order. Every fine bank belongs to exactly one cluster
+	// and each (VC, bank) pair appears at most once per cluster, so each
+	// VC's banks are distinct and the assignment is built from the records.
+	parts := ar.hParts[:0]
+	for k := 0; k < nw; k++ {
+		parts = append(parts, ar.hWorkers[k].recs)
+	}
+	ar.hParts = parts
 	out := arenaAssignment(&ar.assign, len(demands))
+	out.build(grow(&ar.hCount, len(demands)), parts)
 	for c := 0; c < cl.N(); c++ {
-		for _, e := range entries[c] {
-			out[e.v].push(e.bank, e.lines)
-		}
 		trades += cTrades[c]
 		delta += cDeltas[c]
-	}
-	for v := range out {
-		out[v].seal()
 	}
 	return out, trades, delta
 }
@@ -296,13 +308,13 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 // interior solves one cluster's placement subproblem: each VC slice becomes a
 // single-accessor demand whose synthetic core is the VC's pull point clamped
 // into the cluster, placed greedily (and trade-refined) on the cluster's
-// sub-mesh. Appends the resulting fine-bank records to entries.
+// sub-mesh. Appends the resulting fine-bank records to w.recs.
 func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, c int, vcs []hierVC,
 	pullX, pullY []float64, demands []Demand,
-	chunk float64, refine bool, entries []hierEntry, trades *int, delta *float64) []hierEntry {
+	chunk float64, refine bool, trades *int, delta *float64) {
 	*trades, *delta = 0, 0
 	if len(vcs) == 0 {
-		return entries
+		return
 	}
 	x0, y0, x1, y1 := cl.Bounds(mesh.Tile(c))
 	sub := w.subMesh(x1-x0, y1-y0)
@@ -331,10 +343,9 @@ func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, c int, vcs []hierVC,
 		for j := 0; j < av.Len(); j++ {
 			b, l := av.At(j)
 			bx, by := sub.Coords(b)
-			entries = append(entries, hierEntry{vcs[i].v, chip.Topo.TileAt(x0+bx, y0+by), l})
+			w.recs = append(w.recs, bankRec{int32(vcs[i].v), chip.Topo.TileAt(x0+bx, y0+by), l})
 		}
 	}
-	return entries
 }
 
 func clampF(v, lo, hi float64) float64 {

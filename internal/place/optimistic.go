@@ -56,7 +56,11 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 	s.init(chip, claimed)
 	defer s.release()
 
-	for _, v := range orderBySizeIn(ar, demands) {
+	// Each VC's ring claims each bank once: record them all and build the
+	// claims (sorted per VC) once every center is chosen.
+	recs := ar.oRecs[:0]
+	order := orderBySizeIn(ar, demands)
+	for _, v := range order {
 		size := demands[v].Size
 		best, work := s.search(size)
 		ar.centerWork.add(work)
@@ -74,14 +78,18 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 			if take > remaining {
 				take = remaining
 			}
-			out.Claims[v].push(b, take)
+			recs = append(recs, bankRec{int32(v), b, take})
 			claimed[b] += take
 			remaining -= take
 			if remaining <= 1e-9 {
 				break
 			}
 		}
-		out.Claims[v].seal()
+	}
+	ar.oRecs = recs
+	ar.oParts = append(ar.oParts[:0], recs)
+	out.Claims.build(grow(&ar.oCount, len(demands)), ar.oParts)
+	for _, v := range order {
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}
 	}

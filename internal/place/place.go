@@ -182,6 +182,61 @@ func (a *BankAlloc) seal() {
 	}
 }
 
+// bankRec is one record of a build that writes each (VC, bank) pair once:
+// VC v holds lines in bank.
+type bankRec struct {
+	v     int32
+	bank  mesh.Tile
+	lines float64
+}
+
+// build fills the reset assignment from parts, records naming each (VC,
+// bank) pair at most once: it counts each VC's banks into counts (sized to
+// the VC count), reserves exactly that much, pushes the records in order and
+// sorts each VC once.
+func (a Assignment) build(counts []int, parts [][]bankRec) {
+	clear(counts)
+	for _, p := range parts {
+		for _, r := range p {
+			counts[r.v]++
+		}
+	}
+	a.reserve(counts)
+	for _, p := range parts {
+		for _, r := range p {
+			a[r.v].push(r.bank, r.lines)
+		}
+	}
+	for v := range a {
+		a[v].seal()
+	}
+}
+
+// reserve gives every (reset) VC whose bank list holds less capacity than
+// counts[v] a region of one new backing array; VCs that already hold enough
+// keep their own buffers. A fresh arena so makes two allocations where
+// growing each VC's list by append makes several per VC, and a warm one
+// makes none. Regions are capped, so an insert past a VC's count moves that
+// VC's list out rather than into its neighbour's.
+func (a Assignment) reserve(counts []int) {
+	need := 0
+	for v, n := range counts {
+		if cap(a[v].banks) < n || cap(a[v].vals) < n {
+			need += n
+		}
+	}
+	if need == 0 {
+		return
+	}
+	banks, vals := make([]mesh.Tile, need), make([]float64, need)
+	for v, n := range counts {
+		if cap(a[v].banks) < n || cap(a[v].vals) < n {
+			a[v].banks, banks = banks[:0:n], banks[n:]
+			a[v].vals, vals = vals[:0:n], vals[n:]
+		}
+	}
+}
+
 // bankOrder sorts a BankAlloc's parallel slices by bank id.
 type bankOrder BankAlloc
 

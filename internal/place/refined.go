@@ -99,7 +99,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 	// entry stays when its lines drain) and mirrors their lines there,
 	// beside the two factors every offer to them reads: their distance to b
 	// and their accesses per line.
-	res := newResidency(ar, chip.Banks())
+	res := newResidency(ar, assign, chip.Banks())
 	for v := range assign {
 		av := &assign[v]
 		for i := 0; i < av.Len(); i++ {
@@ -434,13 +434,27 @@ type residency struct {
 // (see cannotGain) can only be lower than that of its live residents.
 type residentBound struct{ wmin, wdmax float64 }
 
-// newResidency returns empty lists and bounds for n banks, from ar.
-func newResidency(ar *Arena, n int) residency {
+// newResidency returns empty lists and bounds for n banks, from ar, with
+// each list's capacity reserved for assign's entries there.
+func newResidency(ar *Arena, assign Assignment, n int) residency {
 	bounds := ensure(&ar.resBounds, n)
 	for i := range bounds {
 		bounds[i] = residentBound{math.Inf(1), 0}
 	}
-	return residency{lists: growResidents(&ar.residents, n), bounds: bounds}
+	count := grow(&ar.resCount, n)
+	for v := range assign {
+		av := &assign[v]
+		for i := 0; i < av.Len(); i++ {
+			if b, l := av.At(i); l > 1e-9 {
+				count[b]++
+			}
+		}
+	}
+	// One slot of slack per bank: a trade partner that moves into a bank
+	// it did not hold joins the list without moving it.
+	lists := growLists(&ar.residents, n)
+	reserveLists(lists, count, 1)
+	return residency{lists: lists, bounds: bounds}
 }
 
 // add appends r to bank b's list.
