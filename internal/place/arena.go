@@ -27,7 +27,7 @@ type Arena struct {
 	claims     Assignment
 	oRecs      []bankRec
 	oParts     [][]bankRec
-	oCount     []int
+	build      buildScratch // Assignment.build, for every build through this arena
 	center     centerSearch
 	centerWork CenterWork
 
@@ -39,7 +39,6 @@ type Arena struct {
 	gLive    []int
 	gRecs    []bankRec
 	gParts   [][]bankRec
-	gCount   []int
 	assign   Assignment
 
 	// RefineIn (which also reuses distFlat for its on-demand rows).
@@ -74,7 +73,6 @@ type Arena struct {
 	hCVCs    [][]hierVC
 	hCCount  []int
 	hParts   [][]bankRec
-	hCount   []int
 	hTrades  []int
 	hDeltas  []float64
 	hWorkers []*hierWorker
@@ -204,4 +202,3 @@ func arenaAssignment(buf *Assignment, n int) Assignment {
 	*buf = a
 	return a
 }
-

@@ -137,7 +137,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	ar.gLive = live
 	ar.gRecs = recs
 	ar.gParts = append(ar.gParts[:0], recs)
-	assign.build(grow(&ar.gCount, len(demands)), ar.gParts)
+	assign.build(&ar.build, nb, ar.gParts)
 	return assign
 }
 

@@ -67,7 +67,7 @@ func HierOptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 	}
 	ar.oRecs = recs
 	ar.oParts = append(ar.oParts[:0], recs)
-	out.Claims.build(grow(&ar.oCount, len(demands)), ar.oParts)
+	out.Claims.build(&ar.build, chip.Banks(), ar.oParts)
 	for v := range demands {
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}
@@ -297,7 +297,7 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	}
 	ar.hParts = parts
 	out := arenaAssignment(&ar.assign, len(demands))
-	out.build(grow(&ar.hCount, len(demands)), parts)
+	out.build(&ar.build, chip.Banks(), parts)
 	for c := 0; c < cl.N(); c++ {
 		trades += cTrades[c]
 		delta += cDeltas[c]

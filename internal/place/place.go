@@ -19,7 +19,6 @@ package place
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"cdcs/internal/mesh"
 )
@@ -91,10 +90,11 @@ func (d Demand) TotalRate() float64 {
 // Get, Add and Set binary-search the sorted index; a bank above the highest
 // touched one is absent, or appended, without a search. The placement hot
 // paths do not search per operation: builds that write each bank once (the
-// greedy cursors, the optimistic claims, the hierarchical merge) push the
-// banks unsorted and sort once (push, seal), and the trade pass reads the
-// VC it refines from a per-arena snapshot and its trade partners from the
-// banks' resident lists (see RefineIn).
+// greedy cursors, the optimistic claims, the hierarchical merge) record the
+// banks in any order and build every VC's index in one counting sort (see
+// Assignment.build), and the trade pass reads the VC it refines from a
+// per-arena snapshot and its trade partners from the banks' resident lists
+// (see RefineIn).
 //
 // A touched bank stays in the index even when arithmetic drives its lines
 // back to exactly zero, mirroring the key semantics of the map
@@ -152,36 +152,6 @@ func (a *BankAlloc) Add(b mesh.Tile, delta float64) float64 {
 // Set sets bank b's lines.
 func (a *BankAlloc) Set(b mesh.Tile, v float64) { a.vals[a.slot(b)] = v }
 
-// push appends bank b with v lines, leaving the index unsorted. It serves
-// builds that write each bank once, in whatever order they meet the banks
-// (a greedy cursor's ring, a cluster-by-cluster merge): they push every
-// bank and then call seal once, instead of paying a sorted insert per
-// bank. Nothing may read the alloc between the first push and seal.
-func (a *BankAlloc) push(b mesh.Tile, v float64) {
-	a.banks = append(a.banks, b)
-	a.vals = append(a.vals, v)
-}
-
-// seal sorts pushed banks into ascending id order, carrying their lines
-// along. The banks are distinct, so the result is the index a sequence of
-// Set calls would have built. Footprints are short, so it insertion-sorts
-// them in place; long ones go through sort.Sort.
-func (a *BankAlloc) seal() {
-	bs, vs := a.banks, a.vals
-	if len(bs) > 32 {
-		sort.Sort((*bankOrder)(a))
-		return
-	}
-	for i := 1; i < len(bs); i++ {
-		b, v := bs[i], vs[i]
-		j := i
-		for ; j > 0 && bs[j-1] > b; j-- {
-			bs[j], vs[j] = bs[j-1], vs[j-1]
-		}
-		bs[j], vs[j] = b, v
-	}
-}
-
 // bankRec is one record of a build that writes each (VC, bank) pair once:
 // VC v holds lines in bank.
 type bankRec struct {
@@ -190,25 +160,47 @@ type bankRec struct {
 	lines float64
 }
 
-// build fills the reset assignment from parts, records naming each (VC,
-// bank) pair at most once: it counts each VC's banks into counts (sized to
-// the VC count), reserves exactly that much, pushes the records in order and
-// sorts each VC once.
-func (a Assignment) build(counts []int, parts [][]bankRec) {
-	clear(counts)
+// buildScratch is Assignment.build's scratch, kept in the Arena.
+type buildScratch struct {
+	vcCount  []int
+	bankNext []int
+	byBank   []bankRec
+}
+
+// build fills the reset assignment from parts: records, for banks below nb,
+// that name each (VC, bank) pair at most once, as builds that meet each
+// bank once produce them (a greedy cursor's ring, the optimistic claims, a
+// cluster-by-cluster merge) in whatever order they meet the banks. It
+// reserves each VC's exact bank count, orders the records by bank with a
+// counting sort and appends them in that order, so every VC's index comes
+// out ascending with no search, insert or comparison sort: the index a
+// sequence of Set calls would have built.
+func (a Assignment) build(sc *buildScratch, nb int, parts [][]bankRec) {
+	counts := grow(&sc.vcCount, len(a))
+	next := grow(&sc.bankNext, nb+1)
+	total := 0
 	for _, p := range parts {
+		total += len(p)
 		for _, r := range p {
 			counts[r.v]++
+			next[r.bank+1]++
+		}
+	}
+	for b := 1; b <= nb; b++ {
+		next[b] += next[b-1]
+	}
+	byBank := ensure(&sc.byBank, total)
+	for _, p := range parts {
+		for _, r := range p {
+			byBank[next[r.bank]] = r
+			next[r.bank]++
 		}
 	}
 	a.reserve(counts)
-	for _, p := range parts {
-		for _, r := range p {
-			a[r.v].push(r.bank, r.lines)
-		}
-	}
-	for v := range a {
-		a[v].seal()
+	for _, r := range byBank {
+		al := &a[r.v]
+		al.banks = append(al.banks, r.bank)
+		al.vals = append(al.vals, r.lines)
 	}
 }
 
@@ -235,16 +227,6 @@ func (a Assignment) reserve(counts []int) {
 			a[v].vals, vals = vals[:0:n], vals[n:]
 		}
 	}
-}
-
-// bankOrder sorts a BankAlloc's parallel slices by bank id.
-type bankOrder BankAlloc
-
-func (o *bankOrder) Len() int           { return len(o.banks) }
-func (o *bankOrder) Less(i, j int) bool { return o.banks[i] < o.banks[j] }
-func (o *bankOrder) Swap(i, j int) {
-	o.banks[i], o.banks[j] = o.banks[j], o.banks[i]
-	o.vals[i], o.vals[j] = o.vals[j], o.vals[i]
 }
 
 // Banks returns the touched banks in ascending id order. The slice is shared
