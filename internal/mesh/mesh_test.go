@@ -238,7 +238,7 @@ func TestLazyMatchesEager(t *testing.T) {
 
 // TestRingCursorOrder checks the cursor mechanics on every center: the
 // on-mesh entries of the shared Offsets table are exactly the cursor's
-// sequence, Dist never decreases, the cursor yields each tile once and then
+// sequence, Coords names each tile's coordinates, Dist never decreases, the cursor yields each tile once and then
 // stays exhausted, and a copied cursor resumes independently from the point
 // of the copy.
 func TestRingCursorOrder(t *testing.T) {
@@ -271,6 +271,9 @@ func TestRingCursorOrder(t *testing.T) {
 				}
 				if tile != want[i] {
 					t.Fatalf("%dx%d: cursor from %d: tile %d is %d, want %d", w, h, c, i, tile, want[i])
+				}
+				if x, y := cur.Coords(); m.TileAt(x, y) != tile {
+					t.Fatalf("%dx%d: cursor from %d: tile %d reported at (%d, %d)", w, h, c, tile, x, y)
 				}
 				if d := cur.Dist(); d < prev {
 					t.Fatalf("%dx%d: cursor from %d: distance decreased to %d", w, h, c, d)

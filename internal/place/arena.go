@@ -35,23 +35,23 @@ type Arena struct {
 	free     []float64
 	gOrder   []mesh.Tile
 	gCursors []greedyCursor
-	gRem     []float64
+	gState   []greedyVC
+	gDist    []float64
 	gLive    []int
 	gRecs    []bankRec
 	gParts   [][]bankRec
 	assign   Assignment
 
+	claimCount int // GreedyIn's claims, see Arena.Claims
+
 	// RefineIn (which also reuses distFlat for its on-demand rows).
 	distSrcs   []distSrc
-	used       []float64
 	accPerLine []float64
-	residents  [][]resident
-	resBounds  []residentBound
+	tradeBanks []tradeBank
 	resCount   []int
 	desirables []desirable
 	tileW      []float64
 	pcTiles    []mesh.Tile
-	mine       []mineLines
 	dub        []float64
 	dubStep    []int
 	refineWork RefineWork
@@ -104,6 +104,20 @@ func (a *Arena) RefineWork() RefineWork {
 	return w
 }
 
+// Claims returns the number of chunk claims every GreedyIn call through
+// this arena has made so far, including the hierarchical path's coarse pass
+// and cluster interiors. Like RefineWork, it only grows.
+func (a *Arena) Claims() int {
+	n := a.claimCount
+	if a.hCoarse != nil {
+		n += a.hCoarse.Claims()
+	}
+	for _, hw := range a.hWorkers {
+		n += hw.ar.Claims()
+	}
+	return n
+}
+
 // CenterWork returns the candidate-center search work counted by every
 // OptimisticPlaceIn call through this arena so far, including the
 // hierarchical path's coarse pass. The counts only grow: a caller measuring
@@ -136,12 +150,12 @@ func growLists[T any](buf *[][]T, n int) [][]T {
 
 // reserveLists is Assignment.reserve for lists of one slice each: every
 // (empty) list with less capacity than counts[i] gets a capped region of
-// counts[i]+slack in one new backing array.
-func reserveLists[T any](lists [][]T, counts []int, slack int) {
+// one new backing array.
+func reserveLists[T any](lists [][]T, counts []int) {
 	need := 0
 	for i, n := range counts {
 		if cap(lists[i]) < n {
-			need += n + slack
+			need += n
 		}
 	}
 	if need == 0 {
@@ -150,7 +164,7 @@ func reserveLists[T any](lists [][]T, counts []int, slack int) {
 	flat := make([]T, need)
 	for i, n := range counts {
 		if cap(lists[i]) < n {
-			lists[i], flat = flat[:0:n+slack], flat[n+slack:]
+			lists[i], flat = flat[:0:n], flat[n:]
 		}
 	}
 }

@@ -39,7 +39,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	//     64×64 sweep cells through the greedy step at full speed.
 	//
 	//   - Multi-accessor VCs sort a flat arena region by their weighted
-	//     distance row, as before.
+	//     distance row.
 	ringCenter := func(v int) (mesh.Tile, bool) {
 		d := &demands[v]
 		if len(d.Threads) == 1 && d.Rates[0] > 0 {
@@ -56,32 +56,34 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 			nSorted++
 		}
 	}
-	var dist [][]float64
-	if nSorted > 0 {
-		dist = VCDistancesIn(ar, chip, demands, threadCore)
-	}
 	orderFlat := grow(&ar.gOrder, nSorted*nb)
 	cursors := grow(&ar.gCursors, len(demands))
-	remaining := grow(&ar.gRem, len(demands))
+	state := grow(&ar.gState, len(demands))
 	live := ensure(&ar.gLive, len(demands))[:0]
 	recs := ar.gRecs[:0]
 	slot := 0
 	for v := range demands {
-		if remaining[v] = demands[v].Size; remaining[v] > 1e-9 {
+		st := &state[v]
+		if st.rem = demands[v].Size; st.rem > 1e-9 {
 			live = append(live, v)
 		}
 		cur := &cursors[v]
 		if c, ok := ringCenter(v); ok {
 			cur.ring = chip.Topo.RingFrom(c)
-			cur.bank, cur.ok = cur.ring.Next()
+			st.bank, st.ok = cur.ring.Next()
 		} else {
+			// The sort key is VCDistancesIn's row, filled for this VC
+			// alone into one reused row. The comparator is a total order
+			// (ties by bank id), so an unstable sort gives the very
+			// permutation a stable one would.
+			d := grow(&ar.gDist, nb)
+			fillDistanceRow(d, chip, &demands[v], threadCore)
 			order := orderFlat[slot*nb : (slot+1)*nb]
 			slot++
 			for b := range order {
 				order[b] = mesh.Tile(b)
 			}
-			d := dist[v]
-			slices.SortStableFunc(order, func(x, y mesh.Tile) int {
+			slices.SortFunc(order, func(x, y mesh.Tile) int {
 				if d[x] != d[y] {
 					if d[x] < d[y] {
 						return -1
@@ -90,43 +92,47 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 				}
 				return int(x) - int(y)
 			})
-			cur.bank, cur.order, cur.ok = order[0], order[1:], true
+			st.bank, st.ok = order[0], true
+			cur.order = order[1:]
 		}
 	}
 
 	// Claim rounds: every VC with demand left takes one chunk, in index
-	// order, and live drops the VCs that finish (keeping that order). A
-	// cursor holds its claim on the current bank until it moves on: the
-	// bank is new to the VC, so adding the held sum once is the same
-	// sequence of float additions as adding chunk by chunk.
+	// order, and live drops the VCs that finish (keeping that order). A VC
+	// holds its claim on the current bank until it moves on: the bank is new
+	// to the VC, so adding the held sum once is the same sequence of float
+	// additions as adding chunk by chunk. The rounds read only the compact
+	// per-VC state; a VC's cursor is touched only when its bank fills.
+	claims := 0
 	for len(live) > 0 {
 		k := 0
 		for _, v := range live {
 			// Advance to a bank with free space.
-			cur := &cursors[v]
-			if cur.ok && free[cur.bank] <= 1e-9 {
-				recs = cur.flush(recs, v)
-				cur.seek(free)
+			st := &state[v]
+			if st.ok && free[st.bank] <= 1e-9 {
+				recs = st.flush(recs, v)
+				cursors[v].seek(st, free)
 			}
-			if !cur.ok {
+			if !st.ok {
 				// Chip full: drop the rest of this VC's demand (can only
 				// happen when total demand exceeds capacity).
-				remaining[v] = 0
+				st.rem = 0
 				continue
 			}
-			b := cur.bank
+			claims++
+			b := st.bank
 			take := chunk
-			if take > remaining[v] {
-				take = remaining[v]
+			if take > st.rem {
+				take = st.rem
 			}
 			if take > free[b] {
 				take = free[b]
 			}
-			cur.held += take
+			st.held += take
 			free[b] -= take
-			remaining[v] -= take
-			if remaining[v] <= 1e-9 {
-				recs = cur.flush(recs, v)
+			st.rem -= take
+			if st.rem <= 1e-9 {
+				recs = st.flush(recs, v)
 				continue
 			}
 			live[k] = v
@@ -134,6 +140,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		}
 		live = live[:k]
 	}
+	ar.claimCount += claims
 	ar.gLive = live
 	ar.gRecs = recs
 	ar.gParts = append(ar.gParts[:0], recs)
@@ -141,36 +148,42 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	return assign
 }
 
-// greedyCursor walks one VC's bank preference order: its sorted order when
-// set, otherwise its ring. bank is the current candidate; ok turns false once
-// the order is exhausted. held is the capacity claimed in bank and not yet
-// added to the VC's allocation.
-type greedyCursor struct {
-	ring  mesh.RingCursor
-	order []mesh.Tile
-	bank  mesh.Tile
-	ok    bool
-	held  float64
+// greedyVC is one VC's claim state: bank is its current candidate bank, ok
+// turns false once its preference order is exhausted, held is the
+// capacity claimed in bank and not yet recorded, and rem the demand still
+// to place.
+type greedyVC struct {
+	bank      mesh.Tile
+	held, rem float64
+	ok        bool
 }
 
-// flush records VC v's held claim in recs. The cursor never returns to a
-// bank it left, so each (VC, bank) pair is recorded at most once, and the
-// recorded value is exactly what adding the claim to an empty slot gives.
-func (g *greedyCursor) flush(recs []bankRec, v int) []bankRec {
-	if g.held > 0 {
-		recs = append(recs, bankRec{int32(v), g.bank, g.held})
-		g.held = 0
+// flush records VC v's held claim in recs. A VC never returns to a bank it
+// left, so each (VC, bank) pair is recorded at most once, and the recorded
+// value is exactly what adding the claim to an empty slot gives.
+func (st *greedyVC) flush(recs []bankRec, v int) []bankRec {
+	if st.held > 0 {
+		recs = append(recs, bankRec{int32(v), st.bank, st.held})
+		st.held = 0
 	}
 	return recs
 }
 
-// seek advances to the first bank, from the current one on, with free space.
-func (g *greedyCursor) seek(free []float64) {
-	for g.ok && free[g.bank] <= 1e-9 {
+// greedyCursor walks one VC's bank preference order: its sorted order when
+// set, otherwise its ring.
+type greedyCursor struct {
+	ring  mesh.RingCursor
+	order []mesh.Tile
+}
+
+// seek advances st to the first bank, from its current one on, with free
+// space.
+func (g *greedyCursor) seek(st *greedyVC, free []float64) {
+	for st.ok && free[st.bank] <= 1e-9 {
 		if g.order == nil {
-			g.bank, g.ok = g.ring.Next()
-		} else if g.ok = len(g.order) > 0; g.ok {
-			g.bank, g.order = g.order[0], g.order[1:]
+			st.bank, st.ok = g.ring.Next()
+		} else if st.ok = len(g.order) > 0; st.ok {
+			st.bank, g.order = g.order[0], g.order[1:]
 		}
 	}
 }

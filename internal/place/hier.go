@@ -220,7 +220,7 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 			}
 		}
 	}
-	reserveLists(cvcs, ccount, 0)
+	reserveLists(cvcs, ccount)
 	for v := range demands {
 		cv := &cAssign[v]
 		for i := 0; i < cv.Len(); i++ {

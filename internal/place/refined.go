@@ -15,12 +15,6 @@ type desirable struct {
 	x, y int32
 }
 
-// mineLines is one entry of RefineIn's snapshot of the VC being refined.
-type mineLines struct {
-	tag   int32
-	lines float64
-}
-
 // cmpDesirable orders candidates by distance, then bank id. Banks on one
 // spiral are distinct, so this is a total order.
 func cmpDesirable(x, y desirable) int {
@@ -85,7 +79,6 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 		ar = NewArena()
 	}
 	dist := newVCDist(ar, chip, demands, threadCore)
-	used := assign.BankUsageInto(grow(&ar.used, chip.Banks()))
 
 	// accPerLine[v] = accesses per line of allocated capacity: the weight
 	// that converts moved capacity into latency change.
@@ -95,26 +88,25 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 			accPerLine[v] = demands[v].TotalRate() / size
 		}
 	}
-	// res.lists[b] lists VCs with data in bank b (kept fresh lazily: an
-	// entry stays when its lines drain) and mirrors their lines there,
-	// beside the two factors every offer to them reads: their distance to b
-	// and their accesses per line.
-	res := newResidency(ar, assign, chip.Banks())
+	// banks[b] holds bank b's lines in use and its resident list: the VCs
+	// with data there (kept fresh lazily: an entry stays when its lines
+	// drain), mirroring their lines beside the two factors every offer to
+	// them reads, their distance to b and their accesses per line.
+	banks := newTradeBanks(ar, assign, chip.Banks())
 	for v := range assign {
 		av := &assign[v]
 		for i := 0; i < av.Len(); i++ {
 			if b, l := av.At(i); l > 1e-9 {
-				res.add(b, resident{int32(v), l, dist.at(v, b), accPerLine[v]})
+				banks[b].add(resident{int32(v), l, dist.at(v, b), accPerLine[v]})
 			}
 		}
 	}
 
-	// mine[b] snapshots VC v's lines in bank b as v's turn starts, tagged
-	// v+1 (any other tag means none). The spiral reads each bank once, and
-	// before v moves lines into or out of it: moves go from the bank being
-	// visited to banks visited earlier. So the snapshot is what av.Get would
-	// return there, without the search.
-	mine := grow(&ar.mine, chip.Banks())
+	// banks[b].mine snapshots VC v's lines in bank b as v's turn starts,
+	// tagged v+1 (any other tag means none). The spiral reads each bank
+	// once, and before v moves lines into or out of it: moves go from the
+	// bank being visited to banks visited earlier. So the snapshot is what
+	// av.Get would return there, without the search.
 	// dub[u] caches D(u, b) for the data bank b whose lines are on offer:
 	// every trade offered to u from b needs it. It is valid while
 	// dubStep[u] equals offer, which counts data banks from 1.
@@ -139,7 +131,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 		tag := int32(v + 1)
 		for i := 0; i < av.Len(); i++ {
 			b, l := av.At(i)
-			mine[b] = mineLines{tag, l}
+			banks[b].tag, banks[b].mine = tag, l
 		}
 		// A single-accessor VC spirals from its own core, so D(v, b) is a
 		// function of the ring distance: computed once per ring.
@@ -164,17 +156,18 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 				break
 			}
 			work.Spiral++
+			bk := &banks[b]
 			have := 0.0
-			if mine[b].tag == tag {
-				have = mine[b].lines
+			if bk.tag == tag {
+				have = bk.mine
 			}
 			if !onRing {
 				dvb = dist.at(v, b)
 			} else if h := cur.Dist(); h != ring {
 				ring, dvb = h, dist.srcs[v].term(h)
 			}
+			x, y := cur.Coords()
 			if have < chip.CapOf(b)-1e-9 {
-				x, y := chip.Topo.Coords(b)
 				desirables = insertDesirable(desirables, desirable{b, dvb, int32(x), int32(y)})
 				work.Inserted++
 			}
@@ -183,7 +176,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 			}
 			seen += have
 			offer++
-			bx, by := chip.Topo.Coords(b)
+			bx, by := x, y
 			// Try to move v's data in b into closer desirable banks. left
 			// mirrors av.Get(b) through every move below.
 			left := have
@@ -198,12 +191,13 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 
 				// Free space first: a move into unclaimed capacity has no
 				// counterparty and always helps.
-				if room := chip.CapOf(cand.bank) - used[cand.bank]; room > 1e-9 {
+				cb := &banks[cand.bank]
+				if room := chip.CapOf(cand.bank) - cb.used; room > 1e-9 {
 					work.Tried++
 					m := minF(left, room)
-					res.shift(assign, v, b, cand.bank, m, cand.d, accPerLine[v])
-					used[b] -= m
-					used[cand.bank] += m
+					shift(assign, banks, v, b, cand.bank, m, cand.d, accPerLine[v])
+					bk.used -= m
+					cb.used += m
 					left -= m
 					trades++
 					delta += moveGain * m
@@ -217,13 +211,13 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 				// offer computes only D(u, b), once per data bank. Offers that
 				// the loss floor proves cannot gain are not made, and neither
 				// is any offer to a bank whose floor covers all its residents.
-				rs := res.lists[cand.bank]
+				rs := cb.list
 				if len(rs) == 0 {
 					continue
 				}
 				h := float64(abs(bx-int(cand.x)) + abs(by-int(cand.y)))
 				gain := -moveGain
-				if rb := &res.bounds[cand.bank]; cannotGain(rb.wmin*h-2*rb.wdmax, rb.wmin*h+2*rb.wdmax, gain) {
+				if cannotGain(cb.wmin*h-2*cb.wdmax, cb.wmin*h+2*cb.wdmax, gain) {
 					continue
 				}
 				for i, n := 0, len(rs); i < n && left > 1e-9; i++ {
@@ -244,9 +238,9 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 					// Swap m lines: v moves b→cand, u moves cand→b. Both
 					// shifts may append to a resident list, so rs is
 					// reloaded (v joins cand.bank's list past n).
-					res.shift(assign, v, b, cand.bank, m, cand.d, accPerLine[v])
-					res.shift(assign, u, cand.bank, b, m, dub[u], wu)
-					rs = res.lists[cand.bank]
+					shift(assign, banks, v, b, cand.bank, m, cand.d, accPerLine[v])
+					shift(assign, banks, u, cand.bank, b, m, dub[u], wu)
+					rs = cb.list
 					left -= m
 					trades++
 					delta += (moveGain + gainU) * m
@@ -421,57 +415,72 @@ type resident struct {
 	d, w  float64
 }
 
-// residency is the trade pass's per-bank view: each bank's resident list,
-// and a bound over every entry the list has held.
-type residency struct {
-	lists  [][]resident
-	bounds []residentBound
+// tradeBank is the trade pass's state of one bank, in one 64-byte record:
+// the spiral and the offers touch one cache line per bank.
+type tradeBank struct {
+	tag  int32   // v+1 while mine holds VC v's snapshot
+	mine float64 // VC v's lines here as its turn started
+	used float64 // lines all VCs hold here
+	// wmin and wdmax bound every entry list has held: the least accesses
+	// per line, and the largest product of accesses per line and distance.
+	// An entry that drains stays counted, so the bank's floor (see
+	// cannotGain) can only be lower than that of its live residents.
+	wmin, wdmax float64
+	list        []resident
 }
 
-// residentBound holds, over every entry a bank's resident list has held,
-// the least accesses per line and the largest product of accesses per line
-// and distance. An entry that drains stays counted, so the bank's floor
-// (see cannotGain) can only be lower than that of its live residents.
-type residentBound struct{ wmin, wdmax float64 }
-
-// newResidency returns empty lists and bounds for n banks, from ar, with
-// each list's capacity reserved for assign's entries there.
-func newResidency(ar *Arena, assign Assignment, n int) residency {
-	bounds := ensure(&ar.resBounds, n)
-	for i := range bounds {
-		bounds[i] = residentBound{math.Inf(1), 0}
-	}
+// newTradeBanks returns n reset banks from ar, with every bank's lines in
+// use summed (in the order BankUsageInto sums them) and its list's
+// capacity reserved for assign's entries there.
+func newTradeBanks(ar *Arena, assign Assignment, n int) []tradeBank {
+	banks := ensure(&ar.tradeBanks, n)
 	count := grow(&ar.resCount, n)
+	for i := range banks {
+		banks[i] = tradeBank{wmin: math.Inf(1), list: banks[i].list[:0]}
+	}
 	for v := range assign {
 		av := &assign[v]
 		for i := 0; i < av.Len(); i++ {
-			if b, l := av.At(i); l > 1e-9 {
+			b, l := av.At(i)
+			banks[b].used += l
+			if l > 1e-9 {
 				count[b]++
 			}
 		}
 	}
 	// One slot of slack per bank: a trade partner that moves into a bank
 	// it did not hold joins the list without moving it.
-	lists := growLists(&ar.residents, n)
-	reserveLists(lists, count, 1)
-	return residency{lists: lists, bounds: bounds}
+	need := 0
+	for b, k := range count {
+		if cap(banks[b].list) < k {
+			need += k + 1
+		}
+	}
+	if need > 0 {
+		flat := make([]resident, need)
+		for b, k := range count {
+			if cap(banks[b].list) < k {
+				banks[b].list, flat = flat[:0:k+1], flat[k+1:]
+			}
+		}
+	}
+	return banks
 }
 
-// add appends r to bank b's list.
-func (rs *residency) add(b mesh.Tile, r resident) {
-	rs.lists[b] = append(rs.lists[b], r)
-	rb := &rs.bounds[b]
-	rb.wmin = min(rb.wmin, r.w)
-	rb.wdmax = max(rb.wdmax, r.w*r.d)
+// add appends r to the bank's list.
+func (tb *tradeBank) add(r resident) {
+	tb.list = append(tb.list, r)
+	tb.wmin = min(tb.wmin, r.w)
+	tb.wdmax = max(tb.wdmax, r.w*r.d)
 }
 
 // shift moves m lines of VC v from bank b to bank nb, registers v in nb's
 // resident list if absent (dnb is D(v, nb), w v's accesses per line), and
 // brings v's entries in both lists up to date.
-func (rs *residency) shift(assign Assignment, v int, b, nb mesh.Tile, m, dnb, w float64) {
-	mirror(rs.lists[b], v, assign[v].Add(b, -m))
-	if l := assign[v].Add(nb, m); !mirror(rs.lists[nb], v, l) {
-		rs.add(nb, resident{int32(v), l, dnb, w})
+func shift(assign Assignment, banks []tradeBank, v int, b, nb mesh.Tile, m, dnb, w float64) {
+	mirror(banks[b].list, v, assign[v].Add(b, -m))
+	if l := assign[v].Add(nb, m); !mirror(banks[nb].list, v, l) {
+		banks[nb].add(resident{int32(v), l, dnb, w})
 	}
 }
 
