@@ -76,6 +76,7 @@ type Arena struct {
 	hTrades  []int
 	hDeltas  []float64
 	hWorkers []*hierWorker
+	hCall    hierCall
 	hCoarse  *Arena
 }
 

@@ -253,8 +253,8 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	cTrades := grow(&ar.hTrades, cl.N())
 	cDeltas := grow(&ar.hDeltas, cl.N())
 	nw := runtime.GOMAXPROCS(0)
-	if nw > 8 {
-		nw = 8
+	if nw > maxHierWorkers {
+		nw = maxHierWorkers
 	}
 	if hierWorkers > 0 {
 		nw = hierWorkers
@@ -268,24 +268,23 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	for _, w := range ar.hWorkers[:nw] {
 		w.recs = w.recs[:0]
 	}
+	// Share k is clusters [k·per, (k+1)·per). The calling goroutine runs
+	// share 0 and hands the others to the pool.
+	call := &ar.hCall
+	call.chip, call.cl, call.cvcs = chip, cl, cvcs
+	call.pullX, call.pullY, call.demands = pullX, pullY, demands
+	call.chunk, call.refine = chunk, refine
+	call.trades, call.deltas = cTrades, cDeltas
 	per := (cl.N() + nw - 1) / nw
-	var wg sync.WaitGroup
-	for k := 0; k < nw; k++ {
-		lo, hi := k*per, min((k+1)*per, cl.N())
-		if lo >= hi {
-			continue
+	for k := 1; k < nw; k++ {
+		if lo, hi := k*per, min((k+1)*per, cl.N()); lo < hi {
+			call.wg.Add(1)
+			hierHandOff(hierShare{call, ar.hWorkers[k], lo, hi})
 		}
-		wg.Add(1)
-		go func(w *hierWorker, lo, hi int) {
-			defer wg.Done()
-			for c := lo; c < hi; c++ {
-				w.interior(chip, cl, c, cvcs[c],
-					pullX, pullY, demands, chunk, refine,
-					&cTrades[c], &cDeltas[c])
-			}
-		}(ar.hWorkers[k], lo, hi)
 	}
-	wg.Wait()
+	hierShare{call, ar.hWorkers[0], 0, min(per, cl.N())}.run()
+	call.wg.Wait()
+	call.release()
 
 	// Merge in ascending cluster order: worker k holds the clusters after
 	// worker k-1's, in order. Every fine bank belongs to exactly one cluster
@@ -346,6 +345,76 @@ func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, c int, vcs []hierVC,
 			w.recs = append(w.recs, bankRec{int32(vcs[i].v), chip.Topo.TileAt(x0+bx, y0+by), l})
 		}
 	}
+}
+
+// maxHierWorkers caps the level-2 fan-out.
+const maxHierWorkers = 8
+
+// hierCall is one HierGreedyRefineIn call's level-2 inputs and outputs,
+// shared by its shares. It lives in the Arena, so handing shares out
+// allocates nothing.
+type hierCall struct {
+	chip         Chip
+	cl           *mesh.Clusters
+	cvcs         [][]hierVC
+	pullX, pullY []float64
+	demands      []Demand
+	chunk        float64
+	refine       bool
+	trades       []int
+	deltas       []float64
+	wg           sync.WaitGroup
+}
+
+// release drops the call's references to the caller's data.
+func (c *hierCall) release() {
+	c.chip, c.cl, c.cvcs = Chip{}, nil, nil
+	c.pullX, c.pullY, c.demands = nil, nil, nil
+	c.trades, c.deltas = nil, nil
+}
+
+// hierShare is one worker's share of a call: clusters [lo, hi).
+type hierShare struct {
+	call   *hierCall
+	w      *hierWorker
+	lo, hi int
+}
+
+// run solves the share's cluster interiors in order.
+func (s hierShare) run() {
+	c := s.call
+	for k := s.lo; k < s.hi; k++ {
+		s.w.interior(c.chip, c.cl, k, c.cvcs[k], c.pullX, c.pullY, c.demands,
+			c.chunk, c.refine, &c.trades[k], &c.deltas[k])
+	}
+}
+
+// The pool runs the shares that calls hand off: maxHierWorkers-1
+// goroutines, started on first use and kept for the life of the process.
+// A call so starts no goroutine and allocates nothing to fan out, where a
+// goroutine per share cost a closure each and, now and then, a new
+// goroutine descriptor, which made a round's allocation vary. Shares never
+// wait on other shares, and every call runs its first share itself, so a
+// busy pool delays calls but cannot deadlock them.
+var (
+	hierPoolOnce sync.Once
+	hierShares   chan hierShare
+)
+
+// hierHandOff queues s for the pool; s.call.wg counts it.
+func hierHandOff(s hierShare) {
+	hierPoolOnce.Do(func() {
+		hierShares = make(chan hierShare, 4*maxHierWorkers)
+		for range maxHierWorkers - 1 {
+			go func() {
+				for s := range hierShares {
+					s.run()
+					s.call.wg.Done()
+				}
+			}()
+		}
+	})
+	hierShares <- s
 }
 
 func clampF(v, lo, hi float64) float64 {
