@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	neturl "net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -41,6 +42,16 @@ func NormalizeURL(url string) string {
 	return strings.TrimRight(strings.TrimSpace(url), "/")
 }
 
+// ValidMemberURL reports whether u, once normalized, can name a replica: an
+// absolute http or https URL with a host. Announcements and gossip carry
+// member URLs from other processes; a string that is not one ("not a url",
+// "ftp://x", "http://") would otherwise be gossiped, probed and
+// rendezvous-ranked by every replica.
+func ValidMemberURL(u string) bool {
+	p, err := neturl.Parse(NormalizeURL(u))
+	return err == nil && (p.Scheme == "http" || p.Scheme == "https") && p.Host != ""
+}
+
 // normalizeMembers normalizes, deduplicates and sorts a member list. The
 // sorted order makes equal views comparable bytewise and keeps every
 // replica's list identical, so (members, epoch) snapshots from different
@@ -68,19 +79,25 @@ func normalizeMembers(urls []string) []string {
 const maxEpoch = math.MaxUint64 - 1
 
 // ValidSnapshot reports whether a (members, epoch) snapshot received from
-// another replica may be applied: it names at least one member, and its
-// epoch is at most maxEpoch. Apply ignores any other snapshot; the serving
-// layer rejects one arriving as gossip.
+// another replica may be applied: it names at least one member, every
+// member that is not blank is a ValidMemberURL, and its epoch is at most
+// maxEpoch. Apply ignores any other snapshot; the serving layer rejects one
+// arriving as gossip.
 func ValidSnapshot(members []string, epoch uint64) bool {
 	if epoch > maxEpoch {
 		return false
 	}
+	named := false
 	for _, u := range members {
-		if NormalizeURL(u) != "" {
-			return true
+		if NormalizeURL(u) == "" {
+			continue
 		}
+		if !ValidMemberURL(u) {
+			return false
+		}
+		named = true
 	}
-	return false
+	return named
 }
 
 // NewMembership builds a registry holding the initial members at epoch 0.
@@ -104,12 +121,13 @@ func (m *Membership) Snapshot() ([]string, uint64) {
 
 // Join adds url as a member, bumping the epoch. Reports whether the list
 // changed (an already-present member is a no-op at the old epoch, so
-// re-announcing a join is idempotent and does not churn the fleet).
+// re-announcing a join is idempotent and does not churn the fleet; a url
+// that is not a ValidMemberURL is refused).
 func (m *Membership) Join(url string) bool {
-	url = NormalizeURL(url)
-	if url == "" {
+	if !ValidMemberURL(url) {
 		return false
 	}
+	url = NormalizeURL(url)
 	m.mu.Lock()
 	if m.epoch == maxEpoch {
 		m.mu.Unlock()

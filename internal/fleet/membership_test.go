@@ -146,3 +146,32 @@ func TestMembershipIgnoresInvalidSnapshots(t *testing.T) {
 		t.Fatalf("view = %v@%d, want [http://a:1]@%d", members, epoch, uint64(math.MaxUint64-1))
 	}
 }
+
+func TestValidMemberURL(t *testing.T) {
+	for u, want := range map[string]bool{
+		"http://a:1":           true,
+		" https://b.example/ ": true,
+		"http://10.0.0.1:8080": true,
+		"not a url":            false,
+		"":                     false,
+		"http://":              false,
+		"ftp://a:1":            false,
+		"a:1":                  false,
+		"/a:1":                 false,
+		"http//a:1":            false,
+	} {
+		if got := ValidMemberURL(u); got != want {
+			t.Errorf("ValidMemberURL(%q) = %v, want %v", u, got, want)
+		}
+	}
+	m := NewMembership([]string{"http://a:1"})
+	if m.Join("not a url") {
+		t.Error("Join accepted a junk URL")
+	}
+	if ValidSnapshot([]string{"http://a:1", "junk"}, 3) {
+		t.Error("ValidSnapshot accepted a snapshot with a junk member")
+	}
+	if !ValidSnapshot([]string{"http://a:1", " "}, 3) {
+		t.Error("ValidSnapshot refused a snapshot whose only other entry is blank")
+	}
+}

@@ -148,9 +148,11 @@ func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
 
 // handleMembershipChange decodes an announcement-or-gossip body, applies it
 // via change (Join or Leave) or Membership.Apply, and responds with the
-// resulting snapshot. A gossip snapshot that fleet.ValidSnapshot refuses is
-// a 400: one with no member would empty every view it reached, and one
-// past the epoch limit would leave the counter nowhere to go. Gossip of
+// resulting snapshot. An announcement whose URL is not a
+// fleet.ValidMemberURL, and a gossip snapshot that fleet.ValidSnapshot
+// refuses, are a 400: a junk member would be gossiped, probed and ranked by
+// every replica, one with no member would empty every view it reached, and
+// one past the epoch limit would leave the counter nowhere to go. Gossip of
 // local changes rides the registry's OnChange hook (see New), not this
 // handler.
 func (s *Server) handleMembershipChange(w http.ResponseWriter, r *http.Request, change func(string) bool) {
@@ -161,11 +163,15 @@ func (s *Server) handleMembershipChange(w http.ResponseWriter, r *http.Request, 
 	}
 	switch {
 	case fleet.NormalizeURL(msg.URL) != "":
+		if !fleet.ValidMemberURL(msg.URL) {
+			writeErr(w, http.StatusBadRequest, "url %q is not an absolute http or https URL with a host", msg.URL)
+			return
+		}
 		change(msg.URL)
 	case fleet.ValidSnapshot(msg.Members, msg.Epoch):
 		s.membership.Apply(msg.Members, msg.Epoch)
 	default:
-		writeErr(w, http.StatusBadRequest, "need url (announcement) or members+epoch (gossip) with at least one member and an epoch below the maximum")
+		writeErr(w, http.StatusBadRequest, "need url (announcement) or members+epoch (gossip) with at least one member, every member an absolute http or https URL with a host, and an epoch below the maximum")
 		return
 	}
 	members, epoch := s.membership.Snapshot()

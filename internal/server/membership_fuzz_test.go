@@ -21,7 +21,8 @@ func (refuseTransport) RoundTrip(*http.Request) (*http.Response, error) {
 
 // wellFormed reports whether body is a membership message the handlers must
 // accept: one JSON object of known fields and nothing after it, carrying an
-// announcement URL or a gossip snapshot that ValidSnapshot admits.
+// announcement URL that ValidMemberURL admits, or (with no URL) a gossip
+// snapshot that ValidSnapshot admits.
 func wellFormed(body string) bool {
 	dec := json.NewDecoder(strings.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -32,14 +33,18 @@ func wellFormed(body string) bool {
 	if _, err := dec.Token(); err != io.EOF {
 		return false
 	}
-	return fleet.NormalizeURL(msg.URL) != "" || fleet.ValidSnapshot(msg.Members, msg.Epoch)
+	if fleet.NormalizeURL(msg.URL) != "" {
+		return fleet.ValidMemberURL(msg.URL)
+	}
+	return fleet.ValidSnapshot(msg.Members, msg.Epoch)
 }
 
 // FuzzMembershipMessage drives POST /v1/join and /v1/leave with arbitrary
 // bodies on a replica whose view is [a, b]. Neither handler may panic; a
 // body that is not a well-formed announcement or gossip snapshot gets a
-// 4xx and a well-formed one a 200; the epoch never goes down; and gossip
-// never empties the member list.
+// 4xx and a well-formed one a 200; the epoch never goes down; gossip never
+// empties the member list; and every member the view holds afterwards is
+// an absolute http or https URL with a host.
 func FuzzMembershipMessage(f *testing.F) {
 	for _, body := range []string{
 		``, `{}`, `{"bogus":1}`, `[1]`, `null`, `{"url":" "}`,
@@ -50,6 +55,8 @@ func FuzzMembershipMessage(f *testing.F) {
 		`{"members":["http://a:1"],"epoch":18446744073709551615}`,
 		`{"members":["http://a:1"],"epoch":18446744073709551614}`,
 		`{"members":["http://a:1"],"epoch":-1}`,
+		`{"url":"not a url"}`, `{"url":"ftp://c:3"}`, `{"url":"http://"}`, `{"url":"/c:3"}`,
+		`{"members":["http://a:1","not a url"],"epoch":7}`,
 	} {
 		f.Add(false, body)
 		f.Add(true, body)
@@ -88,6 +95,11 @@ func FuzzMembershipMessage(f *testing.F) {
 		// gossip could empty the list.
 		if len(members) == 0 {
 			t.Fatalf("body %q emptied the member list", body)
+		}
+		for _, m := range members {
+			if !fleet.ValidMemberURL(m) {
+				t.Fatalf("body %q left member %q in the view", body, m)
+			}
 		}
 	})
 }

@@ -421,3 +421,36 @@ func TestJoinFleetFillKeepsOnlyPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestMembershipRejectsJunkURLs: an announcement or a gossip member that is
+// not an absolute http or https URL with a host is a 400 and changes no
+// view. Before the check, {"url":"not a url"} answered 200 and every
+// replica then gossiped, probed and ranked the junk member.
+func TestMembershipRejectsJunkURLs(t *testing.T) {
+	_, urlA := liveServer(t, Options{})
+	want, wantEpoch, _ := membersOf(t, urlA)
+	for _, path := range []string{"/v1/join", "/v1/leave"} {
+		for _, body := range []string{
+			`{"url":"not a url"}`,
+			`{"url":"ftp://c:3"}`,
+			`{"url":"http://"}`,
+			`{"url":"c:3"}`,
+			fmt.Sprintf(`{"members":[%q,"not a url"],"epoch":%d}`, urlA, wantEpoch+5),
+		} {
+			resp := postJSON(t, urlA+path, body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s -> %d, want 400", path, body, resp.StatusCode)
+			}
+		}
+	}
+	if m, e, _ := membersOf(t, urlA); !slices.Equal(m, want) || e != wantEpoch {
+		t.Errorf("view = %v@%d, want %v@%d", m, e, want, wantEpoch)
+	}
+	// A real URL is still accepted.
+	resp := postJSON(t, urlA+"/v1/join", `{"url":"https://c.example:8443/"}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("join of https://c.example:8443/ -> %d, want 200", resp.StatusCode)
+	}
+}

@@ -214,6 +214,8 @@ func readFile(path string) (*File, error) {
 // desirables/op and trades/op are its step-4 work counts: banks the trade
 // spirals visited, candidate banks they inserted, and moves they evaluated.
 // They catch a trade pass that walks or offers more than it used to.
+// claims/op is step 4's greedy work: the chunk claims its rounds made. It
+// catches claim rounds that take smaller bites or revisit finished VCs.
 // compressed/op and chunkwrites/op are the chunked store's write work:
 // chunks compressed and chunk files written. They catch a Put that
 // compresses or writes chunks the store already holds.
@@ -221,7 +223,7 @@ func readFile(path string) (*File, error) {
 // All of these are deterministic, so one that beats its baseline by more
 // than the bound means the entry no longer binds: the gate flags it STALE
 // (without failing) so the change that moved it refreshes it.
-var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op", "centers/op", "footprint/op", "spiral/op", "desirables/op", "trades/op", "compressed/op", "chunkwrites/op"}
+var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op", "centers/op", "footprint/op", "spiral/op", "desirables/op", "trades/op", "claims/op", "compressed/op", "chunkwrites/op"}
 
 // gate compares current against base for benchmarks matching the prefix and
 // returns 1 if any shared sub-benchmark regressed beyond maxRegress in

@@ -288,6 +288,28 @@ func TestGateSpiralRegressionFails(t *testing.T) {
 	}
 }
 
+func TestGateClaimsRegressionFails(t *testing.T) {
+	// Greedy claim rounds that take smaller bites, or walk VCs that have
+	// nothing left to claim, multiply claims/op while ns/op can stay inside
+	// the bound on a contended host: the count must trip the gate on its
+	// own, and an unchanged count must pass.
+	base := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/128x128", NsPerOp: 1000, Runs: 5,
+		Metrics: map[string]float64{"claims/op": 258238}}}}
+	cur := &File{Benchmarks: []Benchmark{{Name: "BenchmarkReconfigure/128x128", NsPerOp: 1150, Runs: 5,
+		Metrics: map[string]float64{"claims/op": 258238 * 8}}}}
+	var log strings.Builder
+	if code := gate(&log, base, cur, "BenchmarkReconfigure", 0.20); code != 1 {
+		t.Errorf("gate passed an 8x claims/op regression: exit %d\n%s", code, log.String())
+	}
+	if !strings.Contains(log.String(), "claims/op, ") || !strings.Contains(log.String(), "REGRESSION") {
+		t.Errorf("gate log does not flag claims/op:\n%s", log.String())
+	}
+	cur.Benchmarks[0].Metrics["claims/op"] = 258238
+	if code := gate(io.Discard, base, cur, "BenchmarkReconfigure", 0.20); code != 0 {
+		t.Errorf("gate failed a run with unchanged claims/op: exit %d", code)
+	}
+}
+
 func TestGateFootprintRegressionFails(t *testing.T) {
 	// A center search that loses its lattice bound or its footprint plan
 	// reads about 3x the bank claims (1,140,234 against 377,381 at 64x64)
