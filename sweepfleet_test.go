@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"cdcs"
+	"cdcs/internal/fanout"
+	"cdcs/internal/fleet"
 	"cdcs/internal/server"
 	"cdcs/internal/testutil"
 )
@@ -44,14 +46,32 @@ func TestSweepFleetReplicaFlapMidSweep(t *testing.T) {
 	}
 	localJSON, _ := json.Marshal(local)
 
-	stable := distReplica(t, server.Options{})
-	flappy := faultedReplica(t, server.Options{})
+	// The replicas listen on random ports, so which cells each owns changes
+	// from run to run. With one worker, the kill at done == 2 lands before
+	// cell 2 is dispatched and the revival at done == 8 after cell 7
+	// completes, so the replica that flaps is the rendezvous owner of cell
+	// 2: the outage then always covers a cell it owns.
+	a := faultedReplica(t, server.Options{})
+	b := faultedReplica(t, server.Options{})
+	canon, err := req.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := canon.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stable, flappy := a, b
+	urlA, urlB := fleet.NormalizeURL(a.URL()), fleet.NormalizeURL(b.URL())
+	if fanout.Rank([]string{urlA, urlB}, cells[2].Hash)[0] == urlA {
+		stable, flappy = b, a
+	}
 
 	// TopK=1 pins pure rendezvous routing, so the dead replica's owned
 	// cells must hit it — the flap cannot be steered around before it is
 	// even noticed, which keeps the failure trace deterministic.
 	var phase atomic.Int32 // 0 = up, 1 = killed, 2 = revived
-	res, stats, err := cdcs.SweepDistributed(req, []string{stable.URL, flappy.URL()}, cdcs.DistributedSweepOptions{
+	res, stats, err := cdcs.SweepDistributed(req, []string{stable.URL(), flappy.URL()}, cdcs.DistributedSweepOptions{
 		Parallelism:           1, // serialize so the flap lands between cells
 		FleetProbeInterval:    -1,
 		FleetBreakerThreshold: 1,
@@ -92,7 +112,7 @@ func TestSweepFleetReplicaFlapMidSweep(t *testing.T) {
 
 	// Recovery: the replica is back up, so a fresh sweep (fresh fleet view)
 	// serves it traffic again with zero failures — and the exact same bytes.
-	res2, stats2, err := cdcs.SweepDistributed(req, []string{stable.URL, flappy.URL()}, cdcs.DistributedSweepOptions{
+	res2, stats2, err := cdcs.SweepDistributed(req, []string{stable.URL(), flappy.URL()}, cdcs.DistributedSweepOptions{
 		FleetProbeInterval: -1,
 		TopK:               1,
 	})
