@@ -144,7 +144,9 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	ar.gLive = live
 	ar.gRecs = recs
 	ar.gParts = append(ar.gParts[:0], recs)
-	assign.build(&ar.build, nb, ar.gParts)
+	// Two slots of slack per VC: the trade pass that usually follows moves
+	// a VC into a bank or two it did not hold.
+	assign.build(&ar.build, nb, 2, ar.gParts)
 	return assign
 }
 

@@ -67,7 +67,7 @@ func HierOptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 	}
 	ar.oRecs = recs
 	ar.oParts = append(ar.oParts[:0], recs)
-	out.Claims.build(&ar.build, chip.Banks(), ar.oParts)
+	out.Claims.build(&ar.build, chip.Banks(), 0, ar.oParts)
 	for v := range demands {
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}
@@ -296,7 +296,7 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	}
 	ar.hParts = parts
 	out := arenaAssignment(&ar.assign, len(demands))
-	out.build(&ar.build, chip.Banks(), parts)
+	out.build(&ar.build, chip.Banks(), 0, parts)
 	for c := 0; c < cl.N(); c++ {
 		trades += cTrades[c]
 		delta += cDeltas[c]

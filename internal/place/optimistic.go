@@ -88,7 +88,7 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 	}
 	ar.oRecs = recs
 	ar.oParts = append(ar.oParts[:0], recs)
-	out.Claims.build(&ar.build, n, ar.oParts)
+	out.Claims.build(&ar.build, n, 0, ar.oParts)
 	for _, v := range order {
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}

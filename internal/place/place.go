@@ -171,11 +171,11 @@ type buildScratch struct {
 // that name each (VC, bank) pair at most once, as builds that meet each
 // bank once produce them (a greedy cursor's ring, the optimistic claims, a
 // cluster-by-cluster merge) in whatever order they meet the banks. It
-// reserves each VC's exact bank count, orders the records by bank with a
-// counting sort and appends them in that order, so every VC's index comes
+// reserves each VC's bank count plus slack, orders the records by bank with
+// a counting sort and appends them in that order, so every VC's index comes
 // out ascending with no search, insert or comparison sort: the index a
 // sequence of Set calls would have built.
-func (a Assignment) build(sc *buildScratch, nb int, parts [][]bankRec) {
+func (a Assignment) build(sc *buildScratch, nb, slack int, parts [][]bankRec) {
 	counts := grow(&sc.vcCount, len(a))
 	next := grow(&sc.bankNext, nb+1)
 	total := 0
@@ -196,7 +196,7 @@ func (a Assignment) build(sc *buildScratch, nb int, parts [][]bankRec) {
 			next[r.bank]++
 		}
 	}
-	a.reserve(counts)
+	a.reserve(counts, slack)
 	for _, r := range byBank {
 		al := &a[r.v]
 		al.banks = append(al.banks, r.bank)
@@ -205,16 +205,16 @@ func (a Assignment) build(sc *buildScratch, nb int, parts [][]bankRec) {
 }
 
 // reserve gives every (reset) VC whose bank list holds less capacity than
-// counts[v] a region of one new backing array; VCs that already hold enough
-// keep their own buffers. A fresh arena so makes two allocations where
-// growing each VC's list by append makes several per VC, and a warm one
-// makes none. Regions are capped, so an insert past a VC's count moves that
-// VC's list out rather than into its neighbour's.
-func (a Assignment) reserve(counts []int) {
+// counts[v] a region of counts[v]+slack in one new backing array; VCs that
+// already hold enough keep their own buffers. A fresh arena so makes two
+// allocations where growing each VC's list by append makes several per VC,
+// and a warm one makes none. Regions are capped, so an insert past a VC's
+// region moves that VC's list out rather than into its neighbour's.
+func (a Assignment) reserve(counts []int, slack int) {
 	need := 0
 	for v, n := range counts {
 		if cap(a[v].banks) < n || cap(a[v].vals) < n {
-			need += n
+			need += n + slack
 		}
 	}
 	if need == 0 {
@@ -223,6 +223,7 @@ func (a Assignment) reserve(counts []int) {
 	banks, vals := make([]mesh.Tile, need), make([]float64, need)
 	for v, n := range counts {
 		if cap(a[v].banks) < n || cap(a[v].vals) < n {
+			n += slack
 			a[v].banks, banks = banks[:0:n], banks[n:]
 			a[v].vals, vals = vals[:0:n], vals[n:]
 		}
