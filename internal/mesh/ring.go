@@ -10,7 +10,6 @@ type RingCursor struct {
 	t      *Topology
 	cx, cy int
 	i      int // index of the next offset to try
-	x, y   int // coordinates of the tile last returned
 }
 
 // RingFrom returns a cursor over the tiles in distance order from center,
@@ -36,7 +35,6 @@ func (c *RingCursor) Next() (Tile, bool) {
 		c.i++
 		x, y := c.cx+int(o.DX), c.cy+int(o.DY)
 		if uint(x) < uint(w) && uint(y) < uint(h) {
-			c.x, c.y = x, y
 			return Tile(y*w + x), true
 		}
 	}
@@ -45,9 +43,15 @@ func (c *RingCursor) Next() (Tile, bool) {
 
 // Dist returns the distance from the cursor's center to the tile most
 // recently returned by Next. It is only meaningful after a successful Next.
-func (c *RingCursor) Dist() int { return abs(c.x-c.cx) + abs(c.y-c.cy) }
+func (c *RingCursor) Dist() int {
+	o := c.t.order[c.i-1]
+	return abs(int(o.DX)) + abs(int(o.DY))
+}
 
 // Coords returns the coordinates of the tile most recently returned by
 // Next (the same as Topology.Coords, without its division). It is only
 // meaningful after a successful Next.
-func (c *RingCursor) Coords() (x, y int) { return c.x, c.y }
+func (c *RingCursor) Coords() (x, y int) {
+	o := c.t.order[c.i-1]
+	return c.cx + int(o.DX), c.cy + int(o.DY)
+}

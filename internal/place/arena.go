@@ -25,8 +25,9 @@ type Arena struct {
 	centers    []mesh.Tile
 	com        []Point
 	claims     Assignment
-	oRecs      []bankRec
-	oParts     [][]bankRec
+	oBanks     []mesh.Tile
+	oVals      []float64
+	oSpans     [][2]int32
 	build      buildScratch // Assignment.build, for every build through this arena
 	center     centerSearch
 	centerWork CenterWork
@@ -48,7 +49,7 @@ type Arena struct {
 	distSrcs   []distSrc
 	accPerLine []float64
 	tradeBanks []tradeBank
-	resCount   []int
+	resCount   []int32
 	desirables []desirable
 	tileW      []float64
 	pcTiles    []mesh.Tile
@@ -71,7 +72,7 @@ type Arena struct {
 	hPullX   []float64
 	hPullY   []float64
 	hCVCs    [][]hierVC
-	hCCount  []int
+	hCCount  []int32
 	hParts   [][]bankRec
 	hTrades  []int
 	hDeltas  []float64
@@ -152,19 +153,19 @@ func growLists[T any](buf *[][]T, n int) [][]T {
 // reserveLists is Assignment.reserve for lists of one slice each: every
 // (empty) list with less capacity than counts[i] gets a capped region of
 // one new backing array.
-func reserveLists[T any](lists [][]T, counts []int) {
+func reserveLists[T any](lists [][]T, counts []int32) {
 	need := 0
 	for i, n := range counts {
-		if cap(lists[i]) < n {
-			need += n
+		if cap(lists[i]) < int(n) {
+			need += int(n)
 		}
 	}
 	if need == 0 {
 		return
 	}
 	flat := make([]T, need)
-	for i, n := range counts {
-		if cap(lists[i]) < n {
+	for i, k := range counts {
+		if n := int(k); cap(lists[i]) < n {
 			lists[i], flat = flat[:0:n], flat[n:]
 		}
 	}

@@ -60,7 +60,9 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	cursors := grow(&ar.gCursors, len(demands))
 	state := grow(&ar.gState, len(demands))
 	live := ensure(&ar.gLive, len(demands))[:0]
-	recs := ar.gRecs[:0]
+	// A VC records a bank when it leaves it full or finishes there, so
+	// there are at most nb + len(demands) records.
+	recs := ensure(&ar.gRecs, nb+len(demands))[:0]
 	slot := 0
 	for v := range demands {
 		st := &state[v]
@@ -70,7 +72,8 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 		cur := &cursors[v]
 		if c, ok := ringCenter(v); ok {
 			cur.ring = chip.Topo.RingFrom(c)
-			st.bank, st.ok = cur.ring.Next()
+			b, ok := cur.ring.Next()
+			st.bank, st.ok = int32(b), ok
 		} else {
 			// The sort key is VCDistancesIn's row, filled for this VC
 			// alone into one reused row. The comparator is a total order
@@ -92,7 +95,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 				}
 				return int(x) - int(y)
 			})
-			st.bank, st.ok = order[0], true
+			st.bank, st.ok = int32(order[0]), true
 			cur.order = order[1:]
 		}
 	}
@@ -144,9 +147,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	ar.gLive = live
 	ar.gRecs = recs
 	ar.gParts = append(ar.gParts[:0], recs)
-	// Two slots of slack per VC: the trade pass that usually follows moves
-	// a VC into a bank or two it did not hold.
-	assign.build(&ar.build, nb, 2, ar.gParts)
+	assign.build(&ar.build, nb, ar.gParts)
 	return assign
 }
 
@@ -155,8 +156,8 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 // capacity claimed in bank and not yet recorded, and rem the demand still
 // to place.
 type greedyVC struct {
-	bank      mesh.Tile
 	held, rem float64
+	bank      int32
 	ok        bool
 }
 
@@ -182,10 +183,12 @@ type greedyCursor struct {
 // space.
 func (g *greedyCursor) seek(st *greedyVC, free []float64) {
 	for st.ok && free[st.bank] <= 1e-9 {
+		var b mesh.Tile
 		if g.order == nil {
-			st.bank, st.ok = g.ring.Next()
+			b, st.ok = g.ring.Next()
 		} else if st.ok = len(g.order) > 0; st.ok {
-			st.bank, g.order = g.order[0], g.order[1:]
+			b, g.order = g.order[0], g.order[1:]
 		}
+		st.bank = int32(b)
 	}
 }

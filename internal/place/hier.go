@@ -56,18 +56,29 @@ func HierOptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 		Claims: arenaAssignment(&ar.claims, len(demands)),
 		CoM:    grow(&ar.com, len(demands)),
 	}
-	recs := ar.oRecs[:0]
+	// Each VC's coarse claims name distinct clusters, so their
+	// representative tiles are distinct: carve them from one backing.
+	total := 0
 	for v := range demands {
+		total += copt.Claims[v].Len()
+	}
+	banks := ensure(&ar.oBanks, total)[:0]
+	vals := ensure(&ar.oVals, total)[:0]
+	spans := ensure(&ar.oSpans, len(demands))
+	order := ensure(&ar.order, len(demands))
+	for v := range demands {
+		order[v] = v
 		out.Center[v] = cl.Rep(copt.Center[v])
 		cv := &copt.Claims[v]
+		lo := len(banks)
 		for i := 0; i < cv.Len(); i++ {
 			c, l := cv.At(i)
-			recs = append(recs, bankRec{int32(v), cl.Rep(c), l})
+			banks = append(banks, cl.Rep(c))
+			vals = append(vals, l)
 		}
+		spans[v] = [2]int32{int32(lo), int32(len(banks))}
 	}
-	ar.oRecs = recs
-	ar.oParts = append(ar.oParts[:0], recs)
-	out.Claims.build(&ar.build, chip.Banks(), 0, ar.oParts)
+	out.Claims.carve(order, spans, banks, vals)
 	for v := range demands {
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}
@@ -296,7 +307,7 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	}
 	ar.hParts = parts
 	out := arenaAssignment(&ar.assign, len(demands))
-	out.build(&ar.build, chip.Banks(), 0, parts)
+	out.build(&ar.build, chip.Banks(), parts)
 	for c := 0; c < cl.N(); c++ {
 		trades += cTrades[c]
 		delta += cDeltas[c]
@@ -342,7 +353,7 @@ func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, c int, vcs []hierVC,
 		for j := 0; j < av.Len(); j++ {
 			b, l := av.At(j)
 			bx, by := sub.Coords(b)
-			w.recs = append(w.recs, bankRec{int32(vcs[i].v), chip.Topo.TileAt(x0+bx, y0+by), l})
+			w.recs = append(w.recs, bankRec{int32(vcs[i].v), int32(chip.Topo.TileAt(x0+bx, y0+by)), l})
 		}
 	}
 }

@@ -56,15 +56,32 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 	s.init(chip, claimed)
 	defer s.release()
 
-	// Each VC's ring claims each bank once: record them all and build the
-	// claims (sorted per VC) once every center is chosen.
-	recs := ar.oRecs[:0]
+	// Each VC's ring claims each bank once, one VC after another: its
+	// claims fill one span of a shared backing, sorted per VC once every
+	// center is chosen. A VC claims at most size/minCap+2 banks, which
+	// bounds the backing.
 	order := orderBySizeIn(ar, demands)
+	minCap := chip.CapOf(0)
+	for b := range n {
+		minCap = min(minCap, chip.CapOf(mesh.Tile(b)))
+	}
+	bound := 0
 	for _, v := range order {
+		if minCap > 0 {
+			bound += min(n, int(demands[v].Size/minCap)+2)
+		} else {
+			bound += n
+		}
+	}
+	banks := ensure(&ar.oBanks, bound)[:0]
+	vals := ensure(&ar.oVals, bound)[:0]
+	spans := ensure(&ar.oSpans, len(order))
+	for i, v := range order {
 		size := demands[v].Size
 		best, work := s.search(size)
 		ar.centerWork.add(work)
 		out.Center[v] = best
+		spans[i][0] = int32(len(banks))
 		// Claim compactly around the chosen center (up to a full bank per
 		// tile, regardless of other VCs' claims: relaxed constraints).
 		remaining := size
@@ -78,17 +95,17 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 			if take > remaining {
 				take = remaining
 			}
-			recs = append(recs, bankRec{int32(v), b, take})
+			banks = append(banks, b)
+			vals = append(vals, take)
 			claimed[b] += take
 			remaining -= take
 			if remaining <= 1e-9 {
 				break
 			}
 		}
+		spans[i][1] = int32(len(banks))
 	}
-	ar.oRecs = recs
-	ar.oParts = append(ar.oParts[:0], recs)
-	out.Claims.build(&ar.build, n, 0, ar.oParts)
+	out.Claims.carve(order, spans, banks, vals)
 	for _, v := range order {
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}

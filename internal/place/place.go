@@ -19,6 +19,7 @@ package place
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"cdcs/internal/mesh"
 )
@@ -155,75 +156,123 @@ func (a *BankAlloc) Set(b mesh.Tile, v float64) { a.vals[a.slot(b)] = v }
 // bankRec is one record of a build that writes each (VC, bank) pair once:
 // VC v holds lines in bank.
 type bankRec struct {
-	v     int32
-	bank  mesh.Tile
-	lines float64
+	v, bank int32
+	lines   float64
 }
 
 // buildScratch is Assignment.build's scratch, kept in the Arena.
 type buildScratch struct {
-	vcCount  []int
-	bankNext []int
-	byBank   []bankRec
+	vcCount []int32
+	head    []int32 // head[b]: 1 + the index of bank b's first record, 0 for none
+	link    []int32 // link[i]: 1 + the index of the record after record i in its bank
 }
 
 // build fills the reset assignment from parts: records, for banks below nb,
 // that name each (VC, bank) pair at most once, as builds that meet each
-// bank once produce them (a greedy cursor's ring, the optimistic claims, a
-// cluster-by-cluster merge) in whatever order they meet the banks. It
-// reserves each VC's bank count plus slack, orders the records by bank with
-// a counting sort and appends them in that order, so every VC's index comes
-// out ascending with no search, insert or comparison sort: the index a
+// bank once produce them (a greedy cursor's ring, a cluster-by-cluster
+// merge) in whatever order they meet the banks. It reserves each VC's bank
+// count, chains the records of each bank into a bucket and appends them
+// bucket by bucket in ascending bank order, so every VC's index comes out
+// ascending with no search, insert or comparison sort: the index a
 // sequence of Set calls would have built.
-func (a Assignment) build(sc *buildScratch, nb, slack int, parts [][]bankRec) {
+func (a Assignment) build(sc *buildScratch, nb int, parts [][]bankRec) {
 	counts := grow(&sc.vcCount, len(a))
-	next := grow(&sc.bankNext, nb+1)
+	head := grow(&sc.head, nb)
 	total := 0
 	for _, p := range parts {
 		total += len(p)
-		for _, r := range p {
-			counts[r.v]++
-			next[r.bank+1]++
-		}
 	}
-	for b := 1; b <= nb; b++ {
-		next[b] += next[b-1]
-	}
-	byBank := ensure(&sc.byBank, total)
+	link := ensure(&sc.link, total)
+	i := int32(0)
 	for _, p := range parts {
 		for _, r := range p {
-			byBank[next[r.bank]] = r
-			next[r.bank]++
+			counts[r.v]++
+			link[i], head[r.bank] = head[r.bank], i+1
+			i++
 		}
 	}
-	a.reserve(counts, slack)
-	for _, r := range byBank {
-		al := &a[r.v]
-		al.banks = append(al.banks, r.bank)
-		al.vals = append(al.vals, r.lines)
+	a.reserve(counts)
+	for b, h := range head {
+		for i := h; i != 0; i = link[i-1] {
+			r := recAt(parts, int(i-1))
+			al := &a[r.v]
+			al.banks = append(al.banks, mesh.Tile(b))
+			al.vals = append(al.vals, r.lines)
+		}
 	}
 }
 
+// recAt returns record i of parts taken as one sequence.
+func recAt(parts [][]bankRec, i int) *bankRec {
+	for _, p := range parts {
+		if i < len(p) {
+			return &p[i]
+		}
+		i -= len(p)
+	}
+	panic("place: record index out of range")
+}
+
+// carve points each VC order[i], which must be reset, at its claims:
+// spans[i] is the range of banks and vals its claims fill, in whatever
+// order the VC met its (distinct) banks. Each VC's region is sorted into
+// ascending bank order in place; regions are capped.
+func (a Assignment) carve(order []int, spans [][2]int32, banks []mesh.Tile, vals []float64) {
+	for i, v := range order {
+		lo, hi := int(spans[i][0]), int(spans[i][1])
+		a[v] = BankAlloc{banks: banks[lo:hi:hi], vals: vals[lo:hi:hi]}
+		a[v].sortBanks()
+	}
+}
+
+// sortBanks sorts a VC's distinct banks into ascending id order, carrying
+// their lines along: insertion sort for the short runs claims make, and
+// sort.Sort beyond.
+func (a *BankAlloc) sortBanks() {
+	bs, vs := a.banks, a.vals
+	if len(bs) > 32 {
+		sort.Sort((*bankOrder)(a))
+		return
+	}
+	for i := 1; i < len(bs); i++ {
+		b, v := bs[i], vs[i]
+		j := i
+		for ; j > 0 && bs[j-1] > b; j-- {
+			bs[j], vs[j] = bs[j-1], vs[j-1]
+		}
+		bs[j], vs[j] = b, v
+	}
+}
+
+// bankOrder sorts a BankAlloc's parallel slices by bank id.
+type bankOrder BankAlloc
+
+func (o *bankOrder) Len() int           { return len(o.banks) }
+func (o *bankOrder) Less(i, j int) bool { return o.banks[i] < o.banks[j] }
+func (o *bankOrder) Swap(i, j int) {
+	o.banks[i], o.banks[j] = o.banks[j], o.banks[i]
+	o.vals[i], o.vals[j] = o.vals[j], o.vals[i]
+}
+
 // reserve gives every (reset) VC whose bank list holds less capacity than
-// counts[v] a region of counts[v]+slack in one new backing array; VCs that
-// already hold enough keep their own buffers. A fresh arena so makes two
-// allocations where growing each VC's list by append makes several per VC,
-// and a warm one makes none. Regions are capped, so an insert past a VC's
-// region moves that VC's list out rather than into its neighbour's.
-func (a Assignment) reserve(counts []int, slack int) {
+// counts[v] a region of exactly that much in one new backing array; VCs
+// that already hold enough keep their own buffers. A fresh arena so makes
+// two allocations where growing each VC's list by append makes several per
+// VC, and a warm one makes none. Regions are capped, so an insert past a
+// VC's region moves that VC's list out rather than into its neighbour's.
+func (a Assignment) reserve(counts []int32) {
 	need := 0
-	for v, n := range counts {
-		if cap(a[v].banks) < n || cap(a[v].vals) < n {
-			need += n + slack
+	for v, k := range counts {
+		if n := int(k); cap(a[v].banks) < n || cap(a[v].vals) < n {
+			need += n
 		}
 	}
 	if need == 0 {
 		return
 	}
 	banks, vals := make([]mesh.Tile, need), make([]float64, need)
-	for v, n := range counts {
-		if cap(a[v].banks) < n || cap(a[v].vals) < n {
-			n += slack
+	for v, k := range counts {
+		if n := int(k); cap(a[v].banks) < n || cap(a[v].vals) < n {
 			a[v].banks, banks = banks[:0:n], banks[n:]
 			a[v].vals, vals = vals[:0:n], vals[n:]
 		}

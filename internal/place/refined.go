@@ -97,7 +97,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 		av := &assign[v]
 		for i := 0; i < av.Len(); i++ {
 			if b, l := av.At(i); l > 1e-9 {
-				banks[b].add(resident{int32(v), l, dist.at(v, b), accPerLine[v]})
+				banks[b].add(resident{int32(v), l, dist.at(v, b)}, accPerLine[v])
 			}
 		}
 	}
@@ -207,8 +207,8 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 				}
 				// Offer trades to resident VCs (those present when the offers
 				// start: v joins the list as it trades in). Each entry carries
-				// u's distance to cand.bank and its accesses per line, so an
-				// offer computes only D(u, b), once per data bank. Offers that
+				// u's distance to cand.bank, so an offer computes only D(u,
+				// b), once per data bank. Offers that
 				// the loss floor proves cannot gain are not made, and neither
 				// is any offer to a bank whose floor covers all its residents.
 				rs := cb.list
@@ -223,18 +223,22 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 				for i, n := 0, len(rs); i < n && left > 1e-9; i++ {
 					r := &rs[i]
 					u := int(r.vc)
-					if r.lines <= 1e-9 || u == v || cannotGain(r.w*(h-2*r.d), r.w*(h+2*r.d), gain) {
+					if r.lines <= 1e-9 || u == v {
+						continue
+					}
+					wu := accPerLine[u]
+					if cannotGain(wu*(h-2*r.d), wu*(h+2*r.d), gain) {
 						continue
 					}
 					work.Tried++
 					if dubStep[u] != offer {
 						dubStep[u], dub[u] = offer, dist.atXY(u, b, bx, by)
 					}
-					gainU := r.w * (dub[u] - r.d)
+					gainU := wu * (dub[u] - r.d)
 					if moveGain+gainU >= -1e-12 {
 						continue
 					}
-					m, wu := minF(left, r.lines), r.w
+					m := minF(left, r.lines)
 					// Swap m lines: v moves b→cand, u moves cand→b. Both
 					// shifts may append to a resident list, so rs is
 					// reloaded (v joins cand.bank's list past n).
@@ -406,13 +410,12 @@ func preferredCenter(ar *Arena, chip Chip, d *Demand, alloc *BankAlloc, threadCo
 
 // resident is one VC's entry in a bank's resident list. lines mirrors
 // assign[vc].Get(bank), so offering a trade reads the counterparty's
-// holding without a lookup; d is D(vc, bank) and w the VC's accesses per
-// line, both fixed for the pass, so an offer reads its two factors from the
-// entry instead of from per-VC tables.
+// holding without a lookup; d is D(vc, bank), fixed for the pass, so an
+// offer computes only D(vc, b) for the bank b on offer.
 type resident struct {
 	vc    int32
 	lines float64
-	d, w  float64
+	d     float64
 }
 
 // tradeBank is the trade pass's state of one bank, in one 64-byte record:
@@ -448,30 +451,28 @@ func newTradeBanks(ar *Arena, assign Assignment, n int) []tradeBank {
 			}
 		}
 	}
-	// One slot of slack per bank: a trade partner that moves into a bank
-	// it did not hold joins the list without moving it.
 	need := 0
 	for b, k := range count {
-		if cap(banks[b].list) < k {
-			need += k + 1
+		if cap(banks[b].list) < int(k) {
+			need += int(k)
 		}
 	}
 	if need > 0 {
 		flat := make([]resident, need)
 		for b, k := range count {
-			if cap(banks[b].list) < k {
-				banks[b].list, flat = flat[:0:k+1], flat[k+1:]
+			if n := int(k); cap(banks[b].list) < n {
+				banks[b].list, flat = flat[:0:n], flat[n:]
 			}
 		}
 	}
 	return banks
 }
 
-// add appends r to the bank's list.
-func (tb *tradeBank) add(r resident) {
+// add appends r, whose VC has w accesses per line, to the bank's list.
+func (tb *tradeBank) add(r resident, w float64) {
 	tb.list = append(tb.list, r)
-	tb.wmin = min(tb.wmin, r.w)
-	tb.wdmax = max(tb.wdmax, r.w*r.d)
+	tb.wmin = min(tb.wmin, w)
+	tb.wdmax = max(tb.wdmax, w*r.d)
 }
 
 // shift moves m lines of VC v from bank b to bank nb, registers v in nb's
@@ -480,7 +481,7 @@ func (tb *tradeBank) add(r resident) {
 func shift(assign Assignment, banks []tradeBank, v int, b, nb mesh.Tile, m, dnb, w float64) {
 	mirror(banks[b].list, v, assign[v].Add(b, -m))
 	if l := assign[v].Add(nb, m); !mirror(banks[nb].list, v, l) {
-		banks[nb].add(resident{int32(v), l, dnb, w})
+		banks[nb].add(resident{int32(v), l, dnb}, w)
 	}
 }
 
