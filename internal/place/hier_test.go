@@ -167,3 +167,24 @@ func TestHierPipelineAtScale(t *testing.T) {
 		t.Fatalf("refine increased latency: delta=%v", delta)
 	}
 }
+
+// TestHierFanOutAllocatesNothing: on a warm arena the hierarchical pass's
+// level-2 fan-out allocates nothing per call. The calling goroutine runs
+// the first share and a fixed pool the rest, so no call starts a goroutine
+// or builds a closure. (The runtime may, rarely, refill its cache of wait
+// records when a goroutine blocks; averaged over the runs, that is far
+// below one allocation per call.)
+func TestHierFanOutAllocatesNothing(t *testing.T) {
+	chip, demands, _ := pipelineInstance(24, 24)
+	opt := HierOptimisticPlaceIn(NewArena(), chip, demands)
+	threads := HierPlaceThreadsIn(NewArena(), chip, demands, opt, chip.Banks())
+	defer func() { hierWorkers = 0 }()
+	hierWorkers = 4
+	ar := NewArena()
+	HierGreedyRefineIn(ar, chip, demands, threads, chip.BankLines/8, true)
+	if n := testing.AllocsPerRun(50, func() {
+		HierGreedyRefineIn(ar, chip, demands, threads, chip.BankLines/8, true)
+	}); n != 0 {
+		t.Fatalf("HierGreedyRefineIn on a warm arena: %v allocations per call, want 0", n)
+	}
+}
