@@ -150,9 +150,6 @@ func (a *BankAlloc) Add(b mesh.Tile, delta float64) float64 {
 	return a.vals[i]
 }
 
-// Set sets bank b's lines.
-func (a *BankAlloc) Set(b mesh.Tile, v float64) { a.vals[a.slot(b)] = v }
-
 // bankRec is one record of a build that writes each (VC, bank) pair once:
 // VC v holds lines in bank.
 type bankRec struct {
@@ -278,6 +275,9 @@ func (a Assignment) reserve(counts []int32) {
 		}
 	}
 }
+
+// Set sets bank b's lines.
+func (a *BankAlloc) Set(b mesh.Tile, v float64) { a.vals[a.slot(b)] = v }
 
 // Banks returns the touched banks in ascending id order. The slice is shared
 // with the BankAlloc; callers must not modify it.
