@@ -60,8 +60,9 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	cursors := grow(&ar.gCursors, len(demands))
 	state := grow(&ar.gState, len(demands))
 	live := ensure(&ar.gLive, len(demands))[:0]
-	// A VC records a bank when it leaves it full or finishes there, so
-	// there are at most nb + len(demands) records.
+	// A VC records a bank when it leaves it full or finishes there. Room
+	// for one record per bank and one per VC covers most placements;
+	// append grows past it when many VCs share banks.
 	recs := ensure(&ar.gRecs, nb+len(demands))[:0]
 	slot := 0
 	for v := range demands {

@@ -3,6 +3,7 @@ package place
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"cdcs/internal/mesh"
@@ -391,9 +392,17 @@ type hierShare struct {
 	lo, hi int
 }
 
-// run solves the share's cluster interiors in order.
+// run solves the share's cluster interiors in order. A cluster's records
+// number about one per tile plus one per VC slice, so the worker's record
+// buffer is sized for the share's clusters once rather than grown cluster
+// by cluster.
 func (s hierShare) run() {
 	c := s.call
+	need := 0
+	for k := s.lo; k < s.hi; k++ {
+		need += c.cl.Count(mesh.Tile(k)) + len(c.cvcs[k])
+	}
+	s.w.recs = slices.Grow(s.w.recs, need)
 	for k := s.lo; k < s.hi; k++ {
 		s.w.interior(c.chip, c.cl, k, c.cvcs[k], c.pullX, c.pullY, c.demands,
 			c.chunk, c.refine, &c.trades[k], &c.deltas[k])
