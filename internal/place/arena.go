@@ -40,7 +40,6 @@ type Arena struct {
 	gDist    []float64
 	gLive    []int
 	gRecs    []bankRec
-	gParts   [][]bankRec
 	assign   Assignment
 
 	claimCount int // GreedyIn's claims, see Arena.Claims

@@ -147,8 +147,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	ar.claimCount += claims
 	ar.gLive = live
 	ar.gRecs = recs
-	ar.gParts = append(ar.gParts[:0], recs)
-	assign.build(&ar.build, nb, ar.gParts)
+	assign.build(&ar.build, nb, recs)
 	return assign
 }
 

@@ -308,7 +308,7 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	}
 	ar.hParts = parts
 	out := arenaAssignment(&ar.assign, len(demands))
-	out.build(&ar.build, chip.Banks(), parts)
+	out.build(&ar.build, chip.Banks(), parts...)
 	for c := 0; c < cl.N(); c++ {
 		trades += cTrades[c]
 		delta += cDeltas[c]

@@ -90,10 +90,11 @@ func (d Demand) TotalRate() float64 {
 //
 // Get, Add and Set binary-search the sorted index; a bank above the highest
 // touched one is absent, or appended, without a search. The placement hot
-// paths do not search per operation: builds that write each bank once (the
-// greedy cursors, the optimistic claims, the hierarchical merge) record the
-// banks in any order and build every VC's index in one counting sort (see
-// Assignment.build), and the trade pass reads the VC it refines from a
+// paths do not search per operation: builds that write each bank once
+// record the banks in whatever order they meet them and order them once
+// (the greedy cursors and the hierarchical merge through per-bank buckets,
+// Assignment.build; the optimistic claims by sorting each VC's span,
+// Assignment.carve), and the trade pass reads the VC it refines from a
 // per-arena snapshot and its trade partners from the banks' resident lists
 // (see RefineIn).
 //
@@ -160,8 +161,8 @@ type bankRec struct {
 // buildScratch is Assignment.build's scratch, kept in the Arena.
 type buildScratch struct {
 	vcCount []int32
-	head    []int32 // head[b]: 1 + the index of bank b's first record, 0 for none
-	link    []int32 // link[i]: 1 + the index of the record after record i in its bank
+	head    []int32 // head[b]: 1 + the index of the first record in bank b's chain, 0 for none
+	link    []int32 // link[i]: 1 + the index of the next record in record i's chain, 0 at its end
 }
 
 // build fills the reset assignment from parts: records, for banks below nb,
@@ -172,7 +173,7 @@ type buildScratch struct {
 // bucket by bucket in ascending bank order, so every VC's index comes out
 // ascending with no search, insert or comparison sort: the index a
 // sequence of Set calls would have built.
-func (a Assignment) build(sc *buildScratch, nb int, parts [][]bankRec) {
+func (a Assignment) build(sc *buildScratch, nb int, parts ...[]bankRec) {
 	counts := grow(&sc.vcCount, len(a))
 	head := grow(&sc.head, nb)
 	total := 0

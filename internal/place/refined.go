@@ -90,8 +90,7 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 	}
 	// banks[b] holds bank b's lines in use and its resident list: the VCs
 	// with data there (kept fresh lazily: an entry stays when its lines
-	// drain), mirroring their lines beside the two factors every offer to
-	// them reads, their distance to b and their accesses per line.
+	// drain), mirroring their lines beside their distance to b.
 	banks := newTradeBanks(ar, assign, chip.Banks())
 	for v := range assign {
 		av := &assign[v]
@@ -207,10 +206,10 @@ func RefineIn(ar *Arena, chip Chip, demands []Demand, assign Assignment, threadC
 				}
 				// Offer trades to resident VCs (those present when the offers
 				// start: v joins the list as it trades in). Each entry carries
-				// u's distance to cand.bank, so an offer computes only D(u,
-				// b), once per data bank. Offers that
-				// the loss floor proves cannot gain are not made, and neither
-				// is any offer to a bank whose floor covers all its residents.
+				// u's distance to cand.bank, so an offer computes only D(u, b),
+				// once per data bank. Offers that the loss floor proves cannot
+				// gain are not made, and neither is any offer to a bank whose
+				// floor covers all its residents.
 				rs := cb.list
 				if len(rs) == 0 {
 					continue

@@ -11,8 +11,8 @@ import (
 )
 
 // This file freezes step 4 (§IV-F data placement) as it stood before the
-// append-built bank lists, the trade pass without dead offers and the
-// batched claim rounds: GreedyIn, RefineIn and the hierarchical
+// bucket-built bank lists, the trade pass without dead offers and the
+// compact claim rounds: GreedyIn, RefineIn and the hierarchical
 // greedy-refine with its level-2 merge. It is the independent oracle the
 // production code is checked against, bit for bit, by the frozen-oracle
 // tests. Every BankAlloc write is a sorted insert, every resident offer is
