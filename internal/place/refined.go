@@ -417,8 +417,9 @@ type resident struct {
 	d     float64
 }
 
-// tradeBank is the trade pass's state of one bank, in one 64-byte record:
-// the spiral and the offers touch one cache line per bank.
+// tradeBank is the trade pass's state of one bank, kept in one 64-byte
+// record so the spiral and the offers find a bank's state together rather
+// than in four arrays.
 type tradeBank struct {
 	tag  int32   // v+1 while mine holds VC v's snapshot
 	mine float64 // VC v's lines here as its turn started
