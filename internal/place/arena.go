@@ -25,10 +25,6 @@ type Arena struct {
 	centers    []mesh.Tile
 	com        []Point
 	claims     Assignment
-	oBanks     []mesh.Tile
-	oVals      []float64
-	oSpans     [][2]int32
-	build      buildScratch // Assignment.build, for every build through this arena
 	center     centerSearch
 	centerWork CenterWork
 
@@ -39,8 +35,13 @@ type Arena struct {
 	gState   []greedyVC
 	gDist    []float64
 	gLive    []int
-	gRecs    []bankRec
 	assign   Assignment
+
+	// Assignment.build, for the optimistic claims, the greedy placement and
+	// the hierarchical merge: the records of the build in progress and the
+	// build's scratch.
+	recs  []bankRec
+	build buildScratch
 
 	claimCount int // GreedyIn's claims, see Arena.Claims
 
@@ -149,13 +150,17 @@ func growLists[T any](buf *[][]T, n int) [][]T {
 	return s
 }
 
-// reserveLists is Assignment.reserve for lists of one slice each: every
-// (empty) list with less capacity than counts[i] gets a capped region of
-// one new backing array.
-func reserveLists[T any](lists [][]T, counts []int32) {
+// reserveLists gives every list i, which must be empty, that holds less
+// capacity than counts[i] a region of exactly that much in one new backing
+// array; lists that already hold enough keep their own buffers. list(i)
+// points at list i. A fresh arena so makes one allocation where growing
+// each list by append makes several per list, and a warm one makes none.
+// Regions are capped, so an append past a list's region moves that list
+// out rather than into its neighbour's.
+func reserveLists[T any](counts []int32, list func(i int) *[]T) {
 	need := 0
 	for i, n := range counts {
-		if cap(lists[i]) < int(n) {
+		if cap(*list(i)) < int(n) {
 			need += int(n)
 		}
 	}
@@ -164,8 +169,8 @@ func reserveLists[T any](lists [][]T, counts []int32) {
 	}
 	flat := make([]T, need)
 	for i, k := range counts {
-		if n := int(k); cap(lists[i]) < n {
-			lists[i], flat = flat[:0:n], flat[n:]
+		if l, n := list(i), int(k); cap(*l) < n {
+			*l, flat = flat[:0:n], flat[n:]
 		}
 	}
 }

@@ -63,7 +63,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	// A VC records a bank when it leaves it full or finishes there. Room
 	// for one record per bank and one per VC covers most placements;
 	// append grows past it when many VCs share banks.
-	recs := ensure(&ar.gRecs, nb+len(demands))[:0]
+	recs := ensure(&ar.recs, nb+len(demands))[:0]
 	slot := 0
 	for v := range demands {
 		st := &state[v]
@@ -146,7 +146,7 @@ func GreedyIn(ar *Arena, chip Chip, demands []Demand, threadCore []mesh.Tile, ch
 	}
 	ar.claimCount += claims
 	ar.gLive = live
-	ar.gRecs = recs
+	ar.recs = recs
 	assign.build(&ar.build, nb, recs)
 	return assign
 }

@@ -58,28 +58,22 @@ func HierOptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 		CoM:    grow(&ar.com, len(demands)),
 	}
 	// Each VC's coarse claims name distinct clusters, so their
-	// representative tiles are distinct: carve them from one backing.
+	// representative tiles are distinct: build the claims from records.
 	total := 0
 	for v := range demands {
 		total += copt.Claims[v].Len()
 	}
-	banks := ensure(&ar.oBanks, total)[:0]
-	vals := ensure(&ar.oVals, total)[:0]
-	spans := ensure(&ar.oSpans, len(demands))
-	order := ensure(&ar.order, len(demands))
+	recs := ensure(&ar.recs, total)[:0]
 	for v := range demands {
-		order[v] = v
 		out.Center[v] = cl.Rep(copt.Center[v])
 		cv := &copt.Claims[v]
-		lo := len(banks)
 		for i := 0; i < cv.Len(); i++ {
 			c, l := cv.At(i)
-			banks = append(banks, cl.Rep(c))
-			vals = append(vals, l)
+			recs = append(recs, bankRec{int32(v), int32(cl.Rep(c)), l})
 		}
-		spans[v] = [2]int32{int32(lo), int32(len(banks))}
 	}
-	out.Claims.carve(order, spans, banks, vals)
+	ar.recs = recs
+	out.Claims.build(&ar.build, chip.Banks(), recs)
 	for v := range demands {
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}
@@ -232,7 +226,7 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 			}
 		}
 	}
-	reserveLists(cvcs, ccount)
+	reserveLists(ccount, func(c int) *[]hierVC { return &cvcs[c] })
 	for v := range demands {
 		cv := &cAssign[v]
 		for i := 0; i < cv.Len(); i++ {

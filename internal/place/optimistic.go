@@ -56,10 +56,10 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 	s.init(chip, claimed)
 	defer s.release()
 
-	// Each VC's ring claims each bank once, one VC after another: its
-	// claims fill one span of a shared backing, sorted per VC once every
-	// center is chosen. A VC claims at most size/minCap+2 banks, which
-	// bounds the backing.
+	// Each VC's ring claims each bank once, one VC after another: the
+	// claims are records of distinct (VC, bank) pairs, built into sorted
+	// lists once every center is chosen. A VC claims at most size/minCap+2
+	// banks, which bounds the records.
 	order := orderBySizeIn(ar, demands)
 	minCap := chip.CapOf(0)
 	for b := range n {
@@ -73,15 +73,12 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 			bound += n
 		}
 	}
-	banks := ensure(&ar.oBanks, bound)[:0]
-	vals := ensure(&ar.oVals, bound)[:0]
-	spans := ensure(&ar.oSpans, len(order))
-	for i, v := range order {
+	recs := ensure(&ar.recs, bound)[:0]
+	for _, v := range order {
 		size := demands[v].Size
 		best, work := s.search(size)
 		ar.centerWork.add(work)
 		out.Center[v] = best
-		spans[i][0] = int32(len(banks))
 		// Claim compactly around the chosen center (up to a full bank per
 		// tile, regardless of other VCs' claims: relaxed constraints).
 		remaining := size
@@ -95,17 +92,16 @@ func OptimisticPlaceIn(ar *Arena, chip Chip, demands []Demand) Optimistic {
 			if take > remaining {
 				take = remaining
 			}
-			banks = append(banks, b)
-			vals = append(vals, take)
+			recs = append(recs, bankRec{int32(v), int32(b), take})
 			claimed[b] += take
 			remaining -= take
 			if remaining <= 1e-9 {
 				break
 			}
 		}
-		spans[i][1] = int32(len(banks))
 	}
-	out.Claims.carve(order, spans, banks, vals)
+	ar.recs = recs
+	out.Claims.build(&ar.build, n, recs)
 	for _, v := range order {
 		x, y := CenterOfMass(chip, &out.Claims[v])
 		out.CoM[v] = Point{x, y}

@@ -19,7 +19,6 @@ package place
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"cdcs/internal/mesh"
 )
@@ -88,15 +87,14 @@ func (d Demand) TotalRate() float64 {
 // serves every mesh from 2×2 to 128×128 in O(footprint) memory, and
 // iteration over Banks() is a linear walk in ascending bank order.
 //
-// Get, Add and Set binary-search the sorted index; a bank above the highest
+// Get and Add binary-search the sorted index; a bank above the highest
 // touched one is absent, or appended, without a search. The placement hot
-// paths do not search per operation: builds that write each bank once
-// record the banks in whatever order they meet them and order them once
-// (the greedy cursors and the hierarchical merge through per-bank buckets,
-// Assignment.build; the optimistic claims by sorting each VC's span,
-// Assignment.carve), and the trade pass reads the VC it refines from a
-// per-arena snapshot and its trade partners from the banks' resident lists
-// (see RefineIn).
+// paths do not search per operation: builds that write each bank once (the
+// optimistic claims, the greedy cursors and the hierarchical merge) record
+// the banks in whatever order they meet them and order them once through
+// per-bank buckets (Assignment.build), and the trade pass reads the VC it
+// refines from a per-arena snapshot and its trade partners from the banks'
+// resident lists (see RefineIn).
 //
 // A touched bank stays in the index even when arithmetic drives its lines
 // back to exactly zero, mirroring the key semantics of the map
@@ -167,12 +165,12 @@ type buildScratch struct {
 
 // build fills the reset assignment from parts: records, for banks below nb,
 // that name each (VC, bank) pair at most once, as builds that meet each
-// bank once produce them (a greedy cursor's ring, a cluster-by-cluster
-// merge) in whatever order they meet the banks. It reserves each VC's bank
+// bank once produce them (an optimistic claim ring, a greedy cursor, a
+// cluster-by-cluster merge) in whatever order they meet the banks. It reserves each VC's bank
 // count, chains the records of each bank into a bucket and appends them
 // bucket by bucket in ascending bank order, so every VC's index comes out
-// ascending with no search, insert or comparison sort: the index a
-// sequence of Set calls would have built.
+// ascending with no search, insert or comparison sort: the index that
+// inserting the records one by one would have built.
 func (a Assignment) build(sc *buildScratch, nb int, parts ...[]bankRec) {
 	counts := grow(&sc.vcCount, len(a))
 	head := grow(&sc.head, nb)
@@ -211,74 +209,12 @@ func recAt(parts [][]bankRec, i int) *bankRec {
 	panic("place: record index out of range")
 }
 
-// carve points each VC order[i], which must be reset, at its claims:
-// spans[i] is the range of banks and vals its claims fill, in whatever
-// order the VC met its (distinct) banks. Each VC's region is sorted into
-// ascending bank order in place; regions are capped.
-func (a Assignment) carve(order []int, spans [][2]int32, banks []mesh.Tile, vals []float64) {
-	for i, v := range order {
-		lo, hi := int(spans[i][0]), int(spans[i][1])
-		a[v] = BankAlloc{banks: banks[lo:hi:hi], vals: vals[lo:hi:hi]}
-		a[v].sortBanks()
-	}
-}
-
-// sortBanks sorts a VC's distinct banks into ascending id order, carrying
-// their lines along: insertion sort for the short runs claims make, and
-// sort.Sort beyond.
-func (a *BankAlloc) sortBanks() {
-	bs, vs := a.banks, a.vals
-	if len(bs) > 32 {
-		sort.Sort((*bankOrder)(a))
-		return
-	}
-	for i := 1; i < len(bs); i++ {
-		b, v := bs[i], vs[i]
-		j := i
-		for ; j > 0 && bs[j-1] > b; j-- {
-			bs[j], vs[j] = bs[j-1], vs[j-1]
-		}
-		bs[j], vs[j] = b, v
-	}
-}
-
-// bankOrder sorts a BankAlloc's parallel slices by bank id.
-type bankOrder BankAlloc
-
-func (o *bankOrder) Len() int           { return len(o.banks) }
-func (o *bankOrder) Less(i, j int) bool { return o.banks[i] < o.banks[j] }
-func (o *bankOrder) Swap(i, j int) {
-	o.banks[i], o.banks[j] = o.banks[j], o.banks[i]
-	o.vals[i], o.vals[j] = o.vals[j], o.vals[i]
-}
-
 // reserve gives every (reset) VC whose bank list holds less capacity than
-// counts[v] a region of exactly that much in one new backing array; VCs
-// that already hold enough keep their own buffers. A fresh arena so makes
-// two allocations where growing each VC's list by append makes several per
-// VC, and a warm one makes none. Regions are capped, so an insert past a
-// VC's region moves that VC's list out rather than into its neighbour's.
+// counts[v] a region of exactly that much (see reserveLists).
 func (a Assignment) reserve(counts []int32) {
-	need := 0
-	for v, k := range counts {
-		if n := int(k); cap(a[v].banks) < n || cap(a[v].vals) < n {
-			need += n
-		}
-	}
-	if need == 0 {
-		return
-	}
-	banks, vals := make([]mesh.Tile, need), make([]float64, need)
-	for v, k := range counts {
-		if n := int(k); cap(a[v].banks) < n || cap(a[v].vals) < n {
-			a[v].banks, banks = banks[:0:n], banks[n:]
-			a[v].vals, vals = vals[:0:n], vals[n:]
-		}
-	}
+	reserveLists(counts, func(v int) *[]mesh.Tile { return &a[v].banks })
+	reserveLists(counts, func(v int) *[]float64 { return &a[v].vals })
 }
-
-// Set sets bank b's lines.
-func (a *BankAlloc) Set(b mesh.Tile, v float64) { a.vals[a.slot(b)] = v }
 
 // Banks returns the touched banks in ascending id order. The slice is shared
 // with the BankAlloc; callers must not modify it.

@@ -560,3 +560,7 @@ func TestGraphPartitionKeepsSharersTogether(t *testing.T) {
 func approxEq(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
+
+// Set sets bank b's lines: the tests write the hand-made placements they
+// start from with it.
+func (a *BankAlloc) Set(b mesh.Tile, v float64) { a.vals[a.slot(b)] = v }

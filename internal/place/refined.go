@@ -451,20 +451,7 @@ func newTradeBanks(ar *Arena, assign Assignment, n int) []tradeBank {
 			}
 		}
 	}
-	need := 0
-	for b, k := range count {
-		if cap(banks[b].list) < int(k) {
-			need += int(k)
-		}
-	}
-	if need > 0 {
-		flat := make([]resident, need)
-		for b, k := range count {
-			if n := int(k); cap(banks[b].list) < n {
-				banks[b].list, flat = flat[:0:n], flat[n:]
-			}
-		}
-	}
+	reserveLists(count, func(b int) *[]resident { return &banks[b].list })
 	return banks
 }
 
