@@ -274,8 +274,9 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	for _, w := range ar.hWorkers[:nw] {
 		w.recs = w.recs[:0]
 	}
-	// Share k is clusters [k·per, (k+1)·per). The calling goroutine runs
-	// share 0 and hands the others to the pool.
+	// Share k is clusters [k·per, (k+1)·per). The calling goroutine hands
+	// shares 1 on to the pool, runs those the pool has no room for, and
+	// then share 0.
 	call := &ar.hCall
 	call.chip, call.cl, call.cvcs = chip, cl, cvcs
 	call.pullX, call.pullY, call.demands = pullX, pullY, demands
@@ -284,8 +285,9 @@ func HierGreedyRefineIn(ar *Arena, chip Chip, demands []Demand, threadCore []mes
 	per := (cl.N() + nw - 1) / nw
 	for k := 1; k < nw; k++ {
 		if lo, hi := k*per, min((k+1)*per, cl.N()); lo < hi {
-			call.wg.Add(1)
-			hierHandOff(hierShare{call, ar.hWorkers[k], lo, hi})
+			if s := (hierShare{call, ar.hWorkers[k], lo, hi}); !hierHandOff(s) {
+				s.run()
+			}
 		}
 	}
 	hierShare{call, ar.hWorkers[0], 0, min(per, cl.N())}.run()
@@ -353,7 +355,7 @@ func (w *hierWorker) interior(chip Chip, cl *mesh.Clusters, c int, vcs []hierVC,
 	}
 }
 
-// maxHierWorkers caps the level-2 fan-out.
+// maxHierWorkers caps the shares one call splits level 2 into.
 const maxHierWorkers = 8
 
 // hierCall is one HierGreedyRefineIn call's level-2 inputs and outputs,
@@ -403,23 +405,28 @@ func (s hierShare) run() {
 	}
 }
 
-// The pool runs the shares that calls hand off: maxHierWorkers-1
-// goroutines, started on first use and kept for the life of the process.
-// A call so starts no goroutine and allocates nothing to fan out, where a
-// goroutine per share cost a closure each and, now and then, a new
-// goroutine descriptor, which made a round's allocation vary. Shares never
-// wait on other shares, and every call runs its first share itself, so a
-// busy pool delays calls but cannot deadlock them.
+// The pool runs the shares that calls hand off: one goroutine per CPU
+// (GOMAXPROCS when the pool starts), started on first use and kept for the
+// life of the process, behind a queue as long. A call so starts no
+// goroutine and allocates nothing to fan out, where a goroutine per share
+// cost a closure each and, now and then, a new goroutine descriptor, which
+// made a round's allocation vary. The hand-off never waits: when the queue
+// is full, every CPU already has work, and the caller runs the share
+// itself. Concurrent calls so share the CPUs rather than a fixed number of
+// goroutines, and shares never wait on other shares, so a busy pool cannot
+// deadlock a call.
 var (
 	hierPoolOnce sync.Once
 	hierShares   chan hierShare
 )
 
-// hierHandOff queues s for the pool; s.call.wg counts it.
-func hierHandOff(s hierShare) {
+// hierHandOff queues s for the pool, counted in s.call.wg, and reports
+// whether it did; it does not when the queue is full.
+func hierHandOff(s hierShare) bool {
 	hierPoolOnce.Do(func() {
-		hierShares = make(chan hierShare, 4*maxHierWorkers)
-		for range maxHierWorkers - 1 {
+		n := runtime.GOMAXPROCS(0)
+		hierShares = make(chan hierShare, n)
+		for range n {
 			go func() {
 				for s := range hierShares {
 					s.run()
@@ -428,7 +435,14 @@ func hierHandOff(s hierShare) {
 			}()
 		}
 	})
-	hierShares <- s
+	s.call.wg.Add(1)
+	select {
+	case hierShares <- s:
+		return true
+	default:
+		s.call.wg.Done()
+		return false
+	}
 }
 
 func clampF(v, lo, hi float64) float64 {

@@ -2,6 +2,7 @@ package place
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"cdcs/internal/mesh"
@@ -137,6 +138,46 @@ func TestHierWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestHierConcurrentCallsShareThePool: calls on separate arenas at once
+// share one level-2 pool, and with more shares than the pool has queue
+// room for (eight per call here), callers run the overflow themselves.
+// Every call's placement still matches a lone single-worker call.
+func TestHierConcurrentCallsShareThePool(t *testing.T) {
+	chip, demands, _ := pipelineInstance(24, 24)
+	n := chip.Banks()
+	chunk := chip.BankLines / 8
+	opt := HierOptimisticPlaceIn(NewArena(), chip, demands)
+	threads := HierPlaceThreadsIn(NewArena(), chip, demands, opt, n)
+	defer func() { hierWorkers = 0 }()
+	hierWorkers = 1
+	a1, t1, d1 := HierGreedyRefineIn(nil, chip, demands, threads, chunk, true)
+	ref := a1.Clone()
+	hierWorkers = 8
+	const callers = 6
+	got := make([]Assignment, callers)
+	trades := make([]int, callers)
+	deltas := make([]float64, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ar := NewArena()
+			for range 3 {
+				a, tr, dl := HierGreedyRefineIn(ar, chip, demands, threads, chunk, true)
+				got[i], trades[i], deltas[i] = a.Clone(), tr, dl
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range callers {
+		hierAssignEqual(t, "concurrent", n, ref, got[i])
+		if trades[i] != t1 || math.Float64bits(deltas[i]) != math.Float64bits(d1) {
+			t.Fatalf("caller %d: trades/delta (%d, %v) vs (%d, %v)", i, trades[i], deltas[i], t1, d1)
+		}
+	}
+}
+
 // TestHierPipelineAtScale runs the full hierarchical pipeline on a genuinely
 // above-threshold chip and checks the result is a valid
 // placement with all capacity placed. This is the 128×128 frontier the flat
@@ -169,9 +210,9 @@ func TestHierPipelineAtScale(t *testing.T) {
 }
 
 // TestHierFanOutAllocatesNothing: on a warm arena the hierarchical pass's
-// level-2 fan-out allocates nothing per call. The calling goroutine runs
-// the first share and a fixed pool the rest, so no call starts a goroutine
-// or builds a closure. (The runtime may, rarely, refill its cache of wait
+// level-2 fan-out allocates nothing per call. A fixed pool takes the
+// shares it has room for and the calling goroutine runs the rest, so no
+// call starts a goroutine or builds a closure. (The runtime may, rarely, refill its cache of wait
 // records when a goroutine blocks; averaged over the runs, that is far
 // below one allocation per call.)
 func TestHierFanOutAllocatesNothing(t *testing.T) {
