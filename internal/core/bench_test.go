@@ -37,6 +37,34 @@ var reconfigureCases = []struct {
 	{"128x128-committed", 128, 1024, 2},
 }
 
+// TestReconfigureWarmAllocatesNothing: a warm arena's reconfiguration
+// allocates nothing, for every one of reconfigureCases. It is the
+// allocation guard of the hierarchical sizes, whose BenchmarkReconfigure
+// entries gate no B/op: there the level-2 fan-out blocks on a WaitGroup,
+// and the runtime refills its cache of wait records after a collection
+// now and then, which reads as up to a kilobyte per round in one run in
+// several. AllocsPerRun's average over the runs rounds that refill down;
+// any allocation every round makes still fails.
+func TestReconfigureWarmAllocatesNothing(t *testing.T) {
+	for _, tc := range reconfigureCases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(tc.side, tc.side, AllCDCS())
+			mix := workload.RandomST(rand.New(rand.NewSource(tc.seed)), workload.SPECCPU(), tc.apps)
+			ar := NewArena()
+			if _, err := ReconfigureWith(cfg, mix, nil, ar); err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(10, func() {
+				if _, err := ReconfigureWith(cfg, mix, nil, ar); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("%v allocations per warm reconfiguration, want 0", n)
+			}
+		})
+	}
+}
+
 // BenchmarkReconfigure times one full CDCS reconfiguration (steps 1-4) on a
 // warm Arena for each of reconfigureCases: the paper's 8×8 chip, the flat
 // pipeline at 32×32 to 64×64, and the hierarchical one at 96×96 and
