@@ -73,6 +73,8 @@ func TestServeEndToEnd(t *testing.T) {
 			"-join without -advertise":              {"-join", "http://127.0.0.1:1"},
 			"-fleet-probe-interval without a fleet": {"-fleet-probe-interval", "1s"},
 			"-peers lists no URL":                   {"-peers", ","},
+			"-peers entry without a scheme":         {"-peers", "http://127.0.0.1:1,127.0.0.1:2"},
+			"-advertise without a scheme":           {"-advertise", "127.0.0.1:1"},
 			"positional argument":                   {"stray"},
 			"-advertise auto on [::]":               {"-addr", ":0", "-advertise", "auto"},
 			"-advertise auto on 0.0.0.0":            {"-addr", "0.0.0.0:0", "-advertise", "auto"},

@@ -61,6 +61,7 @@ import (
 	"syscall"
 	"time"
 
+	"cdcs/internal/fleet"
 	"cdcs/internal/server"
 )
 
@@ -124,6 +125,18 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "cdcs-serve: -peers lists no usable URLs")
 			return 2
 		}
+	}
+	// Every replica's member list starts from -peers and -advertise, and a
+	// replica whose list holds a junk URL gossips snapshots its peers refuse.
+	for _, p := range peerList {
+		if !fleet.ValidMemberURL(p) {
+			fmt.Fprintf(os.Stderr, "cdcs-serve: -peers entry %q is not an absolute http or https URL with a host\n", p)
+			return 2
+		}
+	}
+	if *advertise != "" && *advertise != "auto" && !fleet.ValidMemberURL(*advertise) {
+		fmt.Fprintf(os.Stderr, "cdcs-serve: -advertise %q is not \"auto\" or an absolute http or https URL with a host\n", *advertise)
+		return 2
 	}
 	if len(peerList) == 0 && *advertise == "" {
 		var fleetFlags []string

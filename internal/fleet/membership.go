@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 	neturl "net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -117,6 +118,15 @@ func (m *Membership) Snapshot() ([]string, uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]string(nil), m.members...), m.epoch
+}
+
+// Has reports whether url, once normalized, is a member.
+func (m *Membership) Has(url string) bool {
+	url = NormalizeURL(url)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := slices.BinarySearch(m.members, url)
+	return ok
 }
 
 // Join adds url as a member, bumping the epoch. Reports whether the list

@@ -175,3 +175,12 @@ func TestValidMemberURL(t *testing.T) {
 		t.Error("ValidSnapshot refused a snapshot whose only other entry is blank")
 	}
 }
+
+func TestMembershipHas(t *testing.T) {
+	m := NewMembership([]string{"http://a:1", "junk"})
+	for u, want := range map[string]bool{"http://a:1/": true, " junk ": true, "http://b:2": false, "": false} {
+		if got := m.Has(u); got != want {
+			t.Errorf("Has(%q) = %v, want %v", u, got, want)
+		}
+	}
+}

@@ -136,26 +136,27 @@ type membershipMessage struct {
 // Either way the response is this replica's resulting snapshot, and any
 // local change gossips onward so the fleet converges.
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
-	s.handleMembershipChange(w, r, s.membership.Join)
+	s.handleMembershipChange(w, r, fleet.ValidMemberURL, s.membership.Join)
 }
 
 // handleLeave removes a member; forms and propagation mirror handleJoin.
 // Announcing a leave for a URL that is not a member is a no-op, so retried
-// leaves are safe.
+// leaves are safe. A member that is not a fleet.ValidMemberURL (one that an
+// older replica admitted, say) can still be announced as leaving.
 func (s *Server) handleLeave(w http.ResponseWriter, r *http.Request) {
-	s.handleMembershipChange(w, r, s.membership.Leave)
+	valid := func(url string) bool { return fleet.ValidMemberURL(url) || s.membership.Has(url) }
+	s.handleMembershipChange(w, r, valid, s.membership.Leave)
 }
 
 // handleMembershipChange decodes an announcement-or-gossip body, applies it
 // via change (Join or Leave) or Membership.Apply, and responds with the
-// resulting snapshot. An announcement whose URL is not a
-// fleet.ValidMemberURL, and a gossip snapshot that fleet.ValidSnapshot
-// refuses, are a 400: a junk member would be gossiped, probed and ranked by
-// every replica, one with no member would empty every view it reached, and
-// one past the epoch limit would leave the counter nowhere to go. Gossip of
-// local changes rides the registry's OnChange hook (see New), not this
-// handler.
-func (s *Server) handleMembershipChange(w http.ResponseWriter, r *http.Request, change func(string) bool) {
+// resulting snapshot. An announcement whose URL valid refuses, and a
+// gossip snapshot that fleet.ValidSnapshot refuses, are a 400: a junk
+// member would be gossiped, probed and ranked by every replica, one with
+// no member would empty every view it reached, and one past the epoch
+// limit would leave the counter nowhere to go. Gossip of local changes
+// rides the registry's OnChange hook (see New), not this handler.
+func (s *Server) handleMembershipChange(w http.ResponseWriter, r *http.Request, valid, change func(string) bool) {
 	var msg membershipMessage
 	if err := decodeStrict(w, r, &msg); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -163,7 +164,7 @@ func (s *Server) handleMembershipChange(w http.ResponseWriter, r *http.Request, 
 	}
 	switch {
 	case fleet.NormalizeURL(msg.URL) != "":
-		if !fleet.ValidMemberURL(msg.URL) {
+		if !valid(msg.URL) {
 			writeErr(w, http.StatusBadRequest, "url %q is not an absolute http or https URL with a host", msg.URL)
 			return
 		}

@@ -454,3 +454,26 @@ func TestMembershipRejectsJunkURLs(t *testing.T) {
 		t.Errorf("join of https://c.example:8443/ -> %d, want 200", resp.StatusCode)
 	}
 }
+
+// TestLeaveRemovesJunkMember: a member that is not a valid member URL (here
+// one from the initial peer list) can still be announced as leaving, while
+// a junk leave for a URL that is not a member stays a 400.
+func TestLeaveRemovesJunkMember(t *testing.T) {
+	_, urlA := liveServer(t, Options{Peers: []string{"c:3"}, FleetProbeInterval: -1})
+	if m, _, _ := membersOf(t, urlA); !slices.Contains(m, "c:3") {
+		t.Fatalf("view = %v, want it to hold c:3", m)
+	}
+	resp := postJSON(t, urlA+"/v1/leave", `{"url":"d:4"}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("leave of non-member d:4 -> %d, want 400", resp.StatusCode)
+	}
+	resp = postJSON(t, urlA+"/v1/leave", `{"url":"c:3"}`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("leave of member c:3 -> %d, want 200", resp.StatusCode)
+	}
+	if m, _, _ := membersOf(t, urlA); slices.Contains(m, "c:3") || !slices.Contains(m, urlA) {
+		t.Errorf("view = %v, want %s without c:3", m, urlA)
+	}
+}
