@@ -25,6 +25,13 @@ const e2eGrid = `{"mesh": [{"width": 8, "height": 8}], "bank_kb": [256, 512], "h
  "mixes": [{"kind": "random", "seed": 1, "n": 16}, {"kind": "random", "seed": 2, "n": 16}],
  "schemes": ["S-NUCA", "CDCS"], "seed": 1}`
 
+// e2eWideGrid is 32 cells, twice the memory tier's 16 shards, so a tier
+// that keeps one entry per shard must evict.
+const e2eWideGrid = `{"mesh": [{"width": 8, "height": 8}], "bank_kb": [256, 512], "hop_latency": [2, 3, 4, 5],
+ "mixes": [{"kind": "random", "seed": 1, "n": 16}, {"kind": "random", "seed": 2, "n": 16},
+           {"kind": "random", "seed": 3, "n": 16}, {"kind": "random", "seed": 4, "n": 16}],
+ "schemes": ["S-NUCA", "CDCS"], "seed": 1}`
+
 // TestServeEndToEnd builds cdcs-serve and cdcs and drives the real binaries
 // through what only separate processes show: flag-to-Options wiring, the
 // listening line, exit codes, restarts onto a cache directory, and a fleet
@@ -39,8 +46,8 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	serveBin, cliBin := filepath.Join(dir, "cdcs-serve"), filepath.Join(dir, "cdcs")
-	gridPath := filepath.Join(dir, "grid.json")
-	if err := os.WriteFile(gridPath, []byte(e2eGrid), 0o644); err != nil {
+	gridPath, wideGridPath := filepath.Join(dir, "grid.json"), filepath.Join(dir, "wide.json")
+	if err := errors.Join(os.WriteFile(gridPath, []byte(e2eGrid), 0o644), os.WriteFile(wideGridPath, []byte(e2eWideGrid), 0o644)); err != nil {
 		t.Fatal(err)
 	}
 	cli := func(t *testing.T, args ...string) []byte {
@@ -56,13 +63,17 @@ func TestServeEndToEnd(t *testing.T) {
 		}
 		return out
 	}
-	sweep := func(t *testing.T, replicas ...*replica) []byte {
+	sweepGrid := func(t *testing.T, grid string, replicas ...*replica) []byte {
 		t.Helper()
 		urls := make([]string, len(replicas))
 		for i, r := range replicas {
 			urls[i] = r.url
 		}
-		return cli(t, "-sweep", gridPath, "-sweep-json", "-replicas", strings.Join(urls, ","))
+		return cli(t, "-sweep", grid, "-sweep-json", "-replicas", strings.Join(urls, ","))
+	}
+	sweep := func(t *testing.T, replicas ...*replica) []byte {
+		t.Helper()
+		return sweepGrid(t, gridPath, replicas...)
 	}
 	want := cli(t, "-sweep", gridPath, "-sweep-json")
 
@@ -124,6 +135,23 @@ func TestServeEndToEnd(t *testing.T) {
 			}
 		})
 	}
+
+	t.Run("memory tier bounded in bytes", func(t *testing.T) {
+		// A 1-byte budget leaves each shard only its newest entry.
+		a := startServe(t, serveBin, "-cache-bytes", "1")
+		if !bytes.Equal(sweepGrid(t, wideGridPath, a), cli(t, "-sweep", wideGridPath, "-sweep-json")) {
+			t.Error("sweep through a replica with -cache-bytes 1 differs from the local sweep")
+		}
+		if n := a.metric(t, "cdcs_simulations_total"); n != 32 {
+			t.Errorf("%v simulations, want one per cell (32)", n)
+		}
+		if n := a.metric(t, `cdcs_cache_entries{tier="memory"}`); n < 1 || n > 16 {
+			t.Errorf("memory tier holds %v entries, want 1 to 16 (one per shard at most)", n)
+		}
+		if n := a.metric(t, "cdcs_jobs_workers"); n < 1 {
+			t.Errorf("cdcs_jobs_workers = %v, want the default job concurrency", n)
+		}
+	})
 
 	t.Run("fleet kill and drain", func(t *testing.T) {
 		fleet := []string{"-advertise", "auto", "-fleet-probe-interval", "50ms", "-fleet-breaker-threshold", "2"}

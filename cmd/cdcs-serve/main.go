@@ -2,7 +2,12 @@
 // content-addressed result cache in front of a bounded job queue:
 //
 //	cdcs-serve                       # serve on :8080, memory-only cache
+//	                                 # (4096 entries and 32 MiB at most), one
+//	                                 # job per CPU
 //	cdcs-serve -addr 127.0.0.1:0     # ephemeral port (printed on startup)
+//	cdcs-serve -cache 100000 -cache-bytes 1073741824
+//	                                 # a larger memory tier: bounded by both
+//	                                 # entries and key+value bytes
 //	cdcs-serve -cache-dir /var/cache/cdcs -cache-disk-bytes 4294967296
 //	                                 # tiered cache: results persist across
 //	                                 # restarts (warm replays simulate nothing)
@@ -72,7 +77,8 @@ func main() {
 func run() int {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
-		cache     = flag.Int("cache", 4096, "memory-tier result cache capacity in entries")
+		cache     = flag.Int("cache", 4096, "memory-tier result cache capacity in entries (-cache-bytes bounds it as well)")
+		memBytes  = flag.Int64("cache-bytes", server.DefaultCacheBytes, "memory-tier size cap in key+value bytes, LRU-evicted past it; each of 16 shards holds 1/16 of it but keeps its newest entry (<0 = entries only)")
 		cacheDir  = flag.String("cache-dir", "", "directory for the persistent disk cache tier (empty = memory only)")
 		diskBytes = flag.Int64("cache-disk-bytes", server.DefaultCacheDiskBytes, "disk-tier size cap in bytes, LRU-evicted past it (requires -cache-dir; <0 = uncapped)")
 		compress  = flag.Bool("cache-compress", false, "store the disk tier chunked: content-defined chunks, SHA-256 dedup, DEFLATE compression (requires -cache-dir)")
@@ -84,7 +90,7 @@ func run() int {
 		breakerThreshold = flag.Int("fleet-breaker-threshold", 0, "consecutive failures that open a peer's circuit breaker (0 = default 3; requires -peers or -advertise)")
 
 		queue   = flag.Int("queue", 256, "job queue depth (submissions beyond it get 503)")
-		workers = flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS/2)")
+		workers = flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
 		jobs    = flag.Int("j", 0, "max parallel simulation jobs per request (0 = GOMAXPROCS)")
 		timeout = flag.Duration("timeout", 15*time.Minute, "per-job timeout (0 = none)")
 		pprof   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ (off by default; enable only on trusted networks)")
@@ -185,6 +191,7 @@ func run() int {
 	}
 	srv, err := server.New(server.Options{
 		CacheEntries:          *cache,
+		CacheBytes:            *memBytes,
 		CacheDir:              *cacheDir,
 		CacheDiskBytes:        *diskBytes,
 		CacheCompress:         *compress,

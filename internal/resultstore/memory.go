@@ -14,22 +14,25 @@ const nShards = 16
 // MemTier is the fast head tier of every chain: a sharded LRU of
 // serialized results. Keys are spread over independently locked shards so
 // hot lookups do not serialize; coalescing of concurrent misses is the
-// chain head's job, not the tier's. A MemTier must not be copied.
+// chain head's job, not the tier's. Each shard holds its share of an entry
+// capacity and, with WithByteBudget, of a byte budget. A MemTier must not
+// be copied.
 type MemTier struct {
 	shards [nShards]shard
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	bytes     atomic.Int64
 }
 
 // shard is one lock's worth of LRU state.
 type shard struct {
-	mu  sync.Mutex
-	cap int
-	lru *list.List // front = most recent; values are *entry
-	idx map[string]*list.Element
+	mu       sync.Mutex
+	cap      int
+	maxBytes int64      // key+value bytes the shard may hold; negative = no bound
+	bytes    int64      // key+value bytes held
+	lru      *list.List // front = most recent; values are *entry
+	idx      map[string]*list.Element
 }
 
 type entry struct {
@@ -52,8 +55,26 @@ func MemoryTier(capacity int) *MemTier {
 		if i < extra {
 			s.cap++
 		}
+		s.maxBytes = -1
 		s.lru = list.New()
 		s.idx = map[string]*list.Element{}
+	}
+	return m
+}
+
+// WithByteBudget bounds the key+value bytes the tier holds as well as its
+// entries: each shard evicts from its LRU tail while it holds more than
+// maxBytes/16 bytes, but always keeps the entry just stored, so an entry
+// larger than a shard's share is kept alone and the tier never holds more
+// than maxBytes plus one entry per shard. maxBytes <= 0 leaves the tier
+// bounded by entries only. Call it before the tier is in use; it returns m.
+func (m *MemTier) WithByteBudget(maxBytes int64) *MemTier {
+	per := int64(-1)
+	if maxBytes > 0 {
+		per = maxBytes / nShards
+	}
+	for i := range m.shards {
+		m.shards[i].maxBytes = per
 	}
 	return m
 }
@@ -109,27 +130,28 @@ func (m *MemTier) Peek(key string) ([]byte, bool) {
 }
 
 // Put implements Tier: insert (or refresh) a key, evicting from the tail of
-// the key's shard when over capacity.
+// the key's shard while it is over its entry or byte share.
 func (m *MemTier) Put(key string, val []byte) {
 	s := m.shardFor(key)
 	s.mu.Lock()
 	if el, ok := s.idx[key]; ok {
 		old := el.Value.(*entry)
-		m.bytes.Add(int64(len(val) - len(old.val)))
+		s.bytes += int64(len(val) - len(old.val))
 		old.val = val
 		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		return
+	} else {
+		s.idx[key] = s.lru.PushFront(&entry{key: key, val: val})
+		s.bytes += int64(len(key) + len(val))
 	}
-	s.idx[key] = s.lru.PushFront(&entry{key: key, val: val})
-	m.bytes.Add(int64(len(key) + len(val)))
 	var evicted int64
-	for s.lru.Len() > s.cap {
+	// The byte rule stops at one entry: the front, just stored, is never
+	// its own victim.
+	for s.lru.Len() > s.cap || (s.maxBytes >= 0 && s.bytes > s.maxBytes && s.lru.Len() > 1) {
 		el := s.lru.Back()
 		e := el.Value.(*entry)
 		s.lru.Remove(el)
 		delete(s.idx, e.key)
-		m.bytes.Add(-int64(len(e.key) + len(e.val)))
+		s.bytes -= int64(len(e.key) + len(e.val))
 		evicted++
 	}
 	s.mu.Unlock()
@@ -157,25 +179,33 @@ func (m *MemTier) Keys() []string {
 
 // Len returns the number of cached entries.
 func (m *MemTier) Len() int {
-	n := 0
+	n, _ := m.occupancy()
+	return n
+}
+
+// occupancy sums the shards' entries and key+value bytes, one shard lock
+// at a time.
+func (m *MemTier) occupancy() (entries int, bytes int64) {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
-		n += s.lru.Len()
+		entries += s.lru.Len()
+		bytes += s.bytes
 		s.mu.Unlock()
 	}
-	return n
+	return entries, bytes
 }
 
 // Stats implements Tier. Bytes counts key and value bytes per entry, so it
 // is comparable to a disk tier's per-entry-file accounting.
 func (m *MemTier) Stats() TierStats {
+	entries, bytes := m.occupancy()
 	return TierStats{
 		Name:      "memory",
 		Hits:      m.hits.Load(),
 		Misses:    m.misses.Load(),
 		Evictions: m.evictions.Load(),
-		Entries:   m.Len(),
-		Bytes:     m.bytes.Load(),
+		Entries:   entries,
+		Bytes:     bytes,
 	}
 }

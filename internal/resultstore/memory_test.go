@@ -159,3 +159,76 @@ func TestPutRefreshSameKey(t *testing.T) {
 		t.Errorf("stats after refresh = %+v", st)
 	}
 }
+
+func TestMemoryTierByteBound(t *testing.T) {
+	// 100 bytes per shard, entries unbounded in practice.
+	c := MemoryTier(1 << 16).WithByteBudget(100 * nShards)
+	k := shardKeys(c, 4)
+	put := func(key string, n int) { c.Put(key, make([]byte, n-len(key))) } // key+value = n
+
+	put(k[0], 40)
+	put(k[1], 40)
+	if _, ok := c.Get(k[0]); !ok { // k1 becomes least recent
+		t.Fatal("k0 missing before eviction")
+	}
+	put(k[2], 40) // 120 bytes: over the shard's 100
+	if _, ok := c.Peek(k[1]); ok {
+		t.Error("least-recently-used key survived the byte bound")
+	}
+	for _, want := range []string{k[0], k[2]} {
+		if _, ok := c.Peek(want); !ok {
+			t.Errorf("recently-used key %s evicted", want)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 || st.Bytes != 80 {
+		t.Errorf("after one byte eviction: %+v, want 1 eviction, 2 entries, 80 bytes", st)
+	}
+
+	// An entry over the shard's share evicts everything else and stays.
+	put(k[3], 300)
+	if _, ok := c.Peek(k[3]); !ok {
+		t.Error("an entry larger than its shard's budget was not kept")
+	}
+	if st := c.Stats(); st.Evictions != 3 || st.Entries != 1 || st.Bytes != 300 {
+		t.Errorf("after an oversized entry: %+v, want 3 evictions, 1 entry, 300 bytes", st)
+	}
+
+	// Mixed sizes over every shard: occupancy stays within the budget plus
+	// one entry per shard, the accounting matches what is stored, and two
+	// tiers fed the same keys keep the same keys.
+	const budget, maxEntry = 4096, 700
+	run := func() []string {
+		c := MemoryTier(1 << 16).WithByteBudget(budget)
+		for i := 0; i < 2000; i++ {
+			key := fmt.Sprintf("%064x", i*7919)
+			c.Put(key, make([]byte, (i*131)%(maxEntry-len(key))))
+			c.Get(fmt.Sprintf("%064x", (i/2)*7919))
+			if b := c.Stats().Bytes; b > budget+nShards*maxEntry {
+				t.Fatalf("put %d: %d bytes held, bound %d", i, b, budget+nShards*maxEntry)
+			}
+		}
+		st := c.Stats()
+		if want := storedBytes(c); st.Bytes != want {
+			t.Errorf("Stats().Bytes = %d, actual stored key+value bytes = %d", st.Bytes, want)
+		}
+		if int(st.Evictions)+st.Entries != 2000 {
+			t.Errorf("evictions(%d) + entries(%d) != inserts(2000)", st.Evictions, st.Entries)
+		}
+		keys := c.Keys()
+		slices.Sort(keys)
+		return keys
+	}
+	a, b := run(), run()
+	if len(a) == 0 || !slices.Equal(a, b) {
+		t.Fatalf("same sequence left different key sets:\n%v\n%v", a, b)
+	}
+
+	// A non-positive budget leaves the tier bounded by entries only.
+	u := MemoryTier(1 << 16).WithByteBudget(0)
+	for i := 0; i < 64; i++ {
+		u.Put(fmt.Sprintf("k%d", i), make([]byte, 1<<10))
+	}
+	if st := u.Stats(); st.Evictions != 0 || st.Entries != 64 {
+		t.Errorf("budget 0: %+v, want 64 entries and no eviction", st)
+	}
+}

@@ -45,17 +45,25 @@ import (
 // the server uses it as-is and every Cache* / Peers convenience field must
 // be left zero (New rejects the conflict: the injected store would silently
 // shadow them). Otherwise the convenience fields build the default chain:
-// memory (CacheEntries) → disk (CacheDir, CacheDiskBytes, CacheCompress) →
-// peer replicas (Peers), each tier present only when configured.
+// memory (CacheEntries, CacheBytes) → disk (CacheDir, CacheDiskBytes,
+// CacheCompress) → peer replicas (Peers), each tier present only when
+// configured.
 type Options struct {
 	// Store, when non-nil, is the result store the server uses verbatim —
 	// the dependency-inversion seam for tests and custom tier chains.
-	// Conflicts with CacheEntries, CacheDir, CacheDiskBytes, CacheCompress
-	// and Peers.
+	// Conflicts with CacheEntries, CacheBytes, CacheDir, CacheDiskBytes,
+	// CacheCompress and Peers.
 	Store resultstore.Store
-	// CacheEntries bounds the memory tier of the result store (default 4096
-	// entries).
+	// CacheEntries bounds the memory tier of the result store by entries
+	// (default 4096). CacheBytes bounds it as well.
 	CacheEntries int
+	// CacheBytes bounds the memory tier's key+value bytes: each of its 16
+	// shards evicts least-recently-used entries past 1/16 of it, keeping
+	// only its newest entry when that alone is larger. Result bodies run
+	// from about 5 KB at 32x32 to about 80 KB at 128x128, so an entry
+	// count alone bounds no memory. 0 means DefaultCacheBytes; negative
+	// means entries only.
+	CacheBytes int64
 	// CacheDir, when non-empty, adds a persistent disk tier under that
 	// directory: results survive restarts (a warm replica replays a
 	// completed sweep with zero simulations) and disk hits are promoted
@@ -113,7 +121,9 @@ type Options struct {
 	// (default 256).
 	QueueDepth int
 	// Workers is the number of jobs running concurrently (default
-	// max(1, GOMAXPROCS/2) — each job itself fans out on the sim engine).
+	// GOMAXPROCS). A job fans out on the sim engine too, but one scheme's
+	// placement dominates a compare, so a single job leaves cores idle;
+	// one job per CPU keeps them busy.
 	Workers int
 	// JobTimeout bounds each job's run; 0 means 15m, negative means none.
 	JobTimeout time.Duration
@@ -134,9 +144,16 @@ type Options struct {
 // an explicit size: 1 GiB, roomy for hundreds of thousands of cells.
 const DefaultCacheDiskBytes = 1 << 30
 
+// DefaultCacheBytes is the memory tier's byte budget when CacheBytes is
+// unset: 32 MiB, about 400 cells at 128x128 or 6,000 at 32x32.
+const DefaultCacheBytes = 32 << 20
+
 func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 4096
+	}
+	if o.CacheBytes == 0 {
+		o.CacheBytes = DefaultCacheBytes
 	}
 	if o.CacheDiskBytes == 0 {
 		o.CacheDiskBytes = DefaultCacheDiskBytes
@@ -145,10 +162,7 @@ func (o Options) withDefaults() Options {
 		o.QueueDepth = 256
 	}
 	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0) / 2
-		if o.Workers < 1 {
-			o.Workers = 1
-		}
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.JobTimeout == 0 {
 		o.JobTimeout = 15 * time.Minute
@@ -191,9 +205,9 @@ type Server struct {
 // fails on conflicting settings or an unopenable cache directory.
 func New(opts Options) (*Server, error) {
 	if opts.Store != nil {
-		if opts.CacheEntries != 0 || opts.CacheDir != "" || opts.CacheDiskBytes != 0 ||
+		if opts.CacheEntries != 0 || opts.CacheBytes != 0 || opts.CacheDir != "" || opts.CacheDiskBytes != 0 ||
 			opts.CacheCompress || len(opts.Peers) > 0 || opts.Advertise != "" || opts.Join != "" {
-			return nil, fmt.Errorf("server: Options.Store conflicts with CacheEntries/CacheDir/CacheDiskBytes/CacheCompress/Peers/Advertise/Join — configure tiers on the injected store instead")
+			return nil, fmt.Errorf("server: Options.Store conflicts with CacheEntries/CacheBytes/CacheDir/CacheDiskBytes/CacheCompress/Peers/Advertise/Join — configure tiers on the injected store instead")
 		}
 	}
 	if opts.CacheDir == "" {
@@ -232,7 +246,7 @@ func New(opts Options) (*Server, error) {
 	store := opts.Store
 	var fl *fleet.Fleet
 	if store == nil {
-		tiers := []resultstore.Tier{resultstore.MemoryTier(opts.CacheEntries)}
+		tiers := []resultstore.Tier{resultstore.MemoryTier(opts.CacheEntries).WithByteBudget(opts.CacheBytes)}
 		if opts.CacheDir != "" {
 			var (
 				disk resultstore.Tier
@@ -461,7 +475,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			// status-code switch below can classify it.
 			return nil, fmt.Errorf("compare job %s: %w", job.ID, jerr)
 		}
-		return job.resultBytes(), nil
+		return job.takeResult(), nil
 	})
 	switch {
 	case errors.Is(err, errQueueFull), errors.Is(err, errClosed):
@@ -592,7 +606,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		// Client gone: stop pinning this handler goroutine. The job runs on
 		// — every cell it finishes lands in the shared cache, so a retry of
-		// the same sweep picks up where this one got to.
+		// the same sweep picks up where this one got to — but with no reader
+		// its record keeps no response.
+		job.abandon()
 		return
 	}
 	if jerr := job.terminalErr(); jerr != nil {
@@ -609,7 +625,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// X-Cells-Cached reports how much of the grid the store already held;
 	// X-Cache is "hit" only when no cell needed work.
 	w.Header().Set("X-Cells-Cached", fmt.Sprintf("%d/%d", cachedCells, len(cells)))
-	writeCompare(w, hash, cachedCells == len(cells), job.resultBytes())
+	writeCompare(w, hash, cachedCells == len(cells), job.takeResult())
 }
 
 // experimentResponse is the cached /v1/experiment result body (embedded in
@@ -883,6 +899,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	line("cdcs_queue_depth", st.QueueDepth)
 	line("cdcs_jobs_total", st.JobsTotal)
 	line("cdcs_jobs_running", st.JobsRunning)
+	line("cdcs_jobs_workers", s.opts.Workers)
 	line("cdcs_simulations_total", st.Simulations)
 	line("cdcs_uptime_seconds", fmt.Sprintf("%.3f", st.UptimeSec))
 	_, _ = w.Write([]byte(b.String()))

@@ -234,6 +234,7 @@ func TestStoreInjection(t *testing.T) {
 
 	for _, bad := range []Options{
 		{Store: store, CacheEntries: 16},
+		{Store: store, CacheBytes: 1 << 20},
 		{Store: store, CacheDir: t.TempDir()},
 		{Store: store, Peers: []string{"http://x:1"}},
 		{CacheCompress: true},     // requires CacheDir

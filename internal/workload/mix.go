@@ -100,6 +100,36 @@ type Mix struct {
 	VCs     []VC
 
 	counts map[string]int // instances per bench name, for naming
+	// ids and rates are the unused capacity of the flat arrays the Add
+	// methods carve their id and rate lists from (length 0).
+	ids   []int
+	rates []float64
+}
+
+// minCarve is the smallest flat array carve starts, so a mix built app by
+// app without reserve allocates its lists in batches.
+const minCarve = 64
+
+// carve returns n elements from the spare capacity of *buf, starting a new
+// array when it has too little. The result's capacity is n, so an append to
+// it copies rather than writing into a neighbour's list.
+func carve[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, 0, max(n, minCarve))
+	}
+	out := (*buf)[:n:n]
+	*buf = (*buf)[n:n]
+	return out
+}
+
+// reserve sizes the mix for procs more processes, threads threads and vcs
+// VCs, with ids and rates list entries, so it is built without regrowing.
+func (m *Mix) reserve(procs, threads, vcs, ids, rates int) {
+	m.Procs = slices.Grow(m.Procs, procs)
+	m.Threads = slices.Grow(m.Threads, threads)
+	m.VCs = slices.Grow(m.VCs, vcs)
+	m.ids = slices.Grow(m.ids, ids)
+	m.rates = slices.Grow(m.rates, rates)
 }
 
 // NewMix returns an empty mix.
@@ -115,13 +145,16 @@ func (m *Mix) instanceName(bench string) string {
 
 // AddST appends a single-threaded app instance: one thread, one private VC.
 // The thread and its VC are each other's only neighbour, so the two edge
-// lists share one rate slice, and the process reuses the id slices.
+// lists share one rate slice, and the process reuses the id slices; all
+// three are carved from the mix's flat arrays.
 func (m *Mix) AddST(p *Profile) *Mix {
 	name := m.instanceName(p.Name)
 	proc := len(m.Procs)
-	tids := []int{len(m.Threads)}
-	vids := []int{len(m.VCs)}
-	rates := []float64{p.APKI}
+	ids := carve(&m.ids, 2)
+	ids[0], ids[1] = len(m.Threads), len(m.VCs)
+	tids, vids := ids[0:1:1], ids[1:2:2]
+	rates := carve(&m.rates, 1)
+	rates[0] = p.APKI
 
 	m.VCs = append(m.VCs, VC{
 		ID: vids[0], Proc: proc, Kind: ThreadPrivate,
@@ -149,18 +182,21 @@ func (m *Mix) AddMT(p *MTProfile) *Mix {
 	proc := len(m.Procs)
 	n := p.Threads
 	shID := len(m.VCs)
+	// Every list is carved from the mix's flat arrays: the process's thread
+	// and VC ids, thread i's VC pair, and private VC i's accessor (a window
+	// of the thread ids).
+	ids := carve(&m.ids, 4*n+1)
 	procRec := Process{
 		Name: name, Bench: p.Name, Multithreaded: true,
-		ThreadIDs: make([]int, n), VCIDs: make([]int, n+1),
+		ThreadIDs: ids[:n:n], VCIDs: ids[n : 2*n+1 : 2*n+1],
 	}
+	thVCs := ids[2*n+1:]
 	procRec.VCIDs[0] = shID
 	// Every thread's list holds the same two rates, [shared, private], and
 	// every private VC's the private one, so they all share one rate pair.
-	// Thread i's VC pair and private VC i's accessor are carved out of flat
-	// arrays.
-	rates := []float64{p.APKI * p.SharedFrac, p.APKI * (1 - p.SharedFrac)}
-	shRates := make([]float64, n)
-	thVCs := make([]int, 2*n)
+	fl := carve(&m.rates, n+2)
+	rates, shRates := fl[:2:2], fl[2:]
+	rates[0], rates[1] = p.APKI*p.SharedFrac, p.APKI*(1-p.SharedFrac)
 	m.VCs = append(m.VCs, VC{
 		ID: shID, Proc: proc, Kind: ProcessShared,
 		MissRatio: p.SharedRatio,
@@ -251,9 +287,11 @@ func (m *Mix) Validate() error {
 }
 
 // RandomST builds a mix of n single-threaded apps drawn uniformly (with
-// replacement) from profiles, using rng for reproducibility.
+// replacement) from profiles, using rng for reproducibility. The mix is
+// sized for n apps up front.
 func RandomST(rng *rand.Rand, profiles []*Profile, n int) *Mix {
-	m := NewMix()
+	m := &Mix{counts: make(map[string]int, len(profiles))}
+	m.reserve(n, n, n, 2*n, n)
 	for i := 0; i < n; i++ {
 		m.AddST(profiles[rng.Intn(len(profiles))])
 	}
@@ -261,11 +299,19 @@ func RandomST(rng *rand.Rand, profiles []*Profile, n int) *Mix {
 }
 
 // RandomMT builds a mix of n multithreaded apps drawn uniformly (with
-// replacement) from profiles.
+// replacement) from profiles. The apps are drawn first, so the mix is sized
+// for their threads up front.
 func RandomMT(rng *rand.Rand, profiles []*MTProfile, n int) *Mix {
-	m := NewMix()
-	for i := 0; i < n; i++ {
-		m.AddMT(profiles[rng.Intn(len(profiles))])
+	picks := make([]*MTProfile, n)
+	threads := 0
+	for i := range picks {
+		picks[i] = profiles[rng.Intn(len(profiles))]
+		threads += picks[i].Threads
+	}
+	m := &Mix{counts: make(map[string]int, len(profiles))}
+	m.reserve(n, threads, threads+n, 4*threads+n, threads+2*n)
+	for _, p := range picks {
+		m.AddMT(p)
 	}
 	return m
 }

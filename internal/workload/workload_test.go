@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -242,4 +243,63 @@ func within(a, b, eps float64) bool {
 		d = -d
 	}
 	return d <= eps
+}
+
+// The presized random mixes must equal mixes built app by app from NewMix
+// on the same rng: presizing changes where the lists live, not what they
+// hold.
+func TestRandomMixMatchesRepeatedAdd(t *testing.T) {
+	cpu, omp := SPECCPU(), SPECOMP()
+	for _, n := range []int{0, 1, 7, 64, 1024} {
+		got := RandomST(rand.New(rand.NewSource(int64(n))), cpu, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		want := NewMix()
+		for i := 0; i < n; i++ {
+			want.AddST(cpu[rng.Intn(len(cpu))])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("RandomST n=%d differs from %d AddST calls", n, n)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("RandomST n=%d: %v", n, err)
+		}
+	}
+	for _, n := range []int{0, 1, 5, 32} {
+		got := RandomMT(rand.New(rand.NewSource(int64(n))), omp, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		want := NewMix()
+		for i := 0; i < n; i++ {
+			want.AddMT(omp[rng.Intn(len(omp))])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("RandomMT n=%d differs from %d AddMT calls", n, n)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("RandomMT n=%d: %v", n, err)
+		}
+	}
+	// Mixing both kinds app by app carves lists across array boundaries.
+	m := NewMix()
+	for i := 0; i < 40; i++ {
+		m.AddST(cpu[i%len(cpu)])
+		m.AddMT(omp[i%len(omp)])
+	}
+	if err := m.Validate(); err != nil {
+		t.Errorf("interleaved AddST/AddMT: %v", err)
+	}
+}
+
+// A 1,024-app random mix allocates one name per app and a handful of
+// arrays; before presizing it made about 4,100 allocations (three lists
+// per app, plus regrowth).
+func TestRandomSTAllocs(t *testing.T) {
+	cpu := SPECCPU()
+	rng := rand.New(rand.NewSource(1))
+	allocs := testing.AllocsPerRun(20, func() {
+		rng.Seed(1)
+		RandomST(rng, cpu, 1024)
+	})
+	if allocs > 1100 {
+		t.Errorf("RandomST(1024) made %.0f allocations, want at most 1100", allocs)
+	}
 }
