@@ -78,7 +78,7 @@ func run() int {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
 		cache     = flag.Int("cache", 4096, "memory-tier result cache capacity in entries (-cache-bytes bounds it as well)")
-		memBytes  = flag.Int64("cache-bytes", server.DefaultCacheBytes, "memory-tier size cap in key+value bytes, LRU-evicted past it; each of 16 shards holds 1/16 of it but keeps its newest entry (<0 = entries only)")
+		memBytes  = flag.Int64("cache-bytes", server.DefaultCacheBytes, "memory-tier size cap in key+value bytes, LRU-evicted past it; each of 16 shards holds 1/16 of it but keeps its newest entry (<=0 = default)")
 		cacheDir  = flag.String("cache-dir", "", "directory for the persistent disk cache tier (empty = memory only)")
 		diskBytes = flag.Int64("cache-disk-bytes", server.DefaultCacheDiskBytes, "disk-tier size cap in bytes, LRU-evicted past it (requires -cache-dir; <0 = uncapped)")
 		compress  = flag.Bool("cache-compress", false, "store the disk tier chunked: content-defined chunks, SHA-256 dedup, DEFLATE compression (requires -cache-dir)")

@@ -48,7 +48,6 @@ type Job struct {
 	status          string
 	err             error
 	result          []byte
-	abandoned       bool // no reader will take the result: finish drops it
 	cached          bool
 	progressDone    int
 	progressTotal   int
@@ -109,10 +108,7 @@ func (j *Job) finish(result []byte, err error) {
 	j.cancel = nil
 	switch {
 	case err == nil:
-		j.status = StatusDone
-		if !j.abandoned {
-			j.result = result
-		}
+		j.status, j.result = StatusDone, result
 	case errors.Is(err, errCanceled) || (j.cancelRequested && errors.Is(err, context.Canceled)):
 		j.status, j.err = StatusCanceled, errCanceled
 	default:
@@ -121,25 +117,11 @@ func (j *Job) finish(result []byte, err error) {
 	close(j.Done)
 }
 
-// takeResult returns the serialized result of a finished job and drops it
-// from the record. Synchronous jobs (compare, sweep) have one reader, their
-// handler, so once it has the bytes the registry need not pin them; only
-// experiment jobs, which GET /v1/jobs/{id} serves, keep theirs.
-func (j *Job) takeResult() []byte {
+// resultBytes returns the serialized result of a finished job.
+func (j *Job) resultBytes() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	r := j.result
-	j.result = nil
-	return r
-}
-
-// abandon marks a synchronous job whose handler has gone without reading
-// its result: the record keeps no bytes, now or when the job finishes.
-func (j *Job) abandon() {
-	j.mu.Lock()
-	j.abandoned = true
-	j.result = nil
-	j.mu.Unlock()
+	return j.result
 }
 
 // terminalErr returns the error a finished job ended with (nil if done).
@@ -217,8 +199,7 @@ type manager struct {
 // maxRetainedJobs bounds the job registry: once exceeded, the oldest
 // *terminal* jobs (and their result bytes) are dropped so sustained traffic
 // cannot grow the map without bound. Live (queued/running) jobs are never
-// evicted; result bytes themselves live on in the LRU result cache. Only
-// experiment records hold result bytes: synchronous handlers take theirs.
+// evicted; result bytes themselves live on in the LRU result cache.
 const maxRetainedJobs = 1024
 
 // newManager starts workers goroutines draining a queue of the given depth.

@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -197,76 +195,5 @@ func TestDefaultWorkersRunOneJobPerCPU(t *testing.T) {
 	}
 	if w := do(h, "GET", "/metrics", ""); !strings.Contains(w.Body.String(), "\ncdcs_jobs_workers 2\n") {
 		t.Errorf("/metrics does not report cdcs_jobs_workers 2:\n%s", w.Body)
-	}
-}
-
-// retainedResults sums the result bytes the job registry holds, by kind.
-func retainedResults(s *Server) map[string]int {
-	out := map[string]int{}
-	s.jobs.mu.Lock()
-	defer s.jobs.mu.Unlock()
-	for _, j := range s.jobs.jobs {
-		j.mu.Lock()
-		out[j.Kind] += len(j.result)
-		j.mu.Unlock()
-	}
-	return out
-}
-
-func TestSyncJobsKeepNoResultBytes(t *testing.T) {
-	s, h := testServer(t, Options{Workers: 1})
-	if w := do(h, "POST", "/v1/compare", smallCompare); w.Code != 200 {
-		t.Fatalf("compare: %d %s", w.Code, w.Body)
-	}
-	if w := do(h, "POST", "/v1/sweep", smallSweep); w.Code != 200 {
-		t.Fatalf("sweep: %d %s", w.Code, w.Body)
-	}
-	if got := retainedResults(s); got["compare"] != 0 || got["sweep"] != 0 {
-		t.Errorf("after compare and sweep returned, the registry holds %v result bytes by kind, want none", got)
-	}
-
-	// A sweep whose client left while it was queued has no reader either.
-	started := make(chan struct{})
-	blocker, err := s.jobs.submit("block", "h", blockingJob(started))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	gone := `{"mesh": [{"width": 4, "height": 4}], "hop_latency": [3],
-		"mixes": [{"kind": "random", "seed": 12, "n": 6}], "schemes": ["S-NUCA"], "seed": 1}`
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(gone)).WithContext(ctx))
-	var sweep *Job // the one queued behind the blocker
-	s.jobs.mu.Lock()
-	for _, j := range s.jobs.jobs {
-		if j.Kind == "sweep" && j.view(false).Status == StatusQueued {
-			sweep = j
-		}
-	}
-	s.jobs.mu.Unlock()
-	if sweep == nil {
-		t.Fatal("the abandoned sweep was not queued")
-	}
-	s.jobs.cancelJob(blocker)
-	<-sweep.Done
-	if v := sweep.view(true); v.Status != StatusDone {
-		t.Fatalf("abandoned sweep ended %s: %s", v.Status, v.Error)
-	}
-	if got := retainedResults(s); got["sweep"] != 0 {
-		t.Errorf("a sweep whose client left keeps %d result bytes", got["sweep"])
-	}
-
-	// Experiment jobs keep theirs: GET /v1/jobs/{id} serves them.
-	w := do(h, "POST", "/v1/experiment", `{"id": "fig2", "quick": true}`)
-	if w.Code != 202 {
-		t.Fatalf("experiment: %d %s", w.Code, w.Body)
-	}
-	var v View
-	if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
-		t.Fatal(err)
-	}
-	if final := waitJob(t, h, v.ID, 30*time.Second); final.Status != StatusDone || len(final.Result) == 0 {
-		t.Errorf("experiment job %s: status %s, %d result bytes; want done with its result", v.ID, final.Status, len(final.Result))
 	}
 }

@@ -61,8 +61,7 @@ type Options struct {
 	// shards evicts least-recently-used entries past 1/16 of it, keeping
 	// only its newest entry when that alone is larger. Result bodies run
 	// from about 5 KB at 32x32 to about 80 KB at 128x128, so an entry
-	// count alone bounds no memory. 0 means DefaultCacheBytes; negative
-	// means entries only.
+	// count alone bounds no memory. 0 or negative means DefaultCacheBytes.
 	CacheBytes int64
 	// CacheDir, when non-empty, adds a persistent disk tier under that
 	// directory: results survive restarts (a warm replica replays a
@@ -123,7 +122,9 @@ type Options struct {
 	// Workers is the number of jobs running concurrently (default
 	// GOMAXPROCS). A job fans out on the sim engine too, but one scheme's
 	// placement dominates a compare, so a single job leaves cores idle;
-	// one job per CPU keeps them busy.
+	// one job per CPU keeps them busy. The default was measured on a
+	// 2-vCPU host only; with more CPUs, more cold jobs and their arenas
+	// are live at once, so size Workers and CacheBytes together there.
 	Workers int
 	// JobTimeout bounds each job's run; 0 means 15m, negative means none.
 	JobTimeout time.Duration
@@ -145,14 +146,14 @@ type Options struct {
 const DefaultCacheDiskBytes = 1 << 30
 
 // DefaultCacheBytes is the memory tier's byte budget when CacheBytes is
-// unset: 32 MiB, about 400 cells at 128x128 or 6,000 at 32x32.
+// zero or negative: 32 MiB, about 400 cells at 128x128 or 6,000 at 32x32.
 const DefaultCacheBytes = 32 << 20
 
 func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 4096
 	}
-	if o.CacheBytes == 0 {
+	if o.CacheBytes <= 0 {
 		o.CacheBytes = DefaultCacheBytes
 	}
 	if o.CacheDiskBytes == 0 {
@@ -475,7 +476,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			// status-code switch below can classify it.
 			return nil, fmt.Errorf("compare job %s: %w", job.ID, jerr)
 		}
-		return job.takeResult(), nil
+		return job.resultBytes(), nil
 	})
 	switch {
 	case errors.Is(err, errQueueFull), errors.Is(err, errClosed):
@@ -606,9 +607,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		// Client gone: stop pinning this handler goroutine. The job runs on
 		// — every cell it finishes lands in the shared cache, so a retry of
-		// the same sweep picks up where this one got to — but with no reader
-		// its record keeps no response.
-		job.abandon()
+		// the same sweep picks up where this one got to.
 		return
 	}
 	if jerr := job.terminalErr(); jerr != nil {
@@ -625,7 +624,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// X-Cells-Cached reports how much of the grid the store already held;
 	// X-Cache is "hit" only when no cell needed work.
 	w.Header().Set("X-Cells-Cached", fmt.Sprintf("%d/%d", cachedCells, len(cells)))
-	writeCompare(w, hash, cachedCells == len(cells), job.takeResult())
+	writeCompare(w, hash, cachedCells == len(cells), job.resultBytes())
 }
 
 // experimentResponse is the cached /v1/experiment result body (embedded in

@@ -106,16 +106,12 @@ type Mix struct {
 	rates []float64
 }
 
-// minCarve is the smallest flat array carve starts, so a mix built app by
-// app without reserve allocates its lists in batches.
-const minCarve = 64
-
-// carve returns n elements from the spare capacity of *buf, starting a new
-// array when it has too little. The result's capacity is n, so an append to
-// it copies rather than writing into a neighbour's list.
+// carve returns n elements from the spare capacity of *buf, allocating
+// exactly n when it has too little. The result's capacity is n, so an
+// append to it copies rather than writing into a neighbour's list.
 func carve[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]T, 0, max(n, minCarve))
+		*buf = make([]T, 0, n)
 	}
 	out := (*buf)[:n:n]
 	*buf = (*buf)[n:n]
@@ -290,7 +286,7 @@ func (m *Mix) Validate() error {
 // replacement) from profiles, using rng for reproducibility. The mix is
 // sized for n apps up front.
 func RandomST(rng *rand.Rand, profiles []*Profile, n int) *Mix {
-	m := &Mix{counts: make(map[string]int, len(profiles))}
+	m := NewMix()
 	m.reserve(n, n, n, 2*n, n)
 	for i := 0; i < n; i++ {
 		m.AddST(profiles[rng.Intn(len(profiles))])
@@ -308,7 +304,7 @@ func RandomMT(rng *rand.Rand, profiles []*MTProfile, n int) *Mix {
 		picks[i] = profiles[rng.Intn(len(profiles))]
 		threads += picks[i].Threads
 	}
-	m := &Mix{counts: make(map[string]int, len(profiles))}
+	m := NewMix()
 	m.reserve(n, threads, threads+n, 4*threads+n, threads+2*n)
 	for _, p := range picks {
 		m.AddMT(p)
