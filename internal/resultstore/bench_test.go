@@ -21,8 +21,9 @@ import (
 // do, into a store that already holds their neighbors: each new cell
 // shares the body but carries its own header and one changed field in the
 // middle, so a few of its chunks are new. It reports the chunk work that
-// costs, compressed/op and chunkwrites/op, next to chunks/op, the chunks
-// the op's payloads hold; set-up work is not counted.
+// costs, compressed/op and chunkwrites/op, and the files the op's Puts
+// created, files/op, next to chunks/op, the chunks the op's payloads hold;
+// set-up work is not counted.
 func BenchmarkStoreWriteRead(b *testing.B) {
 	const n, size = 16, 8 << 10
 	vals := corpus(n, size)
@@ -72,7 +73,7 @@ func BenchmarkStoreWriteRead(b *testing.B) {
 		for j, v := range vals {
 			d.Put(fixedKey(0, j), v)
 		}
-		compressed0, written0 := d.Work()
+		compressed0, written0, files0 := d.Work()
 		bufs := make([][]byte, n) // one reused payload buffer per cell slot
 		cell := func(i, j int) []byte {
 			v := fmt.Appendf(bufs[j][:0], "cell-%08d:", i*n+j)
@@ -82,7 +83,7 @@ func BenchmarkStoreWriteRead(b *testing.B) {
 			return v
 		}
 		run(b, d, func(i, j int) string { return fmt.Sprintf("fresh-%d-%d", i, j) }, cell)
-		compressed, written := d.Work()
+		compressed, written, files := d.Work()
 		chunks := 0
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
@@ -91,6 +92,7 @@ func BenchmarkStoreWriteRead(b *testing.B) {
 		}
 		b.ReportMetric(float64(compressed-compressed0)/float64(b.N), "compressed/op")
 		b.ReportMetric(float64(written-written0)/float64(b.N), "chunkwrites/op")
+		b.ReportMetric(float64(files-files0)/float64(b.N), "files/op")
 		b.ReportMetric(float64(chunks)/float64(b.N), "chunks/op")
 	})
 }
@@ -104,8 +106,9 @@ func BenchmarkStoreWriteRead(b *testing.B) {
 // filled after the pre-run GC, the timed run allocates no codec.
 func steadyCodecPools() (restore func()) {
 	prev := runtime.GOMAXPROCS(1)
-	comp := compressChunk(new(bytes.Buffer), []byte("warm"))
-	if _, err := inflateChunk(make([]byte, chunkMax), bytes.NewReader(comp)); err != nil {
+	var comp bytes.Buffer
+	compressChunk(&comp, []byte("warm"))
+	if _, err := inflateChunk(make([]byte, chunkMax), bytes.NewReader(comp.Bytes())); err != nil {
 		panic(err)
 	}
 	return func() { runtime.GOMAXPROCS(prev) }

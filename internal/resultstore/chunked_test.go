@@ -127,22 +127,9 @@ func TestChunkedCorruptChunkMissAndRepair(t *testing.T) {
 		d.Put(fmt.Sprintf("k%d", i), v)
 	}
 
-	// Flip one byte in every chunk file: all entries become unservable.
-	damaged := 0
-	err := filepath.Walk(filepath.Join(dir, "c"), func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || !strings.HasSuffix(path, chunkSuffix) {
-			return err
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		raw[len(raw)/2] ^= 0x40
-		damaged++
-		return os.WriteFile(path, raw, 0o644)
-	})
-	if err != nil || damaged == 0 {
-		t.Fatalf("damaged %d chunks, err=%v", damaged, err)
+	// Flip one byte in every stored chunk: all entries become unservable.
+	if damaged := corruptChunks(t, dir); damaged == 0 {
+		t.Fatal("no chunk found to damage")
 	}
 
 	for i := range vals {
@@ -210,22 +197,20 @@ func TestChunkedTruncatedManifestDroppedAtOpen(t *testing.T) {
 }
 
 // TestChunkedMissingChunkIsMiss covers the other corruption shape: the
-// manifest is intact but a chunk file vanished underneath it.
+// manifest is intact but the file holding its chunks vanished underneath
+// it. "k" holds none of its chunks itself: "holder", stored first with the
+// same bytes, does.
 func TestChunkedMissingChunkIsMiss(t *testing.T) {
 	d := openChunked(t, t.TempDir(), 0)
 	val := randBytes(5, 30<<10)
+	d.Put("holder", val)
 	d.Put("k", val)
+	if compressed, _, _ := d.Work(); compressed != int64(len(splitChunks(val))) {
+		t.Fatalf("%d chunks compressed: the second Put did not reference the first's", compressed)
+	}
 
-	removed := 0
-	filepath.Walk(filepath.Join(d.dir, "c"), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && removed == 0 {
-			os.Remove(path)
-			removed++
-		}
-		return nil
-	})
-	if removed != 1 {
-		t.Fatal("no chunk file found to remove")
+	if err := os.Remove(d.path(manifestName("holder"))); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := d.Get("k"); ok {
 		t.Error("entry served with a chunk missing")
@@ -254,8 +239,9 @@ func TestChunkedEvictionRespectsSharedChunks(t *testing.T) {
 	// Reopen with a cap just below current occupancy. Evicting an entry
 	// only frees its manifest and its unshared chunks (here, the first
 	// chunk, which covers the per-entry header) — the shared body chunks
-	// stay as long as any survivor references them — so a near-full cap is
-	// satisfiable by dropping the oldest entry or two.
+	// stay as long as any survivor references them, in the oldest entry's
+	// file, which becomes a pack when that entry goes — so a near-full cap
+	// is satisfiable by dropping the oldest entries.
 	capBytes := full - 1000
 	d2 := openChunked(t, dir, capBytes)
 	st := d2.Stats()
@@ -356,19 +342,96 @@ func diskOccupancy(t *testing.T, dir string) int64 {
 	return n
 }
 
-// TestChunkedMissingSharedChunkIsRewritten: a chunk file that vanishes while
-// other entries still reference it must be dropped store-wide, so the next
-// Put of an entry that uses it writes it again. Keeping it in the refcount
-// map would make Put skip the write, and the rewritten entry would miss on
-// every Get. The entry that still references the old chunk record must not
-// release the rewritten one when it is dropped in turn.
+// corruptChunks flips one byte in the middle of every chunk a file under
+// dir holds, in entry files, packs and first-format chunk files alike, and
+// returns how many it damaged.
+func corruptChunks(t *testing.T, dir string) int {
+	t.Helper()
+	damaged := 0
+	for rel, raw := range readTree(t, dir) {
+		var spans [][2]int // each held chunk's offset and length
+		if strings.HasSuffix(rel, chunkSuffix) {
+			spans = append(spans, [2]int{0, len(raw)})
+		} else {
+			fr, body, err := decodeManifest(raw)
+			if err != nil {
+				t.Fatalf("%s: %v", rel, err)
+			}
+			off := len(raw) - len(body)
+			for _, c := range fr.chunks {
+				if !fr.legacy && c.clen > 0 {
+					spans = append(spans, [2]int{off, int(c.clen)})
+					off += int(c.clen)
+				}
+			}
+		}
+		for _, sp := range spans {
+			raw[sp[0]+sp[1]/2] ^= 0x40
+			damaged++
+		}
+		if err := os.WriteFile(filepath.Join(dir, rel), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return damaged
+}
+
+// checkChunkRecords checks the chunk index against the files: every record
+// is referenced and points at a file that holds its chunk at its offset,
+// every file's live count is the number of records pointing into it, and
+// every pack or chunk file under dir/c holds a live chunk.
+func checkChunkRecords(t *testing.T, d *ChunkedDisk) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	live := map[*hostFile]int{}
+	packs := map[string]bool{} // names of the packs and chunk files records point into
+	for sum, ci := range d.chunks {
+		if ci.sum != sum || ci.refs <= 0 || ci.file == nil || ci.file.name == "" {
+			t.Errorf("chunk %x: record %+v", sum[:4], ci)
+			continue
+		}
+		live[ci.file]++
+		if !ci.file.entry {
+			packs[ci.file.name] = true
+		}
+		raw, err := os.ReadFile(d.hostPath(ci.file.name, ci.file.entry))
+		if err != nil || int64(len(raw)) < ci.off+int64(ci.clen) {
+			t.Errorf("chunk %x: %s holds %d bytes, want %d at %d (%v)", sum[:4], ci.file.name, len(raw), ci.clen, ci.off, err)
+			continue
+		}
+		out := make([]byte, chunkMax)
+		n, err := inflateChunk(out, bytes.NewReader(raw[ci.off:ci.off+int64(ci.clen)]))
+		if err != nil || sha256.Sum256(out[:n]) != sum {
+			t.Errorf("chunk %x: %s does not hold it at %d (%v)", sum[:4], ci.file.name, ci.off, err)
+		}
+	}
+	for h, n := range live {
+		if h.live != n {
+			t.Errorf("%s: live count %d, %d records point into it", h.name, h.live, n)
+		}
+	}
+	for rel := range readTree(t, d.chunkRoot) {
+		if !packs[filepath.Base(rel)] {
+			t.Errorf("%s holds no live chunk", rel)
+		}
+	}
+}
+
+// TestChunkedMissingSharedChunkIsRewritten: chunks whose file vanishes
+// while other entries still reference them must be dropped store-wide, so
+// the next Put of an entry that uses them writes them again. Keeping them
+// in the refcount map would make Put skip the write, and the rewritten
+// entry would miss on every Get. The entry that still references the old
+// chunk records must not release the rewritten ones when it is dropped in
+// turn. k0's file holds the body chunks both entries share.
 func TestChunkedMissingSharedChunkIsRewritten(t *testing.T) {
 	d := openChunked(t, t.TempDir(), 0)
 	vals := corpus(2, 30<<10)
 	for i, v := range vals {
 		d.Put(fmt.Sprintf("k%d", i), v)
 	}
-	if err := os.RemoveAll(filepath.Join(d.dir, "c")); err != nil {
+	if err := os.Remove(d.path(manifestName("k0"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := d.Get("k0"); ok {
@@ -378,10 +441,10 @@ func TestChunkedMissingSharedChunkIsRewritten(t *testing.T) {
 	if got, ok := d.Get("k0"); !ok || !bytes.Equal(got, vals[0]) {
 		t.Fatalf("rewritten k0: ok=%v, errors=%d", ok, d.Stats().Errors)
 	}
-	// k1's own first chunk is still missing: it misses and is dropped,
-	// which must leave the chunks k0 shares with it in place.
+	// k1's body chunks are still missing: it misses and is dropped, which
+	// must leave the chunks k0 shares with it in place.
 	if _, ok := d.Get("k1"); ok {
-		t.Fatal("k1 served with its first chunk gone")
+		t.Fatal("k1 served with its body chunks gone")
 	}
 	if got, ok := d.Get("k0"); !ok || !bytes.Equal(got, vals[0]) {
 		t.Fatal("dropping k1 damaged the chunks rewritten for k0")
@@ -422,8 +485,9 @@ func TestChunkedForgedLengthDroppedAtOpen(t *testing.T) {
 // Puts cannot write their manifests (their shard directory is a file), so
 // they give back pins on chunks that concurrent Puts install: none of
 // those may go. Once the goroutines finish, the accounting must match the
-// files, no chunk file may lack a record, every indexed entry must read
-// back verified, and a reopen must find the same store and sweep nothing.
+// files, every chunk record must point at a file that holds its chunk, no
+// pack may be left holding nothing, every indexed entry must read back
+// verified, and a reopen must find the same store and sweep nothing.
 func TestChunkedConcurrentPutGetEvict(t *testing.T) {
 	for _, failing := range []bool{false, true} {
 		name := "clean"
@@ -516,16 +580,9 @@ func concurrentPutGetEvict(t *testing.T, failing bool) {
 	if on := diskOccupancy(t, dir); st.Bytes != on {
 		t.Errorf("Stats().Bytes = %d, on disk = %d", st.Bytes, on)
 	}
-	files := readTree(t, filepath.Join(dir, "c"))
-	for path, b := range files {
-		h := strings.TrimSuffix(filepath.Base(path), chunkSuffix)
-		if ci := d.chunks[h]; ci == nil || ci.refs <= 0 || ci.size != int64(len(b)) {
-			t.Errorf("chunk file %s: record %+v, file size %d", path, ci, len(b))
-		}
-	}
-	if len(files) != len(d.chunks) {
-		t.Errorf("%d chunk files, %d chunk records", len(files), len(d.chunks))
-	}
+	checkChunkRecords(t, d)
+	files := readTree(t, dir)
+	delete(files, filepath.Join("m", "ff")) // the file blocking shard ff, debris to Open
 	readAll := func(d *ChunkedDisk) {
 		t.Helper()
 		for _, k := range d.Keys() {
@@ -542,22 +599,24 @@ func concurrentPutGetEvict(t *testing.T, failing bool) {
 	if st2.Entries != st.Entries || st2.Bytes != st.Bytes || st2.LogicalBytes != st.LogicalBytes || st2.Errors != 0 {
 		t.Errorf("reopen found %+v, want the store left at %+v", st2, st)
 	}
-	if after := readTree(t, filepath.Join(dir, "c")); len(after) != len(files) {
-		t.Errorf("reopen swept %d orphan chunk files", len(files)-len(after))
+	if after := readTree(t, dir); len(after) != len(files) {
+		t.Errorf("reopen swept %d files", len(files)-len(after))
 	}
+	checkChunkRecords(t, d2)
 	readAll(d2)
 }
 
-// TestChunkedFailedPutKeepsInstalledChunks: a Put whose manifest cannot be
-// written gives back its pins. The chunks an installed entry references
-// stay; the chunk only the failed Put wrote goes, leaving no orphan.
+// TestChunkedFailedPutKeepsInstalledChunks: a Put whose entry file cannot
+// be written gives back its pins. The chunks an installed entry references
+// stay; the record of the chunk only the failed Put carried goes, and no
+// file is left behind.
 func TestChunkedFailedPutKeepsInstalledChunks(t *testing.T) {
 	dir := t.TempDir()
 	d := openChunked(t, dir, 0)
 	body := randBytes(21, 16<<10)
 	kept := append([]byte("cell-0001:"), body...)
 	d.Put("aa01", kept)
-	before := readTree(t, filepath.Join(dir, "c"))
+	before, files := len(d.chunks), readTree(t, dir)
 	if err := os.WriteFile(filepath.Join(dir, "m", "ff"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -566,13 +625,91 @@ func TestChunkedFailedPutKeepsInstalledChunks(t *testing.T) {
 	if got, ok := d.Get("aa01"); !ok || !bytes.Equal(got, kept) {
 		t.Fatal("the installed entry lost chunks to a failed Put")
 	}
-	if after := readTree(t, filepath.Join(dir, "c")); len(after) != len(before) {
-		t.Errorf("%d chunk files before the failed Put, %d after", len(before), len(after))
+	if len(d.chunks) != before {
+		t.Errorf("%d chunk records before the failed Put, %d after", before, len(d.chunks))
+	}
+	if after := readTree(t, dir); len(after) != len(files)+1 { // + the blocking file m/ff
+		t.Errorf("%d files before the failed Put, %d after", len(files), len(after))
 	}
 	if st := d.Stats(); st.Entries != 1 || st.Errors != 1 || st.Bytes != diskOccupancy(t, dir) {
 		t.Errorf("stats = %+v, on disk = %d", st, diskOccupancy(t, dir))
 	}
-	if compressed, written := d.Work(); compressed != int64(len(before))+1 || written != compressed {
-		t.Errorf("%d chunks compressed and %d written, want %d of each", compressed, written, len(before)+1)
+	compressed, written, created := d.Work()
+	if compressed != int64(before)+1 || written != int64(before) || created != 1 {
+		t.Errorf("%d chunks compressed, %d stored, %d files created; want %d, %d and 1", compressed, written, created, before+1, before)
+	}
+}
+
+// TestChunkedConcurrentReplace re-Puts every key with one of two values
+// that share a body, next to Gets, in a small-capped store: each Put
+// replaces the key's older entry, whose file becomes a pack whenever
+// another entry references its chunks, and a new file takes its name.
+// A read that raced such a rename is a plain miss, never damage: the run
+// must count no error. Every Get returns one of the two values or misses,
+// and the accounting must match the files, before and after a reopen.
+func TestChunkedConcurrentReplace(t *testing.T) {
+	const nKeys, rounds = 6, 150
+	body := randBytes(31, 12<<10)
+	keys := make([]string, nKeys)
+	vals := make([][2][]byte, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%02x%062x", 0x20+i, i)
+		for j := range vals[i] {
+			vals[i][j] = append(randBytes(int64(200+2*i+j), 700), body...)
+		}
+	}
+	dir := t.TempDir()
+	d := openChunked(t, dir, 40<<10)
+	isVal := func(i int, got []byte) bool { return bytes.Equal(got, vals[i][0]) || bytes.Equal(got, vals[i][1]) }
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(300 + g)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := rng.Intn(nKeys)
+				if got, ok := d.Get(keys[i]); ok && !isVal(i, got) {
+					t.Errorf("key %d: served bytes are neither value put", i)
+				}
+			}
+		}(g)
+	}
+	var puts sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		puts.Add(1)
+		go func(p int) {
+			defer puts.Done()
+			rng := rand.New(rand.NewSource(int64(400 + p)))
+			for r := 0; r < rounds; r++ {
+				i := rng.Intn(nKeys)
+				d.Put(keys[i], vals[i][rng.Intn(2)])
+			}
+		}(p)
+	}
+	puts.Wait()
+	close(done)
+	wg.Wait()
+	st := d.Stats()
+	if st.Errors != 0 || st.Bytes != diskOccupancy(t, dir) {
+		t.Errorf("stats %+v, on disk %d", st, diskOccupancy(t, dir))
+	}
+	checkChunkRecords(t, d)
+	d2 := openChunked(t, dir, 40<<10)
+	if st2 := d2.Stats(); st2.Entries != st.Entries || st2.Bytes != st.Bytes || st2.LogicalBytes != st.LogicalBytes || st2.Errors != 0 {
+		t.Errorf("reopen found %+v, want the store left at %+v", st2, st)
+	}
+	checkChunkRecords(t, d2)
+	for _, k := range d2.Keys() {
+		i := slices.Index(keys, k)
+		if got, ok := d2.Get(k); i < 0 || !ok || !isVal(i, got) {
+			t.Errorf("indexed entry %.8s does not read back: ok=%v", k, ok)
+		}
 	}
 }

@@ -120,11 +120,15 @@ var (
 		return zw
 	}}
 	flateReaders = sync.Pool{New: func() any {
-		r := &inflater{src: bufio.NewReaderSize(nil, 4096)}
+		r := &inflater{src: bufio.NewReaderSize(nil, inflateBuffer)}
 		r.zr = flate.NewReader(r.src)
 		return r
 	}}
 )
+
+// inflateBuffer sizes an inflater's source buffer to hold a whole
+// compressed chunk, so a chunk read from its file takes one read.
+const inflateBuffer = chunkMax + chunkMax/8
 
 // inflater is a pooled flate reader and the buffered source it reads from;
 // flate needs an io.ByteReader, or it wraps one of its own per stream.
@@ -133,17 +137,17 @@ type inflater struct {
 	zr  io.ReadCloser // implements flate.Resetter
 }
 
-// compressChunk DEFLATE-compresses chunk into buf, replacing its contents,
-// and returns buf's bytes, which stay valid until buf is next written. Put
-// calls it only for chunks the store does not hold yet.
-func compressChunk(buf *bytes.Buffer, chunk []byte) []byte {
-	buf.Reset()
+// compressChunk appends chunk, DEFLATE-compressed, to buf and returns the
+// compressed length. Put calls it only for chunks the store does not hold
+// yet.
+func compressChunk(buf *bytes.Buffer, chunk []byte) int {
+	n := buf.Len()
 	zw := flateWriters.Get().(*flate.Writer)
 	zw.Reset(buf)
 	_, _ = zw.Write(chunk) // bytes.Buffer writes cannot fail
 	_ = zw.Close()
 	flateWriters.Put(zw)
-	return buf.Bytes()
+	return buf.Len() - n
 }
 
 // inflateChunk inflates the compressed chunk read from src into dst and

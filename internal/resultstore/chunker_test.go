@@ -78,7 +78,11 @@ func chunkSums(data []byte) [][32]byte {
 }
 
 // compress is compressChunk into a buffer of its own.
-func compress(chunk []byte) []byte { return compressChunk(new(bytes.Buffer), chunk) }
+func compress(chunk []byte) []byte {
+	var buf bytes.Buffer
+	compressChunk(&buf, chunk)
+	return buf.Bytes()
+}
 
 // decompressChunk inflates comp into at most chunkMax bytes, as Peek does
 // for a chunk with a whole chunkMax of payload left.
@@ -179,7 +183,8 @@ func TestCompressChunkPooledMatchesFresh(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for k := range inputs {
 			i := (k + round) % len(inputs) // vary what the writer held before
-			if got := compressChunk(&buf, inputs[i]); !bytes.Equal(got, fresh[i]) {
+			start := buf.Len()             // each chunk appends to what the buffer holds
+			if n := compressChunk(&buf, inputs[i]); n != buf.Len()-start || !bytes.Equal(buf.Bytes()[start:], fresh[i]) {
 				t.Fatalf("round %d, input %d (%d bytes): pooled writer's output differs from a fresh writer's", round, i, len(inputs[i]))
 			}
 		}

@@ -33,7 +33,7 @@ const entrySuffix = ".e"
 func OpenDisk(dir string, maxBytes int64) (*Disk, error) {
 	d := &Disk{}
 	d.open(dir, "", entrySuffix, maxBytes, nil)
-	if err := d.load(nil); err != nil {
+	if err := d.load(); err != nil {
 		return nil, err
 	}
 	return d, nil

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,7 +31,8 @@ import (
 //
 // M is the format's per-entry metadata. release, when set, is the format's
 // cleanup hook: it runs with mu held whenever an entry's metadata leaves the
-// index, whether the entry was dropped, evicted or replaced.
+// index, whether the entry was dropped, evicted or replaced. A format with a
+// release hook owns its entry files: the tier never deletes one itself.
 type diskTier[M any] struct {
 	dir      string // the tier's root
 	root     string // dir/sub, which holds the entry files
@@ -112,10 +114,10 @@ func shardPath(root, file string) string {
 // path returns the path of an entry file.
 func (t *diskTier[M]) path(name string) string { return shardPath(t.root, name) }
 
-// scan lists the files under root whose names end in suffix, creating root
-// if needed. Anything else there is the temp file of an interrupted write,
-// or foreign debris, and is removed.
-func (t *diskTier[M]) scan(root, suffix string) ([]diskFile, error) {
+// scan lists the files under root whose names end in one of suffixes,
+// creating root if needed. Anything else there is the temp file of an
+// interrupted write, or foreign debris, and is removed.
+func (t *diskTier[M]) scan(root string, suffixes ...string) ([]diskFile, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: open disk tier: %w", err)
 	}
@@ -127,7 +129,7 @@ func (t *diskTier[M]) scan(root, suffix string) ([]diskFile, error) {
 		if de.IsDir() {
 			return nil
 		}
-		if !strings.HasSuffix(de.Name(), suffix) {
+		if !slices.ContainsFunc(suffixes, func(suffix string) bool { return strings.HasSuffix(de.Name(), suffix) }) {
 			_ = os.Remove(path)
 			return nil
 		}
@@ -144,17 +146,23 @@ func (t *diskTier[M]) scan(root, suffix string) ([]diskFile, error) {
 	return found, nil
 }
 
-// load scans the entry files and indexes them by mtime, oldest first with
-// the name as tiebreak, so the rebuild is deterministic and the newest
-// entry ends at the front; then it evicts past the cap. admit, when set,
-// reads an entry's metadata and may refuse the entry; it runs with mu held.
-// Entry integrity is verified lazily on read, so opening a large corpus
-// costs no full read pass.
-func (t *diskTier[M]) load(admit func(diskFile) (M, bool)) error {
+// load scans the entry files and indexes them; see index.
+func (t *diskTier[M]) load() error {
 	found, err := t.scan(t.root, t.suffix)
 	if err != nil {
 		return err
 	}
+	t.index(found, nil)
+	return nil
+}
+
+// index indexes the entry files found by mtime, oldest first with the name
+// as tiebreak, so the rebuild is deterministic and the newest entry ends at
+// the front; then it evicts past the cap. admit, when set, returns an
+// entry's metadata and may refuse the entry; it runs with mu held. Entry
+// integrity is verified lazily on read, so opening a large corpus costs no
+// full read pass.
+func (t *diskTier[M]) index(found []diskFile, admit func(diskFile) (M, bool)) {
 	sort.Slice(found, func(i, j int) bool {
 		if !found[i].mtime.Equal(found[j].mtime) {
 			return found[i].mtime.Before(found[j].mtime)
@@ -175,7 +183,6 @@ func (t *diskTier[M]) load(admit func(diskFile) (M, bool)) error {
 		t.bytes += f.size
 	}
 	t.evictOverCapLocked()
-	return nil
 }
 
 // counted applies the hit and miss counters to one lookup's outcome. Each
@@ -197,6 +204,11 @@ func (t *diskTier[M]) counted(val []byte, ok bool) ([]byte, bool) {
 func (t *diskTier[M]) lookup(name string) (gen uint64, meta M, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.lookupLocked(name)
+}
+
+// lookupLocked is lookup with mu held.
+func (t *diskTier[M]) lookupLocked(name string) (gen uint64, meta M, ok bool) {
 	el, ok := t.idx[name]
 	if !ok {
 		return 0, meta, false
@@ -262,20 +274,21 @@ func (t *diskTier[M]) installLocked(name string, size int64, meta M) {
 }
 
 // removeLocked unlinks an entry from the index and hands its metadata to
-// the release hook; removeFile also deletes the entry file. Called with mu
-// held.
+// the release hook, if any; otherwise removeFile deletes the entry file.
+// Called with mu held.
 func (t *diskTier[M]) removeLocked(el *list.Element, removeFile bool) {
 	r := el.Value.(*diskRecord[M])
 	t.lru.Remove(el)
 	delete(t.idx, r.name)
 	t.bytes -= r.size
+	if t.release != nil {
+		t.release(r.meta)
+		return
+	}
 	if removeFile {
 		if err := os.Remove(t.path(r.name)); err != nil && !os.IsNotExist(err) {
 			t.errors.Add(1)
 		}
-	}
-	if t.release != nil {
-		t.release(r.meta)
 	}
 }
 
@@ -363,10 +376,4 @@ func (t *diskTier[M]) publish(tmp, path string) bool {
 		return false
 	}
 	return true
-}
-
-// writeFile is the whole atomic write: stage, then publish.
-func (t *diskTier[M]) writeFile(path string, data []byte) bool {
-	tmp, ok := t.stage(path, data)
-	return ok && t.publish(tmp, path)
 }

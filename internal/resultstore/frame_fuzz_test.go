@@ -2,7 +2,9 @@ package resultstore
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -43,6 +45,10 @@ func FuzzDecodeBlob(f *testing.F) {
 	})
 }
 
+// FuzzDecodeManifest is seeded with entry files of this format, written by
+// Put (one that holds its chunks, one that references chunks another file
+// holds), and with the first format's manifests from the compatibility
+// fixture.
 func FuzzDecodeManifest(f *testing.F) {
 	for _, val := range [][]byte{nil, []byte("a"), randBytes(1, chunkMax+chunkMin), randBytes(2, 3*chunkMax)} {
 		d, err := OpenChunkedDisk(f.TempDir(), 0)
@@ -50,19 +56,34 @@ func FuzzDecodeManifest(f *testing.F) {
 			f.Fatal(err)
 		}
 		d.Put("k", val)
-		raw, err := os.ReadFile(d.path(manifestName("k")))
-		if err != nil {
-			f.Fatal(err)
+		d.Put("shares", append([]byte("header"), val...))
+		for _, key := range []string{"k", "shares"} {
+			raw, err := os.ReadFile(d.path(manifestName(key)))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(raw)
 		}
-		f.Add(raw)
 	}
 	f.Add([]byte(chunkedMagic))
+	err := filepath.WalkDir(filepath.Join(compatDir, "chunked", "m"), func(path string, de fs.DirEntry, err error) error {
+		if err != nil || de.IsDir() {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		f.Add(raw)
+		return err
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(chunkedMagicV1))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := decodeManifest(raw)
+		fr, body, err := decodeManifest(raw)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodeManifest(m), raw) {
+		if !bytes.Equal(append(appendManifest(nil, fr), body...), raw) {
 			t.Fatalf("accepted %d bytes that re-encode differently", len(raw))
 		}
 	})

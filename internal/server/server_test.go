@@ -250,31 +250,22 @@ func TestExperimentCancellationMidJob(t *testing.T) {
 }
 
 func TestQueueFullReturns503(t *testing.T) {
-	_, h := testServer(t, Options{Workers: 1, QueueDepth: 1})
-	// Occupy the single worker with a long job, then fill the single queue
-	// slot, then overflow with a third distinct request.
+	s, h := testServer(t, Options{Workers: 1, QueueDepth: 2})
+	// Occupy the single worker with a job that runs until the server
+	// closes, then fill both queue slots, then overflow with a third
+	// distinct request.
+	started := make(chan struct{})
+	if _, err := s.jobs.submit("block", "h", blockingJob(started)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocking job never ran")
+	}
 	first := do(h, "POST", "/v1/experiment", `{"id": "fig11", "mixes": 30}`)
 	if first.Code != 202 {
 		t.Fatalf("first submit: %d %s", first.Code, first.Body)
-	}
-	var v View
-	if err := json.Unmarshal(first.Body.Bytes(), &v); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for { // wait until it occupies the worker, freeing the queue slot
-		g := do(h, "GET", "/v1/jobs/"+v.ID, "")
-		var cur View
-		if err := json.Unmarshal(g.Body.Bytes(), &cur); err != nil {
-			t.Fatal(err)
-		}
-		if cur.Status == StatusRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("first job never ran: %+v", cur)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	second := do(h, "POST", "/v1/experiment", `{"id": "fig11", "mixes": 31}`)
 	if second.Code != 202 {

@@ -161,7 +161,8 @@ func TestCompressedWarmRestart(t *testing.T) {
 }
 
 // TestCorruptChunkResimulatedByServer is the chunked twin of
-// TestCorruptDiskEntryResimulatedByServer: damage every chunk file under a
+// TestCorruptDiskEntryResimulatedByServer: damage every file the chunked
+// tier wrote (each entry file holds the chunks its Put stored) under a
 // restarted replica and requests re-simulate instead of failing, then the
 // write-through repairs the store.
 func TestCorruptChunkResimulatedByServer(t *testing.T) {
@@ -175,7 +176,7 @@ func TestCorruptChunkResimulatedByServer(t *testing.T) {
 
 	n := 0
 	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".c") {
+		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".m") {
 			return err
 		}
 		raw, err := os.ReadFile(path)

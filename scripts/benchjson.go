@@ -217,13 +217,14 @@ func readFile(path string) (*File, error) {
 // claims/op is step 4's greedy work: the chunk claims its rounds made. It
 // catches claim rounds that take smaller bites or revisit finished VCs.
 // compressed/op and chunkwrites/op are the chunked store's write work:
-// chunks compressed and chunk files written. They catch a Put that
-// compresses or writes chunks the store already holds.
+// chunks compressed and chunks stored. They catch a Put that compresses or
+// stores chunks the store already holds. files/op is the files its Puts
+// created; it catches a Put that writes more than its one entry file.
 //
 // All of these are deterministic, so one that beats its baseline by more
 // than the bound means the entry no longer binds: the gate flags it STALE
 // (without failing) so the change that moved it refreshes it.
-var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op", "centers/op", "footprint/op", "spiral/op", "desirables/op", "trades/op", "claims/op", "compressed/op", "chunkwrites/op"}
+var gatedMetrics = []string{"B/op", "allocs/op", "knots/op", "curves/op", "centers/op", "footprint/op", "spiral/op", "desirables/op", "trades/op", "claims/op", "compressed/op", "chunkwrites/op", "files/op"}
 
 // gate compares current against base for benchmarks matching the prefix and
 // returns 1 if any shared sub-benchmark regressed beyond maxRegress in

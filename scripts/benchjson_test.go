@@ -362,6 +362,28 @@ func TestGateCompressedRegressionFails(t *testing.T) {
 	}
 }
 
+func TestGateFilesRegressionFails(t *testing.T) {
+	// A chunked Put that writes each new chunk to a file of its own again,
+	// next to its entry file, creates about 50 files per chunked-fresh op
+	// (33.6 chunk files plus 16 entry files) against 16 while its chunk
+	// counts stay the same: files/op must trip the gate on its own.
+	base := &File{Benchmarks: []Benchmark{{Name: "BenchmarkStoreWriteRead/chunked-fresh", NsPerOp: 1000, Runs: 5,
+		Metrics: map[string]float64{"B/op": 345000, "allocs/op": 930, "compressed/op": 33.6, "chunkwrites/op": 33.6, "files/op": 16}}}}
+	cur := &File{Benchmarks: []Benchmark{{Name: "BenchmarkStoreWriteRead/chunked-fresh", NsPerOp: 1150, Runs: 5,
+		Metrics: map[string]float64{"B/op": 345000, "allocs/op": 930, "compressed/op": 33.6, "chunkwrites/op": 33.6, "files/op": 49.6}}}}
+	var log strings.Builder
+	if code := gate(&log, base, cur, "BenchmarkStoreWriteRead", 0.20); code != 1 {
+		t.Errorf("gate passed a files/op regression from 16 to 49.6: exit %d\n%s", code, log.String())
+	}
+	if !strings.Contains(log.String(), "files/op, ") || !strings.Contains(log.String(), "REGRESSION") {
+		t.Errorf("gate log does not flag files/op:\n%s", log.String())
+	}
+	cur.Benchmarks[0].Metrics["files/op"] = 16
+	if code := gate(io.Discard, base, cur, "BenchmarkStoreWriteRead", 0.20); code != 0 {
+		t.Errorf("gate failed a run with unchanged files/op: exit %d", code)
+	}
+}
+
 func TestGateWarnsOnStaleBaseline(t *testing.T) {
 	// A deterministic metric far below its baseline means the entry no
 	// longer binds: flag it STALE, but pass. ns/op far below its baseline
