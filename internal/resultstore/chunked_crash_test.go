@@ -140,7 +140,7 @@ func reopenVerified(t *testing.T, dir string, maxBytes int64, vals map[string][]
 	}
 	checkChunkRecords(t, d)
 	for rel := range readTree(t, dir) {
-		if !strings.HasSuffix(rel, manifestSuffix) && !strings.HasSuffix(rel, packSuffix) {
+		if !strings.HasSuffix(rel, manifestSuffix) && !strings.HasSuffix(rel, packSuffix) && !strings.HasSuffix(rel, chunkSuffix) {
 			t.Errorf("%s survived the open", rel)
 		}
 	}

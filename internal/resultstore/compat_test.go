@@ -229,30 +229,17 @@ func TestChunkedMixedLayouts(t *testing.T) {
 	if compressed, _, files := d.Work(); shared == 0 || files != int64(len(fresh)) || compressed >= int64(shared) {
 		t.Fatalf("%d chunks compressed, %d files written, %d references to first-layout chunk files", compressed, files, shared)
 	}
-	serves := func(d *ChunkedDisk, mayMiss bool) {
-		t.Helper()
-		for key, v := range vals {
-			got, ok := d.Get(key)
-			if ok && !bytes.Equal(got, v) || !ok && !mayMiss {
-				t.Errorf("%.16s: ok=%v, bytes equal=%v", key, ok, bytes.Equal(got, v))
-			}
-		}
-		if st := d.Stats(); st.Errors != 0 || st.Bytes != diskOccupancy(t, d.dir) {
-			t.Errorf("stats %+v, on disk %d", st, diskOccupancy(t, d.dir))
-		}
-		checkChunkRecords(t, d)
+	st := d.Stats()
+	if st.Errors != 0 || st.Bytes != diskOccupancy(t, dir) {
+		t.Errorf("stats %+v, on disk %d", st, diskOccupancy(t, dir))
 	}
-	reopen := func(d *ChunkedDisk, maxBytes int64) *ChunkedDisk {
-		t.Helper()
-		d2 := openChunked(t, dir, maxBytes)
-		if st, st2 := d.Stats(), d2.Stats(); st2.Entries != st.Entries || st2.Bytes != st.Bytes || st2.LogicalBytes != st.LogicalBytes || st2.Errors != 0 {
-			t.Errorf("reopen found %+v, want %+v", st2, st)
-		}
-		return d2
+	checkChunkRecords(t, d)
+	if hits := reopenVerified(t, dir, 0, vals); len(hits) != len(vals) {
+		t.Errorf("%d of %d entries served after a reopen", len(hits), len(vals))
 	}
-	serves(d, false)
-	d = reopen(d, 0)
-	serves(d, false)
+	if st2 := openChunked(t, dir, 0).Stats(); st2.Entries != st.Entries || st2.Bytes != st.Bytes || st2.LogicalBytes != st.LogicalBytes {
+		t.Errorf("reopen found %+v, want %+v", st2, st)
+	}
 
 	// Age the first-layout entries, then reopen under a cap that evicts
 	// some of them: the new entries still serve from the chunk files.
@@ -262,19 +249,16 @@ func TestChunkedMixedLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := d.Stats()
-	d = openChunked(t, dir, st.Bytes-legacyManifests/2)
-	if ev := d.Stats().Evictions; ev == 0 {
+	hits := reopenVerified(t, dir, st.Bytes-legacyManifests/2, vals)
+	if len(hits) == len(vals) {
 		t.Fatal("the cap evicted nothing")
 	}
 	for _, key := range fresh {
-		if got, ok := d.Peek(key); !ok || !bytes.Equal(got, vals[key]) {
+		if !hits[key] {
 			t.Errorf("%.16s lost chunks to evicting first-layout entries", key)
 		}
 	}
 	if left := len(readTree(t, d.chunkRoot)); left == 0 || left == legacyChunks {
 		t.Errorf("%d of %d first-layout chunk files left: want those the new entries reference, and no other", left, legacyChunks)
 	}
-	serves(d, true)
-	serves(reopen(d, 0), true)
 }
