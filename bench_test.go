@@ -209,3 +209,54 @@ func BenchmarkBaselineSNUCA64Apps(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServedCell times cold served cells the way cdcs-serve computes
+// them: CompareRequest.Run with Parallelism 1, one scheme after another on
+// the process's arena cache and shared topologies. One op of "paper" is
+// the paper-cold cycle of four 8×8 cells under all five schemes (three
+// 64-app single-threaded mixes, then an 8-app multithreaded one); one op
+// of "kilotile" is the kilotile-cold cycle of S-NUCA against CDCS at 32,
+// 48, 64, 96 and 128 tiles on a side, one app per 16 tiles. A warm-up op
+// runs before the timer, as a serving process has served cells before.
+func BenchmarkServedCell(b *testing.B) {
+	paper := make([]CompareRequest, 4)
+	for i := range paper {
+		paper[i] = CompareRequest{Mix: MixSpec{Kind: MixRandom, Seed: int64(i + 1), N: 64}, Seed: 1}
+	}
+	paper[3].Mix = MixSpec{Kind: MixRandomMT, Seed: 4, N: 8}
+	var kilotile []CompareRequest
+	for _, side := range []int{32, 48, 64, 96, 128} {
+		cfg := DefaultConfig()
+		cfg.MeshWidth, cfg.MeshHeight = side, side
+		kilotile = append(kilotile, CompareRequest{
+			Config:  &cfg,
+			Mix:     MixSpec{Kind: MixRandom, Seed: int64(side), N: side * side / 16},
+			Schemes: []string{"S-NUCA", "CDCS"},
+			Seed:    1,
+		})
+	}
+	for _, bc := range []struct {
+		name  string
+		cells []CompareRequest
+	}{{"paper", paper}, {"kilotile", kilotile}} {
+		b.Run(bc.name, func(b *testing.B) {
+			serve := func() {
+				for _, req := range bc.cells {
+					cmp, err := req.Run(RunOptions{Parallelism: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					servedSink = cmp
+				}
+			}
+			serve()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
+}
+
+// servedSink keeps BenchmarkServedCell's results observable.
+var servedSink *Comparison

@@ -79,7 +79,7 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	env := policy.DefaultEnv()
 	env.Chip = place.Chip{
-		Topo:      mesh.New(cfg.MeshWidth, cfg.MeshHeight),
+		Topo:      mesh.Shared(cfg.MeshWidth, cfg.MeshHeight),
 		BankLines: float64(cfg.BankKB) * 1024 / workload.LineBytes,
 	}
 	if cfg.BankLatency > 0 {
@@ -316,9 +316,12 @@ type Result struct {
 }
 
 // Run evaluates one scheme on a mix. The seed drives random thread
-// placement (and nothing else).
+// placement (and nothing else). The schedule is built on an arena borrowed
+// from the process cache; everything the Result keeps is copied out of it
+// before it goes back.
 func (s *System) Run(scheme Scheme, mix *Mix, seed int64) (*Result, error) {
-	res, err := sim.RunMixWith(s.env, scheme.inner, mix.inner, rand.New(rand.NewSource(seed)), nil)
+	ar := policy.GetArena(s.env.Chip.Banks())
+	res, err := sim.RunMixWith(s.env, scheme.inner, mix.inner, sim.SeededRand(seed), ar)
 	if err != nil {
 		return nil, err
 	}
@@ -337,6 +340,7 @@ func (s *System) Run(scheme Scheme, mix *Mix, seed int64) (*Result, error) {
 	for _, sz := range res.Sched.VCSizes {
 		out.VCSizesMB = append(out.VCSizesMB, sz/workload.LinesPerMB)
 	}
+	policy.PutArena(ar)
 	return out, nil
 }
 

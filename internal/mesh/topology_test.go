@@ -52,3 +52,36 @@ func BenchmarkNewTopology(b *testing.B) {
 		})
 	}
 }
+
+// TestSharedMemoizesBounded checks that Shared hands every caller of one
+// size the same topology, equal to a New one, and keeps only the
+// sharedTopologies most recently used sizes.
+func TestSharedMemoizesBounded(t *testing.T) {
+	a := Shared(5, 3)
+	if Shared(5, 3) != a {
+		t.Fatal("two calls for 5x3 built two topologies")
+	}
+	if b := New(5, 3); a.Width() != 5 || a.Height() != 3 || a.MeanMemDistance() != b.MeanMemDistance() {
+		t.Fatal("shared 5x3 differs from New(5, 3)")
+	}
+	for w := 1; w <= sharedTopologies; w++ {
+		Shared(w, 1)
+		Shared(5, 3) // keep 5x3 the most recently used
+	}
+	if Shared(5, 3) != a {
+		t.Error("a size in constant use fell out of the memo")
+	}
+	shared.mu.Lock()
+	n := len(shared.topos)
+	shared.mu.Unlock()
+	if n > sharedTopologies {
+		t.Errorf("memo holds %d topologies, bound %d", n, sharedTopologies)
+	}
+	first := Shared(1, 1)
+	for w := 2; w <= sharedTopologies+1; w++ {
+		Shared(w, 2)
+	}
+	if Shared(1, 1) == first {
+		t.Error("least recently used size survived more than sharedTopologies newer ones")
+	}
+}

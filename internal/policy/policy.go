@@ -98,11 +98,11 @@ type Env struct {
 
 // DefaultEnv returns the paper's 64-tile CMP (Table 2): 8×8 mesh, 512KB
 // banks, with the latency constants shared between the allocator and the
-// performance model.
+// performance model. Its topology is the process's shared 8×8 one.
 func DefaultEnv() Env {
 	p := perfmodel.DefaultParams()
 	return Env{
-		Chip: place.Chip{Topo: mesh.New(8, 8), BankLines: 8192},
+		Chip: place.Chip{Topo: mesh.Shared(8, 8), BankLines: 8192},
 		Model: alloc.LatencyModel{
 			MemLatency: p.MemZeroLoad + p.MemBurst,
 			HopLatency: p.HopLatency,
@@ -115,7 +115,7 @@ func DefaultEnv() Env {
 // ScaledEnv returns an env with a w×h mesh (e.g. the §II-B 6×6 chip).
 func ScaledEnv(w, h int) Env {
 	e := DefaultEnv()
-	e.Chip = place.Chip{Topo: mesh.New(w, h), BankLines: 8192}
+	e.Chip = place.Chip{Topo: mesh.Shared(w, h), BankLines: 8192}
 	return e
 }
 
@@ -142,8 +142,12 @@ type Sched struct {
 // inputs). Reusing one arena across BuildWith calls makes the per-cell
 // schedule hot path allocation-free in steady state. Not safe for concurrent
 // use; a Sched built with a non-nil arena borrows its memory and stays valid
-// only until the arena's next BuildWith.
+// only until the arena's next BuildWith. GetArena and PutArena share idle
+// arenas across the process.
 type Arena struct {
+	// banks is the bank count of the chip the arena last built for; the
+	// process cache hands the arena only to chips of that size.
+	banks   int
 	core    core.Arena
 	order   []int
 	threads []mesh.Tile
@@ -176,6 +180,7 @@ func BuildWith(env Env, s Scheme, mix *workload.Mix, rng *rand.Rand, ar *Arena) 
 	if ar == nil {
 		ar = NewArena()
 	}
+	ar.banks = env.Chip.Banks()
 	if len(mix.Threads) > env.Chip.Banks() {
 		return Sched{}, fmt.Errorf("policy: %d threads exceed %d cores", len(mix.Threads), env.Chip.Banks())
 	}

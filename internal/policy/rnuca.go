@@ -69,6 +69,11 @@ func buildRNUCA(ar *Arena, env Env, mix *workload.Mix, threads []mesh.Tile) (Sch
 		for i := range sharedTotal {
 			sharedTotal[i] = 0
 		}
+		// A shared stream's per-bank weight depends only on this
+		// iteration's ratios, not on the bank.
+		for i, v := range sharedVCs {
+			wShared[i] = (apkiOf[v]*ratios[v] + 1e-3) / float64(nBanks)
+		}
 		maxDelta := 0.0
 		for b := 0; b < nBanks; b++ {
 			pv := privAt[b]
@@ -77,9 +82,8 @@ func buildRNUCA(ar *Arena, env Env, mix *workload.Mix, threads []mesh.Tile) (Sch
 				wPriv = apkiOf[pv]*ratios[pv] + 1e-3
 			}
 			total := wPriv
-			for i, v := range sharedVCs {
-				wShared[i] = (apkiOf[v]*ratios[v] + 1e-3) / float64(nBanks)
-				total += wShared[i]
+			for _, w := range wShared {
+				total += w
 			}
 			if total <= 0 {
 				continue

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cdcs/internal/policy"
@@ -14,6 +15,8 @@ import (
 // exactly the weighted speedups — of independent nil-arena runs. This is
 // the sim-level half of the dense-representation bit-identity property (the
 // placement-level half is TestDenseMatchesMapReference in internal/place).
+// It runs twice: on a new arena, and on one that first served every scheme on
+// a larger chip, as an arena from the process cache may have.
 func TestRunMixArenaBitIdentical(t *testing.T) {
 	env := policy.DefaultEnv()
 	cpu := workload.SPECCPU()
@@ -26,7 +29,22 @@ func TestRunMixArenaBitIdentical(t *testing.T) {
 		policy.SchemeSNUCA, policy.SchemeRNUCA,
 		policy.SchemeJigsawC, policy.SchemeJigsawR, policy.SchemeCDCS,
 	}
-	ar := policy.NewArena() // deliberately shared across every run below
+	larger := policy.NewArena()
+	bigEnv := policy.ScaledEnv(16, 16)
+	bigMix := workload.RandomST(rand.New(rand.NewSource(13)), cpu, 256)
+	for si, sc := range schemes {
+		if _, err := RunMixWith(bigEnv, sc, bigMix, rand.New(rand.NewSource(int64(si))), larger); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("new", func(t *testing.T) { checkArenaBitIdentical(t, env, schemes, mixes, policy.NewArena()) })
+	t.Run("served-16x16", func(t *testing.T) { checkArenaBitIdentical(t, env, schemes, mixes, larger) })
+}
+
+// checkArenaBitIdentical runs every scheme on every mix through ar, which
+// is deliberately shared across all the runs, and compares each result bit
+// for bit with a nil-arena run.
+func checkArenaBitIdentical(t *testing.T, env policy.Env, schemes []policy.Scheme, mixes []*workload.Mix, ar *policy.Arena) {
 	for mi, mix := range mixes {
 		var basePerApp, baseArPerApp [][]float64
 		for si, sc := range schemes {
@@ -65,6 +83,31 @@ func TestRunMixArenaBitIdentical(t *testing.T) {
 			if WeightedSpeedup(wsFresh, baseFresh) != WeightedSpeedup(wsPooled, basePooled) {
 				t.Errorf("mix %d scheme %d: weighted speedup drifted under arena reuse", mi, si)
 			}
+		}
+	}
+}
+
+// TestSeededRandMatchesEagerSource checks that the lazily seeded source
+// yields the eager source's stream value for value, through every draw the
+// simulator makes (Perm) and the Source64 fast path, and after a reseed.
+func TestSeededRandMatchesEagerSource(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7} {
+		lazy, eager := SeededRand(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 3; i++ {
+			if a, b := lazy.Perm(64), eager.Perm(64); !slices.Equal(a, b) {
+				t.Fatalf("seed %d: Perm %v != %v", seed, a, b)
+			}
+			if a, b := lazy.Uint64(), eager.Uint64(); a != b {
+				t.Fatalf("seed %d: Uint64 %d != %d", seed, a, b)
+			}
+			if a, b := lazy.Float64(), eager.Float64(); a != b {
+				t.Fatalf("seed %d: Float64 %v != %v", seed, a, b)
+			}
+		}
+		lazy.Seed(seed + 1)
+		eager.Seed(seed + 1)
+		if a, b := lazy.Int63(), eager.Int63(); a != b {
+			t.Fatalf("seed %d: Int63 after Seed %d != %d", seed, a, b)
 		}
 	}
 }

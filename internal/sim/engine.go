@@ -205,18 +205,15 @@ func (e Engine) RunCampaign(env policy.Env, schemes []policy.Scheme, nMixes int,
 		traffic               perfmodel.Traffic
 		energy                perfmodel.Energy
 	}
-	// Workers borrow schedule arenas from a pool, so the steady-state
-	// placement path allocates nothing per job: the jobResult extraction
-	// below copies out everything that outlives the arena's reuse.
-	var arenas sync.Pool
+	// Workers borrow schedule arenas from the process cache, so the
+	// steady-state placement path allocates nothing per job: the jobResult
+	// extraction below copies out everything that outlives the arena's reuse.
+	banks := env.Chip.Banks()
 	results := make([]jobResult, nMixes*nSchemes)
 	if err := e.ForEach(len(results), func(j int) error {
 		m, i := j/nSchemes, j%nSchemes
-		runRng := rand.New(rand.NewSource(baseSeed + int64(m)*7919 + int64(i) + 1))
-		ar, _ := arenas.Get().(*policy.Arena)
-		if ar == nil {
-			ar = policy.NewArena()
-		}
+		runRng := SeededRand(baseSeed + int64(m)*7919 + int64(i) + 1)
+		ar := policy.GetArena(banks)
 		res, err := RunMixWith(env, schemes[i], mixes[m], runRng, ar)
 		if err != nil {
 			return err
@@ -228,7 +225,7 @@ func (e Engine) RunCampaign(env policy.Env, schemes []policy.Scheme, nMixes int,
 			traffic:    res.Chip.TrafficPerInstr,
 			energy:     res.Chip.EnergyPerInstr,
 		}
-		arenas.Put(ar)
+		policy.PutArena(ar)
 		return nil
 	}); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package cdcs
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -246,4 +247,62 @@ func TestMixSpecValidateMatchesBuild(t *testing.T) {
 			t.Errorf("%+v: Validate %v, Build %v", s, valErr, buildErr)
 		}
 	}
+}
+
+// TestServedCellsConcurrentMatchAlone serves compare requests of three chip
+// sizes from several goroutines at once, so they borrow and return arenas
+// of the process cache and share topologies, and checks every body against
+// the body of the same request served alone. Run it under -race.
+func TestServedCellsConcurrentMatchAlone(t *testing.T) {
+	sized := func(side, apps int, schemes ...string) CompareRequest {
+		cfg := DefaultConfig()
+		cfg.MeshWidth, cfg.MeshHeight = side, side
+		return CompareRequest{
+			Config:  &cfg,
+			Mix:     MixSpec{Kind: MixRandom, Seed: int64(side), N: apps},
+			Schemes: schemes,
+			Seed:    3,
+		}
+	}
+	reqs := []CompareRequest{
+		{Mix: MixSpec{Kind: MixRandom, Seed: 8, N: 64}, Seed: 3},
+		{Mix: MixSpec{Kind: MixRandomMT, Seed: 9, N: 8}, Seed: 3},
+		sized(32, 64, "S-NUCA", "R-NUCA", "Jigsaw+R", "CDCS"),
+		sized(96, 96, "S-NUCA", "CDCS"),
+	}
+	body := func(req CompareRequest, parallelism int) (string, error) {
+		cmp, err := req.Run(RunOptions{Parallelism: parallelism})
+		if err != nil {
+			return "", err
+		}
+		b, err := json.Marshal(cmp)
+		return string(b), err
+	}
+	alone := make([]string, len(reqs))
+	for i, req := range reqs {
+		var err error
+		if alone[i], err = body(req, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 6
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range reqs {
+				i := (g + k) % len(reqs)
+				got, err := body(reqs[i], 1+g%2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != alone[i] {
+					t.Errorf("goroutine %d, request %d: body differs from the request served alone", g, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
